@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -62,11 +61,16 @@ class RunConfig:
     n_max: int
     fit: bool
 
+    def identity(self) -> dict:
+        """Every field that decides the results.  Where they are written and
+        where tables are cached do not change the content."""
+        d = asdict(self)
+        del d["out"], d["cache_dir"]
+        return d
+
     @property
     def hash(self) -> str:
-        d = asdict(self)
-        d.pop("out")        # target path must not change the content
-        text = json.dumps(d, sort_keys=True, default=list)
+        text = json.dumps(self.identity(), sort_keys=True, default=list)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def afe(self) -> AfeConfig:
@@ -232,27 +236,7 @@ def _validate(cfg: RunConfig):
 
 
 def _table_for(cfg: RunConfig, n_need: int) -> hecke.EigenformTable:
-    """Shared eigenform table, disk-cached when --cache-dir is set."""
-    if cfg.cache_dir is None:
-        return hecke.shared_eigenform(n_need, cfg.kappa)
-    size = n_need
-    if size > hecke._SHARED_STEP:
-        size = -(-size // hecke._SHARED_STEP) * hecke._SHARED_STEP
-    key = hashlib.sha256(
-        f"builtin-delta:{cfg.kappa}:{size}".encode()).hexdigest()[:12]
-    os.makedirs(cfg.cache_dir, exist_ok=True)
-    path = os.path.join(cfg.cache_dir,
-                        f"eigenform_{cfg.kappa}_{size}_{key}.npy")
-    if os.path.exists(path):
-        lam = np.load(path)
-        lam.setflags(write=False)
-        if lam.shape != (size + 1,) or lam[1] != 1.0:
-            raise ValueError(f"corrupt cache file {path}")
-        return hecke.EigenformTable(weight=cfg.kappa, n_max=size, lam=lam,
-                                    source=f"cache:{path}")
-    tab = hecke.shared_eigenform(size, cfg.kappa)
-    np.save(path, tab.lam[:size + 1])
-    return tab
+    return hecke.shared_eigenform(n_need, cfg.kappa, cache_dir=cfg.cache_dir)
 
 
 def _fmt(v) -> str:
@@ -273,8 +257,7 @@ def _csv(cfg: RunConfig, header, rows, comments=()) -> str:
 
 
 def _json_doc(cfg: RunConfig, header, rows, audits=None) -> str:
-    cd = asdict(cfg)
-    cd.pop("out")
+    cd = cfg.identity()
     cd["hash"] = cfg.hash
     doc = {"config": cd,
            "rows": [dict(zip(header, row)) for row in rows]}

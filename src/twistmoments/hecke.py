@@ -1,18 +1,28 @@
 """Hecke eigenvalues for the fixed level-1 eigenform, default Delta (kappa=12).
 
-tau(n) is computed exactly: the cube of the eta-type product is Jacobi's sparse
-series sum (-1)^k (2k+1) x^{k(k+1)/2}, and three successive squarings give the
-24th power.  Squarings are exact integer convolutions done by Kronecker
-substitution (pack the series into one big integer per sign, multiply, unpack);
-gmpy2 does the packing and the product at C speed when present, plain Python
-integers otherwise.  Normalized eigenvalues lambda(n) = tau(n)/n^((kappa-1)/2)
-are stored as float64.
+tau(n) is computed exactly from Delta = x prod (1-x^m)^24.  The cube of the
+eta-type product is Jacobi's sparse series sum (-1)^k (2k+1) x^{k(k+1)/2},
+and three truncated squarings give the 24th power.  Each squaring is one
+Kronecker substitution: the coefficients, biased to be non-negative, are
+packed into fixed-width decimal slots of a single decimal.Decimal, squared
+in an exact context (libmpdec multiplies operands this large by a
+number-theoretic transform), and read back slot by slot.  The route needs
+only the standard library and is exact at every size.
+
+Normalized eigenvalues lambda(n) = tau(n)/n^((kappa-1)/2) are stored as
+float64.  shared_eigenform keeps one table per process and, on request, an
+on-disk cache of validated tables that serves any shorter request by prefix.
 """
 
 from __future__ import annotations
 
+import contextlib
+import decimal
+import hashlib
+import itertools
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 
@@ -20,78 +30,56 @@ import numpy as np
 
 from . import arith
 
-try:
-    import gmpy2
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - environment dependent
-    _HAVE_GMPY2 = False
-
-_INT64_SAFE = 1 << 62
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN)
 
 
-def _pack_nonneg(vals: list[int], bits: int) -> "int":
-    if _HAVE_GMPY2:
-        return gmpy2.pack(vals, bits)
-    nbytes = bits // 8
-    buf = bytearray(len(vals) * nbytes)
-    for i, v in enumerate(vals):
-        buf[i * nbytes:(i + 1) * nbytes] = v.to_bytes(nbytes, "little")
-    return int.from_bytes(bytes(buf), "little")
+def _square_trunc(a: list[int], length: int) -> list[int]:
+    """Exact coefficients of (sum a_i x^i)^2 below x^length.
 
+    With c = max|a_i| every biased coefficient b_i = a_i + c lies in [0, 2c],
+    so every coefficient of B(x)^2 is at most length (2c)^2 < 10^d and the
+    base-10^d slots of B(10^d)^2 never carry into each other.  B is packed
+    most significant slot first, so the slots below x^length are the leading
+    digits of the square.  B = A + c U with U = sum_{i<length} x^i gives
 
-def _unpack_nonneg(z: "int", bits: int, count: int) -> list[int]:
-    if _HAVE_GMPY2:
-        out = [int(v) for v in gmpy2.unpack(gmpy2.mpz(z), bits)[:count]]
-        # short products occupy fewer limbs than requested
-        out.extend([0] * (count - len(out)))
-        return out
-    nbytes = bits // 8
-    raw = int(z).to_bytes(count * nbytes, "little")
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(count)]
-
-
-def _square_trunc(a: np.ndarray, length: int):
-    """Exact coefficients of (sum a_i x^i)^2 truncated below x^length.
+        (A^2)_k = (B^2)_k - 2c sum_{i<=k} a_i - c^2 (k+1),   k < length.
 
     Args:
-        a: int64 coefficient array (may contain negatives).
+        a: signed integer coefficients; missing ones up to length are zero.
         length: number of output coefficients to keep.
-
-    Returns:
-        int64 array when every output fits comfortably in 64 bits, else a
-        list of Python integers.
     """
-    amax = int(np.abs(a).max()) if len(a) else 0
-    # worst case for one convolution coefficient, doubled since the packed
-    # value carries P*P + N*N in a single slot
-    bound = 2 * length * amax * amax + 1
-    bits = ((bound.bit_length() + 7) // 8) * 8 + 8
-    pos = np.where(a > 0, a, 0).tolist()
-    neg = np.where(a < 0, -a, 0).tolist()
-    zp = _pack_nonneg(pos, bits)
-    zn = _pack_nonneg(neg, bits)
-    u = _unpack_nonneg(zp * zp + zn * zn, bits, length)
-    v = _unpack_nonneg(2 * zp * zn, bits, length)
-    if bound < _INT64_SAFE:
-        return np.array(u, dtype=np.int64) - np.array(v, dtype=np.int64)
-    out = [x - y for x, y in zip(u, v)]
-    if max(map(abs, out), default=0) < _INT64_SAFE:
-        return np.array(out, dtype=np.int64)
-    return out
+    vals = list(a[:length]) + [0] * (length - len(a))
+    c = max(map(abs, vals), default=0)
+    if c == 0:
+        return [0] * length
+    d = len(str(length * (2 * c) ** 2))
+    packed = decimal.Decimal("".join([str(v + c).zfill(d) for v in vals]))
+    square = _EXACT.multiply(packed, packed)
+    del packed
+    # the square holds 2*length - 1 slots; drop the length - 1 lowest
+    top = _EXACT.scaleb(square, -d * (length - 1))
+    del square
+    digits = str(top.to_integral_value(decimal.ROUND_DOWN, _EXACT))
+    del top
+    digits = digits.zfill(length * d)
+    c2, twice_c = c * c, 2 * c
+    return [int(digits[k * d:(k + 1) * d]) - twice_c * s - c2 * (k + 1)
+            for k, s in enumerate(itertools.accumulate(vals))]
 
 
-def _jacobi_cube(length: int) -> np.ndarray:
+def _jacobi_cube(length: int) -> list[int]:
     """Coefficients of prod (1-x^n)^3 = sum (-1)^k (2k+1) x^{k(k+1)/2}."""
-    out = np.zeros(length, dtype=np.int64)
+    out = [0] * length
     k = 0
     while k * (k + 1) // 2 < length:
         out[k * (k + 1) // 2] = (2 * k + 1) * (-1 if k % 2 else 1)
         k += 1
     return out
 
-# Above this the J^4 stage would overflow the int64 intermediate.
+# The route is exact at any size; this bound only limits the time and
+# memory one request may take (5.58M terms: about 105 s and a 1.2 GB peak
+# on one core of a 2-core machine).
 TAU_N_MAX = 20_000_000
 
 
@@ -102,35 +90,39 @@ def ramanujan_tau_table(n_max: int) -> list[int]:
     plain list; callers wanting floats should go through build_eigenform.
 
     Raises:
-        ValueError: n_max < 1 or beyond the configured bound.
+        ValueError: n_max < 1 or beyond TAU_N_MAX.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if n_max > TAU_N_MAX:
         raise ValueError(
             f"n_max={n_max} exceeds the supported bound {TAU_N_MAX} "
-            "(intermediate convolution would overflow its 64-bit stage)")
-    j = _jacobi_cube(n_max)
-    j2 = _square_trunc(j, n_max)
-    j4 = _square_trunc(j2, n_max)
-    j8 = _square_trunc(j4, n_max)
-    if isinstance(j8, np.ndarray):
-        return [int(v) for v in j8]
-    return j8
+            "(time and memory of the exact squarings)")
+    series = _jacobi_cube(n_max)
+    for _ in range(3):
+        series = _square_trunc(series, n_max)
+    return series
 
 
-def write_tau_file(path: str, taus: list[int]) -> None:
-    """Write the coefficient file: one "n<TAB>tau(n)" line per n, no header."""
-    tmpfd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+@contextlib.contextmanager
+def _replacing(path: str, mode: str):
+    """Open a temporary file beside path; it replaces path only on success."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
     try:
-        with os.fdopen(tmpfd, "w") as fh:
-            for i, t in enumerate(taus, start=1):
-                fh.write(f"{i}\t{t}\n")
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_tau_file(path: str, taus: list[int]) -> None:
+    """Write the coefficient file: one "n<TAB>tau(n)" line per n, no header."""
+    with _replacing(path, "w") as fh:
+        for i, t in enumerate(taus, start=1):
+            fh.write(f"{i}\t{t}\n")
 
 
 def read_coefficient_file(path: str) -> list[int]:
@@ -300,20 +292,92 @@ def mertens_log_sum(x: float) -> float:
 
 _shared_tables: dict[int, EigenformTable] = {}
 _SHARED_STEP = 250_000
+# Part of every cache key: files written under another format are ignored.
+_CACHE_FORMAT = 2
 
 
-def shared_eigenform(n_max: int, kappa: int = 12) -> EigenformTable:
-    """Process-wide cached builtin-delta table covering at least n_max.
+def _rounded_size(n_max: int) -> int:
+    """Table length built for a request: exact up to one 250k step, above
+    that rounded up to whole steps so nearby requests share one table."""
+    if n_max <= _SHARED_STEP:
+        return n_max
+    return -(-n_max // _SHARED_STEP) * _SHARED_STEP
 
-    Tau generation dominates table cost (tens of seconds at sweep scale), so
-    everything in one process shares a single table, grown in 250k steps and
-    never shrunk.  The returned table may cover more than asked.
+
+def _cache_path(cache_dir: str, kappa: int, n_max: int) -> str:
+    key = hashlib.sha256(f"builtin-delta:{kappa}:{n_max}:v{_CACHE_FORMAT}"
+                         .encode()).hexdigest()[:12]
+    return os.path.join(cache_dir, f"eigenform_{kappa}_{n_max}_{key}.npy")
+
+
+def _cached_lengths(cache_dir: str, kappa: int) -> list[int]:
+    """Lengths of the current-format tables in cache_dir, ascending."""
+    found = []
+    for name in os.listdir(cache_dir):
+        m = re.fullmatch(rf"eigenform_{kappa}_(\d+)_\w+\.npy", name)
+        if m and os.path.join(cache_dir, name) == _cache_path(
+                cache_dir, kappa, int(m[1])):
+            found.append(int(m[1]))
+    return sorted(found)
+
+
+def _load_cached(path: str, kappa: int, n_max: int) -> EigenformTable:
+    """The first n_max terms of a cached table, validated like a fresh build.
+
+    Raises:
+        ValueError: "corrupt cache file ..." for an unreadable, short or
+            invalid table.
     """
+    try:
+        raw = np.load(path, mmap_mode="r")
+        if raw.dtype != np.float64 or raw.ndim != 1 or len(raw) <= n_max:
+            raise ValueError(f"holds {raw.dtype} {raw.shape}, "
+                             f"need float64 ({n_max + 1},) or longer")
+        lam = np.array(raw[:n_max + 1])
+        del raw
+        _validate_table(lam, n_max, tol=1e-9)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"corrupt cache file {path}: {exc}") from None
+    lam.setflags(write=False)
+    return EigenformTable(weight=kappa, n_max=n_max, lam=lam,
+                          source=f"cache:{path}")
+
+
+def shared_eigenform(n_max: int, kappa: int = 12,
+                     cache_dir: str | None = None) -> EigenformTable:
+    """Builtin-delta table covering at least n_max, shared process-wide.
+
+    Tau generation dominates table cost, so everything in one process shares
+    a single table, built at _rounded_size and grown, never shrunk.  Without
+    cache_dir the returned table may cover more than asked.
+
+    With cache_dir the table always has exactly _rounded_size(n_max) terms,
+    so results do not depend on what the process or the cache holds.  It is
+    the validated prefix of the shortest cached table long enough; on a miss
+    the process table is built or grown as above, and its first
+    _rounded_size(n_max) terms are returned and written to the cache.
+
+    Raises:
+        ValueError: a cached table is unreadable or fails validation.
+        OSError: the cache directory cannot be created or written.
+    """
+    size = _rounded_size(n_max)
+    if cache_dir is not None:
+        os.makedirs(cache_dir, exist_ok=True)
+        hit = next((n for n in _cached_lengths(cache_dir, kappa)
+                    if n >= size), None)
+        if hit is not None:
+            return _load_cached(_cache_path(cache_dir, kappa, hit), kappa,
+                                size)
     tab = _shared_tables.get(kappa)
     if tab is None or tab.n_max < n_max:
-        size = n_max
-        if size > _SHARED_STEP:
-            size = -(-size // _SHARED_STEP) * _SHARED_STEP
         tab = build_eigenform(n_max=size, kappa=kappa)
         _shared_tables[kappa] = tab
+    if cache_dir is None:
+        return tab
+    if tab.n_max > size:
+        tab = EigenformTable(weight=kappa, n_max=size,
+                             lam=tab.lam[:size + 1], source=tab.source)
+    with _replacing(_cache_path(cache_dir, kappa, size), "wb") as fh:
+        np.save(fh, tab.lam)
     return tab

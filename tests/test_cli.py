@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from twistmoments import cli, hecke
@@ -220,6 +221,12 @@ def test_config_hash_semantics(tmp_path, capsys):
     rc, _, _ = run_cli(["chars", "--q", "9", "--out", str(out_path)], capsys)
     assert rc == 0
     assert out_path.read_text().splitlines()[0] == f"# config {a}"
+    # nor is the table cache location
+    d = _hash_of(["chars", "--q", "9", "--cache-dir", str(tmp_path / "c1")],
+                 capsys)
+    e = _hash_of(["chars", "--q", "9", "--cache-dir", str(tmp_path / "c2")],
+                 capsys)
+    assert d == e == a
 
 
 def test_repeat_runs_byte_identical(tmp_path, capsys):
@@ -244,3 +251,31 @@ def test_cache_dir_round_trip(tmp_path, capsys):
     rc, out2, _ = run_cli(args, capsys)
     assert rc == 0
     assert out1 == out2
+
+
+def test_cache_dir_serves_shorter_request_by_prefix(tmp_path, capsys):
+    base = ["lvalue", "--q", "23", "--tail-eps", "1e-7"]
+    shared = ["--cache-dir", str(tmp_path / "shared")]
+    rc, _, _ = run_cli(base + ["--X", "0.5"] + shared, capsys)
+    assert rc == 0
+    rc, out, _ = run_cli(base + ["--X", "1"] + shared, capsys)
+    assert rc == 0
+    assert len(list((tmp_path / "shared").glob("eigenform_*.npy"))) == 1
+    rc, fresh, _ = run_cli(
+        base + ["--X", "1", "--cache-dir", str(tmp_path / "fresh")], capsys)
+    assert rc == 0
+    assert out == fresh
+
+
+def test_corrupt_cache_file_exits_two(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["lvalue", "--q", "7", "--cache-dir", str(cache)]
+    rc, _, _ = run_cli(args, capsys)
+    assert rc == 0
+    (path,) = cache.glob("eigenform_*.npy")
+    lam = np.load(path)
+    lam[5] = -lam[5]          # lambda(5): breaks multiplicativity at 10, 15
+    np.save(path, lam)
+    rc, _, err = run_cli(args, capsys)
+    assert rc == 2
+    assert "corrupt cache file" in err

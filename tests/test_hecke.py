@@ -13,16 +13,80 @@ KNOWN_TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 
 
 def test_tau_table_matches_q_expansion_oracle():
-    got = hecke.ramanujan_tau_table(40)
-    assert list(got) == helpers.tau_q_expansion(40)
-    assert list(got[:10]) == KNOWN_TAU
+    got = hecke.ramanujan_tau_table(300)
+    assert got == helpers.tau_q_expansion(300)
+    assert got[:10] == KNOWN_TAU
 
 
 def test_tau_table_tiny_sizes():
-    # sparse squarings occupy fewer limbs than the output length; make sure
-    # the unpacking pads instead of misbroadcasting
+    # the leading slots of a short square can be zero; make sure the digit
+    # string is padded instead of shifting every slot
     for n in (1, 2, 3, 6, 7, 11):
         assert list(hecke.ramanujan_tau_table(n)) == helpers.tau_q_expansion(n)
+
+
+def _convolve_trunc(a, length):
+    """Schoolbook square of sum a_i x^i below x^length, in exact integers."""
+    out = [0] * length
+    for i, u in enumerate(a[:length]):
+        for j, v in enumerate(a[:length - i]):
+            out[i + j] += u * v
+    return out
+
+
+@pytest.mark.parametrize("size,length,scale", [
+    (40, 40, 10),           # small signed coefficients
+    (40, 25, 10**6),        # output shorter than the input
+    (25, 40, 10**6),        # output longer: the square's tail and zeros
+    (60, 60, 2**70),        # coefficients past 2^63
+    (1, 1, 5),
+    (2, 7, 3),
+])
+def test_square_trunc_matches_exact_convolution(size, length, scale):
+    rng = np.random.default_rng(size * length)
+    for _ in range(5):
+        a = [int(v) * scale // 7 for v in rng.integers(-7, 8, size=size)]
+        assert hecke._square_trunc(a, length) == _convolve_trunc(a, length)
+
+
+def test_square_trunc_extreme_inputs():
+    assert hecke._square_trunc([0] * 9, 6) == [0] * 6
+    assert hecke._square_trunc([], 3) == [0, 0, 0]
+    assert hecke._square_trunc([5, -1], 0) == []
+    # every coefficient at -c makes every biased slot zero
+    c = 2**64 + 13
+    assert hecke._square_trunc([-c] * 8, 8) == [c * c * (k + 1)
+                                               for k in range(8)]
+    # one coefficient at +c and the rest at -c: slot widths at their limit
+    a = [c] + [-c] * 30
+    assert hecke._square_trunc(a, 31) == _convolve_trunc(a, 31)
+
+
+def test_tau_table_20000_congruence_and_hecke_recursion():
+    n_max = 20_000
+    taus = [0] + hecke.ramanujan_tau_table(n_max)
+    assert len(taus) == n_max + 1
+    # Ramanujan: tau(n) = sigma_11(n) mod 691, for every n
+    sigma = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        p11 = pow(d, 11, 691)
+        for m in range(d, n_max + 1, d):
+            sigma[m] += p11
+    bad = [n for n in range(1, n_max + 1) if (taus[n] - sigma[n]) % 691]
+    assert bad == []
+    # tau(p^(a+1)) = tau(p) tau(p^a) - p^11 tau(p^(a-1)), exactly
+    checked = 0
+    for p in helpers.trial_primes(math.isqrt(n_max)):
+        pa = p
+        while pa * p <= n_max:
+            prev = taus[pa // p]
+            assert taus[pa * p] == taus[p] * taus[pa] - p**11 * prev, (p, pa)
+            pa *= p
+            checked += 1
+    assert checked > 40
+    # multiplicativity on coprime pairs near the top, again exactly
+    for m, n in ((16, 1125), (49, 400), (81, 245)):
+        assert taus[m * n] == taus[m] * taus[n]
 
 
 def test_tau_multiplicativity():
@@ -137,6 +201,42 @@ def test_mertens_log_sum():
     assert abs(hecke.mertens_log_sum(10) - want) < 1e-12
     resid = hecke.mertens_log_sum(1e5) - math.log(1e5)
     assert abs(resid + 1.3286305110533725) < 1e-9
+
+
+def test_shared_eigenform_cache_serves_prefix(tmp_path):
+    cache = str(tmp_path)
+    big = hecke.shared_eigenform(3000, cache_dir=cache)
+    assert big.n_max == 3000
+    small = hecke.shared_eigenform(1000, cache_dir=cache)
+    assert small.n_max == 1000
+    assert small.source.startswith("cache:")
+    assert np.array_equal(small.lam, hecke.build_eigenform(n_max=1000).lam)
+    assert len(list(tmp_path.glob("eigenform_*.npy"))) == 1
+    # a file under another key (an older format) is never read
+    stale = tmp_path / "eigenform_12_5000_000000000000.npy"
+    np.save(stale, np.zeros(5001))
+    again = hecke.shared_eigenform(4000, cache_dir=cache)
+    assert again.n_max == 4000 and not again.source.startswith("cache:")
+    assert len(list(tmp_path.glob("eigenform_*.npy"))) == 3
+
+
+def test_shared_eigenform_rejects_invalid_cache(tmp_path):
+    cache = str(tmp_path)
+    hecke.shared_eigenform(500, cache_dir=cache)
+    (path,) = tmp_path.glob("eigenform_*.npy")
+    lam = np.load(path)
+    lam[7] = -lam[7]
+    np.save(path, lam)
+    with pytest.raises(ValueError, match="corrupt cache file"):
+        hecke.shared_eigenform(500, cache_dir=cache)
+    np.save(path, lam[:100])  # shorter than the name says
+    with pytest.raises(ValueError, match="corrupt cache file"):
+        hecke.shared_eigenform(500, cache_dir=cache)
+    whole = path.read_bytes()
+    for body in (b"not a table", b"", whole[:40], whole[:-8]):
+        path.write_bytes(body)
+        with pytest.raises(ValueError, match="corrupt cache file"):
+            hecke.shared_eigenform(500, cache_dir=cache)
 
 
 def test_shared_eigenform_reuses_table():
