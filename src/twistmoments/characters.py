@@ -7,8 +7,12 @@ through the general path: the unit group is decomposed into cyclic components
 (one per odd prime power, the <-1, 5> pair for 2^a with a >= 3) and characters
 are indexed by exponent tuples, flattened to a single integer index.
 
-Character values are exact roots of unity addressed by an integer phase table,
-so primitivity and conductor logic never touches floating point.
+Character values are exact roots of unity addressed by an integer phase table.
+Conductors, parity and conjugation never look at values: each group holds
+them as integer vectors over the flat index, computed once in closed form
+from the component exponents.  The conductor is multiplicative over the CRT
+components, and on each component it depends only on the order of the
+exponent there.
 
 Convention: e(z) = exp(2*pi*i*z).  The Kloosterman sum here is
 S(u,v,q) = sum over units h of e((u h + v h^-1)/q); some sources write the
@@ -26,14 +30,10 @@ import numpy as np
 from . import arith
 
 
-def _order_divides(g: int, m: int, d: int) -> bool:
-    return pow(g, d, m) == 1
-
-
 def _is_primitive_root(g: int, m: int, phi: int, phi_primes: tuple[int, ...]) -> bool:
     if math.gcd(g, m) != 1:
         return False
-    return all(not _order_divides(g, m, phi // r) for r in phi_primes)
+    return all(pow(g, phi // r, m) != 1 for r in phi_primes)
 
 
 def least_primitive_root(m: int) -> int:
@@ -71,13 +71,44 @@ def _two_power_dlogs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return t_sign, t_five
 
 
+def _conductors(fac: tuple[tuple[int, int], ...],
+                tuples: np.ndarray) -> np.ndarray:
+    """Conductor of every character: the product of its local conductors.
+
+    On an odd p^a a character of local order o > 1 has local conductor
+    p times the p-part of o.  On 4 it is 4 for an odd exponent.  On 2^a with
+    a >= 3, sign s and <5>-exponent of local order o, it is 4o when o > 1,
+    else 4 if s = 1.  Local order 1 always gives 1.
+    """
+    cond = np.ones(tuples.shape[1], dtype=np.int64)
+    row = 0
+    for p, a in fac:
+        e = tuples[row]
+        if p != 2:
+            d = (p - 1) * p ** (a - 1)
+            o = d // np.gcd(e, d)
+            cond *= np.where(o > 1, p * (o // np.gcd(o, p - 1)), 1)
+            row += 1
+        elif a == 2:
+            cond *= np.where(e % 2 == 1, 4, 1)
+            row += 1
+        else:
+            d = 2 ** (a - 2)
+            o = d // np.gcd(tuples[row + 1], d)
+            cond *= np.where(o > 1, 4 * o, np.where(e == 1, 4, 1))
+            row += 2
+    return cond
+
+
 @dataclass(frozen=True)
 class CharacterGroup:
     """Unit group mod q with discrete-log tables for character evaluation.
 
     For the default odd-prime-power q there is one component and `g` / `dlog`
     expose the classical primitive-root picture: dlog[g^t mod q] = t.  The
-    exponent D is the lcm of the component orders; `phase_scale[i]` = D/d_i.
+    exponent D is the lcm of the component orders.  `conductors`, `even` and
+    `conj` are read-only vectors over the flat character index: the conductor
+    of chi, whether chi(-1) = 1, and the flat index of chi-bar.
     """
 
     q: int
@@ -87,6 +118,9 @@ class CharacterGroup:
     exps: np.ndarray          # shape (ncomp, q), -1 at non-units
     unit_mask: np.ndarray     # shape (q,), bool
     roots: np.ndarray         # exp(2 pi i t / D), t = 0..D-1
+    conductors: np.ndarray    # shape (phi_q,), int64
+    even: np.ndarray          # shape (phi_q,), bool
+    conj: np.ndarray          # shape (phi_q,), int64
 
     @property
     def g(self) -> int | None:
@@ -163,9 +197,23 @@ def build_group(q: int, allow_general: bool = False) -> CharacterGroup:
     phi_q = arith.euler_phi(q)
     assert math.prod(orders) == phi_q
     roots = np.exp(2j * np.pi * np.arange(exponent) / exponent)
+
+    # row i: the exponent on component i of every flat index; the flat
+    # index is mixed radix with component 0 least significant
+    radix = orders[::-1]
+    tuples = np.array(np.unravel_index(np.arange(phi_q), radix)[::-1])
+    orders_col = np.array(orders).reshape(-1, 1)
+    conj = np.ravel_multi_index(tuple((-tuples % orders_col)[::-1]), radix)
+    # chi(-1) = e(phase/D) with phase = sum_i e_i (D/d_i) dlog_i(-1)
+    phase_m1 = np.sum(tuples * (exponent // orders_col)
+                      * exps[:, q - 1:q], axis=0) % exponent
+    vectors = {"conductors": _conductors(fac, tuples),
+               "even": phase_m1 == 0, "conj": conj}
+    for v in vectors.values():
+        v.setflags(write=False)
     return CharacterGroup(q=q, phi_q=phi_q, components=tuple(components),
                           exponent=exponent, exps=exps, unit_mask=unit_mask,
-                          roots=roots)
+                          roots=roots, **vectors)
 
 
 class Character:
@@ -176,8 +224,7 @@ class Character:
     chi(n) = e(e * dlog(n) / phi(q)).
     """
 
-    __slots__ = ("group", "index", "idx_tuple", "_phase", "_values",
-                 "_conductor")
+    __slots__ = ("group", "index", "idx_tuple", "_phase", "_values")
 
     def __init__(self, group: CharacterGroup, index: int):
         self.group = group
@@ -190,7 +237,6 @@ class Character:
         self.idx_tuple = tuple(tup)
         self._phase: np.ndarray | None = None
         self._values: np.ndarray | None = None
-        self._conductor: int | None = None
 
     def phase_numerators(self) -> np.ndarray:
         """Integer t(n) with chi(n) = e(t(n)/D), -1 sentinel at non-units."""
@@ -220,21 +266,12 @@ class Character:
 
     @property
     def conductor(self) -> int:
-        """Smallest f | q from which chi is induced (exact integer logic)."""
-        if self._conductor is None:
-            grp = self.group
-            phase = self.phase_numerators()
-            nn = np.arange(grp.q)
-            for f in arith.divisors(grp.q):
-                sub = grp.unit_mask & (nn % f == 1 % f)
-                if np.all(phase[sub] == 0):
-                    self._conductor = f
-                    break
-        return self._conductor
+        """Smallest f | q from which chi is induced."""
+        return int(self.group.conductors[self.index])
 
     @property
     def is_primitive(self) -> bool:
-        return self.conductor == self.group.q
+        return bool(self.group.conductors[self.index] == self.group.q)
 
     @property
     def is_principal(self) -> bool:
@@ -242,24 +279,17 @@ class Character:
 
     def conjugate_index(self) -> int:
         """Flat index of chi-bar."""
-        tup = [(-e) % d for e, d in zip(self.idx_tuple, self.group.orders())]
-        out = 0
-        for t, d in zip(reversed(tup), reversed(self.group.orders())):
-            out = out * d + t
-        return out
+        return int(self.group.conj[self.index])
 
     def __repr__(self):
         return (f"Character(q={self.group.q}, index={self.index}, "
                 f"conductor={self.conductor})")
 
 
-def conductor(chi: Character) -> int:
-    return chi.conductor
-
-
 def primitive_characters(group: CharacterGroup) -> list[Character]:
     """All primitive characters, ascending flat index; length phi_star(q)."""
-    prims = [chi for chi in group.characters() if chi.is_primitive]
+    prims = [Character(group, int(i))
+             for i in np.flatnonzero(group.conductors == group.q)]
     assert len(prims) == arith.phi_star(group.q)
     return prims
 

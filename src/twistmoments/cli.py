@@ -291,10 +291,9 @@ def _cmd_chars(cfg: RunConfig) -> str:
     rows = []
     for q in cfg.q_list:
         grp = characters.build_group(q, allow_general=True)
-        for idx in range(grp.phi_q):
-            chi = characters.Character(grp, idx)
-            even = bool(chi.values()[(q - 1) % q].real > 0)
-            rows.append((q, idx, chi.conductor, chi.is_primitive, even))
+        rows.extend(zip([q] * grp.phi_q, range(grp.phi_q),
+                        grp.conductors.tolist(),
+                        (grp.conductors == q).tolist(), grp.even.tolist()))
     return _render(cfg, ("q", "index", "conductor", "primitive", "even"),
                    rows)
 

@@ -345,17 +345,16 @@ def _load_cached(path: str, kappa: int, n_max: int) -> EigenformTable:
 
 def shared_eigenform(n_max: int, kappa: int = 12,
                      cache_dir: str | None = None) -> EigenformTable:
-    """Builtin-delta table covering at least n_max, shared process-wide.
+    """Builtin-delta table of exactly _rounded_size(n_max) terms.
 
     Tau generation dominates table cost, so everything in one process shares
-    a single table, built at _rounded_size and grown, never shrunk.  Without
-    cache_dir the returned table may cover more than asked.
+    a single table, built at _rounded_size and grown, never shrunk; a request
+    gets a view of its first _rounded_size(n_max) terms.  Results therefore
+    do not depend on what the process or the cache holds.
 
-    With cache_dir the table always has exactly _rounded_size(n_max) terms,
-    so results do not depend on what the process or the cache holds.  It is
-    the validated prefix of the shortest cached table long enough; on a miss
-    the process table is built or grown as above, and its first
-    _rounded_size(n_max) terms are returned and written to the cache.
+    With cache_dir the table is the validated prefix of the shortest cached
+    table long enough; on a miss it comes from the process table as above
+    and is written to the cache.
 
     Raises:
         ValueError: a cached table is unreadable or fails validation.
@@ -370,14 +369,13 @@ def shared_eigenform(n_max: int, kappa: int = 12,
             return _load_cached(_cache_path(cache_dir, kappa, hit), kappa,
                                 size)
     tab = _shared_tables.get(kappa)
-    if tab is None or tab.n_max < n_max:
+    if tab is None or tab.n_max < size:
         tab = build_eigenform(n_max=size, kappa=kappa)
         _shared_tables[kappa] = tab
-    if cache_dir is None:
-        return tab
     if tab.n_max > size:
         tab = EigenformTable(weight=kappa, n_max=size,
                              lam=tab.lam[:size + 1], source=tab.source)
-    with _replacing(_cache_path(cache_dir, kappa, size), "wb") as fh:
-        np.save(fh, tab.lam)
+    if cache_dir is not None:
+        with _replacing(_cache_path(cache_dir, kappa, size), "wb") as fh:
+            np.save(fh, tab.lam)
     return tab

@@ -20,13 +20,14 @@ spline in (log x, log W); direct quadrature stays available for audits.  The
 spline is built only over the part of the grid where samples sit safely above
 quadrature noise; past that the weight is clamped to 0, which costs less than
 1e-16 absolute and keeps the log transform well defined.
+
+scipy is imported only where a kernel is built, so commands that never build
+one (`chars`, `tau`) do not pay for loading it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import loggamma
 
 _GRID_SIZE = 2048
 _GRID_LO = 1e-8
@@ -76,6 +77,8 @@ class WeightEvaluator:
         # sum equals f(0) + 2 sum_{t>0} w_t Re f(t) exactly; folding the
         # contour halves the work and makes the result real by construction
         # instead of real up to amplified rounding noise.
+        from scipy.special import loggamma
+
         n = int(round(steps))
         t = np.arange(0, n + 1) * self.h
         s = self.c + 1j * t
@@ -137,6 +140,8 @@ class WeightEvaluator:
     # ------------------------------------------------------------------- grid
 
     def _build_grid(self):
+        from scipy.interpolate import CubicSpline
+
         x = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
         v = self.quad(x)
         floor = _NOISE_FLOOR[self.kind]

@@ -3,9 +3,9 @@
 The large tables dominate suite start-up, so they are session scoped and
 sized for every consumer: family_table covers families up to q = 211 plus
 the cap-doubling check at q = 101, sweep_table covers the growth sweep up
-to q = 1009.  shared_eigenform reuses whatever bigger table the process
-already holds, so the order tests run in only affects build time, never
-results.
+to q = 1009.  shared_eigenform serves each request as an exact-length view
+of whatever bigger table the process already holds, so the order tests run
+in only affects build time, never results.
 """
 
 import pytest

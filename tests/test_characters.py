@@ -208,3 +208,26 @@ def test_primitive_sum_identity():
                 characters.primitive_sum_identity(a, q, audit=True)
     with pytest.raises(ValueError):
         characters.primitive_sum_identity(3, 9)
+
+
+_VECTOR_MODULI = ([q for q in range(3, 401) if q % 4 != 2]
+                  + [2 ** a for a in range(3, 11) if 2 ** a > 400]
+                  + [1331, 1369, 1452, 1485])
+
+
+@pytest.mark.parametrize("q", _VECTOR_MODULI)
+def test_group_vectors_against_value_oracles(q):
+    # conductors, parity and conjugation come from the component exponents;
+    # check them against the character values themselves
+    g = characters.build_group(q, allow_general=True)
+    V = np.array([c.values() for c in g.characters()])
+    divs = list(arith.divisors(q))
+    want = np.array([helpers.conductor_by_periodicity(v, q, divs)
+                     for v in V])
+    assert np.array_equal(g.conductors, want)
+    assert np.array_equal(g.even, np.abs(V[:, q - 1] - 1.0) < 1e-9)
+    assert np.abs(V[g.conj] - np.conj(V)).max() < 1e-9
+    assert np.array_equal(g.conj[g.conj], np.arange(g.phi_q))
+    prims = characters.primitive_characters(g)
+    assert len(prims) == arith.phi_star(q)
+    assert [c.index for c in prims] == list(np.flatnonzero(want == q))

@@ -1,6 +1,8 @@
 """Command-line front end: dispatch, formats, config handling, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +113,29 @@ def test_weights_row_count(capsys):
     assert header == ["x", "W", "W2"]
     assert len(rows) == 25
     assert abs(float(rows[0]["W"]) - 1.0) < 1e-4
+
+
+_IMPORT_GUARD = """
+import contextlib, io, sys
+from twistmoments import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["chars", "--q", "9"]) == 0
+    assert cli.run(["tau", "--n-max", "10"]) == 0
+assert "scipy" not in sys.modules, "chars or tau loaded scipy"
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    assert cli.run(["weights"]) == 0
+rows = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
+assert len(rows) == 1 + 25, len(rows)
+assert "scipy" in sys.modules
+"""
+
+
+def test_chars_and_tau_do_not_import_scipy():
+    # a fresh interpreter, so no other test has loaded scipy already
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lvalue_family(capsys):
@@ -265,6 +290,21 @@ def test_cache_dir_serves_shorter_request_by_prefix(tmp_path, capsys):
         base + ["--X", "1", "--cache-dir", str(tmp_path / "fresh")], capsys)
     assert rc == 0
     assert out == fresh
+
+
+def test_uncached_rows_do_not_depend_on_modulus_order(monkeypatch, capsys):
+    # without --cache-dir every call gets a table of exactly its own size,
+    # whatever bigger table an earlier modulus left in the process
+    monkeypatch.setattr(hecke, "_shared_tables", {})
+    rows_211 = {}
+    for q_list in ("211", "401,211"):
+        rc, out, _ = run_cli(["lvalue", "--q-list", q_list,
+                              "--tail-eps", "1e-5"], capsys)
+        assert rc == 0
+        rows_211[q_list] = [l for l in out.splitlines()
+                            if l.startswith("211,")]
+    assert len(rows_211["211"]) == 209          # phi*(211)
+    assert rows_211["211"] == rows_211["401,211"]
 
 
 def test_corrupt_cache_file_exits_two(tmp_path, capsys):

@@ -241,9 +241,11 @@ def test_shared_eigenform_rejects_invalid_cache(tmp_path):
 
 def test_shared_eigenform_reuses_table():
     a = hecke.shared_eigenform(1000)
-    assert a.n_max >= 1000
+    assert a.n_max == 1000
     b = hecke.shared_eigenform(500)
-    assert b is a
+    assert b.n_max == 500 and len(b.lam) == 501
+    assert np.shares_memory(b.lam, a.lam)
+    assert np.array_equal(b.lam, a.lam[:501])
     c = hecke.shared_eigenform(1200)
-    assert c.n_max >= 1200
+    assert c.n_max == 1200
     assert c.lam[1] == 1.0
