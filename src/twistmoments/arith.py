@@ -13,17 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SIEVE_LIMIT_DEFAULT = 1_000_000
+# factorize reads n below this from the table, larger n by trial division
+_SIEVE_MAX = 1_000_000
 
 # Lazily built smallest-prime-factor table; _spf[n] is the least prime
-# dividing n (0 for n < 2).  Grown geometrically, never shrunk.
+# dividing n (0 for n < 2).  Sized to the first request, then grown to at
+# least twice its length whenever a request outruns it; never shrunk.
 _spf: np.ndarray | None = None
 
 
 def _spf_table(limit: int) -> np.ndarray:
     global _spf
     if _spf is None or len(_spf) <= limit:
-        size = max(limit + 1, _SIEVE_LIMIT_DEFAULT)
+        size = max(limit + 1, 2 * len(_spf) if _spf is not None else 0)
         tab = np.zeros(size, dtype=np.int64)
         tab[2::2] = 2
         for p in range(3, int(math.isqrt(size - 1)) + 1, 2):
@@ -73,7 +75,7 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     m = int(n)
     out: list[tuple[int, int]] = []
-    if m > 1 and m < _SIEVE_LIMIT_DEFAULT:
+    if 1 < m < _SIEVE_MAX:
         tab = _spf_table(m)
         while m > 1:
             p = int(tab[m])

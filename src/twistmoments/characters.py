@@ -100,6 +100,12 @@ def _conductors(fac: tuple[tuple[int, int], ...],
     return cond
 
 
+def _exponent_tuples(orders, index: np.ndarray) -> np.ndarray:
+    """Row i: the exponent on component i of each flat index; the flat index
+    is mixed radix with component 0 least significant."""
+    return np.array(np.unravel_index(index, tuple(orders[::-1]))[::-1])
+
+
 @dataclass(frozen=True)
 class CharacterGroup:
     """Unit group mod q with discrete-log tables for character evaluation.
@@ -198,12 +204,10 @@ def build_group(q: int, allow_general: bool = False) -> CharacterGroup:
     assert math.prod(orders) == phi_q
     roots = np.exp(2j * np.pi * np.arange(exponent) / exponent)
 
-    # row i: the exponent on component i of every flat index; the flat
-    # index is mixed radix with component 0 least significant
-    radix = orders[::-1]
-    tuples = np.array(np.unravel_index(np.arange(phi_q), radix)[::-1])
+    tuples = _exponent_tuples(orders, np.arange(phi_q))
     orders_col = np.array(orders).reshape(-1, 1)
-    conj = np.ravel_multi_index(tuple((-tuples % orders_col)[::-1]), radix)
+    conj = np.ravel_multi_index(tuple((-tuples % orders_col)[::-1]),
+                                orders[::-1])
     # chi(-1) = e(phase/D) with phase = sum_i e_i (D/d_i) dlog_i(-1)
     phase_m1 = np.sum(tuples * (exponent // orders_col)
                       * exps[:, q - 1:q], axis=0) % exponent
@@ -345,8 +349,9 @@ def primitive_sum_identity(a: int, q: int, audit: bool = False,
     """Sum of chi(a) over primitive chi mod q, via the Mobius side.
 
     Returns sum over c | (q, a-1) of mu(q/c) phi(c).  With audit=True the
-    left side is formed by direct summation over primitive_characters and
-    both sides are required to agree within 1e-6.
+    left side is formed by direct summation of chi(a) over the primitive
+    characters, each read from its exponent tuple, and both sides are
+    required to agree within 1e-6.
 
     Raises:
         ValueError: gcd(a, q) > 1.
@@ -358,7 +363,13 @@ def primitive_sum_identity(a: int, q: int, audit: bool = False,
               for c in arith.divisors(q) if g % c == 0)
     if audit:
         grp = group if group is not None else build_group(q, allow_general=True)
-        lhs = sum(chi.values()[a % q] for chi in primitive_characters(grp))
+        tuples = _exponent_tuples(grp.orders(),
+                                  np.flatnonzero(grp.conductors == q))
+        orders_col = np.array(grp.orders()).reshape(-1, 1)
+        # chi(a) = e(phase/D), phase = sum_i e_i (D/d_i) dlog_i(a)
+        phase = np.sum(tuples * (grp.exponent // orders_col)
+                       * grp.exps[:, a % q:a % q + 1], axis=0) % grp.exponent
+        lhs = complex(np.sum(grp.roots[phase]))
         if abs(lhs - rhs) > 1e-6:
             raise AssertionError(
                 f"sum over primitive chi mod {q} of chi({a}) = {lhs}, "

@@ -23,9 +23,6 @@ from .hecke import EigenformTable
 from .lvalues import AfeConfig, DEFAULT_CONFIG
 from .mollifier import MollifierContext
 
-DESK_SWEEP_PRIMES = (53, 101, 149, 211, 307, 401, 503, 701, 1009)
-DESK_SWEEP_PRIME_POWERS = (27, 125, 343, 1331)
-
 _SLACK = 1e-9
 _TINY = 1e-300
 

@@ -11,21 +11,22 @@ exp(-log^2(2 pi x)/4) thanks to the e^{s^2} factor, W2 like exp(-c sqrt(x))
 from the Gamma^2.
 
 Quadrature is a trapezoid rule on s = c + it, |t| <= T, with the integrand
-assembled in log space (scipy loggamma) so large |t| never overflows.  The
-kernel factor K(t) = Gamma-part / s is independent of x and cached per
-evaluator, turning each evaluation into one complex dot product.
+assembled in log space so large |t| never overflows: log Gamma comes from a
+Stirling series after an upward shift.  The kernel factor K(t) = Gamma-part / s
+is independent of x and cached per evaluator, turning each evaluation into
+two real dot products, cos(theta) . Re K + sin(theta) . Im K.
 
-Production evaluation interpolates a 2048-sample log-spaced grid with a cubic
-spline in (log x, log W); direct quadrature stays available for audits.  The
-spline is built only over the part of the grid where samples sit safely above
-quadrature noise; past that the weight is clamped to 0, which costs less than
-1e-16 absolute and keeps the log transform well defined.
-
-scipy is imported only where a kernel is built, so commands that never build
-one (`chars`, `tau`) do not pay for loading it.
+Production evaluation interpolates a 2048-sample log-spaced grid with a
+not-a-knot cubic spline in (log x, log W); direct quadrature stays available
+for audits.  The spline is built only over the part of the grid where
+samples sit safely above quadrature noise; past that the weight is clamped
+to 0, which costs less than 1e-16 absolute and keeps the log transform well
+defined.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,6 +37,101 @@ _GRID_HI = 1e6
 _NOISE_FLOOR = {"W": 1e-20, "W2": 1e-16}
 _TAIL_TOL = 1e-12
 _CHUNK = 256
+
+
+# Stirling coefficients B_2k / (2k (2k - 1)), k = 1..10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+             -691 / 360360, 1 / 156, -3617 / 122400, 43867 / 244188,
+             -174611 / 125400)
+# The series is summed at Re z >= this, where its first omitted term is
+# below 3e-17.  A larger shift costs accuracy: the rounding noise of the
+# bigger intermediate terms is not analytic in t, and the contour integral
+# amplifies it at small x by up to 1/x.
+_STIRLING_MIN = 7.0
+
+
+def _loggamma(z: np.ndarray) -> np.ndarray:
+    """log Gamma(z) for Re z > 0, up to an integer multiple of 2 pi i.
+
+    Gamma(z) = Gamma(z + m) / (z (z + 1) ... (z + m - 1)), with the least m
+    that puts every point at Re z + m >= _STIRLING_MIN; log Gamma(z + m) is
+    the Stirling series there.  The product is logged once, so the branch is
+    not the principal one: only exp of the result is meaningful.
+    """
+    z = np.asarray(z, dtype=complex)
+    m = max(0, math.ceil(_STIRLING_MIN - float(z.real.min())))
+    prod = np.ones_like(z)
+    for k in range(m):
+        prod *= z + k
+    w = z + m
+    inv2 = 1.0 / (w * w)
+    series = np.zeros_like(w)
+    for coef in reversed(_STIRLING):
+        series = series * inv2 + coef
+    return ((w - 0.5) * np.log(w) - w + 0.5 * math.log(2 * math.pi)
+            + series / w - np.log(prod))
+
+
+class _NotAKnotSpline:
+    """Cubic spline through (x_i, y_i), x strictly increasing, n >= 4, with
+    not-a-knot ends: the third derivative is continuous at x_1 and x_{n-2}.
+
+    The knot slopes solve a tridiagonal system whose end rows carry the
+    not-a-knot conditions; its eliminated pivots are dx_0 + dx_1 and the like,
+    so the Thomas sweep needs no pivoting.  Each interval then holds the cubic
+    Hermite polynomial in powers of (x - x_i).
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        n = len(x)
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
+        sub = np.zeros(n)
+        diag = np.empty(n)
+        sup = np.zeros(n)
+        rhs = np.empty(n)
+        sub[1:-1] = dx[1:]
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        sup[1:-1] = dx[:-1]
+        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        diag[0], sup[0] = dx[1], d
+        rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0]
+                  + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        sub[-1], diag[-1] = d, dx[-2]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                   + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = _thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self._x = x
+        self._coef = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1],
+                               y[:-1]])
+
+    def __call__(self, xv: np.ndarray) -> np.ndarray:
+        i = np.clip(np.searchsorted(self._x, xv, side="right") - 1,
+                    0, len(self._x) - 2)
+        d = xv - self._x[i]
+        a, b, c, e = self._coef[:, i]
+        return ((a * d + b) * d + c) * d + e
+
+
+def _thomas(sub: list, diag: list, sup: list, rhs: list) -> np.ndarray:
+    """Solve a tridiagonal system by forward elimination and back
+    substitution, on Python floats (one pass each way)."""
+    n = len(diag)
+    cp = [0.0] * n
+    dp = [0.0] * n
+    cp[0] = sup[0] / diag[0]
+    dp[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        den = diag[i] - sub[i] * cp[i - 1]
+        cp[i] = sup[i] / den
+        dp[i] = (rhs[i] - sub[i] * dp[i - 1]) / den
+    for i in range(n - 2, -1, -1):
+        dp[i] -= cp[i] * dp[i + 1]
+    return np.array(dp)
 
 
 class QuadratureTailError(RuntimeError):
@@ -77,12 +173,10 @@ class WeightEvaluator:
         # sum equals f(0) + 2 sum_{t>0} w_t Re f(t) exactly; folding the
         # contour halves the work and makes the result real by construction
         # instead of real up to amplified rounding noise.
-        from scipy.special import loggamma
-
         n = int(round(steps))
         t = np.arange(0, n + 1) * self.h
         s = self.c + 1j * t
-        lg = loggamma(kappa / 2 + s) - loggamma(kappa / 2)
+        lg = _loggamma(kappa / 2 + s) - math.lgamma(kappa / 2)
         ln_k = lg + s * s if kind == "W" else 2.0 * lg
         kern = np.exp(ln_k) / s
         f0 = kern[0]
@@ -92,7 +186,8 @@ class WeightEvaluator:
         kern[0] = f0.real
         kern[-1] *= 0.5
         self._t = t
-        self._kern = kern
+        self._kern_re = kern.real.copy()
+        self._kern_im = kern.imag.copy()
         # absolute bound on what the outermost unit band can contribute,
         # before the (2 pi x)^{-c} factor
         band = t >= self.T - 1.0
@@ -130,18 +225,17 @@ class WeightEvaluator:
         out = np.empty(len(xs))
         for lo in range(0, len(xs), _CHUNK):
             sl = slice(lo, lo + _CHUNK)
-            phase = np.exp(-1j * np.outer(ln2pix[sl], self._t))
-            # Re(phase @ kern) pairs each t > 0 with its conjugate mirror at
-            # -t, so the imaginary residue of the represented two-sided sum
-            # is identically zero rather than < 1e-9 by luck
-            out[sl] = pref[sl] * (phase @ self._kern).real
+            theta = np.outer(ln2pix[sl], self._t)
+            # Re(e^{-i theta} K) pairs each t > 0 with its conjugate mirror
+            # at -t, so the imaginary residue of the represented two-sided
+            # sum is identically zero rather than < 1e-9 by luck
+            out[sl] = pref[sl] * (np.cos(theta) @ self._kern_re
+                                  + np.sin(theta) @ self._kern_im)
         return out if np.ndim(x) else float(out[0])
 
     # ------------------------------------------------------------------- grid
 
     def _build_grid(self):
-        from scipy.interpolate import CubicSpline
-
         x = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
         v = self.quad(x)
         floor = _NOISE_FLOOR[self.kind]
@@ -156,7 +250,7 @@ class WeightEvaluator:
         self.grid_vals = v
         self._support_end = float(x[end - 1])
         self._left_val = float(v[0])
-        self._spline = CubicSpline(np.log(x[:end]), np.log(v[:end]))
+        self._spline = _NotAKnotSpline(np.log(x[:end]), np.log(v[:end]))
 
     def __call__(self, x) -> np.ndarray | float:
         """Grid-interpolated value (falls back to quadrature without a grid);
@@ -189,11 +283,6 @@ class WeightEvaluator:
         if not len(idx):
             raise ValueError(f"majorant never reaches {eps:g} on the grid")
         return float(self.grid_x[idx[0]])
-
-
-def eval_weight(ev: WeightEvaluator, x: float) -> float:
-    """Direct-quadrature kernel value at x (the audit path)."""
-    return ev.quad(x)
 
 
 def decay_audit(ev: WeightEvaluator, c_test: float) -> float:

@@ -23,6 +23,20 @@ def trial_primes(limit: int) -> list[int]:
     return out
 
 
+def trial_factor(n: int) -> dict[int, int]:
+    """{p: e} with n = prod p^e, by trial division."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
 def tau_q_expansion(n_max: int) -> list[int]:
     """tau(1..n_max) read off x prod_m (1 - x^m)^24, in exact integers.
 
@@ -84,6 +98,24 @@ def contour_weight_two_sided(kind: str, x: float, kappa: int = 12,
     No folding and no realness tricks: the raw complex value comes back so
     the imaginary part can be inspected directly.
     """
+    s, kern = _two_sided_kernel(kind, kappa, c, T, h)
+    return complex(np.sum(kern * np.exp(-s * math.log(2 * math.pi * x)))
+                   * h / (2 * math.pi))
+
+
+def contour_weight_samples(kind: str, xs, kappa: int = 12, c: float = 1.0,
+                           T: float | None = None,
+                           h: float = 1.0 / 64) -> np.ndarray:
+    """Real parts of contour_weight_two_sided at every x in xs, with the
+    Gamma factor formed once."""
+    s, kern = _two_sided_kernel(kind, kappa, c, T, h)
+    return np.array([(np.sum(kern * np.exp(-s * math.log(2 * math.pi * x)))
+                      * h / (2 * math.pi)).real for x in xs])
+
+
+def _two_sided_kernel(kind, kappa, c, T, h):
+    """Nodes s = c + it, |t| <= T, and the trapezoid-weighted x-free factor
+    Gamma-part / s of the weight integrand, from scipy's loggamma."""
     if T is None:
         T = 12.0 if kind == "W" else 40.0
     n = int(round(T / h))
@@ -91,7 +123,7 @@ def contour_weight_two_sided(kind: str, x: float, kappa: int = 12,
     s = c + 1j * t
     lg = loggamma(kappa / 2 + s) - loggamma(kappa / 2)
     ln_k = lg + s * s if kind == "W" else 2.0 * lg
-    f = np.exp(ln_k - s * math.log(2 * math.pi * x)) / s
-    f[0] *= 0.5
-    f[-1] *= 0.5
-    return complex(f.sum() * h / (2 * math.pi))
+    kern = np.exp(ln_k) / s
+    kern[0] *= 0.5
+    kern[-1] *= 0.5
+    return s, kern

@@ -118,20 +118,19 @@ def test_weights_row_count(capsys):
 _IMPORT_GUARD = """
 import contextlib, io, sys
 from twistmoments import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.run(["chars", "--q", "9"]) == 0
-    assert cli.run(["tau", "--n-max", "10"]) == 0
-assert "scipy" not in sys.modules, "chars or tau loaded scipy"
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
+    assert cli.run(["chars", "--q", "9"]) == 0
+    assert cli.run(["tau", "--n-max", "10"]) == 0
     assert cli.run(["weights"]) == 0
+    assert cli.run(["lvalue", "--q", "5"]) == 0
 rows = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
-assert len(rows) == 1 + 25, len(rows)
-assert "scipy" in sys.modules
+assert len(rows) == (1 + 6) + 10 + (1 + 25) + (1 + 3), len(rows)
+assert "scipy" not in sys.modules, "the package loaded scipy"
 """
 
 
-def test_chars_and_tau_do_not_import_scipy():
+def test_cli_never_imports_scipy():
     # a fresh interpreter, so no other test has loaded scipy already
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
                           capture_output=True, text=True)

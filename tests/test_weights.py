@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.special import loggamma
 
 from twistmoments import lvalues, weights
 
@@ -124,5 +126,39 @@ def test_decay_audit(ev_w, ev_w2):
         weights.decay_audit(ev_w, 0.0)
 
 
-def test_eval_weight_helper(ev_w):
-    assert weights.eval_weight(ev_w, 1.0) == ev_w.quad(1.0)
+def test_loggamma_against_scipy(ev_w, ev_w2):
+    for ev in (ev_w, ev_w2):
+        z = ev.kappa / 2 + ev.c + 1j * ev._t
+        got = weights._loggamma(z)
+        assert np.abs(np.exp(got - loggamma(z)) - 1.0).max() <= 1e-13
+    # Re z below the Stirling threshold: the upward-shift path
+    z = 0.25 + 1j * np.linspace(-30.0, 30.0, 601)
+    got = weights._loggamma(z)
+    assert np.abs(np.exp(got - loggamma(z)) - 1.0).max() <= 1e-13
+
+
+def test_spline_against_scipy(ev_w, ev_w2):
+    rng = np.random.default_rng(5)
+    for ev in (ev_w, ev_w2):
+        knots = ev._spline._x
+        ref = CubicSpline(knots, np.log(ev.grid_vals[:len(knots)]))
+        pts = np.concatenate([knots, rng.uniform(knots[0], knots[-1], 10**5)])
+        assert np.abs(ev._spline(pts) - ref(pts)).max() <= 1e-13
+
+
+class _ScipyRouteEvaluator(weights.WeightEvaluator):
+    """Grid samples from the unfolded contour with scipy's loggamma."""
+
+    def quad(self, x):
+        return helpers.contour_weight_samples(self.kind, x, self.kappa,
+                                              self.c, self.T, self.h)
+
+
+def test_cutoffs_match_scipy_route(ev_w, ev_w2):
+    safety = lvalues.DEFAULT_CONFIG.safety
+    for ev in (ev_w, ev_w2):
+        ref = _ScipyRouteEvaluator(ev.kind, kappa=ev.kappa)
+        assert ev._support_end == ref._support_end
+        for tail_eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+            assert (ev.envelope_cutoff(tail_eps / safety)
+                    == ref.envelope_cutoff(tail_eps / safety))
