@@ -38,6 +38,14 @@ def _spf_table(limit: int) -> np.ndarray:
     return _spf
 
 
+def smallest_prime_factors(limit: int) -> np.ndarray:
+    """Read-only view of the least prime factor of n, n = 0..limit (0 for
+    n < 2), served from the shared table."""
+    view = _spf_table(limit)[:limit + 1]
+    view.setflags(write=False)
+    return view
+
+
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit, ascending.
 

@@ -55,7 +55,6 @@ class RunConfig:
     format: str
     out: str | None
     cache_dir: str | None
-    workers: int
     seed: int
     audit_count: int
     n_max: int
@@ -89,7 +88,7 @@ class RunConfig:
 
 _DEFAULTS = {
     "kappa": 12, "X": 1.0, "tail_eps": 1e-8, "format": "csv",
-    "workers": 1, "seed": 0, "audit_count": 8, "n_max": 100, "fit": False,
+    "seed": 0, "audit_count": 8, "n_max": 100, "fit": False,
 }
 
 
@@ -114,7 +113,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=["csv", "json"])
         sp.add_argument("--out")
         sp.add_argument("--cache-dir")
-        sp.add_argument("--workers", type=int)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--audit-count", type=int)
         sp.add_argument("--n-max", type=int)
@@ -156,8 +154,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise _CliError("config file must hold a JSON object")
         merged.update(file_cfg)
     for key in ("q", "q_list", "k", "k_list", "kappa", "X", "tail_eps",
-                "ell", "N", "M", "format", "out", "cache_dir", "workers",
-                "seed", "audit_count", "n_max", "fit"):
+                "ell", "N", "M", "format", "out", "cache_dir", "seed",
+                "audit_count", "n_max", "fit"):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -189,9 +187,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         N=(int(merged["N"]) if merged.get("N") is not None else None),
         M=(int(merged["M"]) if merged.get("M") is not None else None),
         format=str(merged["format"]), out=merged.get("out"),
-        cache_dir=merged.get("cache_dir"), workers=int(merged["workers"]),
-        seed=int(merged["seed"]), audit_count=int(merged["audit_count"]),
-        n_max=int(merged["n_max"]), fit=bool(merged["fit"]))
+        cache_dir=merged.get("cache_dir"), seed=int(merged["seed"]),
+        audit_count=int(merged["audit_count"]), n_max=int(merged["n_max"]),
+        fit=bool(merged["fit"]))
     _validate(cfg)
     return cfg
 
@@ -199,8 +197,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 def _validate(cfg: RunConfig):
     if cfg.format not in ("csv", "json"):
         raise _CliError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.workers < 1:
-        raise _CliError(f"workers must be >= 1, got {cfg.workers}")
     if cfg.kappa != 12:
         raise _CliError("only the built-in weight-12 eigenform is wired in; "
                         "--kappa must be 12")
@@ -233,10 +229,6 @@ def _validate(cfg: RunConfig):
             raise _CliError(
                 f"q={q}: need q >= 3 with q not 2 mod 4 "
                 "(no primitive characters otherwise)")
-
-
-def _table_for(cfg: RunConfig, n_need: int) -> hecke.EigenformTable:
-    return hecke.shared_eigenform(n_need, cfg.kappa, cache_dir=cfg.cache_dir)
 
 
 def _fmt(v) -> str:
@@ -310,9 +302,10 @@ def _cmd_lvalue(cfg: RunConfig) -> str:
     afe = cfg.afe()
     rows = []
     for q in cfg.q_list:
-        tab = _table_for(cfg, lvalues.required_n_cap(q, afe))
+        tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe),
+                                     cfg.kappa, cache_dir=cfg.cache_dir)
         for r in lvalues.family_values(tab, q, afe):
-            rows.append((q, r.chi_index, r.conductor, r.value.real,
+            rows.append((q, r.chi.index, r.chi.conductor, r.value.real,
                          r.value.imag, abs(r.value), r.sq_direct,
                          r.residual, r.audited))
     return _render(cfg, ("q", "index", "conductor", "re", "im", "abs",
@@ -322,16 +315,13 @@ def _cmd_lvalue(cfg: RunConfig) -> str:
 def _moment_rows(cfg: RunConfig):
     afe = cfg.afe()
     need = max(lvalues.required_n_cap(q, afe) for q in cfg.q_list)
-    tab = _table_for(cfg, need)
+    tab = hecke.shared_eigenform(need, cfg.kappa, cache_dir=cfg.cache_dir)
     rows = []
     reports: dict[float, list[moments.MomentReport]] = {}
-    for q in sorted(cfg.q_list):
-        recs = lvalues.family_values(tab, q, afe)
-        for k in cfg.k_list:
-            rep = moments.family_moment(q, k, afe, table=tab, values=recs)
-            reports.setdefault(k, []).append(rep)
-            rows.append((rep.q, rep.k, rep.phi_star, rep.raw_moment,
-                         rep.normalized, rep.ratio_to_logq_pow_k2))
+    for rep in moments.sweep_reports(tab, cfg.q_list, cfg.k_list, afe):
+        reports.setdefault(rep.k, []).append(rep)
+        rows.append((rep.q, rep.k, rep.phi_star, rep.raw_moment,
+                     rep.normalized, rep.ratio_to_logq_pow_k2))
     return rows, reports
 
 
@@ -389,11 +379,13 @@ def _cmd_audit(cfg: RunConfig) -> str:
     k = cfg.k_list[0]
     afe = cfg.afe()
     ladder = cfg.ladder(q)
-    tab = _table_for(cfg, lvalues.required_n_cap(q, afe))
+    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe), cfg.kappa,
+                                 cache_dir=cfg.cache_dir)
+    recs = lvalues.family_values(tab, q, afe)
     ctx = mollifier.MollifierContext(tab, ladder,
                                      mollifier.build_segments(q, ladder))
-    pw = moments.family_pointwise_audit(ctx, k)
-    hc = moments.holder_chain_audit(q, k, ladder, afe, table=tab)
+    pw = moments.family_pointwise_audit(ctx, recs, k)
+    hc = moments.holder_chain_audit(ctx, recs, k)
     rows = [("pointwise", c.name, c.subject, c.lhs, c.rhs, c.ok)
             for c in pw.checks]
     rows += [("holder", c.name, c.subject, c.lhs, c.rhs, c.ok)
@@ -415,7 +407,8 @@ def _cmd_mollifier_verify(cfg: RunConfig) -> str:
     k = cfg.k_list[0]
     afe = cfg.afe()
     ladder = cfg.ladder(q)
-    tab = _table_for(cfg, lvalues.required_n_cap(q, afe))
+    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe), cfg.kappa,
+                                 cache_dir=cfg.cache_dir)
     segs = mollifier.build_segments(q, ladder)
     ctx = mollifier.MollifierContext(tab, ladder, segs)
     grp = characters.build_group(q, allow_general=True)

@@ -174,13 +174,6 @@ def _divisor_count_table(n_max: int) -> np.ndarray:
     return d
 
 
-def _spf_array(n_max: int) -> np.ndarray:
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    for p in arith.sieve_primes(n_max)[::-1]:
-        spf[p::p] = p
-    return spf
-
-
 def _validate_table(lam: np.ndarray, n_max: int, tol: float) -> None:
     if abs(lam[1] - 1.0) > tol:
         raise ValueError(f"lambda(1) = {lam[1]!r}, must be 1")
@@ -202,7 +195,7 @@ def _validate_table(lam: np.ndarray, n_max: int, tol: float) -> None:
     if n_max < 2:
         return
     # multiplicativity: split every n as p^a * m with p = spf(n), (p, m) = 1
-    s = _spf_array(n_max)[2:]
+    s = arith.smallest_prime_factors(n_max)[2:]
     pa = s.copy()
     m = np.arange(2, n_max + 1, dtype=np.int64) // s
     for _ in range(int(math.log2(max(n_max, 2))) + 1):

@@ -26,6 +26,10 @@ under 10 * tail_eps.
 The per-family fast path bins coefficients by residue class mod q once
 (O(n_cap)), then each character costs one length-q dot product.  The direct
 per-character path is retained as an audit route.
+
+`family_values` is the one way a family is built.  Callers build it once per
+(modulus, config) and hand the records to every moment and audit; each record
+carries the primitive character it was evaluated at.
 """
 
 from __future__ import annotations
@@ -66,16 +70,15 @@ class AfeConfig:
 
 @dataclass(frozen=True)
 class CentralValue:
-    """One family member: L from the first-power route, |L|^2 from the
-    squared route when audited (else |value|^2), and their mismatch."""
+    """One family member: the primitive character chi, L(1/2, f tensor chi)
+    from the first-power route, |L|^2 from the squared route when audited
+    (else |value|^2), and their mismatch."""
 
-    chi_index: int
-    conductor: int
+    chi: characters.Character
     value: complex
     sq_direct: float
     residual: float
     audited: bool
-    conj_index: int
 
 
 DEFAULT_CONFIG = AfeConfig()
@@ -211,6 +214,10 @@ def family_values(f: EigenformTable, q: int,
                   ) -> list[CentralValue]:
     """L(1/2, f tensor chi) over every primitive chi mod q, ascending index.
 
+    The records are the family that moments and audits take: build it once
+    per modulus and pass it on.  Since the indices ascend, chi-bar's record
+    is found by looking up group.conj[chi.index] among them.
+
     The audit subsample (cfg.audit_count characters, seeded choice) is
     recomputed through both independent routes; the squared route is skipped
     with a flag when its truncation would outrun the eigenform table.
@@ -260,9 +267,6 @@ def family_values(f: EigenformTable, q: int,
             raise AssertionError(
                 f"q={q} chi_index={chi.index}: squared-route residual "
                 f"{res:.3e} beyond {cfg.cross_tol:g}")
-        out.append(CentralValue(chi_index=chi.index,
-                                conductor=chi.conductor,
-                                value=value, sq_direct=sq, residual=res,
-                                audited=audited,
-                                conj_index=chi.conjugate_index()))
+        out.append(CentralValue(chi=chi, value=value, sq_direct=sq,
+                                residual=res, audited=audited))
     return out

@@ -1,6 +1,9 @@
 """Family moments, twisted moments, and the numerical inequality audits.
 
-Everything here works over the family of primitive characters mod q.  The
+Everything here works over the family of primitive characters mod q, as
+built once by lvalues.family_values: the caller builds it, then passes the
+same records (with one MollifierContext for the modulus) to every moment and
+audit, which check that the context and the family share q.  The
 moment statistics are exact finite sums of |L(1/2)| powers from the lvalues
 module; the audits check, instance by instance, the pointwise truncated
 exponential bounds, the Hoelder splittings at family level, and the exact
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import arith, characters, hecke, lvalues, mollifier
+from . import arith, characters, lvalues, mollifier
 from .hecke import EigenformTable
 from .lvalues import AfeConfig, DEFAULT_CONFIG
 from .mollifier import MollifierContext
@@ -82,50 +85,31 @@ class InequalityAudit:
         return [c for c in self.checks if not c.ok]
 
 
-def _default_table(q: int, cfg: AfeConfig) -> EigenformTable:
-    return hecke.shared_eigenform(lvalues.required_n_cap(q, cfg))
+def _family_q(ctx: MollifierContext, recs) -> int:
+    """The family's modulus, checked against the mollifier context's."""
+    q = recs[0].chi.group.q
+    if ctx.segments.q != q:
+        raise ValueError(f"mollifier context is built for q={ctx.segments.q}"
+                         f" but the family is for q={q}")
+    return q
 
 
-def family_values_cached(q: int, cfg: AfeConfig = DEFAULT_CONFIG,
-                         table: EigenformTable | None = None):
-    """(group, primitive characters, central values) for one modulus.
-
-    Thin convenience wrapper so the moment and audit functions can share one
-    family computation; the character list and the value records are index
-    aligned.
-    """
-    if table is None:
-        table = _default_table(q, cfg)
-    group = characters.build_group(q, allow_general=True)
-    prims = characters.primitive_characters(group)
-    recs = lvalues.family_values(table, q, cfg, group=group)
-    by_index = {c.index: c for c in prims}
-    chis = [by_index[r.chi_index] for r in recs]
-    return group, chis, recs
-
-
-def family_moment(q: int, k: float, cfg: AfeConfig = DEFAULT_CONFIG,
-                  table: EigenformTable | None = None,
-                  values=None, keep_contributions: bool = False) -> MomentReport:
-    """Sum* |L(1/2)|^(2k) over primitive chi mod q.
+def family_moment(recs, k: float,
+                  keep_contributions: bool = False) -> MomentReport:
+    """Sum* |L(1/2)|^(2k) over a family built by lvalues.family_values.
 
     k = 0 returns phi_star(q) exactly (every term is 1 by convention).
-    `values` may carry a precomputed family (list of CentralValue) to avoid
-    recomputation across k.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    q = recs[0].chi.group.q
     phi_star = arith.phi_star(q)
     logq = math.log(q)
     if k == 0:
         raw = float(phi_star)
         contrib = tuple([1.0] * phi_star) if keep_contributions else None
     else:
-        if values is None:
-            if table is None:
-                table = _default_table(q, cfg)
-            values = lvalues.family_values(table, q, cfg)
-        amps = [abs(r.value) ** (2 * k) for r in values]
+        amps = [abs(r.value) ** (2 * k) for r in recs]
         if len(amps) != phi_star:
             raise AssertionError(
                 f"family size {len(amps)} != phi_star {phi_star}")
@@ -138,28 +122,22 @@ def family_moment(q: int, k: float, cfg: AfeConfig = DEFAULT_CONFIG,
         contributions=contrib)
 
 
-def twisted_first_moment(q: int, k: float, ladder: mollifier.LadderParams,
-                         cfg: AfeConfig = DEFAULT_CONFIG,
-                         table: EigenformTable | None = None,
-                         ctx: MollifierContext | None = None) -> complex:
-    """Sum* L(1/2) N(conj chi, k) N(chi, k-1) over primitive chi mod q.
+def twisted_first_moment(ctx: MollifierContext, recs, k: float) -> complex:
+    """Sum* L(1/2) N(conj chi, k) N(chi, k-1) over the family.
 
     Returned as a complex number; the family is closed under conjugation, so
     the imaginary part should be at noise level.
     """
-    if table is None:
-        table = _default_table(q, cfg)
-    if ctx is None:
-        segs = mollifier.build_segments(q, ladder)
-        ctx = MollifierContext(table, ladder, segs)
-    group, chis, recs = family_values_cached(q, cfg, table)
-    by_index = {c.index: c for c in chis}
+    _family_q(ctx, recs)
+    group = recs[0].chi.group
+    index = np.array([r.chi.index for r in recs])
+    # the records ascend in index, so chi-bar's position is a sorted lookup
+    mates = np.searchsorted(index, group.conj[index]).tolist()
     total = 0.0 + 0.0j
-    for chi, rec in zip(chis, recs):
-        chibar = by_index[rec.conj_index]
+    for rec, mate in zip(recs, mates):
         total += (rec.value
-                  * mollifier.n_full(ctx, chibar, k)
-                  * mollifier.n_full(ctx, chi, k - 1))
+                  * mollifier.n_full(ctx, recs[mate].chi, k)
+                  * mollifier.n_full(ctx, rec.chi, k - 1))
     return total
 
 
@@ -330,17 +308,16 @@ def pointwise_inequality_audit(ctx: MollifierContext,
     return InequalityAudit(q=ctx.segments.q, k=kk, checks=tuple(checks))
 
 
-def family_pointwise_audit(ctx: MollifierContext, k: float | None = None,
-                           group: characters.CharacterGroup | None = None,
+def family_pointwise_audit(ctx: MollifierContext, recs,
+                           k: float | None = None,
                            slack: float = _SLACK) -> InequalityAudit:
-    """Pointwise audit over every primitive character of the modulus."""
-    q = ctx.segments.q
-    if group is None:
-        group = characters.build_group(q, allow_general=True)
+    """Pointwise audit over every character of the family."""
+    q = _family_q(ctx, recs)
     checks: list[CheckRecord] = []
     kk = ctx.ladder.k if k is None else k
-    for chi in characters.primitive_characters(group):
-        checks.extend(pointwise_inequality_audit(ctx, chi, kk, slack).checks)
+    for rec in recs:
+        checks.extend(
+            pointwise_inequality_audit(ctx, rec.chi, kk, slack).checks)
     return InequalityAudit(q=q, k=kk, checks=tuple(checks))
 
 
@@ -356,9 +333,28 @@ def _upper_weights(ctx: MollifierContext, chi: characters.Character,
     return total
 
 
-def holder_chain_audit(q: int, k: float, ladder: mollifier.LadderParams,
-                       cfg: AfeConfig = DEFAULT_CONFIG,
-                       table: EigenformTable | None = None,
+def _upper_terms(ctx: MollifierContext, recs, k: float):
+    """Per-character terms of the guarded family sums, in family order.
+
+    Returns five lists: |L N(chi, k-1)|^2, |L|^2 A(chi), the guarded product
+    prod_j (|N_j(chi, k)|^2 + |Q_j(chi, k)|^2), A(chi) and B(chi), where
+    A and B are the upper-principle weights at alpha = k-1 and k.
+    """
+    ln, la, guard, A, B = [], [], [], [], []
+    for rec in recs:
+        c = rec.chi
+        a = _upper_weights(ctx, c, k - 1, k)
+        ln.append(abs(rec.value * mollifier.n_full(ctx, c, k - 1)) ** 2)
+        la.append(abs(rec.value) ** 2 * a)
+        guard.append(math.prod(abs(mollifier.n_poly(ctx, c, j, k)) ** 2
+                               + abs(mollifier.q_poly(ctx, c, j, k)) ** 2
+                               for j in range(1, ctx.ladder.R + 1)))
+        A.append(a)
+        B.append(_upper_weights(ctx, c, k, k))
+    return ln, la, guard, A, B
+
+
+def holder_chain_audit(ctx: MollifierContext, recs, k: float,
                        slack: float = _SLACK) -> InequalityAudit:
     """Family-level Hoelder splittings, asserted with constant 1.
 
@@ -369,61 +365,42 @@ def holder_chain_audit(q: int, k: float, ladder: mollifier.LadderParams,
     family sum and the per-character weight min (which the arguments need
     to stay of size 1).
     """
-    if table is None:
-        table = _default_table(q, cfg)
-    segs = mollifier.build_segments(q, ladder)
-    ctx = MollifierContext(table, ladder, segs)
-    group, chis, recs = family_values_cached(q, cfg, table)
-    by_index = {c.index: c for c in chis}
-    L = {c.index: r.value for c, r in zip(chis, recs)}
+    q = _family_q(ctx, recs)
+    chis = [r.chi for r in recs]
     checks: list[CheckRecord] = []
     reported: dict = {}
 
-    twisted = 0.0 + 0.0j
-    for chi in chis:
-        chibar = by_index[chi.conjugate_index()]
-        twisted += (L[chi.index]
-                    * mollifier.n_full(ctx, chibar, k)
-                    * mollifier.n_full(ctx, chi, k - 1))
-    S_2k = sum(abs(L[c.index]) ** (2 * k) for c in chis)
+    twisted = twisted_first_moment(ctx, recs, k)
+    S_2k = family_moment(recs, k).raw_moment
     reported["twisted_moment"] = abs(twisted)
 
     if k <= 1:
-        S_LN = sum(abs(L[c.index] * mollifier.n_full(ctx, c, k - 1)) ** 2
-                   for c in chis)
+        ln, la, guard, A, B = _upper_terms(ctx, recs, k)
         S_NN = sum(abs(mollifier.n_full(ctx, c, k)) ** (2 / k)
                    * abs(mollifier.n_full(ctx, c, k - 1)) ** 2
                    for c in chis)
-        rhs = (S_2k ** 0.5 * S_LN ** ((1 - k) / 2) * S_NN ** (k / 2))
+        rhs = (S_2k ** 0.5 * sum(ln) ** ((1 - k) / 2) * S_NN ** (k / 2))
         checks.append(CheckRecord(
             name="holder_three_factor", subject=f"q={q}",
             lhs=abs(twisted), rhs=rhs, ok=abs(twisted) <= rhs * (1 + slack)))
 
-        S_guard = sum(
-            math.prod(abs(mollifier.n_poly(ctx, c, j, k)) ** 2
-                      + abs(mollifier.q_poly(ctx, c, j, k)) ** 2
-                      for j in range(1, ladder.R + 1))
-            for c in chis)
-        bump = math.prod((1 + math.exp(-l)) ** (2 / k) for l in ladder.ell)
+        S_guard = sum(guard)
+        bump = math.prod((1 + math.exp(-l)) ** (2 / k)
+                         for l in ctx.ladder.ell)
         checks.append(CheckRecord(
             name="guarded_product_dominates", subject=f"q={q}",
             lhs=S_NN, rhs=bump * S_guard,
             ok=S_NN <= bump * S_guard * (1 + slack)))
         reported["guarded_product_ratio"] = S_NN / max(S_guard, _TINY)
 
-        A = {c.index: _upper_weights(ctx, c, k - 1, k) for c in chis}
-        B = {c.index: _upper_weights(ctx, c, k, k) for c in chis}
-        lhs_up = sum((abs(L[i]) ** 2 * A[i]) ** k * B[i] ** (1 - k)
-                     for i in A)
-        rhs_up = (sum(abs(L[i]) ** 2 * A[i] for i in A) ** k
-                  * sum(B.values()) ** (1 - k))
+        lhs_up = sum(x ** k * b ** (1 - k) for x, b in zip(la, B))
+        rhs_up = sum(la) ** k * sum(B) ** (1 - k)
         checks.append(CheckRecord(
             name="holder_upper_principle", subject=f"q={q}",
             lhs=lhs_up, rhs=rhs_up, ok=lhs_up <= rhs_up * (1 + slack)))
-        reported["upper_weight_min"] = min(
-            A[i] ** k * B[i] ** (1 - k) for i in A)
-        reported["upper_weight_max"] = max(
-            A[i] ** k * B[i] ** (1 - k) for i in A)
+        weights = [a ** k * b ** (1 - k) for a, b in zip(A, B)]
+        reported["upper_weight_min"] = min(weights)
+        reported["upper_weight_max"] = max(weights)
     else:
         S_prod = sum(
             (abs(mollifier.n_full(ctx, c, k))
@@ -451,39 +428,21 @@ class Prop56Report:
     normalized: tuple[float, float, float, float]
 
 
-def prop56_quantities(q: int, k: float, ladder: mollifier.LadderParams,
-                      cfg: AfeConfig = DEFAULT_CONFIG,
-                      table: EigenformTable | None = None) -> Prop56Report:
+def prop56_quantities(ctx: MollifierContext, recs, k: float) -> Prop56Report:
     """The guarded family sums that cap the moment from above.
 
     A(chi) and B(chi) are the upper-principle weights built from
     prod_{j<=v} |N_j|^2 times |Q_(v+1)|^2, at alpha = k-1 and k.
     """
-    if table is None:
-        table = _default_table(q, cfg)
-    segs = mollifier.build_segments(q, ladder)
-    ctx = MollifierContext(table, ladder, segs)
-    group, chis, recs = family_values_cached(q, cfg, table)
-    L = {c.index: r.value for c, r in zip(chis, recs)}
-    s_ln = 0.0
-    s_lw = 0.0
-    s_gp = 0.0
-    s_bw = 0.0
-    for c in chis:
-        amp = abs(L[c.index]) ** 2
-        s_ln += amp * abs(mollifier.n_full(ctx, c, k - 1)) ** 2
-        s_lw += amp * _upper_weights(ctx, c, k - 1, k)
-        s_gp += math.prod(abs(mollifier.n_poly(ctx, c, j, k)) ** 2
-                          + abs(mollifier.q_poly(ctx, c, j, k)) ** 2
-                          for j in range(1, ladder.R + 1))
-        s_bw += _upper_weights(ctx, c, k, k)
+    q = _family_q(ctx, recs)
+    ln, la, guard, _, B = _upper_terms(ctx, recs, k)
+    sums = (sum(ln), sum(la), sum(guard), sum(B))
     phi_star = arith.phi_star(q)
     scale = phi_star * math.log(q) ** (k * k)
-    sums = (s_ln, s_lw, s_gp, s_bw)
     return Prop56Report(
         q=q, k=k, phi_star=phi_star,
-        sum_LN_sq=s_ln, sum_L_sq_weighted=s_lw,
-        sum_guarded_product=s_gp, sum_weights_k=s_bw,
+        sum_LN_sq=sums[0], sum_L_sq_weighted=sums[1],
+        sum_guarded_product=sums[2], sum_weights_k=sums[3],
         normalized=tuple(s / scale for s in sums))
 
 
@@ -517,11 +476,17 @@ def exponent_fit(reports) -> FitResult:
                      r_squared=r2, points=len(reports))
 
 
-def sweep_reports(q_list, k: float, cfg: AfeConfig = DEFAULT_CONFIG,
-                  table: EigenformTable | None = None) -> list[MomentReport]:
-    """family_moment across moduli, reusing one coefficient table."""
-    q_list = sorted(q_list)
-    if table is None:
-        need = max(lvalues.required_n_cap(q, cfg) for q in q_list)
-        table = hecke.shared_eigenform(need)
-    return [family_moment(q, k, cfg, table=table) for q in q_list]
+def sweep_reports(table: EigenformTable, q_list, k_list,
+                  cfg: AfeConfig = DEFAULT_CONFIG) -> list[MomentReport]:
+    """family_moment at each k over each modulus, ascending q, k within q.
+
+    One family is built per modulus from the one coefficient table.
+    """
+    reports = []
+    for q in sorted(q_list):
+        recs = lvalues.family_values(table, q, cfg)
+        reports.extend(family_moment(recs, k) for k in k_list)
+        # the records keep their characters' value arrays: release this
+        # family before the next one is built
+        del recs
+    return reports

@@ -145,15 +145,15 @@ def test_05_afe_cross_validation(sweep_table):
         group = characters.build_group(q)
         recs1 = lvalues.family_values(sweep_table, q, CFG, group=group)
         recs2 = lvalues.family_values(sweep_table, q, cfg_half, group=group)
-        v2 = {r.chi_index: r.value for r in recs2}
         audited = 0
-        for r in recs1:
-            if abs(r.value - v2[r.chi_index]) > 1e-5:
-                failures.append(("X", q, r.chi_index))
+        for r, r2 in zip(recs1, recs2):
+            if (r.chi.index != r2.chi.index
+                    or abs(r.value - r2.value) > 1e-5):
+                failures.append(("X", q, r.chi.index))
             if r.audited:
                 audited += 1
                 if r.residual > 1e-3:
-                    failures.append(("sq", q, r.chi_index))
+                    failures.append(("sq", q, r.chi.index))
         if audited == 0:
             failures.append(("no_audit", q))
         # doubling the certified cap moves the value by less than the budget
@@ -213,14 +213,15 @@ def test_07_inequality_audit(sweep_table):
     t0 = time.perf_counter()
     failures = []
     for q in (53, 101):
+        recs = lvalues.family_values(sweep_table, q, CFG)
         for k in (0.5, 2.0):
             lad = mollifier.build_ladder(q, k=k, override_ell=(8, 2))
             segs = mollifier.build_segments(q, lad)
             ctx = mollifier.MollifierContext(sweep_table, lad, segs)
-            fam = moments.family_pointwise_audit(ctx, k=k)
+            fam = moments.family_pointwise_audit(ctx, recs, k=k)
             if not fam.all_ok:
                 failures.append(("pointwise", q, k, fam.failures()[:2]))
-            hold = moments.holder_chain_audit(q, k, lad, table=sweep_table)
+            hold = moments.holder_chain_audit(ctx, recs, k)
             if not hold.all_ok:
                 failures.append(("holder", q, k, hold.failures()[:2]))
     _verdict(7, "inequality audit", failures, time.perf_counter() - t0, 300.0)
@@ -230,7 +231,7 @@ def test_08_growth_trend(sweep_table):
     t0 = time.perf_counter()
     failures = []
     window = (101, 149, 211, 307, 401, 503, 701, 1009)
-    reports = moments.sweep_reports(window, 1.0, table=sweep_table)
+    reports = moments.sweep_reports(sweep_table, window, (1.0,))
     ratios = [r.ratio_to_logq_pow_k2 for r in reports]
     if max(ratios) / min(ratios) > 4.0:
         failures.append(("band", ratios))

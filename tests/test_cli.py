@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, formats, config handling, exit codes."""
 
+import collections
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from twistmoments import cli, hecke
+from twistmoments import characters, cli, hecke, lvalues, mollifier
 
 
 def run_cli(args, capsys):
@@ -47,7 +48,6 @@ def test_help_exits_zero(capsys):
     ["chars", "--q", "2"],
     ["lvalue"],                        # needs a modulus
     ["lvalue", "--q", "7", "--kappa", "14"],
-    ["lvalue", "--q", "7", "--workers", "0"],
     ["lvalue", "--q", "7", "--X", "0"],
     ["lvalue", "--q", "7", "--tail-eps", "2"],
     ["moments", "--q", "53", "--k", "-1"],
@@ -182,6 +182,26 @@ def test_audit_summary_lines(capsys):
     comments = [l for l in out.splitlines() if l.startswith("#")]
     assert any(l == "# pointwise 255/255 holder 3/3" for l in comments)
     assert any(l.startswith("# reported twisted_moment=") for l in comments)
+
+
+def test_audit_builds_group_family_and_context_once(monkeypatch, capsys):
+    calls = collections.Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(characters, "build_group")
+    count(lvalues, "family_values")
+    count(mollifier.MollifierContext, "__init__")
+    rc, _, _ = run_cli(["audit", "--q", "17", "--k", "0.5",
+                        "--tail-eps", "1e-7"], capsys)
+    assert rc == 0
+    assert calls == {"build_group": 1, "family_values": 1, "__init__": 1}
 
 
 def test_mollifier_verify_json(capsys):

@@ -225,10 +225,14 @@ def test_shared_eigenform_rejects_invalid_cache(tmp_path):
     hecke.shared_eigenform(500, cache_dir=cache)
     (path,) = tmp_path.glob("eigenform_*.npy")
     lam = np.load(path)
-    lam[7] = -lam[7]
-    np.save(path, lam)
-    with pytest.raises(ValueError, match="corrupt cache file"):
-        hecke.shared_eigenform(500, cache_dir=cache)
+    # lambda(15) = lambda(3) lambda(5) with its sign flipped stays within the
+    # Deligne bound and off the prime powers: only multiplicativity sees it
+    for n in (7, 15):
+        bad = lam.copy()
+        bad[n] = -bad[n]
+        np.save(path, bad)
+        with pytest.raises(ValueError, match="corrupt cache file"):
+            hecke.shared_eigenform(500, cache_dir=cache)
     np.save(path, lam[:100])  # shorter than the name says
     with pytest.raises(ValueError, match="corrupt cache file"):
         hecke.shared_eigenform(500, cache_dir=cache)

@@ -89,11 +89,12 @@ def test_family_counts_audits_and_conjugate_closure(table_100k):
     for r in audited:
         assert r.sq_direct is not None
         assert r.residual < CFG.cross_tol
-    by_idx = {r.chi_index: r for r in recs7}
+    index = [r.chi.index for r in recs7]
+    assert index == sorted(index)
     for r in recs7:
-        mate = by_idx[r.conj_index]
+        mate = recs7[index.index(r.chi.conjugate_index())]
         assert abs(mate.value - r.value.conjugate()) < 1e-10
-        assert mate.conductor == r.conductor == 7
+        assert mate.chi.conductor == r.chi.conductor == 7
 
 
 def test_cap_doubling_is_negligible(family_table):

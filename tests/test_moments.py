@@ -12,63 +12,66 @@ CFG = lvalues.DEFAULT_CONFIG
 
 
 @pytest.fixture(scope="module")
+def fam7(table_100k):
+    return lvalues.family_values(table_100k, 7, CFG)
+
+
+@pytest.fixture(scope="module")
 def fam53(family_table):
-    return moments.family_values_cached(53, CFG, family_table)
+    return lvalues.family_values(family_table, 53, CFG)
 
 
 @pytest.fixture(scope="module")
 def fam101(family_table):
-    return moments.family_values_cached(101, CFG, family_table)
+    return lvalues.family_values(family_table, 101, CFG)
 
 
-def test_zeroth_moment_counts_family(family_table, fam53):
-    _, _, recs = fam53
-    rep = moments.family_moment(53, 0.0, table=family_table, values=recs)
+def _context(table, q, k=1.0):
+    lad = mollifier.build_ladder(q, k=k, override_ell=(8, 2))
+    return mollifier.MollifierContext(table, lad,
+                                      mollifier.build_segments(q, lad))
+
+
+def test_zeroth_moment_counts_family(fam53):
+    rep = moments.family_moment(fam53, 0.0)
     assert rep.raw_moment == 51.0
     assert rep.phi_star == 51
     with pytest.raises(ValueError):
-        moments.family_moment(53, -1.0, table=family_table, values=recs)
+        moments.family_moment(fam53, -1.0)
 
 
-def test_first_moment_regressions(family_table, fam53, fam101):
-    _, _, recs53 = fam53
-    rep53 = moments.family_moment(53, 1.0, table=family_table, values=recs53)
+def test_first_moment_regressions(fam53, fam101):
+    rep53 = moments.family_moment(fam53, 1.0)
     assert abs(rep53.raw_moment - 284.513421702588) < 1e-6 * 284.5
     assert abs(rep53.normalized - 5.578694543188) < 1e-8
     assert abs(rep53.ratio_to_logq_pow_k2 - 1.4051094137803284) < 1e-8
     assert rep53.log_q == math.log(53)
 
-    _, _, recs101 = fam101
-    rep101 = moments.family_moment(101, 1.0, table=family_table,
-                                   values=recs101)
+    rep101 = moments.family_moment(fam101, 1.0)
     assert abs(rep101.raw_moment - 537.1334319067472) < 1e-6 * 537.1
     assert abs(rep101.normalized - 5.425590221280275) < 1e-8
 
 
-def test_contributions_sum_to_moment(family_table, fam53):
-    _, _, recs = fam53
-    rep = moments.family_moment(53, 0.5, table=family_table, values=recs,
-                                keep_contributions=True)
+def test_contributions_sum_to_moment(fam53):
+    rep = moments.family_moment(fam53, 0.5, keep_contributions=True)
     assert rep.contributions is not None
     assert len(rep.contributions) == 51
     total = sum(rep.contributions)
     assert abs(total - rep.raw_moment) < 1e-9 * max(total, 1.0)
 
 
-def test_power_mean_monotonicity(family_table, fam53):
-    _, _, recs = fam53
+def test_power_mean_monotonicity(fam53):
     means = []
     for k in (0.25, 0.5, 1.0):
-        rep = moments.family_moment(53, k, table=family_table, values=recs)
+        rep = moments.family_moment(fam53, k)
         means.append(rep.normalized ** (1 / k))
     assert means[0] <= means[1] + 1e-12
     assert means[1] <= means[2] + 1e-12
 
 
 def test_family_sum_nearly_real(fam53):
-    _, _, recs = fam53
-    total = sum(r.value for r in recs)
-    assert abs(total.imag) <= 1e-6 * sum(abs(r.value) for r in recs)
+    total = sum(r.value for r in fam53)
+    assert abs(total.imag) <= 1e-6 * sum(abs(r.value) for r in fam53)
 
 
 def test_stirling_lower_bound():
@@ -77,40 +80,47 @@ def test_stirling_lower_bound():
         assert n * math.log(n) - n <= math.lgamma(n + 1) + 1e-12
 
 
-def test_twisted_moment_degenerate_equals_plain_first_moment(table_100k):
-    lad = mollifier.build_ladder(7, override_ell=(8, 2))  # 7^(1/4) < 2: every segment is empty
-    segs = mollifier.build_segments(7, lad)
-    assert segs.empty_flags == (True, True)
-    tw = moments.twisted_first_moment(7, 1.0, lad, table=table_100k)
-    _, _, recs = moments.family_values_cached(7, CFG, table_100k)
-    first = sum(r.value for r in recs)
+def test_twisted_moment_degenerate_equals_plain_first_moment(table_100k,
+                                                            fam7):
+    ctx = _context(table_100k, 7)  # 7^(1/4) < 2: every segment is empty
+    assert ctx.segments.empty_flags == (True, True)
+    tw = moments.twisted_first_moment(ctx, fam7, 1.0)
+    first = sum(r.value for r in fam7)
     assert abs(tw - first) < 1e-10
 
 
-def test_twisted_moment_positive_at_desk_scale(family_table):
-    for q in (53, 101):
-        lad = mollifier.build_ladder(q, override_ell=(8, 2))
-        tw = moments.twisted_first_moment(q, 1.0, lad, table=family_table)
+def test_twisted_moment_positive_at_desk_scale(family_table, fam53, fam101):
+    for q, recs in ((53, fam53), (101, fam101)):
+        tw = moments.twisted_first_moment(_context(family_table, q), recs,
+                                          1.0)
         assert tw.real > 0.0
 
 
 def test_twisted_moment_against_coefficient_oracle(family_table, fam53):
-    group, chis, recs = fam53
     k = 0.5
-    lad = mollifier.build_ladder(53, k=k, override_ell=(8, 2))
-    segs = mollifier.build_segments(53, lad)
-    ctx = mollifier.MollifierContext(family_table, lad, segs)
+    ctx = _context(family_table, 53, k)
     ca = mollifier.mollifier_coefficients(ctx, k)
     cb = mollifier.mollifier_coefficients(ctx, k - 1)
     want = 0j
-    for chi, rec in zip(chis, recs):
-        bar = group.character(chi.conjugate_index())
+    for rec in fam53:
+        chi = rec.chi
+        bar = chi.group.character(chi.conjugate_index())
         want += (rec.value
                  * mollifier.evaluate_coefficients(ca, bar)
                  * mollifier.evaluate_coefficients(cb, chi))
-    got = moments.twisted_first_moment(53, k, lad, table=family_table,
-                                       ctx=ctx)
+    got = moments.twisted_first_moment(ctx, fam53, k)
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("audit", [
+    lambda ctx, recs: moments.twisted_first_moment(ctx, recs, 0.5),
+    lambda ctx, recs: moments.family_pointwise_audit(ctx, recs, 0.5),
+    lambda ctx, recs: moments.holder_chain_audit(ctx, recs, 0.5),
+    lambda ctx, recs: moments.prop56_quantities(ctx, recs, 0.5),
+])
+def test_family_and_context_must_share_modulus(audit, table_100k, fam7):
+    with pytest.raises(ValueError, match="q=11"):
+        audit(_context(table_100k, 11, 0.5), fam7)
 
 
 def test_diagonal_identity_synthetic(table_100k):
@@ -177,11 +187,10 @@ def test_diagonal_local_factor_envelopes(table_100k):
     (101, 0.5, 492),
     (101, 2.0, 297),
 ])
-def test_family_pointwise_audit_counts(q, k, expect, table_100k):
-    lad = mollifier.build_ladder(q, k=k, override_ell=(8, 2))
-    segs = mollifier.build_segments(q, lad)
-    ctx = mollifier.MollifierContext(table_100k, lad, segs)
-    audit = moments.family_pointwise_audit(ctx, k=k)
+def test_family_pointwise_audit_counts(q, k, expect, table_100k, request):
+    ctx = _context(table_100k, q, k)
+    audit = moments.family_pointwise_audit(
+        ctx, request.getfixturevalue(f"fam{q}"), k=k)
     assert audit.all_ok
     assert audit.fail_count == 0
     assert audit.pass_count == expect
@@ -208,9 +217,9 @@ def test_pointwise_single_character_structure(table_100k):
 
 
 @pytest.mark.parametrize("k", [0.5, 2.0])
-def test_holder_chain_audit(k, family_table):
-    lad = mollifier.build_ladder(53, k=k, override_ell=(8, 2))
-    audit = moments.holder_chain_audit(53, k, lad, table=family_table)
+def test_holder_chain_audit(k, family_table, fam53):
+    audit = moments.holder_chain_audit(_context(family_table, 53, k), fam53,
+                                       k)
     assert audit.all_ok
     names = [c.name for c in audit.checks]
     if k <= 1:
@@ -223,23 +232,24 @@ def test_holder_chain_audit(k, family_table):
         assert "twisted_moment" in audit.reported
 
 
-def test_upper_bound_sums_degenerate(table_100k):
-    lad = mollifier.build_ladder(7, override_ell=(8, 2))  # empty segments: N = 1, Q = 0
-    rep = moments.prop56_quantities(7, 1.0, lad, table=table_100k)
+def test_upper_bound_sums_degenerate(table_100k, fam7):
+    ctx = _context(table_100k, 7)  # empty segments: N = 1, Q = 0
+    rep = moments.prop56_quantities(ctx, fam7, 1.0)
     assert rep.phi_star == 5
     assert abs(rep.sum_guarded_product - 5.0) < 1e-12
     assert abs(rep.sum_weights_k - 5.0) < 1e-12
-    raw = moments.family_moment(7, 1.0, table=table_100k).raw_moment
+    raw = moments.family_moment(fam7, 1.0).raw_moment
     assert abs(rep.sum_LN_sq - raw) < 1e-9
     assert len(rep.normalized) == 4
 
 
-def test_upper_bound_sums_over_sweep(family_table):
-    reps = [moments.prop56_quantities(q, 0.5,
-                                      mollifier.build_ladder(q, k=0.5,
-                                                             override_ell=(8, 2)),
-                                      table=family_table)
-            for q in (53, 101, 149, 211)]
+def test_upper_bound_sums_over_sweep(family_table, fam53, fam101):
+    families = {53: fam53, 101: fam101}
+    for q in (149, 211):
+        families[q] = lvalues.family_values(family_table, q, CFG)
+    reps = [moments.prop56_quantities(_context(family_table, q, 0.5), recs,
+                                      0.5)
+            for q, recs in families.items()]
     # the mollified second-moment sum tracks phi* (log q)^(k^2) closely;
     # the guard-weighted sums do not (their guards are far above size 1 at
     # these moduli), so only positivity and structure are asserted for them
@@ -287,7 +297,7 @@ def test_exponent_fit_rejections():
 
 
 def test_sweep_reports_regression(family_table):
-    reps = moments.sweep_reports((53, 101), 1.0, table=family_table)
+    reps = moments.sweep_reports(family_table, (53, 101), (1.0,))
     assert [r.q for r in reps] == [53, 101]
     assert abs(reps[0].normalized - 5.578694543188) < 1e-6
     assert abs(reps[1].normalized - 5.425590221280275) < 1e-6
