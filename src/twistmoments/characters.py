@@ -1,18 +1,20 @@
 """Dirichlet character groups mod q, Gauss and Kloosterman sums, identities.
 
-The default policy builds groups for odd prime powers q0^nu, where the unit
-group is cyclic and a single discrete-log table against the least primitive
-root describes every character.  Any q not congruent to 2 mod 4 is accepted
-through the general path: the unit group is decomposed into cyclic components
-(one per odd prime power, the <-1, 5> pair for 2^a with a >= 3) and characters
-are indexed by exponent tuples, flattened to a single integer index.
+Any q >= 3 with q not congruent to 2 mod 4 is accepted.  The unit group is
+decomposed into cyclic components (one per odd prime power, the <-1, 5> pair
+for 2^a with a >= 3), each with a discrete-log table dlog_i and order d_i.
+A character is an exponent tuple (e_i), flattened to a single integer index,
+and takes exact roots of unity: chi(n) = e(t(n)/D) with D = lcm(d_i) and
 
-Character values are exact roots of unity addressed by an integer phase table.
-Conductors, parity and conjugation never look at values: each group holds
-them as integer vectors over the flat index, computed once in closed form
-from the component exponents.  The conductor is multiplicative over the CRT
-components, and on each component it depends only on the order of the
-exponent there.
+    t(n) = sum_i e_i (D/d_i) dlog_i(n) mod D.
+
+That one formula gives character values, parity (t(-1) = 0) and the sums
+over primitive characters.  A Character is a (group, index) handle and holds
+no arrays.  Each group holds conductors, parity and conjugation as integer
+vectors over the flat index, computed once; conductors and conjugation come
+in closed form from the component exponents.  The conductor is multiplicative
+over the CRT components, and on each component it depends only on the order
+of the exponent there.
 
 Convention: e(z) = exp(2*pi*i*z).  The Kloosterman sum here is
 S(u,v,q) = sum over units h of e((u h + v h^-1)/q); some sources write the
@@ -106,11 +108,20 @@ def _exponent_tuples(orders, index: np.ndarray) -> np.ndarray:
     return np.array(np.unravel_index(index, tuple(orders[::-1]))[::-1])
 
 
+def _phase(exps: np.ndarray, orders, index, n) -> np.ndarray:
+    """t(n) = sum_i e_i (D/d_i) dlog_i(n) mod D for the characters at flat
+    `index` (int or array, rows) and the residues `n` (index into the
+    columns of `exps`).  Non-units get an arbitrary phase."""
+    exponent = math.lcm(*orders)
+    scaled = _exponent_tuples(orders, index).T * (exponent // np.array(orders))
+    return scaled @ exps[:, n] % exponent
+
+
 @dataclass(frozen=True)
 class CharacterGroup:
     """Unit group mod q with discrete-log tables for character evaluation.
 
-    For the default odd-prime-power q there is one component and `g` / `dlog`
+    For an odd prime power q there is one component and `g` / `dlog`
     expose the classical primitive-root picture: dlog[g^t mod q] = t.  The
     exponent D is the lcm of the component orders.  `conductors`, `even` and
     `conj` are read-only vectors over the flat character index: the conductor
@@ -148,28 +159,17 @@ class CharacterGroup:
         return [Character(self, e) for e in range(self.phi_q)]
 
 
-def build_group(q: int, allow_general: bool = False) -> CharacterGroup:
-    """Build the character group mod q.
-
-    Args:
-        q: modulus; default policy takes odd prime powers >= 3 only.
-        allow_general: accept any q >= 3 with q != 2 (mod 4) via the CRT
-            component decomposition.
+def build_group(q: int) -> CharacterGroup:
+    """Build the character group mod q, any q >= 3 with q != 2 (mod 4).
 
     Raises:
-        ValueError: q = 2 mod 4 (no primitive characters), q < 3, or a
-            non-prime-power q without allow_general.
+        ValueError: q = 2 mod 4 (no primitive characters) or q < 3.
     """
     if q < 3:
         raise ValueError(f"q={q}: group building needs q >= 3")
     if q % 4 == 2:
         raise ValueError(f"q={q} = 2 (mod 4): no primitive characters exist")
     fac = arith.factorize(q).factors
-    is_odd_pp = len(fac) == 1 and fac[0][0] % 2 == 1
-    if not (is_odd_pp or allow_general):
-        raise ValueError(
-            f"q={q} is not an odd prime power; pass allow_general=True "
-            "for the CRT escape hatch")
 
     components: list[tuple[int, int, int]] = []
     small_tables: list[np.ndarray] = []
@@ -191,10 +191,9 @@ def build_group(q: int, allow_general: bool = False) -> CharacterGroup:
             components.append((m, g, d))
             small_tables.append(_cyclic_dlog(m, g, d))
 
-    nn_mod = np.arange(q, dtype=np.int64)
-    exps = np.stack([tab[nn_mod % m]
-                     for tab, (m, _, _) in zip(small_tables, components)])
     nn = np.arange(q, dtype=np.int64)
+    exps = np.stack([tab[nn % m]
+                     for tab, (m, _, _) in zip(small_tables, components)])
     unit_mask = np.gcd(nn, q) == 1
     if not np.all(exps[:, unit_mask] >= 0):
         raise AssertionError(f"dlog table incomplete for q={q}")
@@ -204,15 +203,14 @@ def build_group(q: int, allow_general: bool = False) -> CharacterGroup:
     assert math.prod(orders) == phi_q
     roots = np.exp(2j * np.pi * np.arange(exponent) / exponent)
 
-    tuples = _exponent_tuples(orders, np.arange(phi_q))
+    index = np.arange(phi_q)
+    tuples = _exponent_tuples(orders, index)
     orders_col = np.array(orders).reshape(-1, 1)
     conj = np.ravel_multi_index(tuple((-tuples % orders_col)[::-1]),
                                 orders[::-1])
-    # chi(-1) = e(phase/D) with phase = sum_i e_i (D/d_i) dlog_i(-1)
-    phase_m1 = np.sum(tuples * (exponent // orders_col)
-                      * exps[:, q - 1:q], axis=0) % exponent
     vectors = {"conductors": _conductors(fac, tuples),
-               "even": phase_m1 == 0, "conj": conj}
+               "even": _phase(exps, orders, index, q - 1) == 0,
+               "conj": conj}
     for v in vectors.values():
         v.setflags(write=False)
     return CharacterGroup(q=q, phi_q=phi_q, components=tuple(components),
@@ -221,49 +219,27 @@ def build_group(q: int, allow_general: bool = False) -> CharacterGroup:
 
 
 class Character:
-    """One Dirichlet character mod q, addressed by a flat index.
+    """One Dirichlet character mod q: a (group, index) handle.
 
     The flat index is the mixed-radix encoding of the per-component exponent
     tuple (e_1, ..., e_m); for cyclic groups it is just the exponent e with
-    chi(n) = e(e * dlog(n) / phi(q)).
+    chi(n) = e(e * dlog(n) / phi(q)).  Index 0 is the principal character.
     """
 
-    __slots__ = ("group", "index", "idx_tuple", "_phase", "_values")
+    __slots__ = ("group", "index")
 
     def __init__(self, group: CharacterGroup, index: int):
         self.group = group
         self.index = index
-        tup = []
-        rem = index
-        for d in group.orders():
-            tup.append(rem % d)
-            rem //= d
-        self.idx_tuple = tuple(tup)
-        self._phase: np.ndarray | None = None
-        self._values: np.ndarray | None = None
-
-    def phase_numerators(self) -> np.ndarray:
-        """Integer t(n) with chi(n) = e(t(n)/D), -1 sentinel at non-units."""
-        if self._phase is None:
-            grp = self.group
-            acc = np.zeros(grp.q, dtype=np.int64)
-            for e_i, (exps_i, d_i) in zip(self.idx_tuple,
-                                          zip(grp.exps, grp.orders())):
-                acc += e_i * (grp.exponent // d_i) * exps_i
-            acc %= grp.exponent
-            acc[~grp.unit_mask] = -1
-            self._phase = acc
-        return self._phase
 
     def values(self) -> np.ndarray:
-        """chi(n) for n = 0..q-1 as a complex array (0 at non-units)."""
-        if self._values is None:
-            phase = self.phase_numerators()
-            vals = np.where(phase >= 0,
-                            self.group.roots[np.maximum(phase, 0)], 0.0)
-            vals.setflags(write=False)
-            self._values = vals
-        return self._values
+        """chi(n) for n = 0..q-1 as a read-only complex array (0 at
+        non-units), evaluated afresh on each call."""
+        grp = self.group
+        phase = _phase(grp.exps, grp.orders(), self.index, slice(None))
+        vals = np.where(grp.unit_mask, grp.roots[phase], 0.0)
+        vals.setflags(write=False)
+        return vals
 
     def __call__(self, n):
         return self.values()[np.asarray(n) % self.group.q]
@@ -279,7 +255,7 @@ class Character:
 
     @property
     def is_principal(self) -> bool:
-        return all(e == 0 for e in self.idx_tuple)
+        return self.index == 0
 
     def conjugate_index(self) -> int:
         """Flat index of chi-bar."""
@@ -344,14 +320,13 @@ def kloosterman(u: int, v: int, q: int) -> float:
     return float(total.real)
 
 
-def primitive_sum_identity(a: int, q: int, audit: bool = False,
-                           group: CharacterGroup | None = None) -> int:
+def primitive_sum_identity(a: int, q: int, audit: bool = False) -> int:
     """Sum of chi(a) over primitive chi mod q, via the Mobius side.
 
     Returns sum over c | (q, a-1) of mu(q/c) phi(c).  With audit=True the
     left side is formed by direct summation of chi(a) over the primitive
-    characters, each read from its exponent tuple, and both sides are
-    required to agree within 1e-6.
+    characters of build_group(q), each by the phase formula, and both sides
+    are required to agree within 1e-6.
 
     Raises:
         ValueError: gcd(a, q) > 1.
@@ -362,13 +337,9 @@ def primitive_sum_identity(a: int, q: int, audit: bool = False,
     rhs = sum(arith.mobius(q // c) * arith.euler_phi(c)
               for c in arith.divisors(q) if g % c == 0)
     if audit:
-        grp = group if group is not None else build_group(q, allow_general=True)
-        tuples = _exponent_tuples(grp.orders(),
-                                  np.flatnonzero(grp.conductors == q))
-        orders_col = np.array(grp.orders()).reshape(-1, 1)
-        # chi(a) = e(phase/D), phase = sum_i e_i (D/d_i) dlog_i(a)
-        phase = np.sum(tuples * (grp.exponent // orders_col)
-                       * grp.exps[:, a % q:a % q + 1], axis=0) % grp.exponent
+        grp = build_group(q)
+        phase = _phase(grp.exps, grp.orders(),
+                       np.flatnonzero(grp.conductors == q), a % q)
         lhs = complex(np.sum(grp.roots[phase]))
         if abs(lhs - rhs) > 1e-6:
             raise AssertionError(

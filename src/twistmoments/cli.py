@@ -120,19 +120,15 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
+def _parse_list(text, what: str, cast) -> tuple | None:
+    """A comma-separated string or a JSON list, each item through cast;
+    None for an absent or empty setting."""
+    if not text:
+        return None
+    if not isinstance(text, str):
+        return tuple(cast(v) for v in text)
     try:
-        vals = tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise _CliError(f"bad {what} list: {text!r}")
-    if not vals:
-        raise _CliError(f"empty {what} list")
-    return vals
-
-
-def _parse_float_list(text: str, what: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(t) for t in text.split(",") if t.strip())
+        vals = tuple(cast(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise _CliError(f"bad {what} list: {text!r}")
     if not vals:
@@ -160,25 +156,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if val is not None:
             merged[key] = val
 
-    q_list: tuple[int, ...] = ()
-    if merged.get("q_list"):
-        raw = merged["q_list"]
-        q_list = (_parse_int_list(raw, "q") if isinstance(raw, str)
-                  else tuple(int(v) for v in raw))
-    elif merged.get("q") is not None:
-        q_list = (int(merged["q"]),)
-    k_list: tuple[float, ...] = (1.0,)
-    if merged.get("k_list"):
-        raw = merged["k_list"]
-        k_list = (_parse_float_list(raw, "k") if isinstance(raw, str)
-                  else tuple(float(v) for v in raw))
-    elif merged.get("k") is not None:
-        k_list = (float(merged["k"]),)
-    ell = None
-    if merged.get("ell"):
-        raw = merged["ell"]
-        ell = (_parse_int_list(raw, "ell") if isinstance(raw, str)
-               else tuple(int(v) for v in raw))
+    q_list = _parse_list(merged.get("q_list"), "q", int)
+    if q_list is None:
+        q_list = (() if merged.get("q") is None else (int(merged["q"]),))
+    k_list = _parse_list(merged.get("k_list"), "k", float)
+    if k_list is None:
+        k_list = ((1.0,) if merged.get("k") is None
+                  else (float(merged["k"]),))
+    ell = _parse_list(merged.get("ell"), "ell", int)
 
     cfg = RunConfig(
         command=args.command, q_list=q_list, k_list=k_list,
@@ -232,6 +217,8 @@ def _validate(cfg: RunConfig):
 
 
 def _fmt(v) -> str:
+    if isinstance(v, np.generic):
+        v = v.item()
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
@@ -248,6 +235,12 @@ def _csv(cfg: RunConfig, header, rows, comments=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_default(v):
+    """numpy scalars as their Python values, anything else iterable as a
+    list."""
+    return v.item() if isinstance(v, np.generic) else list(v)
+
+
 def _json_doc(cfg: RunConfig, header, rows, audits=None) -> str:
     cd = cfg.identity()
     cd["hash"] = cfg.hash
@@ -255,15 +248,11 @@ def _json_doc(cfg: RunConfig, header, rows, audits=None) -> str:
            "rows": [dict(zip(header, row)) for row in rows]}
     if audits is not None:
         doc["audits"] = audits
-    return json.dumps(doc, indent=2, sort_keys=True, default=list) + "\n"
-
-
-def _py(v):
-    return v.item() if isinstance(v, np.generic) else v
+    return json.dumps(doc, indent=2, sort_keys=True,
+                      default=_json_default) + "\n"
 
 
 def _render(cfg: RunConfig, header, rows, audits=None, comments=()) -> str:
-    rows = [tuple(_py(v) for v in row) for row in rows]
     if cfg.format == "json":
         return _json_doc(cfg, header, rows, audits)
     return _csv(cfg, header, rows, comments)
@@ -282,7 +271,7 @@ def _cmd_tau(cfg: RunConfig) -> str:
 def _cmd_chars(cfg: RunConfig) -> str:
     rows = []
     for q in cfg.q_list:
-        grp = characters.build_group(q, allow_general=True)
+        grp = characters.build_group(q)
         rows.extend(zip([q] * grp.phi_q, range(grp.phi_q),
                         grp.conductors.tolist(),
                         (grp.conductors == q).tolist(), grp.even.tolist()))
@@ -411,7 +400,7 @@ def _cmd_mollifier_verify(cfg: RunConfig) -> str:
                                  cache_dir=cfg.cache_dir)
     segs = mollifier.build_segments(q, ladder)
     ctx = mollifier.MollifierContext(tab, ladder, segs)
-    grp = characters.build_group(q, allow_general=True)
+    grp = characters.build_group(q)
     prims = characters.primitive_characters(grp)
     rows = []
 

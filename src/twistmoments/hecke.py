@@ -174,11 +174,15 @@ def _divisor_count_table(n_max: int) -> np.ndarray:
     return d
 
 
-def _validate_table(lam: np.ndarray, n_max: int, tol: float) -> None:
-    if abs(lam[1] - 1.0) > tol:
+# absolute (relative above 1) tolerance of every table invariant
+_TABLE_TOL = 1e-9
+
+
+def _validate_table(lam: np.ndarray, n_max: int) -> None:
+    if abs(lam[1] - 1.0) > _TABLE_TOL:
         raise ValueError(f"lambda(1) = {lam[1]!r}, must be 1")
     d = _divisor_count_table(n_max)
-    bad = np.nonzero(np.abs(lam[1:]) > d[1:] + tol)[0]
+    bad = np.nonzero(np.abs(lam[1:]) > d[1:] + _TABLE_TOL)[0]
     if len(bad):
         n = int(bad[0]) + 1
         raise ValueError(f"Deligne bound violated at n={n}: "
@@ -189,7 +193,7 @@ def _validate_table(lam: np.ndarray, n_max: int, tol: float) -> None:
         pa = int(p)
         while pa * p <= n_max:
             nxt = lam[p] * lam[pa] - (lam[pa // p] if pa > p else 1.0)
-            if abs(lam[pa * p] - nxt) > tol * max(1.0, abs(nxt)):
+            if abs(lam[pa * p] - nxt) > _TABLE_TOL * max(1.0, abs(nxt)):
                 raise ValueError(f"Hecke recursion fails at p={p}, p^a={pa}")
             pa *= p
     if n_max < 2:
@@ -207,24 +211,22 @@ def _validate_table(lam: np.ndarray, n_max: int, tol: float) -> None:
     split = m > 1
     lhs = lam[2:][split]
     rhs = lam[pa[split]] * lam[m[split]]
-    bad_mult = np.abs(lhs - rhs) > tol * np.maximum(1.0, np.abs(lhs))
+    bad_mult = np.abs(lhs - rhs) > _TABLE_TOL * np.maximum(1.0, np.abs(lhs))
     if bad_mult.any():
         raise ValueError(
             f"multiplicativity fails at {int(bad_mult.sum())} indices")
 
 
 def build_eigenform(source: str = "builtin-delta", n_max: int = 1000,
-                    kappa: int = 12, validate: bool = True,
-                    tol: float = 1e-9) -> EigenformTable:
-    """Build the eigenvalue table.
+                    kappa: int = 12) -> EigenformTable:
+    """Build the eigenvalue table and validate it: lambda(1) = 1, the Deligne
+    bound, the Hecke recursion and multiplicativity, each to _TABLE_TOL.
 
     Args:
         source: "builtin-delta", or a path to an "n<TAB>a(n)" coefficient
             file holding unnormalized integer coefficients a(n).
         n_max: table length (for file sources, capped at the file length).
         kappa: weight; builtin-delta forces 12.
-        validate: check lambda(1)=1, the Deligne bound, the Hecke recursion
-            and multiplicativity; file sources are always validated.
 
     Raises:
         ValueError: invariant violations, or unreadable source.
@@ -237,15 +239,13 @@ def build_eigenform(source: str = "builtin-delta", n_max: int = 1000,
         coeffs = read_coefficient_file(source)
         if len(coeffs) < n_max:
             n_max = len(coeffs)
-        validate = True
     if kappa < 2 or kappa % 2:
         raise ValueError(f"weight must be a positive even integer, got {kappa}")
     n = np.arange(n_max + 1, dtype=np.float64)
     lam = np.zeros(n_max + 1)
     lam[1:] = np.array([float(c) for c in coeffs[:n_max]])
     lam[1:] /= n[1:] ** ((kappa - 1) / 2)
-    if validate:
-        _validate_table(lam, n_max, tol)
+    _validate_table(lam, n_max)
     lam.setflags(write=False)
     return EigenformTable(weight=kappa, n_max=n_max, lam=lam, source=source)
 
@@ -328,7 +328,7 @@ def _load_cached(path: str, kappa: int, n_max: int) -> EigenformTable:
                              f"need float64 ({n_max + 1},) or longer")
         lam = np.array(raw[:n_max + 1])
         del raw
-        _validate_table(lam, n_max, tol=1e-9)
+        _validate_table(lam, n_max)
     except (ValueError, EOFError) as exc:
         raise ValueError(f"corrupt cache file {path}: {exc}") from None
     lam.setflags(write=False)

@@ -18,7 +18,7 @@ twist carries (q/2pi)^s per factor; numerically the two routes then agree to
 
 Truncation lengths come from the measured decay envelope of the kernels: the
 cap is the smallest index whose kernel argument passes the point where the
-running majorant of |W| drops below tail_eps / safety.  That is far tighter
+running majorant of |W| drops below tail_eps / SAFETY.  That is far tighter
 than a power-law bound (W decays like exp(-log^2), W2 like exp(-c sqrt(x)))
 and is validated by the doubling test: doubling the cap moves values by well
 under 10 * tail_eps.
@@ -47,19 +47,15 @@ from .hecke import EigenformTable
 class AfeConfig:
     """Truncation and audit policy for the functional-equation sums.
 
-    tail_eps is the target absolute tail of each truncated sum; safety
-    divides it before the envelope lookup, absorbing the divisor-weighted
-    mass of the terms past the cutoff.  audit_count characters per family
-    get the expensive |L|^2 double-sum cross-check (0 disables it).
+    tail_eps is the target absolute tail of each truncated sum.
+    audit_count characters per family get the expensive |L|^2 double-sum
+    cross-check (0 disables it).
     """
 
     X: float = 1.0
     tail_eps: float = 1e-8
-    safety: float = 8.0
     audit_count: int = 8
     seed: int = 0
-    cross_tol: float = 1e-3
-    cap_limit: int = 200_000_000
 
     def __post_init__(self):
         if self.X <= 0:
@@ -83,6 +79,14 @@ class CentralValue:
 
 DEFAULT_CONFIG = AfeConfig()
 
+# divides tail_eps before the envelope lookup, absorbing the divisor-weighted
+# mass of the terms past the cutoff
+SAFETY = 8.0
+# largest relative mismatch allowed between the two routes on an audited
+# character
+CROSS_TOL = 1e-3
+# largest truncation length either route may ask for
+CAP_LIMIT = 200_000_000
 # relative-residual denominator floor: below this scale the two routes are
 # compared at absolute resolution instead of relative
 _RESIDUAL_FLOOR = 1e-2
@@ -97,30 +101,26 @@ def default_evaluators(kappa: int) -> tuple[weights.WeightEvaluator,
 
 
 def required_n_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG,
-                   ev: weights.WeightEvaluator | None = None,
                    kappa: int = 12) -> int:
     """Truncation length for the first-power route at modulus q."""
-    if ev is None:
-        ev = default_evaluators(kappa)[0]
-    x_eps = ev.envelope_cutoff(cfg.tail_eps / cfg.safety)
+    ev = default_evaluators(kappa)[0]
+    x_eps = ev.envelope_cutoff(cfg.tail_eps / SAFETY)
     cap = int(np.ceil(x_eps * q * max(cfg.X, 1.0 / cfg.X)))
-    if cap > cfg.cap_limit:
-        raise ValueError(f"n_cap {cap} exceeds configured limit "
-                         f"{cfg.cap_limit} at q={q}")
+    if cap > CAP_LIMIT:
+        raise ValueError(f"n_cap {cap} exceeds the limit "
+                         f"{CAP_LIMIT} at q={q}")
     return cap
 
 
 def required_m_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG,
-                   ev2: weights.WeightEvaluator | None = None,
                    kappa: int = 12) -> int:
     """Truncation length (on the product ab) for the squared route."""
-    if ev2 is None:
-        ev2 = default_evaluators(kappa)[1]
-    x_eps = ev2.envelope_cutoff(cfg.tail_eps / cfg.safety)
+    ev2 = default_evaluators(kappa)[1]
+    x_eps = ev2.envelope_cutoff(cfg.tail_eps / SAFETY)
     cap = int(np.ceil(x_eps * q * q / (2 * np.pi)))
-    if cap > cfg.cap_limit:
-        raise ValueError(f"m_cap {cap} exceeds configured limit "
-                         f"{cfg.cap_limit} at q={q}; the squared route "
+    if cap > CAP_LIMIT:
+        raise ValueError(f"m_cap {cap} exceeds the limit "
+                         f"{CAP_LIMIT} at q={q}; the squared route "
                          "is an audit tool, not a production path")
     return cap
 
@@ -133,8 +133,7 @@ def _check_table(f: EigenformTable, cap: int):
 
 
 def central_value(f: EigenformTable, chi: characters.Character,
-                  cfg: AfeConfig = DEFAULT_CONFIG,
-                  ev: weights.WeightEvaluator | None = None) -> complex:
+                  cfg: AfeConfig = DEFAULT_CONFIG) -> complex:
     """L(1/2, f tensor chi) by the first-power route, compensated summation.
 
     Raises:
@@ -144,9 +143,8 @@ def central_value(f: EigenformTable, chi: characters.Character,
         raise ValueError(f"central_value needs a primitive character, "
                          f"got {chi!r}")
     q = chi.group.q
-    if ev is None:
-        ev = default_evaluators(f.weight)[0]
-    cap = required_n_cap(q, cfg, ev, f.weight)
+    ev = default_evaluators(f.weight)[0]
+    cap = required_n_cap(q, cfg, f.weight)
     _check_table(f, cap)
     n = np.arange(1, cap + 1)
     coeff = f.lam[1:cap + 1] / np.sqrt(n)
@@ -159,8 +157,7 @@ def central_value(f: EigenformTable, chi: characters.Character,
 
 
 def central_value_sq(f: EigenformTable, chi: characters.Character,
-                     cfg: AfeConfig = DEFAULT_CONFIG,
-                     ev2: weights.WeightEvaluator | None = None) -> float:
+                     cfg: AfeConfig = DEFAULT_CONFIG) -> float:
     """|L(1/2, f tensor chi)|^2 by the squared route (the audit formula).
 
     Groups the double sum by the product m = ab: one pass over a with a
@@ -170,9 +167,8 @@ def central_value_sq(f: EigenformTable, chi: characters.Character,
         raise ValueError(f"central_value_sq needs a primitive character, "
                          f"got {chi!r}")
     q = chi.group.q
-    if ev2 is None:
-        ev2 = default_evaluators(f.weight)[1]
-    cap = required_m_cap(q, cfg, ev2, f.weight)
+    ev2 = default_evaluators(f.weight)[1]
+    cap = required_m_cap(q, cfg, f.weight)
     _check_table(f, cap)
     m = np.arange(1, cap + 1)
     w2s = ev2(m * (2 * np.pi / (q * q))) / np.sqrt(m)
@@ -209,30 +205,26 @@ def _residual(value: complex, sq: float) -> float:
 
 
 def family_values(f: EigenformTable, q: int,
-                  cfg: AfeConfig = DEFAULT_CONFIG,
-                  group: characters.CharacterGroup | None = None
-                  ) -> list[CentralValue]:
+                  cfg: AfeConfig = DEFAULT_CONFIG) -> list[CentralValue]:
     """L(1/2, f tensor chi) over every primitive chi mod q, ascending index.
 
     The records are the family that moments and audits take: build it once
     per modulus and pass it on.  Since the indices ascend, chi-bar's record
-    is found by looking up group.conj[chi.index] among them.
+    is found by looking up chi.conjugate_index() among them.
 
     The audit subsample (cfg.audit_count characters, seeded choice) is
     recomputed through both independent routes; the squared route is skipped
     with a flag when its truncation would outrun the eigenform table.
     """
-    grp = group if group is not None else characters.build_group(
-        q, allow_general=True)
-    prims = characters.primitive_characters(grp)
-    evs = default_evaluators(f.weight)
-    cap = required_n_cap(q, cfg, evs[0], f.weight)
+    prims = characters.primitive_characters(characters.build_group(q))
+    ev = default_evaluators(f.weight)[0]
+    cap = required_n_cap(q, cfg, f.weight)
     _check_table(f, cap)
 
     n = np.arange(1, cap + 1)
     coeff = f.lam[1:cap + 1] / np.sqrt(n)
-    w1 = coeff * evs[0](n * (cfg.X / q))
-    w2 = coeff * evs[0](n / (q * cfg.X))
+    w1 = coeff * ev(n * (cfg.X / q))
+    w2 = coeff * ev(n / (q * cfg.X))
     idx = n % q
     b1 = np.bincount(idx, weights=w1, minlength=q)
     b2 = np.bincount(idx, weights=w2, minlength=q)
@@ -240,7 +232,7 @@ def family_values(f: EigenformTable, q: int,
     audit_set: set[int] = set()
     if cfg.audit_count > 0:
         try:
-            m_cap = required_m_cap(q, cfg, evs[1], f.weight)
+            m_cap = required_m_cap(q, cfg, f.weight)
             can_audit = m_cap <= f.n_max
         except ValueError:
             can_audit = False
@@ -257,16 +249,16 @@ def family_values(f: EigenformTable, q: int,
         value = complex(v @ b1) + characters.iota(chi, f.weight) * complex(
             v @ b2).conjugate()
         if chi.index in audit_set:
-            sq = central_value_sq(f, chi, cfg, evs[1])
+            sq = central_value_sq(f, chi, cfg)
             audited = True
         else:
             sq = abs(value) ** 2
             audited = False
         res = _residual(value, sq)
-        if audited and res > cfg.cross_tol:
+        if audited and res > CROSS_TOL:
             raise AssertionError(
                 f"q={q} chi_index={chi.index}: squared-route residual "
-                f"{res:.3e} beyond {cfg.cross_tol:g}")
+                f"{res:.3e} beyond {CROSS_TOL:g}")
         out.append(CentralValue(chi=chi, value=value, sq_direct=sq,
                                 residual=res, audited=audited))
     return out

@@ -360,34 +360,6 @@ def evaluate_coefficients(coeffs: dict[int, float],
     return complex(acc)
 
 
-@dataclass(frozen=True)
-class MollifierValue:
-    """Per-character snapshot of the whole tower at one (alpha, k)."""
-
-    chi_index: int
-    P: tuple[complex, ...]
-    N_alpha: tuple[complex, ...]
-    Q: tuple[complex, ...]          # Q_1..Q_(R+1); last entry always 1
-
-    @property
-    def n_product(self) -> complex:
-        out = 1.0 + 0.0j
-        for v in self.N_alpha:
-            out *= v
-        return out
-
-
-def mollifier_value(ctx: MollifierContext, chi: characters.Character,
-                    alpha: float, k: float | None = None) -> MollifierValue:
-    R = ctx.ladder.R
-    return MollifierValue(
-        chi_index=chi.index,
-        P=tuple(ctx.prime_sum(chi, j) for j in range(1, R + 1)),
-        N_alpha=tuple(n_poly(ctx, chi, j, alpha) for j in range(1, R + 1)),
-        Q=tuple(q_poly(ctx, chi, j, k) for j in range(1, R + 2)),
-    )
-
-
 def segment_prime_sum_bounds(ctx: MollifierContext) -> list[dict]:
     """Per-segment report on sum of lambda(p)^2/p against ell_j/(4N) and
     (2/N) ell_j; skipped (with a flag) for empty segments or override

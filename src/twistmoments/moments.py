@@ -486,7 +486,4 @@ def sweep_reports(table: EigenformTable, q_list, k_list,
     for q in sorted(q_list):
         recs = lvalues.family_values(table, q, cfg)
         reports.extend(family_moment(recs, k) for k in k_list)
-        # the records keep their characters' value arrays: release this
-        # family before the next one is built
-        del recs
     return reports

@@ -40,19 +40,18 @@ def test_01_identity_suite():
     for q in range(3, 201):
         if q % 4 == 2:
             continue
-        g = characters.build_group(q, allow_general=True)
+        g = characters.build_group(q)
         V = np.array([c.values() for c in g.characters()])
         conds = helpers.conductors_for_value_matrix(
             V, q, list(arith.divisors(q)))
         if int(np.sum(conds == q)) != arith.phi_star(q):
             failures.append(("phi_star", q))
     for q in (9, 27, 49, 121):
-        g = characters.build_group(q)
         for a in range(1, q):
             if math.gcd(a, q) != 1:
                 continue
             try:
-                characters.primitive_sum_identity(a, q, audit=True, group=g)
+                characters.primitive_sum_identity(a, q, audit=True)
             except AssertionError:
                 failures.append(("char_sum", a, q))
     _verdict(1, "identity suite", failures, time.perf_counter() - t0, 1.0)
@@ -64,7 +63,7 @@ def test_02_gauss_kloosterman_suite():
     for q in range(3, 102):
         if q % 4 == 2:
             continue
-        g = characters.build_group(q, allow_general=True)
+        g = characters.build_group(q)
         for chi in characters.primitive_characters(g):
             mag2 = abs(characters.gauss_sum(chi)) ** 2
             if abs(mag2 - q) > 1e-9 * q:
@@ -142,9 +141,8 @@ def test_05_afe_cross_validation(sweep_table):
     cfg_half = lvalues.AfeConfig(X=0.5)
     ev, _ = lvalues.default_evaluators(12)
     for q in (5, 7, 53, 101):
-        group = characters.build_group(q)
-        recs1 = lvalues.family_values(sweep_table, q, CFG, group=group)
-        recs2 = lvalues.family_values(sweep_table, q, cfg_half, group=group)
+        recs1 = lvalues.family_values(sweep_table, q, CFG)
+        recs2 = lvalues.family_values(sweep_table, q, cfg_half)
         audited = 0
         for r, r2 in zip(recs1, recs2):
             if (r.chi.index != r2.chi.index
@@ -158,7 +156,7 @@ def test_05_afe_cross_validation(sweep_table):
             failures.append(("no_audit", q))
         # doubling the certified cap moves the value by less than the budget
         cap = lvalues.required_n_cap(q, CFG)
-        chi = characters.primitive_characters(group)[0]
+        chi = recs1[0].chi
         n = np.arange(cap + 1, 2 * cap + 1)
         w = ev(n / q)
         chivals = chi.values()[n % q]

@@ -36,14 +36,12 @@ def test_least_primitive_root():
 @pytest.mark.parametrize("q", [0, 1, 2, 10, 14])
 def test_build_group_rejects_bad_moduli(q):
     with pytest.raises(ValueError):
-        characters.build_group(q, allow_general=True)
+        characters.build_group(q)
 
 
 @pytest.mark.parametrize("q", [12, 15, 45])
-def test_general_composite_needs_flag(q):
-    with pytest.raises(ValueError):
-        characters.build_group(q)
-    g = characters.build_group(q, allow_general=True)
+def test_general_composite_groups(q):
+    g = characters.build_group(q)
     assert g.phi_q == sympy.totient(q)
     assert len(characters.primitive_characters(g)) == arith.phi_star(q)
 
@@ -190,7 +188,7 @@ def test_row_orthogonality_desk_moduli():
     for q in range(3, 102):
         if q % 4 == 2:
             continue
-        g = characters.build_group(q, allow_general=True)
+        g = characters.build_group(q)
         V = np.array([c.values() for c in g.characters()])
         Vu = V[:, g.unit_mask]
         gram = Vu @ Vu.conj().T
@@ -219,7 +217,7 @@ _VECTOR_MODULI = ([q for q in range(3, 401) if q % 4 != 2]
 def test_group_vectors_against_value_oracles(q):
     # conductors, parity and conjugation come from the component exponents;
     # check them against the character values themselves
-    g = characters.build_group(q, allow_general=True)
+    g = characters.build_group(q)
     V = np.array([c.values() for c in g.characters()])
     divs = list(arith.divisors(q))
     want = np.array([helpers.conductor_by_periodicity(v, q, divs)

@@ -1,9 +1,11 @@
 """Central values: balance-point invariance, conjugation, route agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from twistmoments import characters, hecke, lvalues
+from twistmoments import arith, characters, hecke, lvalues
 
 CFG = lvalues.DEFAULT_CONFIG
 
@@ -26,11 +28,12 @@ def test_required_caps_scale():
     m1 = lvalues.required_m_cap(53, CFG)
     m2 = lvalues.required_m_cap(106, CFG)
     assert 3.9 < m2 / m1 < 4.1
-    tiny = lvalues.AfeConfig(cap_limit=1000)
-    with pytest.raises(ValueError):
-        lvalues.required_n_cap(53, tiny)
-    with pytest.raises(ValueError):
-        lvalues.required_m_cap(53, tiny)
+    # the caps stop at CAP_LIMIT terms: a far-off balance point for the
+    # first-power route, a modulus near 5000 for the squared route
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        lvalues.required_n_cap(53, lvalues.AfeConfig(X=1e-3))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        lvalues.required_m_cap(5000, CFG)
 
 
 def test_balance_point_invariance_mod7(table_100k):
@@ -88,13 +91,35 @@ def test_family_counts_audits_and_conjugate_closure(table_100k):
     assert audited
     for r in audited:
         assert r.sq_direct is not None
-        assert r.residual < CFG.cross_tol
+        assert r.residual < lvalues.CROSS_TOL
     index = [r.chi.index for r in recs7]
     assert index == sorted(index)
     for r in recs7:
         mate = recs7[index.index(r.chi.conjugate_index())]
         assert abs(mate.value - r.value.conjugate()) < 1e-10
         assert mate.chi.conductor == r.chi.conductor == 7
+
+
+def test_family_records_hold_no_value_arrays():
+    # each record keeps its character, a (group, index) handle: the family
+    # at q = 1009 holds far less than one length-q float array per member
+    q = 1009
+    cfg = lvalues.AfeConfig(tail_eps=1e-5, audit_count=0)
+    n_max = lvalues.required_n_cap(q, cfg)
+    lam = np.zeros(n_max + 1)
+    lam[1:] = np.random.default_rng(1).uniform(-1.0, 1.0, n_max)
+    table = hecke.EigenformTable(weight=12, n_max=n_max, lam=lam,
+                                 source="random")
+    lvalues.default_evaluators(12)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        recs = lvalues.family_values(table, q, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(recs) == arith.phi_star(q)
+    assert held < arith.phi_star(q) * q * 8 / 10
 
 
 def test_cap_doubling_is_negligible(family_table):

@@ -329,21 +329,13 @@ def test_evaluate_coefficients_deterministic(table_100k):
     assert a == b  # summation order is fixed internally
 
 
-def test_mollifier_value_bundle(table_100k):
+def test_prime_sum_of_the_prime_two(table_100k):
     lad = mollifier.build_ladder(53, k=0.5, override_ell=(8, 2))
     segs = mollifier.build_segments(53, lad)
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     chi = characters.primitive_characters(characters.build_group(53))[0]
-    mv = mollifier.mollifier_value(ctx, chi, -0.5)
-    assert mv.chi_index == chi.index
-    assert len(mv.P) == lad.R
-    assert len(mv.N_alpha) == lad.R
-    assert len(mv.Q) == lad.R + 1
-    assert mv.Q[-1] == 1
-    # P[1] = lambda(2) chi(2)/sqrt(2), so its modulus is 24/2^6 = 0.375
-    assert abs(abs(mv.P[1]) - 0.375) < 1e-12
-    want = mollifier.n_full(ctx, chi, -0.5)
-    assert abs(mv.n_product - want) < 1e-12
+    # P_2 = lambda(2) chi(2)/sqrt(2), so its modulus is 24/2^6 = 0.375
+    assert abs(abs(ctx.prime_sum(chi, 2)) - 0.375) < 1e-12
 
 
 def test_segment_prime_sum_bounds(table_100k):

@@ -155,10 +155,9 @@ class _ScipyRouteEvaluator(weights.WeightEvaluator):
 
 
 def test_cutoffs_match_scipy_route(ev_w, ev_w2):
-    safety = lvalues.DEFAULT_CONFIG.safety
     for ev in (ev_w, ev_w2):
         ref = _ScipyRouteEvaluator(ev.kind, kappa=ev.kappa)
         assert ev._support_end == ref._support_end
         for tail_eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-            assert (ev.envelope_cutoff(tail_eps / safety)
-                    == ref.envelope_cutoff(tail_eps / safety))
+            assert (ev.envelope_cutoff(tail_eps / lvalues.SAFETY)
+                    == ref.envelope_cutoff(tail_eps / lvalues.SAFETY))
