@@ -156,23 +156,33 @@ def central_value(f: EigenformTable, chi: characters.Character,
     return s1 + characters.iota(chi, f.weight) * s2
 
 
+@lru_cache(maxsize=1)
+def _w2_table(q: int, cap: int, kappa: int) -> np.ndarray:
+    """W2(2 pi m / q^2) / sqrt(m) for m = 1..cap, read-only."""
+    m = np.arange(1, cap + 1)
+    w2s = default_evaluators(kappa)[1](m * (2 * np.pi / (q * q))) / np.sqrt(m)
+    w2s.setflags(write=False)
+    return w2s
+
+
 def central_value_sq(f: EigenformTable, chi: characters.Character,
                      cfg: AfeConfig = DEFAULT_CONFIG) -> float:
     """|L(1/2, f tensor chi)|^2 by the squared route (the audit formula).
 
     Groups the double sum by the product m = ab: one pass over a with a
-    strided dot against the precomputed W2(m/q^2)/sqrt(m) table.
+    strided dot against the W2(2 pi m/q^2)/sqrt(m) table.  The table depends
+    only on (q, m_cap, kappa), so the audited characters of one family share
+    it: the last one built is kept, and `family_values` drops it before it
+    returns.
     """
     if not chi.is_primitive:
         raise ValueError(f"central_value_sq needs a primitive character, "
                          f"got {chi!r}")
     q = chi.group.q
-    ev2 = default_evaluators(f.weight)[1]
     cap = required_m_cap(q, cfg, f.weight)
     _check_table(f, cap)
-    m = np.arange(1, cap + 1)
-    w2s = ev2(m * (2 * np.pi / (q * q))) / np.sqrt(m)
-    chiv = chi.values()[m % q]
+    w2s = _w2_table(q, cap, f.weight)
+    chiv = chi.values()[np.arange(1, cap + 1) % q]
     u = f.lam[1:cap + 1] * chiv            # lambda(a) chi(a), index a-1
     vbar = np.conj(u)                      # lambda(b) chibar(b), index b-1
     # ordered pairs (a, b), ab <= cap, split at a0 = isqrt(cap): the short-a
@@ -261,4 +271,6 @@ def family_values(f: EigenformTable, q: int,
                 f"{res:.3e} beyond {CROSS_TOL:g}")
         out.append(CentralValue(chi=chi, value=value, sq_direct=sq,
                                 residual=res, audited=audited))
+    # the audits' shared W2 table is m_cap long: free it with the family
+    _w2_table.cache_clear()
     return out

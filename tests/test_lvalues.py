@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twistmoments import arith, characters, hecke, lvalues
+from twistmoments import arith, characters, hecke, lvalues, weights
 
 CFG = lvalues.DEFAULT_CONFIG
 
@@ -148,3 +148,21 @@ def test_small_table_rejected():
         lvalues.central_value(small, chi)
     with pytest.raises(ValueError):
         lvalues.central_value_sq(small, chi)
+
+
+def test_family_shares_one_w2_table(family_table, monkeypatch):
+    # the audited characters of one family read one W2(2 pi m/q^2)/sqrt(m)
+    # table, and the family does not keep it once its records are built
+    calls = []
+    call = weights.WeightEvaluator.__call__
+
+    def counted(self, x):
+        calls.append(self.kind)
+        return call(self, x)
+    monkeypatch.setattr(weights.WeightEvaluator, "__call__", counted)
+    cfg = lvalues.AfeConfig(audit_count=8)
+    assert lvalues.required_m_cap(53, cfg) <= family_table.n_max
+    recs = lvalues.family_values(family_table, 53, cfg)
+    assert sum(r.audited for r in recs) == 8
+    assert calls.count("W2") == 1
+    assert lvalues._w2_table.cache_info().currsize == 0
