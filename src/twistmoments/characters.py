@@ -124,8 +124,9 @@ class CharacterGroup:
     For an odd prime power q there is one component and `g` / `dlog`
     expose the classical primitive-root picture: dlog[g^t mod q] = t.  The
     exponent D is the lcm of the component orders.  `conductors`, `even` and
-    `conj` are read-only vectors over the flat character index: the conductor
-    of chi, whether chi(-1) = 1, and the flat index of chi-bar.
+    `conj` are vectors over the flat character index: the conductor of chi,
+    whether chi(-1) = 1, and the flat index of chi-bar.  Every array is
+    read-only, since `build_group` hands one group to all its callers.
     """
 
     q: int
@@ -159,8 +160,12 @@ class CharacterGroup:
         return [Character(self, e) for e in range(self.phi_q)]
 
 
+@lru_cache(maxsize=16)
 def build_group(q: int) -> CharacterGroup:
     """Build the character group mod q, any q >= 3 with q != 2 (mod 4).
+
+    Groups are memoised, so every caller at one modulus shares one group;
+    all of its arrays are read-only.
 
     Raises:
         ValueError: q = 2 mod 4 (no primitive characters) or q < 3.
@@ -208,14 +213,14 @@ def build_group(q: int) -> CharacterGroup:
     orders_col = np.array(orders).reshape(-1, 1)
     conj = np.ravel_multi_index(tuple((-tuples % orders_col)[::-1]),
                                 orders[::-1])
-    vectors = {"conductors": _conductors(fac, tuples),
-               "even": _phase(exps, orders, index, q - 1) == 0,
-               "conj": conj}
-    for v in vectors.values():
+    arrays = {"exps": exps, "unit_mask": unit_mask, "roots": roots,
+              "conductors": _conductors(fac, tuples),
+              "even": _phase(exps, orders, index, q - 1) == 0,
+              "conj": conj}
+    for v in arrays.values():
         v.setflags(write=False)
     return CharacterGroup(q=q, phi_q=phi_q, components=tuple(components),
-                          exponent=exponent, exps=exps, unit_mask=unit_mask,
-                          roots=roots, **vectors)
+                          exponent=exponent, **arrays)
 
 
 class Character:

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import arith, characters, hecke, lvalues, moments, mollifier
 from .lvalues import AfeConfig
-from .weights import WeightEvaluator
 
 DEFAULT_ELL = (8, 2)        # even, decreasing, small enough to act at q ~ 50
 _WEIGHT_SAMPLES = 25
@@ -280,8 +279,7 @@ def _cmd_chars(cfg: RunConfig) -> str:
 
 
 def _cmd_weights(cfg: RunConfig) -> str:
-    w1 = WeightEvaluator("W", kappa=cfg.kappa)
-    w2 = WeightEvaluator("W2", kappa=cfg.kappa)
+    w1, w2 = lvalues.default_evaluators(cfg.kappa)
     xs = np.geomspace(1e-3, 1e3, _WEIGHT_SAMPLES)
     rows = [(float(x), float(w1(x)), float(w2(x))) for x in xs]
     return _render(cfg, ("x", "W", "W2"), rows)

@@ -229,3 +229,15 @@ def test_group_vectors_against_value_oracles(q):
     prims = characters.primitive_characters(g)
     assert len(prims) == arith.phi_star(q)
     assert [c.index for c in prims] == list(np.flatnonzero(want == q))
+
+
+@pytest.mark.parametrize("q", [7, 16, 105])
+def test_shared_groups_are_read_only(q):
+    # build_group hands one memoised group to every caller, so none of its
+    # arrays may be written through
+    g = characters.build_group(q)
+    assert characters.build_group(q) is g
+    for name in ("exps", "unit_mask", "roots", "conductors", "even", "conj"):
+        arr = getattr(g, name)
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
