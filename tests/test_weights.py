@@ -42,6 +42,22 @@ def test_two_sided_contour_oracle(ev_w, ev_w2):
             assert abs(z.real - got) < 1e-12 * max(1.0, abs(got))
 
 
+def test_full_grid_matches_unfolded_contour(ev_w, ev_w2):
+    # every grid sample against the unfolded, scipy-based trapezoid; the
+    # rounding noise of either sum scales with the 1/x prefactor
+    for ev in (ev_w, ev_w2):
+        ref = helpers.contour_weight_samples(ev.kind, ev.grid_x)
+        assert np.max(np.abs(ev.grid_vals - ref) * ev.grid_x) <= 2e-14
+
+
+def test_quad_across_chunks_matches_pointwise(ev_w, ev_w2):
+    xs = np.geomspace(1e-6, 1e3, 2 * weights._CHUNK + 17)
+    for ev in (ev_w, ev_w2):
+        batch = ev.quad(xs)
+        single = np.array([ev.quad(float(x)) for x in xs])
+        assert np.max(np.abs(batch - single) * xs) <= 1e-14
+
+
 def test_quadrature_stability_under_refinement(ev_w, ev_w2):
     # doubling T and halving h moves nothing at the 1e-8 relative level
     for kind, ev in (("W", ev_w), ("W2", ev_w2)):
