@@ -240,8 +240,6 @@ class WeightEvaluator:
             raise QuadratureTailError(
                 f"kind={self.kind}: tail band exceeds {_TAIL_TOL:g} "
                 f"at x={bad:g}; increase T")
-        # node Bk + r sits at t = k (B h) + r h, so its phase factor is a
-        # coarse factor in k times a fine factor in r
         t_coarse = np.arange(len(self._kern_blocks)) * (_PHASE_BLOCK * self.h)
         t_fine = np.arange(_PHASE_BLOCK) * self.h
         out = np.empty(len(xs))
