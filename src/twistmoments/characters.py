@@ -312,13 +312,16 @@ def kloosterman(u: int, v: int, q: int) -> float:
     """
     if q < 2:
         raise ValueError(f"kloosterman needs q >= 2, got {q}")
-    e_tab = _e_table(q)
-    total = 0.0 + 0.0j
-    for h in range(1, q):
-        if math.gcd(h, q) != 1:
-            continue
-        hbar = pow(h, -1, q)
-        total += e_tab[(u * h + v * hbar) % q]
+    h = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
+    # h^-1 = h^(phi(q)-1) by square and multiply; every product is below q^2,
+    # which int64 holds for any q whose e-table fits in memory
+    inv, base, e = np.ones_like(h), h, arith.euler_phi(q) - 1
+    while e:
+        if e & 1:
+            inv = inv * base % q
+        base = base * base % q
+        e >>= 1
+    total = complex(_e_table(q)[(u % q * h + v % q * inv) % q].sum())
     if abs(total.imag) >= 1e-9:
         raise AssertionError(
             f"S({u},{v},{q}) imaginary part {total.imag:.3e} not negligible")

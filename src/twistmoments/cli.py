@@ -259,12 +259,11 @@ def _render(cfg: RunConfig, header, rows, audits=None, comments=()) -> str:
 
 def _cmd_tau(cfg: RunConfig) -> str:
     taus = hecke.ramanujan_tau_table(cfg.n_max)
-    rows = [(n, t) for n, t in enumerate(taus, start=1)]
     if cfg.format == "csv":
         # plain coefficient-file format, importable by the hecke reader;
         # deliberately no hash comment or header line
-        return "".join(f"{n}\t{t}\n" for n, t in rows)
-    return _render(cfg, ("n", "tau"), rows)
+        return hecke.coefficient_lines(taus)
+    return _render(cfg, ("n", "tau"), enumerate(map(int, taus), start=1))
 
 
 def _cmd_chars(cfg: RunConfig) -> str:

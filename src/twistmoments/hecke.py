@@ -1,17 +1,30 @@
 """Hecke eigenvalues for the fixed level-1 eigenform, default Delta (kappa=12).
 
 tau(n) is computed exactly from Delta = x prod (1-x^m)^24.  The cube of the
-eta-type product is Jacobi's sparse series sum (-1)^k (2k+1) x^{k(k+1)/2},
-and three truncated squarings give the 24th power.  Each squaring is one
-Kronecker substitution: the coefficients, biased to be non-negative, are
-packed into fixed-width decimal slots of a single decimal.Decimal, squared
-in an exact context (libmpdec multiplies operands this large by a
-number-theoretic transform), and read back slot by slot.  The route needs
-only the standard library and is exact at every size.
+eta-type product is Jacobi's sparse series sum (-1)^k (2k+1) x^{k(k+1)/2}
+with about sqrt(2n) nonzero terms, so its square (the 6th power) is one
+exact int64 product over pairs of triangular numbers.  Two truncated
+squarings then give the 24th power.
 
-Normalized eigenvalues lambda(n) = tau(n)/n^((kappa-1)/2) are stored as
-float64.  shared_eigenform keeps one table per process and, on request, an
-on-disk cache of validated tables that serves any shorter request by prefix.
+Between squarings a series is a pair of digit rows: a sign mask and a uint8
+matrix holding |a_i| in D decimal digits, most significant first.  Each
+squaring is one Kronecker substitution into a single decimal.Decimal: the
+positive and the negative slots are laid out as two digit strings P and Q
+by byte operations on the rows, the signed packed value is P - Q, and its
+square is formed in an exact context (libmpdec multiplies operands this
+large by a number-theoretic transform).  D is chosen so that every
+coefficient of the square, even in the dropped tail, is a balanced slot of
+absolute value at most 10^D/2 - 1; the leading slots then round out of the
+square exactly and decode locally, by a nines complement and one carry
+pass over the digit columns.  The route needs only numpy and the standard
+library, builds no Python integer per coefficient, and is exact at every
+size.
+
+The table is returned as fixed-width signed decimal byte strings, which
+int() reads exactly and astype(np.float64) rounds correctly.  Normalized
+eigenvalues lambda(n) = tau(n)/n^((kappa-1)/2) are stored as float64.
+shared_eigenform keeps one table per process and, on request, an on-disk
+cache of validated tables that serves any shorter request by prefix.
 """
 
 from __future__ import annotations
@@ -19,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import decimal
 import hashlib
-import itertools
 import math
 import os
 import re
@@ -32,62 +44,154 @@ from . import arith
 
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                          Emin=decimal.MIN_EMIN)
+_ZERO = ord("0")
+# digits per int64 limb in _sum_of_squares: a limb product is below 10^10,
+# so a column of up to 9*10^8 of them sums exactly
+_LIMB = 5
 
 
-def _square_trunc(a: list[int], length: int) -> list[int]:
-    """Exact coefficients of (sum a_i x^i)^2 below x^length.
+def _eta6(length: int) -> np.ndarray:
+    """Coefficients of prod (1-x^m)^6 below x^length, exactly, as int64.
 
-    With c = max|a_i| every biased coefficient b_i = a_i + c lies in [0, 2c],
-    so every coefficient of B(x)^2 is at most length (2c)^2 < 10^d and the
-    base-10^d slots of B(10^d)^2 never carry into each other.  B is packed
-    most significant slot first, so the slots below x^length are the leading
-    digits of the square.  B = A + c U with U = sum_{i<length} x^i gives
-
-        (A^2)_k = (B^2)_k - 2c sum_{i<=k} a_i - c^2 (k+1),   k < length.
-
-    Args:
-        a: signed integer coefficients; missing ones up to length are zero.
-        length: number of output coefficients to keep.
+    The cube is sum (-1)^k (2k+1) x^{T_k} over triangular T_k; its square
+    is accumulated one k at a time, so no array of all the pairs is built.
     """
-    vals = list(a[:length]) + [0] * (length - len(a))
-    c = max(map(abs, vals), default=0)
-    if c == 0:
-        return [0] * length
-    d = len(str(length * (2 * c) ** 2))
-    packed = decimal.Decimal("".join([str(v + c).zfill(d) for v in vals]))
-    square = _EXACT.multiply(packed, packed)
-    del packed
-    # the square holds 2*length - 1 slots; drop the length - 1 lowest
-    top = _EXACT.scaleb(square, -d * (length - 1))
-    del square
-    digits = str(top.to_integral_value(decimal.ROUND_DOWN, _EXACT))
-    del top
-    digits = digits.zfill(length * d)
-    c2, twice_c = c * c, 2 * c
-    return [int(digits[k * d:(k + 1) * d]) - twice_c * s - c2 * (k + 1)
-            for k, s in enumerate(itertools.accumulate(vals))]
-
-
-def _jacobi_cube(length: int) -> list[int]:
-    """Coefficients of prod (1-x^n)^3 = sum (-1)^k (2k+1) x^{k(k+1)/2}."""
-    out = [0] * length
-    k = 0
-    while k * (k + 1) // 2 < length:
-        out[k * (k + 1) // 2] = (2 * k + 1) * (-1 if k % 2 else 1)
-        k += 1
+    k = np.arange(math.isqrt(2 * length) + 1)
+    tri = k * (k + 1) // 2
+    k, tri = k[tri < length], tri[tri < length]
+    coef = np.where(k % 2, -(2 * k + 1), 2 * k + 1)
+    # sum |a| * max |a| bounds every partial sum of every coefficient
+    assert int(np.abs(coef).sum()) * int(np.abs(coef).max()) < 2**53
+    out = np.zeros(length, dtype=np.int64)
+    for t, c in zip(tri.tolist(), coef.tolist()):
+        m = int(np.searchsorted(tri, length - t))
+        out[t + tri[:m]] += c * coef[:m]
     return out
 
+
+def _digit_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digit rows (sign mask, |values| in decimal digits) of int64s."""
+    mag = np.abs(values)
+    width = len(str(int(mag.max()))) if len(mag) else 1
+    digits = np.empty((len(mag), width), dtype=np.uint8)
+    for col in range(width - 1, -1, -1):
+        mag, digits[:, col] = np.divmod(mag, 10)
+    return values < 0, digits
+
+
+def _sum_of_squares(digits: np.ndarray) -> int:
+    """Exact sum of the squared row values, from a Gram matrix of limbs."""
+    rows, width = digits.shape
+    pad = -width % _LIMB
+    n_limbs = (width + pad) // _LIMB
+    limbs = np.zeros((n_limbs, rows), dtype=np.int64)
+    for col in range(width):
+        limb = limbs[(col + pad) // _LIMB]
+        limb *= 10
+        limb += digits[:, col]
+    gram = limbs @ limbs.T
+    top = 2 * n_limbs - 2
+    return sum(int(gram[i, j]) * 10 ** (_LIMB * (top - i - j))
+               for i in range(n_limbs) for j in range(n_limbs))
+
+
+def _packed(digits: np.ndarray, rows: np.ndarray, length: int,
+            width: int) -> decimal.Decimal:
+    """sum over the selected rows of |a_i| 10^(width (length-1-i))."""
+    text = np.full((length, width), _ZERO, dtype=np.uint8)
+    np.add(digits, _ZERO, out=text[:len(digits), width - digits.shape[1]:],
+           where=rows[:, None])
+    # rebinding frees the byte matrix before the Decimal is parsed
+    text = str(text.data, "ascii")
+    return decimal.Decimal(text)
+
+
+def _square_rows(neg: np.ndarray, digits: np.ndarray,
+                 length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact coefficients of (sum a_i x^i)^2 below x^length, as digit rows.
+
+    The input rows a_0 .. a_{length-1} are packed as A = sum a_i B^(length-1-i)
+    with B = 10^D.  Every coefficient c_k of the square is at most
+    S = sum a_i^2 in absolute value (Cauchy-Schwarz), and D is the least
+    width with B/2 - 1 >= S.  The tail below the leading `length` slots of
+    A^2 is then smaller than half of their unit, so rounding A^2 / B^(length-1)
+    half-even gives sum_{k<length} c_k B^(length-1-k) exactly.  Its plain
+    base-B digits s_k decode locally: slot k borrows (b_k = 1) exactly when
+    s_k >= B/2, i.e. when its leading digit is 5 or more, and
+    c_k = s_k + b_{k+1} - B b_k.
+
+    Args:
+        neg, digits: sign mask and most-significant-first decimal digits of
+            |a_i|; rows past `length` are ignored, missing ones are zero.
+        length: number of output coefficients to keep.
+
+    Returns:
+        The sign mask and digit matrix of c_0 .. c_{length-1}.
+    """
+    neg, digits = neg[:length], digits[:length]
+    bound = _sum_of_squares(digits)
+    if bound == 0:
+        return np.zeros(length, dtype=bool), np.zeros((length, 1), np.uint8)
+    width = len(str(2 * bound + 1))
+    # |a_i| <= sqrt(S) < B, so any wider columns hold leading zeros only
+    digits = digits[:, max(0, digits.shape[1] - width):]
+    square = _EXACT.subtract(_packed(digits, ~neg, length, width),
+                             _packed(digits, neg, length, width))
+    square = _EXACT.multiply(square, square)
+    top = _EXACT.scaleb(square, -width * (length - 1))
+    del square
+    text = str(top.to_integral_value(decimal.ROUND_HALF_EVEN, _EXACT))
+    del top
+    out = np.full(length * width, _ZERO, dtype=np.uint8)
+    out[len(out) - len(text):] = np.frombuffer(text.encode("ascii"), np.uint8)
+    del text
+    out -= _ZERO
+    out = out.reshape(length, width)
+    borrow = out[:, 0] >= 5
+    np.subtract(9, out, out=out, where=borrow[:, None])
+    # |c_k| is the complement B - 1 - s_k plus 1 - b_{k+1} where slot k
+    # borrows, and s_k + b_{k+1} where it does not: add b_k xor b_{k+1}
+    carry = borrow.copy()
+    carry[:-1] ^= borrow[1:]
+    row, col = np.flatnonzero(carry), width - 1
+    while len(row):
+        out[row, col] += 1
+        row = row[out[row, col] == 10]
+        out[row, col] = 0
+        col -= 1
+    return borrow & out.any(axis=1), out
+
+
+def _decimal_strings(neg: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Digit rows as right-aligned signed decimal byte strings, blank-padded
+    to one width; read-only."""
+    rows, width = digits.shape
+    text = np.empty((rows, width + 1), dtype=np.uint8)
+    text[:, 0] = ord(" ")
+    text[:, 1:] = digits
+    text[:, 1:] += _ZERO
+    lead = np.logical_and.accumulate(digits[:, :-1] == 0, axis=1)
+    text[:, 1:width][lead] = ord(" ")
+    at = np.flatnonzero(neg)
+    text[at, lead[at].sum(axis=1)] = ord("-")
+    out = text.view(f"S{width + 1}").ravel()
+    out.setflags(write=False)
+    return out
+
+
 # The route is exact at any size; this bound only limits the time and
-# memory one request may take (5.58M terms: about 105 s and a 1.2 GB peak
+# memory one request may take (5.58M terms: about 62 s and a 0.98 GB peak
 # on one core of a 2-core machine).
 TAU_N_MAX = 20_000_000
 
 
-def ramanujan_tau_table(n_max: int) -> list[int]:
-    """Exact tau(1..n_max) as Python integers.
+def ramanujan_tau_table(n_max: int) -> np.ndarray:
+    """Exact tau(1..n_max): entry n-1 is tau(n) as a signed decimal byte
+    string (blank-padded, fixed width, read-only).
 
-    tau(n) overflows 64-bit integers past n ~ 3000, so the return type is a
-    plain list; callers wanting floats should go through build_eigenform.
+    tau(n) overflows 64-bit integers past n ~ 3000.  int() of an entry is
+    the exact value, and astype(np.float64) of the array rounds each entry
+    correctly; callers wanting eigenvalues should go through build_eigenform.
 
     Raises:
         ValueError: n_max < 1 or beyond TAU_N_MAX.
@@ -98,10 +202,10 @@ def ramanujan_tau_table(n_max: int) -> list[int]:
         raise ValueError(
             f"n_max={n_max} exceeds the supported bound {TAU_N_MAX} "
             "(time and memory of the exact squarings)")
-    series = _jacobi_cube(n_max)
-    for _ in range(3):
-        series = _square_trunc(series, n_max)
-    return series
+    neg, digits = _digit_rows(_eta6(n_max))
+    for _ in range(2):
+        neg, digits = _square_rows(neg, digits, n_max)
+    return _decimal_strings(neg, digits)
 
 
 @contextlib.contextmanager
@@ -118,11 +222,29 @@ def _replacing(path: str, mode: str):
         raise
 
 
-def write_tau_file(path: str, taus: list[int]) -> None:
-    """Write the coefficient file: one "n<TAB>tau(n)" line per n, no header."""
+def coefficient_lines(taus: np.ndarray) -> str:
+    """The coefficient file for a ramanujan_tau_table result: one
+    "n<TAB>tau(n)" line per n, no header."""
+    rows = len(taus)
+    width = len(str(rows))
+    line = np.zeros((rows, width + taus.itemsize + 2), dtype=np.uint8)
+    n = np.arange(1, rows + 1)
+    for col in range(width - 1, -1, -1):
+        # a digit position with nothing left to write stays 0, like padding
+        left = n > 0
+        n, d = np.divmod(n, 10)
+        line[left, col] = d[left] + _ZERO
+    line[:, width] = ord("\t")
+    line[:, width + 1:-1] = taus.view(np.uint8).reshape(rows, -1)
+    line[:, -1] = ord("\n")
+    line[line == ord(" ")] = 0
+    return line[line != 0].tobytes().decode("ascii")
+
+
+def write_tau_file(path: str, taus: np.ndarray) -> None:
+    """Write the coefficient file of a ramanujan_tau_table result."""
     with _replacing(path, "w") as fh:
-        for i, t in enumerate(taus, start=1):
-            fh.write(f"{i}\t{t}\n")
+        fh.write(coefficient_lines(taus))
 
 
 def read_coefficient_file(path: str) -> list[int]:
@@ -234,16 +356,17 @@ def build_eigenform(source: str = "builtin-delta", n_max: int = 1000,
     if source == "builtin-delta":
         if kappa != 12:
             raise ValueError("builtin-delta has weight 12")
-        coeffs = ramanujan_tau_table(n_max)
+        coeffs = ramanujan_tau_table(n_max).astype(np.float64)
     else:
         coeffs = read_coefficient_file(source)
         if len(coeffs) < n_max:
             n_max = len(coeffs)
+        coeffs = np.array([float(c) for c in coeffs[:n_max]])
     if kappa < 2 or kappa % 2:
         raise ValueError(f"weight must be a positive even integer, got {kappa}")
     n = np.arange(n_max + 1, dtype=np.float64)
     lam = np.zeros(n_max + 1)
-    lam[1:] = np.array([float(c) for c in coeffs[:n_max]])
+    lam[1:] = coeffs
     lam[1:] /= n[1:] ** ((kappa - 1) / 2)
     _validate_table(lam, n_max)
     lam.setflags(write=False)

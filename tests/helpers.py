@@ -8,6 +8,8 @@ production paths against these.
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
 
 import numpy as np
@@ -49,6 +51,81 @@ def tau_q_expansion(n_max: int) -> list[int]:
             for i in range(n_max - 1, m - 1, -1):
                 coeffs[i] -= coeffs[i - m]
     return coeffs
+
+
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN)
+
+
+def square_trunc_biased(a: list[int], length: int) -> list[int]:
+    """Exact coefficients of (sum a_i x^i)^2 below x^length, by one decimal
+    square of the non-negative biased series.
+
+    With c = max|a_i| every biased coefficient b_i = a_i + c lies in [0, 2c],
+    so every coefficient of B(x)^2 is at most length (2c)^2 < 10^d and the
+    base-10^d slots of B(10^d)^2 never carry into each other.  B = A + c U
+    with U = sum_{i<length} x^i gives
+
+        (A^2)_k = (B^2)_k - 2c sum_{i<=k} a_i - c^2 (k+1),   k < length.
+    """
+    vals = list(a[:length]) + [0] * (length - len(a))
+    c = max(map(abs, vals), default=0)
+    if c == 0:
+        return [0] * length
+    d = len(str(length * (2 * c) ** 2))
+    packed = decimal.Decimal("".join([str(v + c).zfill(d) for v in vals]))
+    square = _EXACT.multiply(packed, packed)
+    # the square holds 2*length - 1 slots; drop the length - 1 lowest
+    top = _EXACT.scaleb(square, -d * (length - 1))
+    digits = str(top.to_integral_value(decimal.ROUND_DOWN, _EXACT))
+    digits = digits.zfill(length * d)
+    c2, twice_c = c * c, 2 * c
+    return [int(digits[k * d:(k + 1) * d]) - twice_c * s - c2 * (k + 1)
+            for k, s in enumerate(itertools.accumulate(vals))]
+
+
+def jacobi_cube(length: int) -> list[int]:
+    """Coefficients of prod (1-x^n)^3 = sum (-1)^k (2k+1) x^{k(k+1)/2}."""
+    out = [0] * length
+    k = 0
+    while k * (k + 1) // 2 < length:
+        out[k * (k + 1) // 2] = (2 * k + 1) * (-1 if k % 2 else 1)
+        k += 1
+    return out
+
+
+def tau_by_biased_squares(n_max: int) -> list[int]:
+    """tau(1..n_max) as the cube's 8th power, by three biased squarings."""
+    series = jacobi_cube(n_max)
+    for _ in range(3):
+        series = square_trunc_biased(series, n_max)
+    return series
+
+
+def digit_rows(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Python integers as digit rows: a sign mask and |v| in decimal digits,
+    most significant first, all rows one width."""
+    width = max((len(str(abs(v))) for v in values), default=1)
+    text = "".join(str(abs(v)).zfill(width) for v in values)
+    digits = np.frombuffer(text.encode(), np.uint8) - ord("0")
+    return (np.array([v < 0 for v in values], dtype=bool),
+            digits.reshape(len(values), width))
+
+
+def row_values(neg: np.ndarray, digits: np.ndarray) -> list[int]:
+    """The Python integers that digit rows hold."""
+    return [(-1 if n else 1) * int("".join(map(str, row)))
+            for n, row in zip(neg.tolist(), digits.tolist())]
+
+
+def kloosterman_loop(u: int, v: int, q: int) -> complex:
+    """S(u, v, q) as the straight complex sum over units h, one at a time."""
+    total = 0j
+    for h in range(1, q):
+        if math.gcd(h, q) == 1:
+            total += np.exp(2j * np.pi * ((u * h + v * pow(h, -1, q)) % q)
+                            / q)
+    return total
 
 
 def conductor_by_periodicity(values: np.ndarray, q: int, divisors) -> int:

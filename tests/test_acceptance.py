@@ -83,8 +83,8 @@ def test_03_eigenform_suite():
     t0 = time.perf_counter()
     failures = []
     oracle = helpers.tau_q_expansion(6)  # independent q-expansion product
-    taus = hecke.ramanujan_tau_table(6)
-    if list(taus) != oracle or taus[1] != -24 or taus[3] != -1472:
+    taus = [int(t) for t in hecke.ramanujan_tau_table(6)]
+    if taus != oracle or taus[1] != -24 or taus[3] != -1472:
         failures.append(("tau_oracle", list(taus), oracle))
     t = hecke.build_eigenform(n_max=10**4)
     if t.lam_at(1) != 1.0:

@@ -175,6 +175,15 @@ def test_kloosterman_small_cases():
         characters.kloosterman(1, 1, 1)
 
 
+def test_kloosterman_matches_loop_oracle():
+    for q in range(2, 201):
+        for u, v in ((1, 1), (1, 0), (2, 5), (q - 1, 7), (3, q + 4)):
+            want = helpers.kloosterman_loop(u, v, q)
+            assert abs(want.imag) < 1e-9
+            assert abs(characters.kloosterman(u, v, q) - want.real) \
+                <= 1e-12 * q, (u, v, q)
+
+
 def test_kloosterman_symmetry_and_weil():
     for q in (3, 9, 25):
         bound = arith.divisor_count(q) * math.sqrt(q)

@@ -82,8 +82,8 @@ def test_tau_csv_is_plain_coefficient_file(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert len(lines) == 100
     assert not lines[0].startswith("#")
-    assert hecke.read_coefficient_file(str(out_path)) == list(
-        hecke.ramanujan_tau_table(100))
+    assert hecke.read_coefficient_file(str(out_path)) == [
+        int(t) for t in hecke.ramanujan_tau_table(100)]
 
 
 def test_tau_json(capsys):

@@ -12,8 +12,12 @@ import helpers
 KNOWN_TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
 
 
+def _ints(taus):
+    return [int(t) for t in taus]
+
+
 def test_tau_table_matches_q_expansion_oracle():
-    got = hecke.ramanujan_tau_table(300)
+    got = _ints(hecke.ramanujan_tau_table(300))
     assert got == helpers.tau_q_expansion(300)
     assert got[:10] == KNOWN_TAU
 
@@ -22,7 +26,24 @@ def test_tau_table_tiny_sizes():
     # the leading slots of a short square can be zero; make sure the digit
     # string is padded instead of shifting every slot
     for n in (1, 2, 3, 6, 7, 11):
-        assert list(hecke.ramanujan_tau_table(n)) == helpers.tau_q_expansion(n)
+        assert _ints(hecke.ramanujan_tau_table(n)) == helpers.tau_q_expansion(n)
+
+
+def test_tau_table_matches_biased_square_oracle():
+    for n in [*range(1, 65), 20_000]:
+        taus = hecke.ramanujan_tau_table(n)
+        assert not taus.flags.writeable
+        assert _ints(taus) == helpers.tau_by_biased_squares(n), n
+
+
+def test_eigenform_lambda_is_correctly_rounded_tau():
+    n_max = 20_000
+    lam = hecke.build_eigenform(n_max=n_max).lam
+    tau = np.array([float(t) for t in helpers.tau_by_biased_squares(n_max)])
+    # numpy's power, as the table divides by, not Python's: they differ in
+    # the last bit at about 5 % of these n
+    want = tau / np.arange(1, n_max + 1, dtype=np.float64) ** 5.5
+    assert lam[0] == 0.0 and np.array_equal(lam[1:], want)
 
 
 def _convolve_trunc(a, length):
@@ -32,6 +53,19 @@ def _convolve_trunc(a, length):
         for j, v in enumerate(a[:length - i]):
             out[i + j] += u * v
     return out
+
+
+def _square(a, length):
+    """hecke._square_rows on Python integers."""
+    return helpers.row_values(
+        *hecke._square_rows(*helpers.digit_rows(a), length))
+
+
+def test_eta6_sparse_stage_matches_schoolbook_square():
+    for n in (1, 2, 3, 4, 50, 2000):
+        want = _convolve_trunc(helpers.jacobi_cube(n), n)
+        got = hecke._eta6(n)
+        assert got.dtype == np.int64 and got.tolist() == want, n
 
 
 @pytest.mark.parametrize("size,length,scale", [
@@ -46,25 +80,65 @@ def test_square_trunc_matches_exact_convolution(size, length, scale):
     rng = np.random.default_rng(size * length)
     for _ in range(5):
         a = [int(v) * scale // 7 for v in rng.integers(-7, 8, size=size)]
-        assert hecke._square_trunc(a, length) == _convolve_trunc(a, length)
+        assert _square(a, length) == _convolve_trunc(a, length)
 
 
 def test_square_trunc_extreme_inputs():
-    assert hecke._square_trunc([0] * 9, 6) == [0] * 6
-    assert hecke._square_trunc([], 3) == [0, 0, 0]
-    assert hecke._square_trunc([5, -1], 0) == []
-    # every coefficient at -c makes every biased slot zero
+    assert _square([0] * 9, 6) == [0] * 6
+    assert _square([], 3) == [0, 0, 0]
+    assert _square([5, -1], 0) == []
+    # every coefficient at -c: the packed value is negative
     c = 2**64 + 13
-    assert hecke._square_trunc([-c] * 8, 8) == [c * c * (k + 1)
-                                               for k in range(8)]
-    # one coefficient at +c and the rest at -c: slot widths at their limit
+    assert _square([-c] * 8, 8) == [c * c * (k + 1) for k in range(8)]
+    # one coefficient at +c and the rest at -c
     a = [c] + [-c] * 30
-    assert hecke._square_trunc(a, 31) == _convolve_trunc(a, 31)
+    assert _square(a, 31) == _convolve_trunc(a, 31)
+
+
+def _edge_palindrome(width):
+    """A palindrome a with sum a_i^2 = 10^width/2 - 1 and mixed signs: the
+    middle coefficient of its square is that sum, so the slot width of the
+    squaring is exactly `width` and that slot sits at its upper limit."""
+    s = 10**width // 2 - 1
+    for m in range(1, math.isqrt(s) + 1, 2):
+        rest = (s - m * m) // 2
+        for x in range(math.isqrt(rest), 0, -1):
+            y2 = rest - x * x
+            y = math.isqrt(y2)
+            z = math.isqrt(y2 - y * y)
+            if y * y + z * z == y2 and y and z:
+                return [x, -y, z, m, z, -y, x]
+    raise AssertionError("no palindrome found")
+
+
+@pytest.mark.parametrize("a", [
+    [1, 1, -1, -1],          # width 1: c_3 = -4 = -(10/2 - 1)
+    [1, -1, -1, 1],          # width 1: c_3 = +4
+    _edge_palindrome(5),     # width 5: the middle slot is 49999
+    _edge_palindrome(12),
+])
+def test_square_rows_balanced_slot_edges(a):
+    s = sum(v * v for v in a)
+    width = len(str(s))
+    assert 10**width // 2 - 1 == s
+    want = _convolve_trunc(a + [0] * len(a), 2 * len(a) - 1)
+    assert max(map(abs, want)) == s
+    assert min(want) < 0 < max(want)
+    for length in range(2 * len(a) + 2):
+        assert _square(a, length) == (want + [0] * length)[:length]
+
+
+def test_coefficient_lines_match_plain_format():
+    vals = [0, 5, -5, 10**30, 1 - 10**30, -7, 0] * 200
+    taus = hecke._decimal_strings(*helpers.digit_rows(vals))
+    assert _ints(taus) == vals
+    assert hecke.coefficient_lines(taus) == "".join(
+        f"{n}\t{v}\n" for n, v in enumerate(vals, start=1))
 
 
 def test_tau_table_20000_congruence_and_hecke_recursion():
     n_max = 20_000
-    taus = [0] + hecke.ramanujan_tau_table(n_max)
+    taus = [0] + _ints(hecke.ramanujan_tau_table(n_max))
     assert len(taus) == n_max + 1
     # Ramanujan: tau(n) = sigma_11(n) mod 691, for every n
     sigma = [0] * (n_max + 1)
@@ -90,7 +164,7 @@ def test_tau_table_20000_congruence_and_hecke_recursion():
 
 
 def test_tau_multiplicativity():
-    taus = hecke.ramanujan_tau_table(200)
+    taus = _ints(hecke.ramanujan_tau_table(200))
     assert taus[6 - 1] == taus[2 - 1] * taus[3 - 1]
     assert taus[200 - 1] == taus[8 - 1] * taus[25 - 1]
 
@@ -106,7 +180,7 @@ def test_tau_file_round_trip(tmp_path):
     taus = hecke.ramanujan_tau_table(50)
     path = tmp_path / "tau.tsv"
     hecke.write_tau_file(str(path), taus)
-    assert hecke.read_coefficient_file(str(path)) == list(taus)
+    assert hecke.read_coefficient_file(str(path)) == _ints(taus)
     lines = path.read_text().splitlines()
     assert lines[0] == "1\t1"
     assert len(lines) == 50
