@@ -36,7 +36,7 @@ def test_tau_table_matches_biased_square_oracle():
         assert _ints(taus) == helpers.tau_by_biased_squares(n), n
 
 
-def test_eigenform_lambda_is_correctly_rounded_tau():
+def test_eigenform_lambda_matches_oracle_bits():
     n_max = 20_000
     lam = hecke.build_eigenform(n_max=n_max).lam
     tau = np.array([float(t) for t in helpers.tau_by_biased_squares(n_max)])
