@@ -284,14 +284,20 @@ def _e_table(q: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 
-def gauss_sum(chi: Character) -> complex:
-    """tau(chi) = sum over a mod q of chi(a) e(a/q)."""
-    q = chi.group.q
-    return complex(np.dot(chi.values(), _e_table(q)))
+def gauss_sum(chi: Character, values: np.ndarray | None = None) -> complex:
+    """tau(chi) = sum over a mod q of chi(a) e(a/q).
+
+    values: chi.values(), when the caller already holds them.
+    """
+    if values is None:
+        values = chi.values()
+    return complex(np.dot(values, _e_table(chi.group.q)))
 
 
-def iota(chi: Character, kappa: int) -> complex:
+def iota(chi: Character, kappa: int, values: np.ndarray) -> complex:
     """Root factor i^kappa tau(chi)^2 / q of the functional equation.
+
+    values: chi.values(), which every caller already holds.
 
     Raises:
         ValueError: chi not primitive (the factor is only defined there).
@@ -299,7 +305,7 @@ def iota(chi: Character, kappa: int) -> complex:
     if not chi.is_primitive:
         raise ValueError(f"iota needs a primitive character, got {chi!r}")
     i_pow = (1, 1j, -1, -1j)[kappa % 4]
-    t = gauss_sum(chi)
+    t = gauss_sum(chi, values)
     return i_pow * t * t / chi.group.q
 
 

@@ -7,22 +7,24 @@ exact int64 product over pairs of triangular numbers.  Two truncated
 squarings then give the 24th power.
 
 Between squarings a series is a pair of digit rows: a sign mask and a uint8
-matrix holding |a_i| in D decimal digits, most significant first.  Each
-squaring is one Kronecker substitution into a single decimal.Decimal: the
-positive and the negative slots are laid out as two digit strings P and Q
-by byte operations on the rows, the signed packed value is P - Q, and its
-square is formed in an exact context (libmpdec multiplies operands this
-large by a number-theoretic transform).  D is chosen so that every
-coefficient of the square, even in the dropped tail, is a balanced slot of
-absolute value at most 10^D/2 - 1; the leading slots then round out of the
-square exactly and decode locally, by a nines complement and one carry
-pass over the digit columns.  The route needs only numpy and the standard
-library, builds no Python integer per coefficient, and is exact at every
-size.
+matrix holding |a_i| in decimal digits, most significant first.  Each
+squaring splits the rows into signed base-10^w limbs of at most 10^w/2 and
+convolves them with float64 FFTs of a power-of-two length: one rfft per
+limb and, for each diagonal l + m = s of limb pairs, one inverse transform
+of the summed spectrum products.  Where it takes fewer transform points,
+the rows are first cut into three pieces and each piece is transformed at
+the length its own square needs; the pieces' products land at their
+offsets.  Each diagonal is rounded to integers and carried in base 10^w,
+least significant first, back into digit rows.  The limb width w is the
+widest whose a-priori rounding bound (Percival's, from the limbs' l2 norms)
+is at most 1/4, and every rounded value must lie within 1/8 of an integer,
+else the squaring raises.  So the route is exact at every size; it needs
+only numpy and builds no Python integer per coefficient.
 
-The table is returned as fixed-width signed decimal byte strings, which
-int() reads exactly and astype(np.float64) rounds correctly.  Normalized
-eigenvalues lambda(n) = tau(n)/n^((kappa-1)/2) are stored as float64.
+The table is returned as signed decimal byte strings, blank-padded to the
+width of the longest entry, which int() reads exactly and
+astype(np.float64) rounds correctly.  Normalized eigenvalues
+lambda(n) = tau(n)/n^((kappa-1)/2) are stored as float64.
 shared_eigenform keeps one table per process and, on request, an on-disk
 cache of validated tables that serves any shorter request by prefix.
 """
@@ -30,7 +32,6 @@ cache of validated tables that serves any shorter request by prefix.
 from __future__ import annotations
 
 import contextlib
-import decimal
 import hashlib
 import math
 import os
@@ -42,12 +43,19 @@ import numpy as np
 
 from . import arith
 
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                         Emin=decimal.MIN_EMIN)
 _ZERO = ord("0")
-# digits per int64 limb in _sum_of_squares: a limb product is below 10^10,
-# so a column of up to 9*10^8 of them sums exactly
-_LIMB = 5
+# unit roundoff of float64
+_EPS = 2.0**-53
+# error of one pocketfft twiddle factor: the product, rounded, of two table
+# roots, each a cos and sin within one ulp (|error| <= sqrt(2) eps) of an
+# angle rounded twice (<= 1.6 eps on an arc of at most pi/4):
+# 2 (sqrt(2) + 1.6) eps + sqrt(5) eps < 10 eps
+_BETA = 10 * _EPS
+# an input limb is held in int16 and a carried output limb in uint16
+_MAX_LIMB_DIGITS = 4
+# spectrum products are accumulated this many entries at a time, so no
+# full-length temporary is made
+_BLOCK = 1 << 15
 
 
 def _eta6(length: int) -> np.ndarray:
@@ -73,52 +81,168 @@ def _digit_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The digit rows (sign mask, |values| in decimal digits) of int64s."""
     mag = np.abs(values)
     width = len(str(int(mag.max()))) if len(mag) else 1
-    digits = np.empty((len(mag), width), dtype=np.uint8)
+    if width < 10:
+        # uint32 division is several times faster than int64
+        mag = mag.astype(np.uint32)
+    digits = np.empty((len(mag), width), dtype=np.uint8, order="F")
     for col in range(width - 1, -1, -1):
         mag, digits[:, col] = np.divmod(mag, 10)
     return values < 0, digits
 
 
-def _sum_of_squares(digits: np.ndarray) -> int:
-    """Exact sum of the squared row values, from a Gram matrix of limbs."""
-    rows, width = digits.shape
-    pad = -width % _LIMB
-    n_limbs = (width + pad) // _LIMB
-    limbs = np.zeros((n_limbs, rows), dtype=np.int64)
-    for col in range(width):
-        limb = limbs[(col + pad) // _LIMB]
+def _balanced_limbs(neg: np.ndarray, columns: np.ndarray,
+                    width: int) -> list[np.ndarray]:
+    """Digit columns (the digit matrix transposed) as signed base-10^width
+    limbs, least significant first: row i is sum_l limbs[l][i] 10^(width l),
+    and |limbs| <= 10^width / 2.  Each limb is its own array, so it can be
+    freed on its own."""
+    cols, rows = columns.shape
+    count = -(-cols // width)
+    base = 10**width
+    limbs = [np.zeros(rows, dtype=np.int16) for _ in range(count + 1)]
+    for col, digit in enumerate(columns):
+        limb = limbs[(cols - 1 - col) // width]
         limb *= 10
-        limb += digits[:, col]
-    gram = limbs @ limbs.T
-    top = 2 * n_limbs - 2
-    return sum(int(gram[i, j]) * 10 ** (_LIMB * (top - i - j))
-               for i in range(n_limbs) for j in range(n_limbs))
+        limb += digit
+    borrow = np.zeros(rows, dtype=bool)
+    for limb in limbs:
+        limb += borrow
+        borrow = limb > base // 2
+        limb -= borrow * np.int16(base)
+    if not limbs[-1].any():
+        limbs.pop()
+    sign = np.where(neg, np.int16(-1), np.int16(1))
+    for limb in limbs:
+        limb *= sign
+    return limbs
 
 
-def _packed(digits: np.ndarray, rows: np.ndarray, length: int,
-            width: int) -> decimal.Decimal:
-    """sum over the selected rows of |a_i| 10^(width (length-1-i))."""
-    text = np.full((length, width), _ZERO, dtype=np.uint8)
-    np.add(digits, _ZERO, out=text[:len(digits), width - digits.shape[1]:],
-           where=rows[:, None])
-    # rebinding frees the byte matrix before the Decimal is parsed
-    text = str(text.data, "ascii")
-    return decimal.Decimal(text)
+def _pieces(length: int) -> tuple[int, int]:
+    """(P, k) for squaring `length` terms: the rows are cut into P pieces of
+    ceil(length / P) terms, each transformed at the least length 2^k
+    >= 2 piece - 1, so a piece's square does not wrap.  P is 3 where three
+    pieces take fewer transform points in all than one, else 1."""
+    one = (2 * length - 2).bit_length()
+    third = (2 * -(-length // 3) - 2).bit_length()
+    return (3, third) if 3 << third < 1 << one else (1, one)
+
+
+def _rounding_bounds(norms: np.ndarray, levels: int) -> np.ndarray:
+    """A-priori bound on the rounding error of every value of each diagonal
+    z[s, d]: the sum over l + m = s and i + j = d of the convolutions
+    x[l, i] * x[m, j] of limb l on piece i with limb m on piece j, computed
+    with transforms of length 2^levels.  norms[l, i] is ||x[l, i]||.
+
+    Percival ("Rapid multiplication modulo the sum and difference of highly
+    composite numbers", Math. Comp. 72 (2003); Brent and Zimmermann, Modern
+    Computer Arithmetic, sec. 3.3): x * y by two transforms of length 2^k,
+    a pointwise product and an inverse transform is off by at most, in
+    every entry,
+
+        ||x|| ||y|| ((1+eps)^3k (1+eps sqrt5)^(3k+1) (1+beta)^3k - 1),
+
+    with eps the unit roundoff and beta the error of a twiddle factor.  Its
+    proof goes level by level: a radix-2 level multiplies the relative l2
+    error by (1+eps) for its add and by (1+eps sqrt5)(1+beta) for its
+    twiddle product.  numpy's pocketfft transforms a real vector of length
+    2^k by radix-4 and radix-2 passes; a radix-4 pass is two radix-2 levels
+    whose inner twiddles (+-1, +-i) are exact.  On top of that, a diagonal
+    sums its spectrum products (one add each; doubling a cross term is
+    exact), and the inverse scales by a rounded 1/M (two roundings).  A
+    diagonal's scale is the sum of ||x[l, i]|| ||x[m, j]|| over its pairs.
+    """
+    count, pieces = norms.shape
+    bounds = np.empty((2 * count - 1, pieces))
+    for s in range(2 * count - 1):
+        limbs = range(max(0, s - count + 1), min(s, count - 1) + 1)
+        for d in range(pieces):
+            scale = sum(norms[l, i] * norms[s - l, d - i]
+                        for l in limbs for i in range(d + 1))
+            products = len(limbs) * (d + 1)
+            growth = ((3 * levels + products + 2) * math.log1p(_EPS)
+                      + (3 * levels + 1) * math.log1p(_EPS * math.sqrt(5))
+                      + 3 * levels * math.log1p(_BETA))
+            bounds[s, d] = scale * math.expm1(growth)
+    return bounds
+
+
+def _split_limbs(neg: np.ndarray, digits: np.ndarray,
+                 length: int) -> tuple[int, list[np.ndarray]]:
+    """The widest limb width whose rounding bounds for squaring `length`
+    terms are all at most 1/4, and the balanced limbs of that width, cut
+    into the pieces of _pieces(length): limbs[l][i] is limb l of rows
+    i piece .. (i + 1) piece - 1, zero past the last row."""
+    pieces, levels = _pieces(length)
+    piece = -(-length // pieces)
+    rows, cols = digits.shape
+    columns = np.zeros((cols, pieces * piece), dtype=np.uint8)
+    columns[:, :rows] = digits.T
+    signs = np.zeros(pieces * piece, dtype=bool)
+    signs[:rows] = neg
+    for width in range(_MAX_LIMB_DIGITS, 0, -1):
+        limbs = [limb.reshape(pieces, piece)
+                 for limb in _balanced_limbs(signs, columns, width)]
+        norms = np.empty((len(limbs), pieces))
+        for l, limb in enumerate(limbs):
+            x = limb.astype(np.float64)
+            norms[l] = np.sqrt(np.einsum("ij,ij->i", x, x))
+        if _rounding_bounds(norms, levels).max() <= 0.25:
+            return width, limbs
+    raise ArithmeticError("no limb width keeps the FFT rounding below 1/4")
+
+
+def _add_product(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """acc[d] += sum over i + j = d of a[i] * b[j], one block at a time."""
+    for d, row in enumerate(acc):
+        for i in range(d + 1):
+            for at in range(0, len(row), _BLOCK):
+                end = at + _BLOCK
+                row[at:end] += a[i, at:end] * b[d - i, at:end]
+
+
+def _round(values: np.ndarray, diagonal: int) -> None:
+    """Round values to integers in place, one block at a time.
+
+    Raises:
+        ArithmeticError: a value is farther than 1/8 from an integer.
+    """
+    for row in values:
+        for at in range(0, len(row), _BLOCK):
+            part = row[at:at + _BLOCK]
+            near = np.rint(part)
+            worst = np.abs(part - near).max()
+            if worst > 0.125:
+                raise ArithmeticError(f"FFT squaring: diagonal {diagonal} "
+                                      f"is {worst:.3g} from an integer")
+            part[...] = near
+
+
+def _carry_limb(carry: np.ndarray,
+                base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The least significant base-`base` limb of carry, and the carry
+    above it; carry is overwritten."""
+    high = carry // base
+    carry -= high * base
+    return carry.astype(np.uint16), high
 
 
 def _square_rows(neg: np.ndarray, digits: np.ndarray,
                  length: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact coefficients of (sum a_i x^i)^2 below x^length, as digit rows.
 
-    The input rows a_0 .. a_{length-1} are packed as A = sum a_i B^(length-1-i)
-    with B = 10^D.  Every coefficient c_k of the square is at most
-    S = sum a_i^2 in absolute value (Cauchy-Schwarz), and D is the least
-    width with B/2 - 1 >= S.  The tail below the leading `length` slots of
-    A^2 is then smaller than half of their unit, so rounding A^2 / B^(length-1)
-    half-even gives sum_{k<length} c_k B^(length-1-k) exactly.  Its plain
-    base-B digits s_k decode locally: slot k borrows (b_k = 1) exactly when
-    s_k >= B/2, i.e. when its leading digit is 5 or more, and
-    c_k = s_k + b_{k+1} - B b_k.
+    With a_i = sum_l x_l[i] B^l in balanced limbs (B = 10^width, see
+    _split_limbs), c_k = sum_s z_s[k] B^s where z_s = sum_{l+m=s} x_l * x_m.
+    The rows are cut into P pieces of h terms (see _pieces), so that
+    x_l = sum_i x[l, i] x^(ih), and z_s is the sum over d < P of the
+    diagonal z[s, d] = sum_{i+j=d} sum_{l+m=s} x[l, i] * x[m, j], shifted
+    by dh; pieces with i + j >= P land at or past x^length.  Each z[s, d]
+    comes from one inverse rfft of length M, a power of two >= 2h - 1 (so
+    no product of two pieces wraps), with the cross terms l != m doubled,
+    and is rounded to integers.  _rounding_bounds keeps every rounding
+    error at most 1/4 a priori, and a value farther than 1/8 from an
+    integer raises.  The z_s are carried in base B from s = 0 upward,
+    leaving limbs in [0, B) and a final carry of 0 or -1; a row whose carry
+    is -1 holds c_k + B^N, and its magnitude is the nines complement plus 1.
 
     Args:
         neg, digits: sign mask and most-significant-first decimal digits of
@@ -126,40 +250,82 @@ def _square_rows(neg: np.ndarray, digits: np.ndarray,
         length: number of output coefficients to keep.
 
     Returns:
-        The sign mask and digit matrix of c_0 .. c_{length-1}.
+        The sign mask and digit matrix of c_0 .. c_{length-1}, as wide as
+        the longest |c_k|.
+
+    Raises:
+        ArithmeticError: a rounded value is farther than 1/8 from an
+            integer, or no limb width meets the bound.
     """
     neg, digits = neg[:length], digits[:length]
-    bound = _sum_of_squares(digits)
-    if bound == 0:
+    if not digits.any():
         return np.zeros(length, dtype=bool), np.zeros((length, 1), np.uint8)
-    width = len(str(2 * bound + 1))
-    # |a_i| <= sqrt(S) < B, so any wider columns hold leading zeros only
-    digits = digits[:, max(0, digits.shape[1] - width):]
-    square = _EXACT.subtract(_packed(digits, ~neg, length, width),
-                             _packed(digits, neg, length, width))
-    square = _EXACT.multiply(square, square)
-    top = _EXACT.scaleb(square, -width * (length - 1))
-    del square
-    text = str(top.to_integral_value(decimal.ROUND_HALF_EVEN, _EXACT))
-    del top
-    out = np.full(length * width, _ZERO, dtype=np.uint8)
-    out[len(out) - len(text):] = np.frombuffer(text.encode("ascii"), np.uint8)
-    del text
-    out -= _ZERO
-    out = out.reshape(length, width)
-    borrow = out[:, 0] >= 5
-    np.subtract(9, out, out=out, where=borrow[:, None])
-    # |c_k| is the complement B - 1 - s_k plus 1 - b_{k+1} where slot k
-    # borrows, and s_k + b_{k+1} where it does not: add b_k xor b_{k+1}
-    carry = borrow.copy()
-    carry[:-1] ^= borrow[1:]
-    row, col = np.flatnonzero(carry), width - 1
+    width, limbs = _split_limbs(neg, digits, length)
+    pieces, levels = _pieces(length)
+    count, base, size = len(limbs), 10**width, 1 << levels
+    piece = limbs[0].shape[1]
+    spectra = []
+    carry = np.zeros(length, dtype=np.int64)
+    out = []
+    for s in range(2 * count - 1):
+        if s < count:
+            spectra.append(np.fft.rfft(limbs[s], size))
+            limbs[s] = None
+        lo = max(0, s - count + 1)
+        acc = np.zeros((pieces, size // 2 + 1), dtype=complex)
+        for l in range(lo, (s + 1) // 2):
+            _add_product(acc, spectra[l], spectra[s - l])
+        acc *= 2
+        if s % 2 == 0:
+            _add_product(acc, spectra[s // 2], spectra[s // 2])
+        if s < count - 1:
+            buffer = np.empty((pieces, size))
+        else:
+            # diagonal s is the last to use limb lo: the inverse transform
+            # goes into the memory of its spectrum
+            buffer = spectra[lo].view(np.float64)[:, :size]
+            spectra[lo] = None
+        values = np.fft.irfft(acc, size, out=buffer)
+        del buffer, acc
+        _round(values, s)
+        for d in range(pieces):
+            part = carry[d * piece:d * piece + size]
+            np.add(part, values[d, :len(part)], out=part, casting="unsafe")
+        # no view may keep the buffer or the old carry alive
+        del values, part
+        limb, carry = _carry_limb(carry, base)
+        out.append(limb)
+    del spectra
+    while True:
+        limb, carry = _carry_limb(carry, base)
+        out.append(limb)
+        if ((carry == 0) | ((carry == -1) & (limb != 0))).all():
+            break
+    sign = carry < 0
+    # most significant limb first
+    out.reverse()
+    # negative rows: |c| = B^N - sum_l limb_l B^l, the complement plus one
+    # (uint16 wraps, and every result lies in [0, B))
+    for limb in out:
+        limb += sign * (np.uint16(base - 1) - 2 * limb)
+    row, level = np.flatnonzero(sign), len(out) - 1
     while len(row):
-        out[row, col] += 1
-        row = row[out[row, col] == 10]
-        out[row, col] = 0
-        col -= 1
-    return borrow & out.any(axis=1), out
+        out[level][row] += 1
+        row = row[out[level][row] == base]
+        out[level][row] = 0
+        level -= 1
+    while len(out) > 1 and not out[0].any():
+        del out[0]
+    columns = np.empty((len(out), width, length), dtype=np.uint8)
+    for k in range(len(out)):
+        limb, out[k] = out[k], None
+        for j in range(width - 1, -1, -1):
+            limb, columns[k, j] = np.divmod(limb, 10)
+    columns = columns.reshape(-1, length)
+    lead = columns[:width - 1].any(axis=1)
+    columns = columns[int(lead.argmax()) if lead.any() else width - 1:]
+    # column-major digit rows: each digit position is contiguous
+    return sign, columns.T
 
 
 def _decimal_strings(neg: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -170,18 +336,24 @@ def _decimal_strings(neg: np.ndarray, digits: np.ndarray) -> np.ndarray:
     text[:, 0] = ord(" ")
     text[:, 1:] = digits
     text[:, 1:] += _ZERO
-    lead = np.logical_and.accumulate(digits[:, :-1] == 0, axis=1)
-    text[:, 1:width][lead] = ord(" ")
+    # the rows whose digits so far are all zero, column by column: those
+    # digits become blanks, and the sign goes after the last of them
+    blank = np.arange(rows)
+    lead = np.zeros(rows, dtype=np.intp)
+    for col in range(width - 1):
+        blank = blank[digits[blank, col] == 0]
+        text[blank, col + 1] = ord(" ")
+        lead[blank] += 1
     at = np.flatnonzero(neg)
-    text[at, lead[at].sum(axis=1)] = ord("-")
+    text[at, lead[at]] = ord("-")
     out = text.view(f"S{width + 1}").ravel()
     out.setflags(write=False)
     return out
 
 
 # The route is exact at any size; this bound only limits the time and
-# memory one request may take (5.58M terms: about 62 s and a 0.98 GB peak
-# on one core of a 2-core machine).
+# memory one request may take (5.58M terms: about 25 s and a 1.22 GB peak
+# in a fresh process on one core of a 2-core machine).
 TAU_N_MAX = 20_000_000
 
 

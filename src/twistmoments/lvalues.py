@@ -150,10 +150,11 @@ def central_value(f: EigenformTable, chi: characters.Character,
     coeff = f.lam[1:cap + 1] / np.sqrt(n)
     w1 = ev(n * (cfg.X / q))
     w2 = ev(n / (q * cfg.X))
-    chiv = chi.values()[n % q]
+    values = chi.values()
+    chiv = values[n % q]
     s1 = sums.block_sum_complex(coeff * w1 * chiv)
     s2 = sums.block_sum_complex(coeff * w2 * np.conj(chiv))
-    return s1 + characters.iota(chi, f.weight) * s2
+    return s1 + characters.iota(chi, f.weight, values) * s2
 
 
 @lru_cache(maxsize=1)
@@ -256,7 +257,7 @@ def family_values(f: EigenformTable, q: int,
     out = []
     for chi in prims:
         v = chi.values()
-        value = complex(v @ b1) + characters.iota(chi, f.weight) * complex(
+        value = complex(v @ b1) + characters.iota(chi, f.weight, v) * complex(
             v @ b2).conjugate()
         if chi.index in audit_set:
             sq = central_value_sq(f, chi, cfg)

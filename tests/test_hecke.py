@@ -128,6 +128,86 @@ def test_square_rows_balanced_slot_edges(a):
         assert _square(a, length) == (want + [0] * length)[:length]
 
 
+def test_pieces_cover_every_square_without_wrap():
+    for length in range(1, 5000):
+        pieces, levels = hecke._pieces(length)
+        piece, size = -(-length // pieces), 1 << levels
+        # the least power of two that holds the square of one piece
+        assert size // 2 < 2 * piece - 1 <= size
+        # three pieces only where they take fewer transform points in all
+        one = 1 << (2 * length - 2).bit_length()
+        assert pieces == 1 or (pieces == 3 and 3 * size < one)
+        assert pieces == 3 or size == one
+
+
+def test_square_rows_at_every_short_length():
+    # both piece counts, and every length whose square of a piece ends one
+    # past a power of two, so a transform one point short would wrap
+    rng = np.random.default_rng(11)
+    for length in range(1, 200):
+        a = [int(v) for v in rng.integers(-10**9, 10**9, size=length)]
+        assert _square(a, length) == helpers.square_trunc_biased(a, length), \
+            length
+
+
+def test_tau_table_100k_matches_biased_square_oracle():
+    # the benchmark's size: both squarings take 4-digit limbs here
+    n = 100_000
+    assert _ints(hecke.ramanujan_tau_table(n)) == \
+        helpers.tau_by_biased_squares(n)
+
+
+def _bounds(neg, digits, width, length):
+    """The rounding bounds of squaring `length` rows with limbs of width
+    digits, cut into pieces as _square_rows cuts them."""
+    pieces, levels = hecke._pieces(length)
+    piece = -(-length // pieces)
+    columns = np.zeros((digits.shape[1], pieces * piece), dtype=np.uint8)
+    columns[:, :length] = digits[:length].T
+    signs = np.zeros(pieces * piece, dtype=bool)
+    signs[:length] = neg[:length]
+    norms = [[math.sqrt(float(np.dot(x.astype(np.int64), x)))
+              for x in limb.reshape(pieces, piece)]
+             for limb in hecke._balanced_limbs(signs, columns, width)]
+    return hecke._rounding_bounds(np.array(norms), levels)
+
+
+def test_limb_width_is_widest_within_bound():
+    neg, digits = helpers.digit_rows(
+        [v * 10**18 + 123456789 for v in range(-50, 50)])
+    for length in (1, 7, 100):
+        width, limbs = hecke._split_limbs(neg[:length], digits[:length],
+                                          length)
+        assert width == 4 and max(np.abs(x).max() for x in limbs) <= 5000
+        assert _bounds(neg, digits, width, length).max() <= 0.25
+
+
+def test_square_rows_narrows_limbs_past_the_bound():
+    # every balanced 4-digit limb at +-5000 and 2^15 terms: the rounding
+    # bound of 4-digit limbs passes 1/4, so the squaring takes 3-digit limbs
+    length = 2**15
+    top = int("5000" * 6)
+    signs = np.random.default_rng(5).integers(0, 2, size=length)
+    a = [top if s else -top for s in signs.tolist()]
+    rows = helpers.digit_rows(a)
+    assert _bounds(*rows, 4, length).max() > 0.25
+    width, _ = hecke._split_limbs(*rows, length)
+    assert width == 3 and _bounds(*rows, 3, length).max() <= 0.25
+    assert _square(a, length) == helpers.square_trunc_biased(a, length)
+
+
+def test_square_rows_raises_when_a_transform_is_off(monkeypatch):
+    irfft = np.fft.irfft
+
+    def shifted(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out += 0.3
+        return out
+    monkeypatch.setattr(np.fft, "irfft", shifted)
+    with pytest.raises(ArithmeticError, match="from an integer"):
+        _square([3, -1, 4, 1, -5], 5)
+
+
 def test_coefficient_lines_match_plain_format():
     vals = [0, 5, -5, 10**30, 1 - 10**30, -7, 0] * 200
     taus = hecke._decimal_strings(*helpers.digit_rows(vals))
@@ -136,18 +216,18 @@ def test_coefficient_lines_match_plain_format():
         f"{n}\t{v}\n" for n, v in enumerate(vals, start=1))
 
 
-def test_tau_table_20000_congruence_and_hecke_recursion():
-    n_max = 20_000
+def _check_tau_identities(n_max, min_checked):
     taus = [0] + _ints(hecke.ramanujan_tau_table(n_max))
     assert len(taus) == n_max + 1
     # Ramanujan: tau(n) = sigma_11(n) mod 691, for every n
-    sigma = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        p11 = pow(d, 11, 691)
-        for m in range(d, n_max + 1, d):
-            sigma[m] += p11
-    bad = [n for n in range(1, n_max + 1) if (taus[n] - sigma[n]) % 691]
-    assert bad == []
+    d = np.arange(1, n_max + 1, dtype=np.int64) % 691
+    p11 = np.ones(n_max, dtype=np.int64)
+    for _ in range(11):
+        p11 = p11 * d % 691
+    sigma = np.zeros(n_max + 1, dtype=np.int64)
+    for k in range(1, n_max + 1):
+        sigma[k::k] += p11[k - 1]
+    assert [t % 691 for t in taus[1:]] == (sigma[1:] % 691).tolist()
     # tau(p^(a+1)) = tau(p) tau(p^a) - p^11 tau(p^(a-1)), exactly
     checked = 0
     for p in helpers.trial_primes(math.isqrt(n_max)):
@@ -157,10 +237,27 @@ def test_tau_table_20000_congruence_and_hecke_recursion():
             assert taus[pa * p] == taus[p] * taus[pa] - p**11 * prev, (p, pa)
             pa *= p
             checked += 1
-    assert checked > 40
-    # multiplicativity on coprime pairs near the top, again exactly
-    for m, n in ((16, 1125), (49, 400), (81, 245)):
-        assert taus[m * n] == taus[m] * taus[n]
+    assert checked > min_checked
+    # multiplicativity: tau(n) = tau(p^a) tau(n / p^a) with p^a || n and p
+    # the least prime factor, for every n, again exactly
+    spf = list(range(n_max + 1))
+    for p in helpers.trial_primes(math.isqrt(n_max)):
+        for m in range(p * p, n_max + 1, p):
+            if spf[m] == m:
+                spf[m] = p
+    for n in range(2, n_max + 1):
+        p = pa = spf[n]
+        while n % (pa * p) == 0:
+            pa *= p
+        assert taus[n] == taus[pa] * taus[n // pa], n
+
+
+def test_tau_table_20000_congruence_and_hecke_recursion():
+    _check_tau_identities(20_000, 40)
+
+
+def test_tau_table_100k_congruence_hecke_recursion_and_multiplicativity():
+    _check_tau_identities(100_000, 90)
 
 
 def test_tau_multiplicativity():

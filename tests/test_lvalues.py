@@ -166,3 +166,18 @@ def test_family_shares_one_w2_table(family_table, monkeypatch):
     assert sum(r.audited for r in recs) == 8
     assert calls.count("W2") == 1
     assert lvalues._w2_table.cache_info().currsize == 0
+
+
+def test_family_evaluates_each_character_once(family_table, monkeypatch):
+    # the bin dot products and the root factor share one values() array
+    calls = []
+    values = characters.Character.values
+
+    def counted(self):
+        calls.append(self.index)
+        return values(self)
+    monkeypatch.setattr(characters.Character, "values", counted)
+    recs = lvalues.family_values(family_table, 53,
+                                 lvalues.AfeConfig(audit_count=0))
+    assert len(recs) == 51
+    assert sorted(calls) == sorted(r.chi.index for r in recs)
