@@ -121,11 +121,12 @@ def _phase(exps: np.ndarray, orders, index, n) -> np.ndarray:
 class CharacterGroup:
     """Unit group mod q with discrete-log tables for character evaluation.
 
-    For an odd prime power q there is one component and `g` / `dlog`
-    expose the classical primitive-root picture: dlog[g^t mod q] = t.  The
-    exponent D is the lcm of the component orders.  `conductors`, `even` and
-    `conj` are vectors over the flat character index: the conductor of chi,
-    whether chi(-1) = 1, and the flat index of chi-bar.  Every array is
+    Each component is (modulus, generator, order), and row i of `exps` is
+    its discrete log: for an odd prime power q there is one component, whose
+    generator g is the least primitive root, and exps[0][g^t mod q] = t.
+    The exponent D is the lcm of the component orders.  `conductors`, `even`
+    and `conj` are vectors over the flat character index: the conductor of
+    chi, whether chi(-1) = 1, and the flat index of chi-bar.  Every array is
     read-only, since `build_group` hands one group to all its callers.
     """
 
@@ -139,14 +140,6 @@ class CharacterGroup:
     conductors: np.ndarray    # shape (phi_q,), int64
     even: np.ndarray          # shape (phi_q,), bool
     conj: np.ndarray          # shape (phi_q,), int64
-
-    @property
-    def g(self) -> int | None:
-        return self.components[0][1] if len(self.components) == 1 else None
-
-    @property
-    def dlog(self) -> np.ndarray | None:
-        return self.exps[0] if len(self.components) == 1 else None
 
     def orders(self) -> tuple[int, ...]:
         return tuple(c[2] for c in self.components)

@@ -89,6 +89,10 @@ _DEFAULTS = {
     "kappa": 12, "X": 1.0, "tail_eps": 1e-8, "format": "csv",
     "seed": 0, "audit_count": 8, "n_max": 100, "fit": False,
 }
+# every setting a config file or a flag may give
+_KEYS = ("q", "q_list", "k", "k_list", "kappa", "X", "tail_eps", "ell", "N",
+         "M", "format", "out", "cache_dir", "seed", "audit_count", "n_max",
+         "fit")
 
 
 def _build_parser() -> _Parser:
@@ -119,17 +123,32 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _number(value, what: str, cast):
+    """One setting through cast (int or float).  A bool, a null, text that
+    does not parse or a fractional int is a config error."""
+    try:
+        out = cast(value)
+        valid = (not isinstance(value, bool)
+                 and (cast is float or isinstance(value, str)
+                      or out == value))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        kind = "an integer" if cast is int else "a number"
+        raise _CliError(f"{what} must be {kind}, got {value!r}")
+    return out
+
+
 def _parse_list(text, what: str, cast) -> tuple | None:
     """A comma-separated string or a JSON list, each item through cast;
     None for an absent or empty setting."""
     if not text:
         return None
-    if not isinstance(text, str):
-        return tuple(cast(v) for v in text)
-    try:
-        vals = tuple(cast(t) for t in text.split(",") if t.strip())
-    except ValueError:
+    if isinstance(text, str):
+        text = [t for t in text.split(",") if t.strip()]
+    elif not isinstance(text, list):
         raise _CliError(f"bad {what} list: {text!r}")
+    vals = tuple(_number(v, what, cast) for v in text)
     if not vals:
         raise _CliError(f"empty {what} list")
     return vals
@@ -147,33 +166,45 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise _CliError(f"config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise _CliError("config file must hold a JSON object")
+        unknown = sorted(set(file_cfg) - set(_KEYS))
+        if unknown:
+            raise _CliError("config file: unknown keys "
+                            + ", ".join(map(repr, unknown)))
         merged.update(file_cfg)
-    for key in ("q", "q_list", "k", "k_list", "kappa", "X", "tail_eps",
-                "ell", "N", "M", "format", "out", "cache_dir", "seed",
-                "audit_count", "n_max", "fit"):
+    for key in _KEYS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    for key in ("out", "cache_dir"):
+        if not isinstance(merged.get(key), (str, type(None))):
+            raise _CliError(f"{key} must be a path, got {merged[key]!r}")
+    if not isinstance(merged["fit"], bool):
+        raise _CliError(f"fit must be true or false, got {merged['fit']!r}")
 
-    q_list = _parse_list(merged.get("q_list"), "q", int)
-    if q_list is None:
-        q_list = (() if merged.get("q") is None else (int(merged["q"]),))
-    k_list = _parse_list(merged.get("k_list"), "k", float)
-    if k_list is None:
-        k_list = ((1.0,) if merged.get("k") is None
-                  else (float(merged["k"]),))
-    ell = _parse_list(merged.get("ell"), "ell", int)
+    def num(key, cast=int):
+        """merged[key] through cast; None for an unset key without a
+        default (a null counts as unset there)."""
+        val = merged.get(key)
+        if val is None and key not in _DEFAULTS:
+            return None
+        return _number(val, key, cast)
+
+    q, k = num("q"), num("k", float)
+    q_list = (_parse_list(merged.get("q_list"), "q", int)
+              or (() if q is None else (q,)))
+    k_list = (_parse_list(merged.get("k_list"), "k", float)
+              or (1.0 if k is None else k,))
 
     cfg = RunConfig(
         command=args.command, q_list=q_list, k_list=k_list,
-        kappa=int(merged["kappa"]), X=float(merged["X"]),
-        tail_eps=float(merged["tail_eps"]), ell=ell,
-        N=(int(merged["N"]) if merged.get("N") is not None else None),
-        M=(int(merged["M"]) if merged.get("M") is not None else None),
+        kappa=num("kappa"), X=num("X", float),
+        tail_eps=num("tail_eps", float),
+        ell=_parse_list(merged.get("ell"), "ell", int),
+        N=num("N"), M=num("M"),
         format=str(merged["format"]), out=merged.get("out"),
-        cache_dir=merged.get("cache_dir"), seed=int(merged["seed"]),
-        audit_count=int(merged["audit_count"]), n_max=int(merged["n_max"]),
-        fit=bool(merged["fit"]))
+        cache_dir=merged.get("cache_dir"), seed=num("seed"),
+        audit_count=num("audit_count"), n_max=num("n_max"),
+        fit=merged["fit"])
     _validate(cfg)
     return cfg
 
@@ -188,18 +219,24 @@ def _validate(cfg: RunConfig):
         raise _CliError(f"X must be positive, got {cfg.X}")
     if not 0 < cfg.tail_eps < 1:
         raise _CliError(f"tail-eps must lie in (0,1), got {cfg.tail_eps}")
+    if cfg.seed < 0:
+        raise _CliError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.audit_count < 0:
         raise _CliError(f"audit-count must be >= 0, got {cfg.audit_count}")
-    if cfg.n_max < 1:
-        raise _CliError(f"n-max must be >= 1, got {cfg.n_max}")
+    if not 1 <= cfg.n_max <= hecke.TAU_N_MAX:
+        raise _CliError(f"n-max must lie in 1..{hecke.TAU_N_MAX}, "
+                        f"got {cfg.n_max}")
     if any(k < 0 for k in cfg.k_list):
         raise _CliError(f"k must be >= 0, got {cfg.k_list}")
     needs_q = {"chars", "lvalue", "moments", "sweep", "mollifier-verify",
                "audit", "fit"}
     if cfg.command in needs_q and not cfg.q_list:
         raise _CliError(f"{cfg.command} needs --q or --q-list")
-    if cfg.command in ("mollifier-verify", "audit") and len(cfg.q_list) != 1:
-        raise _CliError(f"{cfg.command} takes exactly one modulus")
+    if cfg.command in ("mollifier-verify", "audit"):
+        if len(cfg.q_list) != 1:
+            raise _CliError(f"{cfg.command} takes exactly one modulus")
+        if len(cfg.k_list) != 1:
+            raise _CliError(f"{cfg.command} takes exactly one k")
     if cfg.command == "fit" and len(cfg.q_list) < 4:
         raise _CliError("fit needs at least 4 moduli")
     if cfg.ell is not None:
@@ -438,8 +475,8 @@ def _cmd_mollifier_verify(cfg: RunConfig) -> str:
                          rec["value"], None, True))
 
     chk = moments.diagonal_factorization_check(ctx, k)
-    rows.append(("diagonal_identity", f"k={_fmt(k)}", chk.residual, 1e-9,
-                 chk.ok))
+    rows.append(("diagonal_identity", f"k={_fmt(k)}", chk.residual,
+                 moments.DIAGONAL_TOL, chk.ok))
 
     envelope = 10.0 if k <= 1 else 80.0
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):

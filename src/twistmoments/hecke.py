@@ -381,11 +381,12 @@ def ramanujan_tau_table(n_max: int) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _replacing(path: str, mode: str):
-    """Open a temporary file beside path; it replaces path only on success."""
+def _replacing(path: str):
+    """Open a temporary binary file beside path; it replaces path only on
+    success."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -411,12 +412,6 @@ def coefficient_lines(taus: np.ndarray) -> str:
     line[:, -1] = ord("\n")
     line[line == ord(" ")] = 0
     return line[line != 0].tobytes().decode("ascii")
-
-
-def write_tau_file(path: str, taus: np.ndarray) -> None:
-    """Write the coefficient file of a ramanujan_tau_table result."""
-    with _replacing(path, "w") as fh:
-        fh.write(coefficient_lines(taus))
 
 
 def read_coefficient_file(path: str) -> list[int]:
@@ -664,6 +659,6 @@ def shared_eigenform(n_max: int, kappa: int = 12,
         tab = EigenformTable(weight=kappa, n_max=size,
                              lam=tab.lam[:size + 1], source=tab.source)
     if cache_dir is not None:
-        with _replacing(_cache_path(cache_dir, kappa, size), "wb") as fh:
+        with _replacing(_cache_path(cache_dir, kappa, size)) as fh:
             np.save(fh, tab.lam)
     return tab

@@ -23,9 +23,8 @@ than a power-law bound (W decays like exp(-log^2), W2 like exp(-c sqrt(x)))
 and is validated by the doubling test: doubling the cap moves values by well
 under 10 * tail_eps.
 
-The per-family fast path bins coefficients by residue class mod q once
-(O(n_cap)), then each character costs one length-q dot product.  The direct
-per-character path is retained as an audit route.
+The family route bins coefficients by residue class mod q once
+(O(n_cap)), then each character costs one length-q dot product.
 
 `family_values` is the one way a family is built.  Callers build it once per
 (modulus, config) and hand the records to every moment and audit; each record
@@ -130,31 +129,6 @@ def _check_table(f: EigenformTable, cap: int):
         raise ValueError(
             f"eigenform table covers n <= {f.n_max} but the truncation "
             f"needs n <= {cap}; rebuild the table with a larger n_max")
-
-
-def central_value(f: EigenformTable, chi: characters.Character,
-                  cfg: AfeConfig = DEFAULT_CONFIG) -> complex:
-    """L(1/2, f tensor chi) by the first-power route, compensated summation.
-
-    Raises:
-        ValueError: chi imprimitive, or the eigenform table is too short.
-    """
-    if not chi.is_primitive:
-        raise ValueError(f"central_value needs a primitive character, "
-                         f"got {chi!r}")
-    q = chi.group.q
-    ev = default_evaluators(f.weight)[0]
-    cap = required_n_cap(q, cfg, f.weight)
-    _check_table(f, cap)
-    n = np.arange(1, cap + 1)
-    coeff = f.lam[1:cap + 1] / np.sqrt(n)
-    w1 = ev(n * (cfg.X / q))
-    w2 = ev(n / (q * cfg.X))
-    values = chi.values()
-    chiv = values[n % q]
-    s1 = sums.block_sum_complex(coeff * w1 * chiv)
-    s2 = sums.block_sum_complex(coeff * w2 * np.conj(chiv))
-    return s1 + characters.iota(chi, f.weight, values) * s2
 
 
 @lru_cache(maxsize=1)

@@ -32,7 +32,10 @@ import numpy as np
 from . import arith, characters
 from .hecke import EigenformTable
 
-_DEFAULT_CAP = 1_000_000
+# largest coefficient map a segment or the full mollifier may hold
+_SUPPORT_CAP = 1_000_000
+# trunc_exp_tail sums z^r/r! for ell < r < ell + _TAIL_TERMS at most
+_TAIL_TERMS = 200
 
 
 def c_k_value(k: float) -> float:
@@ -168,7 +171,7 @@ def trunc_exp(ell: int, z: complex) -> complex:
     return complex(acc)
 
 
-def trunc_exp_tail(ell: int, z: complex, terms: int = 200) -> complex:
+def trunc_exp_tail(ell: int, z: complex) -> complex:
     """exp(z) - E_ell(z), summed directly as sum_{r>ell} z^r/r!.
 
     Evaluating the difference this way avoids the cancellation that makes
@@ -182,7 +185,7 @@ def trunc_exp_tail(ell: int, z: complex, terms: int = 200) -> complex:
         term *= z / r
     acc = 0.0 + 0.0j
     r = ell + 1
-    while abs(term) > 1e-300 and r < ell + terms:
+    while abs(term) > 1e-300 and r < ell + _TAIL_TERMS:
         acc += term
         r += 1
         term *= z / r
@@ -223,15 +226,13 @@ class MollifierContext:
     """
 
     def __init__(self, table: EigenformTable, ladder: LadderParams,
-                 segments: PrimeSegments, weighted: bool = True,
-                 cap: int = _DEFAULT_CAP):
+                 segments: PrimeSegments, weighted: bool = True):
         if len(segments.segments) != ladder.R:
             raise ValueError("segments do not match ladder length")
         self.table = table
         self.ladder = ladder
         self.segments = segments
         self.weighted = weighted
-        self.cap = cap
         self._psums: dict[tuple[int, int], complex] = {}
 
     def weight_of(self, p: int) -> float:
@@ -293,7 +294,7 @@ def segment_coefficients(ctx: MollifierContext, j: int,
 
     Support: P_j-smooth n with Omega(n) <= ell_j; coefficient
     lt(n) alpha^Omega(n) / w(n).  Depth-first over the segment primes,
-    bounded by ctx.cap.
+    bounded by _SUPPORT_CAP.
 
     Raises:
         ValueError: support larger than the cap.
@@ -304,9 +305,9 @@ def segment_coefficients(ctx: MollifierContext, j: int,
 
     def grow(idx: int, n: int, omega: int, coeff: float):
         if idx == len(primes):
-            if len(out) >= ctx.cap:
+            if len(out) >= _SUPPORT_CAP:
                 raise ValueError(
-                    f"segment {j} support exceeds cap {ctx.cap}")
+                    f"segment {j} support exceeds cap {_SUPPORT_CAP}")
             out[n] = coeff * alpha ** omega
             return
         grow(idx + 1, n, omega, coeff)        # exponent 0 at this prime
@@ -333,14 +334,15 @@ def mollifier_coefficients(ctx: MollifierContext,
     product over all ways of combining one support element per segment.
 
     Raises:
-        ValueError: product support larger than ctx.cap.
+        ValueError: product support larger than _SUPPORT_CAP.
     """
     total: dict[int, float] = {1: 1.0}
     for j in range(1, ctx.ladder.R + 1):
         seg = segment_coefficients(ctx, j, alpha)
-        if len(total) * len(seg) > ctx.cap:
+        if len(total) * len(seg) > _SUPPORT_CAP:
             raise ValueError(
-                f"mollifier support exceeds cap {ctx.cap} at segment {j}")
+                f"mollifier support exceeds cap {_SUPPORT_CAP} "
+                f"at segment {j}")
         nxt: dict[int, float] = {}
         for n1, c1 in total.items():
             for n2, c2 in seg.items():

@@ -28,6 +28,10 @@ from .mollifier import MollifierContext
 
 _SLACK = 1e-9
 _TINY = 1e-300
+# relative tolerance of the diagonal factorization identity
+DIAGONAL_TOL = 1e-9
+# terms of the Euler-factor series summed by diagonal_local_factor
+_LOCAL_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,6 @@ class MomentReport:
     normalized: float               # raw_moment / phi_star
     log_q: float
     ratio_to_logq_pow_k2: float     # normalized / (log q)^(k^2)
-    contributions: tuple[float, ...] | None = None
-    audit: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,6 @@ class CheckRecord:
     lhs: float
     rhs: float
     ok: bool
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / max(self.rhs, _TINY)
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,7 @@ def _family_q(ctx: MollifierContext, recs) -> int:
     return q
 
 
-def family_moment(recs, k: float,
-                  keep_contributions: bool = False) -> MomentReport:
+def family_moment(recs, k: float) -> MomentReport:
     """Sum* |L(1/2)|^(2k) over a family built by lvalues.family_values.
 
     k = 0 returns phi_star(q) exactly (every term is 1 by convention).
@@ -107,19 +104,16 @@ def family_moment(recs, k: float,
     logq = math.log(q)
     if k == 0:
         raw = float(phi_star)
-        contrib = tuple([1.0] * phi_star) if keep_contributions else None
     else:
         amps = [abs(r.value) ** (2 * k) for r in recs]
         if len(amps) != phi_star:
             raise AssertionError(
                 f"family size {len(amps)} != phi_star {phi_star}")
         raw = float(sum(amps))
-        contrib = tuple(amps) if keep_contributions else None
     normalized = raw / phi_star
     return MomentReport(
         q=q, k=k, phi_star=phi_star, raw_moment=raw, normalized=normalized,
-        log_q=logq, ratio_to_logq_pow_k2=normalized / logq ** (k * k),
-        contributions=contrib)
+        log_q=logq, ratio_to_logq_pow_k2=normalized / logq ** (k * k))
 
 
 def twisted_first_moment(ctx: MollifierContext, recs, k: float) -> complex:
@@ -152,8 +146,8 @@ class DiagonalCheck:
     local_terms: tuple[float, ...]
 
 
-def diagonal_factorization_check(ctx: MollifierContext, k: float,
-                                 tol: float = 1e-9) -> DiagonalCheck:
+def diagonal_factorization_check(ctx: MollifierContext,
+                                 k: float) -> DiagonalCheck:
     """Exact identity behind the diagonal of the twisted first moment.
 
     With x the coefficient map of N(., k-1) and y that of N(., k), both in
@@ -166,7 +160,7 @@ def diagonal_factorization_check(ctx: MollifierContext, k: float,
         sum_n c_k(n)/n * sum_{n' | n} c_(k-1)(n') lambda(n / n'),
 
     where c_alpha is the per-segment coefficient map.  Both sides are finite
-    and must agree to the stated relative tolerance.
+    and must agree to DIAGONAL_TOL, relative.
     """
     if not ctx.weighted:
         raise ValueError("identity requires the lambda-weighted mode")
@@ -200,7 +194,8 @@ def diagonal_factorization_check(ctx: MollifierContext, k: float,
         rhs *= term
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), _TINY)
     return DiagonalCheck(lhs=lhs, rhs=rhs, residual=residual,
-                         ok=residual < tol, local_terms=tuple(locals_))
+                         ok=residual < DIAGONAL_TOL,
+                         local_terms=tuple(locals_))
 
 
 def _lam_prime_powers(lam_p: float, jmax: int) -> list[float]:
@@ -212,7 +207,7 @@ def _lam_prime_powers(lam_p: float, jmax: int) -> list[float]:
 
 
 def diagonal_local_factor(table: EigenformTable, p: int, k: float,
-                          terms: int = 60, envelope: float = 10.0) -> dict:
+                          envelope: float = 10.0) -> dict:
     """Unrestricted Euler factor of the diagonal identity at one prime.
 
     T_p = sum_i (lambda(p)^i k^i / (p^i i!)) *
@@ -224,9 +219,9 @@ def diagonal_local_factor(table: EigenformTable, p: int, k: float,
     against it), so larger k needs a wider envelope.
     """
     lam_p = table.lam_at(p)
-    lpow = _lam_prime_powers(lam_p, terms)
+    lpow = _lam_prime_powers(lam_p, _LOCAL_TERMS)
     total = 0.0
-    for i in range(terms + 1):
+    for i in range(_LOCAL_TERMS + 1):
         outer = lam_p ** i * k ** i / (p ** i * math.factorial(i))
         if outer == 0.0 or abs(outer) < 1e-320:
             break
@@ -242,8 +237,7 @@ def diagonal_local_factor(table: EigenformTable, p: int, k: float,
 
 def pointwise_inequality_audit(ctx: MollifierContext,
                                chi: characters.Character,
-                               k: float | None = None,
-                               slack: float = _SLACK) -> InequalityAudit:
+                               k: float | None = None) -> InequalityAudit:
     """Per-character regime checks of the truncated-exponential bounds.
 
     For each rung j, |P_j(chi)| picks a regime.  With x = exp(-ell_j):
@@ -258,8 +252,8 @@ def pointwise_inequality_audit(ctx: MollifierContext,
                <= |N_j(k)|^2 (1+x)^(2k/(2k-1)) (1-x)^(-2(k-1)/(2k-1))
         large: same left side <= |Q_j(k)|^2, and |Q_j(k)| >= 1.
 
-    All are exact inequalities; each instance is asserted with the given
-    relative slack.
+    All are exact inequalities; each instance is asserted with relative
+    slack _SLACK.
     """
     kk = ctx.ladder.k if k is None else k
     if kk <= 0:
@@ -268,9 +262,9 @@ def pointwise_inequality_audit(ctx: MollifierContext,
 
     def add(name: str, j: int, lhs: float, rhs: float, lower: bool = False):
         if lower:
-            ok = lhs >= rhs * (1 - slack)
+            ok = lhs >= rhs * (1 - _SLACK)
         else:
-            ok = lhs <= rhs * (1 + slack)
+            ok = lhs <= rhs * (1 + _SLACK)
         checks.append(CheckRecord(
             name=name, subject=f"chi={chi.index} j={j}",
             lhs=lhs, rhs=rhs, ok=ok))
@@ -309,15 +303,14 @@ def pointwise_inequality_audit(ctx: MollifierContext,
 
 
 def family_pointwise_audit(ctx: MollifierContext, recs,
-                           k: float | None = None,
-                           slack: float = _SLACK) -> InequalityAudit:
+                           k: float | None = None) -> InequalityAudit:
     """Pointwise audit over every character of the family."""
     q = _family_q(ctx, recs)
     checks: list[CheckRecord] = []
     kk = ctx.ladder.k if k is None else k
     for rec in recs:
         checks.extend(
-            pointwise_inequality_audit(ctx, rec.chi, kk, slack).checks)
+            pointwise_inequality_audit(ctx, rec.chi, kk).checks)
     return InequalityAudit(q=q, k=kk, checks=tuple(checks))
 
 
@@ -354,8 +347,8 @@ def _upper_terms(ctx: MollifierContext, recs, k: float):
     return ln, la, guard, A, B
 
 
-def holder_chain_audit(ctx: MollifierContext, recs, k: float,
-                       slack: float = _SLACK) -> InequalityAudit:
+def holder_chain_audit(ctx: MollifierContext, recs,
+                       k: float) -> InequalityAudit:
     """Family-level Hoelder splittings, asserted with constant 1.
 
     k <= 1 asserts the three-factor split of the twisted moment and the
@@ -382,7 +375,7 @@ def holder_chain_audit(ctx: MollifierContext, recs, k: float,
         rhs = (S_2k ** 0.5 * sum(ln) ** ((1 - k) / 2) * S_NN ** (k / 2))
         checks.append(CheckRecord(
             name="holder_three_factor", subject=f"q={q}",
-            lhs=abs(twisted), rhs=rhs, ok=abs(twisted) <= rhs * (1 + slack)))
+            lhs=abs(twisted), rhs=rhs, ok=abs(twisted) <= rhs * (1 + _SLACK)))
 
         S_guard = sum(guard)
         bump = math.prod((1 + math.exp(-l)) ** (2 / k)
@@ -390,14 +383,14 @@ def holder_chain_audit(ctx: MollifierContext, recs, k: float,
         checks.append(CheckRecord(
             name="guarded_product_dominates", subject=f"q={q}",
             lhs=S_NN, rhs=bump * S_guard,
-            ok=S_NN <= bump * S_guard * (1 + slack)))
+            ok=S_NN <= bump * S_guard * (1 + _SLACK)))
         reported["guarded_product_ratio"] = S_NN / max(S_guard, _TINY)
 
         lhs_up = sum(x ** k * b ** (1 - k) for x, b in zip(la, B))
         rhs_up = sum(la) ** k * sum(B) ** (1 - k)
         checks.append(CheckRecord(
             name="holder_upper_principle", subject=f"q={q}",
-            lhs=lhs_up, rhs=rhs_up, ok=lhs_up <= rhs_up * (1 + slack)))
+            lhs=lhs_up, rhs=rhs_up, ok=lhs_up <= rhs_up * (1 + _SLACK)))
         weights = [a ** k * b ** (1 - k) for a, b in zip(A, B)]
         reported["upper_weight_min"] = min(weights)
         reported["upper_weight_max"] = max(weights)
@@ -409,7 +402,7 @@ def holder_chain_audit(ctx: MollifierContext, recs, k: float,
         rhs = S_2k ** (1 / (2 * k)) * S_prod ** ((2 * k - 1) / (2 * k))
         checks.append(CheckRecord(
             name="holder_two_factor", subject=f"q={q}",
-            lhs=abs(twisted), rhs=rhs, ok=abs(twisted) <= rhs * (1 + slack)))
+            lhs=abs(twisted), rhs=rhs, ok=abs(twisted) <= rhs * (1 + _SLACK)))
     return InequalityAudit(q=q, k=k, checks=tuple(checks),
                            reported=reported)
 

@@ -29,20 +29,22 @@ def neumaier(values) -> float:
     return total + comp
 
 
-def block_sum(values: np.ndarray, block: int = _BLOCK) -> float:
+# No package code calls block_sum; it stays because perfbench/trace_cli.py
+# wraps it by name.
+def block_sum(values: np.ndarray) -> float:
     """Sum a real array: pairwise inside blocks, Neumaier across them."""
     v = np.asarray(values)
     if v.size == 0:
         return 0.0
-    edges = np.arange(0, v.size, block)
+    edges = np.arange(0, v.size, _BLOCK)
     partials = np.add.reduceat(v, edges)
     return neumaier(partials)
 
 
-def block_sum_complex(values: np.ndarray, block: int = _BLOCK) -> complex:
+def block_sum_complex(values: np.ndarray) -> complex:
     v = np.asarray(values)
     if v.size == 0:
         return 0.0 + 0.0j
-    edges = np.arange(0, v.size, block)
+    edges = np.arange(0, v.size, _BLOCK)
     partials = np.add.reduceat(v, edges)
     return complex(neumaier(partials.real), neumaier(partials.imag))

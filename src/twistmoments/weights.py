@@ -44,6 +44,10 @@ _TAIL_TOL = 1e-12
 _CHUNK = 256
 # nodes per phase block, B in the module docstring
 _PHASE_BLOCK = 32
+# contour abscissa c, truncation height T by kind, and trapezoid step h
+_C = 1.0
+_T = {"W": 12.0, "W2": 40.0}
+_H = 1.0 / 64
 
 
 # Stirling coefficients B_2k / (2k (2k - 1)), k = 1..10
@@ -150,41 +154,29 @@ class WeightEvaluator:
     """Immutable evaluator for one kernel; thread-safe after construction.
 
     Holds the folded kernel factor K(t) at the M = T/h + 1 nodes, zero-padded
-    to whole blocks of _PHASE_BLOCK nodes for the blocked-phase sum.
+    to whole blocks of _PHASE_BLOCK nodes for the blocked-phase sum, and the
+    interpolation grid.  The contour is fixed: c = 1, T = 12 for W and 40
+    for W2, h = 1/64; the attributes c, T and h record it.
 
     Args:
         kind: "W" (first-power kernel, with e^{s^2}) or "W2" (squared kernel).
         kappa: weight of the eigenform, even.
-        c: contour abscissa.
-        T: truncation height; defaults 12 for W, 40 for W2.
-        h: quadrature step; T/h must be an integer.
-        build_grid: precompute the interpolation grid (skip for one-off audits).
     """
 
-    def __init__(self, kind: str, kappa: int = 12, c: float = 1.0,
-                 T: float | None = None, h: float = 1.0 / 64,
-                 build_grid: bool = True):
+    def __init__(self, kind: str, kappa: int = 12):
         if kind not in ("W", "W2"):
             raise ValueError(f"kind must be 'W' or 'W2', got {kind!r}")
-        if c <= 0:
-            raise ValueError(f"contour abscissa must be positive, got {c}")
-        if T is None:
-            T = 12.0 if kind == "W" else 40.0
-        steps = T / h
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError(f"T/h = {steps} is not an integer")
         self.kind = kind
         self.kappa = kappa
-        self.c = float(c)
-        self.T = float(T)
-        self.h = float(h)
+        self.c = _C
+        self.T = _T[kind]
+        self.h = _H
 
         # The integrand is conjugate-symmetric in t, so the [-T, T] trapezoid
         # sum equals f(0) + 2 sum_{t>0} w_t Re f(t) exactly; folding the
         # contour halves the work and makes the result real by construction
         # instead of real up to amplified rounding noise.
-        n = int(round(steps))
-        t = np.arange(0, n + 1) * self.h
+        t = np.arange(0, round(self.T / self.h) + 1) * self.h
         s = self.c + 1j * t
         lg = _loggamma(kappa / 2 + s) - math.lgamma(kappa / 2)
         ln_k = lg + s * s if kind == "W" else 2.0 * lg
@@ -206,13 +198,7 @@ class WeightEvaluator:
         band = t >= self.T - 1.0
         self._tail_mass = float(np.sum(np.abs(kern[band]))) * self.h / (2 * np.pi)
 
-        self.grid_x: np.ndarray | None = None
-        self.grid_vals: np.ndarray | None = None
-        self._spline = None
-        self._support_end: float | None = None
-        self._left_val: float | None = None
-        if build_grid:
-            self._build_grid()
+        self._build_grid()
 
     # ------------------------------------------------------------------ direct
 
@@ -275,11 +261,9 @@ class WeightEvaluator:
         self._spline = _NotAKnotSpline(np.log(x[:end]), np.log(v[:end]))
 
     def __call__(self, x) -> np.ndarray | float:
-        """Grid-interpolated value (falls back to quadrature without a grid);
-        clamped to the left-edge value below the grid and to 0 past the point
-        where samples sink into quadrature noise."""
-        if self._spline is None:
-            return self.quad(x)
+        """Grid-interpolated value, clamped to the left-edge value below the
+        grid and to 0 past the point where samples sink into quadrature
+        noise."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xs <= 0):
             raise ValueError("weight argument must be positive")
@@ -294,8 +278,6 @@ class WeightEvaluator:
     def envelope_cutoff(self, eps: float) -> float:
         """Smallest grid x beyond which the running majorant of |values|
         stays <= eps; conservative input to truncation-length choices."""
-        if self.grid_vals is None:
-            raise ValueError("evaluator built without a grid")
         if eps <= 0:
             raise ValueError("eps must be positive")
         vals = np.abs(self.grid_vals.copy())

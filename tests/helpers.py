@@ -2,8 +2,9 @@
 
 Everything here is deliberately slow and obvious: trial division instead of
 a sieve, the raw q-expansion instead of the squared-eta shortcut, literal
-definition sums instead of folded contours.  Tests compare the fast
-production paths against these.
+definition sums instead of folded contours, one unbinned sum per character
+instead of residue bins.  Tests compare the fast production paths against
+these.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 
 import numpy as np
 from scipy.special import loggamma
+
+from twistmoments import lvalues, sums
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -165,6 +168,28 @@ def gauss_sum_literal(chi, q: int) -> complex:
     """Definition sum: sum over a mod q of chi(a) e(a/q)."""
     return sum(complex(chi(a)) * np.exp(2j * np.pi * a / q)
                for a in range(q))
+
+
+def central_values_direct(f, chis, cfg) -> list[complex]:
+    """L(1/2, f tensor chi) for each primitive chi mod one q by the
+    first-power route at cfg.X: per character, one compensated sum term by
+    term over n = 1..n_cap, and the root factor i^kappa tau(chi)^2 / q from
+    the literal Gauss sum."""
+    q = chis[0].group.q
+    ev = lvalues.default_evaluators(f.weight)[0]
+    cap = lvalues.required_n_cap(q, cfg, f.weight)
+    n = np.arange(1, cap + 1)
+    coeff = f.lam[1:cap + 1] / np.sqrt(n)
+    w1 = coeff * ev(n * (cfg.X / q))
+    w2 = coeff * ev(n / (q * cfg.X))
+    out = []
+    for chi in chis:
+        chiv = chi.values()[n % q]
+        tau = gauss_sum_literal(chi, q)
+        out.append(sums.block_sum_complex(w1 * chiv)
+                   + (1, 1j, -1, -1j)[f.weight % 4] * tau * tau / q
+                   * sums.block_sum_complex(w2 * np.conj(chiv)))
+    return out
 
 
 def contour_weight_two_sided(kind: str, x: float, kappa: int = 12,

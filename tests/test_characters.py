@@ -15,14 +15,14 @@ def test_group_structure_prime():
     g = characters.build_group(7)
     assert g.q == 7
     assert g.phi_q == 6
-    assert sympy.n_order(g.g, 7) == 6
+    assert sympy.n_order(g.components[0][1], 7) == 6
     assert len(g.characters()) == 6
 
 
 def test_group_structure_prime_power():
     g = characters.build_group(9)
     assert g.phi_q == 6
-    assert sympy.n_order(g.g, 9) == 6
+    assert sympy.n_order(g.components[0][1], 9) == 6
 
 
 def test_least_primitive_root():

@@ -1,7 +1,10 @@
 """Command-line front end: dispatch, formats, config handling, exit codes."""
 
 import collections
+import importlib
+import importlib.util
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -58,11 +61,16 @@ def test_help_exits_zero(capsys):
     ["moments", "--q", "53", "--ell", "2,8"],        # increasing ladder
     ["tau", "--n-max", "0"],
     ["chars", "--q", "9", "--format", "xml"],
+    ["lvalue", "--q", "5", "--seed", "-1"],
+    ["tau", "--n-max", "30000000"],                  # beyond TAU_N_MAX
+    ["audit", "--q", "17", "--k-list", "0.5,2"],     # exactly one k
+    ["mollifier-verify", "--q", "17", "--k-list", "0.5,2"],
 ])
 def test_validation_failures_exit_one(args, capsys):
-    rc, _, err = run_cli(args, capsys)
+    rc, out, err = run_cli(args, capsys)
     assert rc == 1
     assert "error" in err
+    assert out == ""
 
 
 def test_computation_failure_exits_two(capsys):
@@ -244,6 +252,23 @@ def test_config_file_rejections(tmp_path, capsys):
         ["chars", "--q", "9", "--config", str(tmp_path / "missing.json")],
         capsys)
     assert rc == 1
+    # unknown keys are named, and a value of the wrong type is an error,
+    # never a traceback or a silent fall back to the defaults
+    for body, named in (({"tail-eps": 1e-5, "qlist": "5,7"},
+                         "'qlist', 'tail-eps'"),
+                        ({"X": "abc"}, "'abc'"),
+                        ({"seed": None}, "seed"),
+                        ({"seed": 1.5}, "seed"),
+                        ({"q_list": 5}, "q list"),
+                        ({"fit": "yes"}, "fit"),
+                        ({"out": 1}, "out")):
+        bad.write_text(json.dumps(body))
+        rc, out, err = run_cli(["lvalue", "--q", "5", "--config", str(bad)],
+                               capsys)
+        assert rc == 1, body
+        assert out == ""
+        assert err.startswith("twistmoments: error: ") and named in err
+        assert err.count("\n") == 1
 
 
 def _hash_of(args, capsys):
@@ -338,3 +363,18 @@ def test_corrupt_cache_file_exits_two(tmp_path, capsys):
     rc, _, err = run_cli(args, capsys)
     assert rc == 2
     assert "corrupt cache file" in err
+
+
+def test_tracer_names_resolve():
+    # perfbench/trace_cli.py wraps these package attributes by name; a
+    # rename or deletion here would break `perfbench/run.py --trace 1`
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "trace_cli.py"
+    spec = importlib.util.spec_from_file_location("_trace_cli", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.SPANS) == 23
+    for mod_name, attr_path, _, _ in tracer.SPANS:
+        owner = importlib.import_module(mod_name)
+        for part in attr_path.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner) or isinstance(owner, property), attr_path

@@ -276,7 +276,7 @@ def test_tau_table_size_limit():
 def test_tau_file_round_trip(tmp_path):
     taus = hecke.ramanujan_tau_table(50)
     path = tmp_path / "tau.tsv"
-    hecke.write_tau_file(str(path), taus)
+    path.write_text(hecke.coefficient_lines(taus))
     assert hecke.read_coefficient_file(str(path)) == _ints(taus)
     lines = path.read_text().splitlines()
     assert lines[0] == "1\t1"
@@ -306,7 +306,7 @@ def test_build_from_file_always_validates(tmp_path):
 
 def test_build_from_file_round_trip(tmp_path):
     path = tmp_path / "tau.tsv"
-    hecke.write_tau_file(str(path), hecke.ramanujan_tau_table(80))
+    path.write_text(hecke.coefficient_lines(hecke.ramanujan_tau_table(80)))
     t = hecke.build_eigenform(source=str(path), n_max=500)
     assert t.n_max == 80  # capped at the file length
     ref = hecke.build_eigenform(n_max=80)

@@ -7,6 +7,8 @@ import pytest
 
 from twistmoments import arith, characters, hecke, lvalues, weights
 
+import helpers
+
 CFG = lvalues.DEFAULT_CONFIG
 
 
@@ -36,41 +38,46 @@ def test_required_caps_scale():
         lvalues.required_m_cap(5000, CFG)
 
 
+@pytest.mark.parametrize("q", [5, 9, 16, 53, 105])
+@pytest.mark.parametrize("X", [1.0, 0.5])
+def test_family_matches_direct_sum(q, X, family_table):
+    # every binned record against its own unbinned sum over n <= n_cap; at
+    # these moduli the two agree to 2.5e-14 at the scale max(|L|, 1)
+    cfg = lvalues.AfeConfig(X=X, audit_count=0)
+    recs = lvalues.family_values(family_table, q, cfg)
+    assert len(recs) == arith.phi_star(q)
+    direct = helpers.central_values_direct(family_table,
+                                           [r.chi for r in recs], cfg)
+    for r, want in zip(recs, direct):
+        assert abs(r.value - want) <= 1e-12 * max(abs(want), 1.0), r.chi
+
+
 def test_balance_point_invariance_mod7(table_100k):
-    g = characters.build_group(7)
-    chis = characters.primitive_characters(g)
-    base = [lvalues.central_value(table_100k, c) for c in chis]
+    base = lvalues.family_values(table_100k, 7)
     for X in (0.5, 2.0):
-        cfg = lvalues.AfeConfig(X=X)
-        vals = [lvalues.central_value(table_100k, c, cfg) for c in chis]
-        for u, v in zip(base, vals):
-            assert abs(u - v) < 1e-5
+        recs = lvalues.family_values(table_100k, 7, lvalues.AfeConfig(X=X))
+        assert [r.chi.index for r in recs] == [r.chi.index for r in base]
+        for u, v in zip(base, recs):
+            assert abs(u.value - v.value) < 1e-5
+
+
+def _quadratic_q5(recs):
+    (rec,) = [r for r in recs if r.chi.index == 2]
+    assert rec.chi.conjugate_index() == 2
+    return rec
 
 
 def test_reference_value_q5_quadratic(table_100k):
-    g = characters.build_group(5)
-    chi = g.character(2)
-    assert chi.is_primitive
-    assert chi.conjugate_index() == 2
-    v = lvalues.central_value(table_100k, chi)
+    v = _quadratic_q5(lvalues.family_values(table_100k, 5)).value
     assert abs(v.imag) < 1e-9
     assert abs(v.real - 1.6323752574661987) < 1e-8
 
 
-def test_conjugate_symmetry(table_100k):
-    g = characters.build_group(9)
-    for chi in characters.primitive_characters(g):
-        bar = g.character(chi.conjugate_index())
-        a = lvalues.central_value(table_100k, chi)
-        b = lvalues.central_value(table_100k, bar)
-        assert abs(b - a.conjugate()) < 1e-8
-
-
 def test_square_route_agreement(table_100k):
-    g = characters.build_group(5)
-    chi = g.character(2)
-    first = abs(lvalues.central_value(table_100k, chi)) ** 2
-    sq = lvalues.central_value_sq(table_100k, chi)
+    rec = _quadratic_q5(lvalues.family_values(
+        table_100k, 5, lvalues.AfeConfig(audit_count=0)))
+    first = abs(rec.value) ** 2
+    sq = lvalues.central_value_sq(table_100k, rec.chi)
     assert sq >= -1e-6
     assert abs(sq - first) < 1e-3 * max(first, 1.0)
 
@@ -92,12 +99,13 @@ def test_family_counts_audits_and_conjugate_closure(table_100k):
     for r in audited:
         assert r.sq_direct is not None
         assert r.residual < lvalues.CROSS_TOL
-    index = [r.chi.index for r in recs7]
-    assert index == sorted(index)
-    for r in recs7:
-        mate = recs7[index.index(r.chi.conjugate_index())]
-        assert abs(mate.value - r.value.conjugate()) < 1e-10
-        assert mate.chi.conductor == r.chi.conductor == 7
+    for q, recs in ((7, recs7), (9, recs9)):
+        index = [r.chi.index for r in recs]
+        assert index == sorted(index)
+        for r in recs:
+            mate = recs[index.index(r.chi.conjugate_index())]
+            assert abs(mate.value - r.value.conjugate()) < 1e-10
+            assert mate.chi.conductor == r.chi.conductor == q
 
 
 def test_family_records_hold_no_value_arrays():
@@ -144,9 +152,9 @@ def test_small_table_rejected():
     g = characters.build_group(101)
     chi = characters.primitive_characters(g)[0]
     small = hecke.build_eigenform(n_max=1000)
-    with pytest.raises(ValueError):
-        lvalues.central_value(small, chi)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rebuild the table"):
+        lvalues.family_values(small, 101)
+    with pytest.raises(ValueError, match="rebuild the table"):
         lvalues.central_value_sq(small, chi)
 
 

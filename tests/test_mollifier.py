@@ -295,12 +295,22 @@ def test_mollifier_coefficients_convolve_segments(table_100k):
     assert full[1] == 1.0
 
 
-def test_coefficient_cap_enforced(table_100k):
-    lad = mollifier.build_ladder(11, override_ell=(4,))
-    segs = mollifier.PrimeSegments(q=11, boundaries=(3.5,), segments=((3,),))
-    ctx = mollifier.MollifierContext(table_100k, lad, segs, cap=4)
-    with pytest.raises(ValueError):
+def test_coefficient_cap_enforced(table_100k, monkeypatch):
+    # segment supports of C(13, 5) = 1287 and C(12, 6) = 924 terms: their
+    # product map would pass the 10^6 cap, so it is refused before it is built
+    lad = mollifier.build_ladder(101, override_ell=(8, 6))
+    segs = mollifier.PrimeSegments(
+        q=101, boundaries=(13.5, 37.5),
+        segments=((3, 5, 7, 11, 13), (17, 19, 23, 29, 31, 37)))
+    ctx = mollifier.MollifierContext(table_100k, lad, segs)
+    assert len(mollifier.segment_coefficients(ctx, 1, 1.0)) == 1287
+    assert len(mollifier.segment_coefficients(ctx, 2, 1.0)) == 924
+    with pytest.raises(ValueError, match="mollifier support exceeds cap"):
         mollifier.mollifier_coefficients(ctx, 1.0)
+    # a single segment past the cap needs 10^6 terms; a lower cap shows it
+    monkeypatch.setattr(mollifier, "_SUPPORT_CAP", 1000)
+    with pytest.raises(ValueError, match="segment 1 support exceeds cap"):
+        mollifier.segment_coefficients(ctx, 1, 1.0)
 
 
 def test_dirichlet_dual_full_product(table_100k):

@@ -52,14 +52,6 @@ def test_first_moment_regressions(fam53, fam101):
     assert abs(rep101.normalized - 5.425590221280275) < 1e-8
 
 
-def test_contributions_sum_to_moment(fam53):
-    rep = moments.family_moment(fam53, 0.5, keep_contributions=True)
-    assert rep.contributions is not None
-    assert len(rep.contributions) == 51
-    total = sum(rep.contributions)
-    assert abs(total - rep.raw_moment) < 1e-9 * max(total, 1.0)
-
-
 def test_power_mean_monotonicity(fam53):
     means = []
     for k in (0.25, 0.5, 1.0):
