@@ -108,6 +108,20 @@ def test_family_counts_audits_and_conjugate_closure(table_100k):
             assert mate.chi.conductor == r.chi.conductor == q
 
 
+def test_conjugate_symmetry(table_100k):
+    # L(1/2, f x chi-bar) is the conjugate of L(1/2, f x chi) on the first
+    # route, and the squared route gives chi and chi-bar the same |L|^2
+    g = characters.build_group(9)
+    recs = {r.chi.index: r for r in lvalues.family_values(table_100k, 9)}
+    for chi in characters.primitive_characters(g):
+        bar = g.character(chi.conjugate_index())
+        a, b = recs[chi.index].value, recs[bar.index].value
+        assert abs(b - a.conjugate()) < 1e-8
+        sq_a = lvalues.central_value_sq(table_100k, chi)
+        sq_b = lvalues.central_value_sq(table_100k, bar)
+        assert abs(sq_a - sq_b) < 1e-8 * max(sq_a, 1.0)
+
+
 def test_family_records_hold_no_value_arrays():
     # each record keeps its character, a (group, index) handle: the family
     # at q = 1009 holds far less than one length-q float array per member
