@@ -76,13 +76,13 @@ class RunConfig:
                          audit_count=self.audit_count)
 
     def ladder(self, q: int) -> mollifier.LadderParams:
+        """The --ell override, else the (N, M) schedule, else the default
+        ladder.  A lone N or M reaches the schedule, which refuses it."""
         k = self.k_list[0]
-        if self.ell is not None:
-            return mollifier.build_ladder(q, N=self.N, M=self.M, k=k,
-                                          override_ell=self.ell)
-        if self.N is not None and self.M is not None:
-            return mollifier.build_ladder(q, N=self.N, M=self.M, k=k)
-        return mollifier.build_ladder(q, k=k, override_ell=DEFAULT_ELL)
+        if self.ell is None and self.N is None and self.M is None:
+            return mollifier.build_ladder(q, k=k, override_ell=DEFAULT_ELL)
+        return mollifier.build_ladder(q, N=self.N, M=self.M, k=k,
+                                      override_ell=self.ell)
 
 
 _DEFAULTS = {
@@ -239,17 +239,16 @@ def _validate(cfg: RunConfig):
             raise _CliError(f"{cfg.command} takes exactly one k")
     if cfg.command == "fit" and len(cfg.q_list) < 4:
         raise _CliError("fit needs at least 4 moduli")
-    if cfg.ell is not None:
-        try:
-            mollifier.build_ladder(max(cfg.q_list or (3,)), k=cfg.k_list[0],
-                                   override_ell=cfg.ell)
-        except ValueError as exc:
-            raise _CliError(f"bad ladder: {exc}")
     for q in cfg.q_list:
         if q < 3 or q % 4 == 2:
             raise _CliError(
                 f"q={q}: need q >= 3 with q not 2 mod 4 "
                 "(no primitive characters otherwise)")
+    if cfg.command in ("mollifier-verify", "audit") or cfg.ell is not None:
+        try:
+            cfg.ladder(max(cfg.q_list or (3,)))
+        except ValueError as exc:
+            raise _CliError(f"bad ladder: {exc}")
 
 
 def _fmt(v) -> str:

@@ -24,7 +24,11 @@ only numpy and builds no Python integer per coefficient.
 The table is returned as signed decimal byte strings, blank-padded to the
 width of the longest entry, which int() reads exactly and
 astype(np.float64) rounds correctly.  Normalized eigenvalues
-lambda(n) = tau(n)/n^((kappa-1)/2) are stored as float64.
+lambda(n) = tau(n)/n^((kappa-1)/2) are stored as float64: float(tau(n))
+divided by n ** 5.5 (for kappa = 12) taken by numpy's array power.  That
+power is not libm's pow: it differs in the last bit for 1,025 of
+n <= 20,000, so the table is not bit-equal to the Python expression
+float(tau) / n ** 5.5.
 shared_eigenform keeps one table per process and, on request, an on-disk
 cache of validated tables that serves any shorter request by prefix.
 """

@@ -116,12 +116,14 @@ def test_04_weight_suite():
     t0 = time.perf_counter()
     failures = []
     ev_w, ev_w2 = lvalues.default_evaluators(12)
-    for kind, ev in (("W", ev_w), ("W2", ev_w2)):
+    # the contour on Re s = 1, at twice its height (12 for W, 40 for W2)
+    # and half its step 1/64
+    for kind, ev, T in (("W", ev_w, 24.0), ("W2", ev_w2, 80.0)):
         if abs(ev.quad(1e-6) - 1.0) > 1e-4:
             failures.append(("limit", kind))
         for x in (0.1, 1.0, 10.0):
-            fine = helpers.contour_weight_two_sided(kind, x, T=2 * ev.T,
-                                                    h=ev.h / 2)
+            fine = helpers.contour_weight_two_sided(kind, x, T=T,
+                                                    h=1.0 / 128)
             base = ev.quad(x)
             if abs(fine.real - base) > 1e-8 * max(abs(base), abs(fine.real)):
                 failures.append(("refinement", kind, x))

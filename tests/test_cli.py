@@ -65,6 +65,10 @@ def test_help_exits_zero(capsys):
     ["tau", "--n-max", "30000000"],                  # beyond TAU_N_MAX
     ["audit", "--q", "17", "--k-list", "0.5,2"],     # exactly one k
     ["mollifier-verify", "--q", "17", "--k-list", "0.5,2"],
+    ["audit", "--q", "17", "--k", "0"],              # the ladder needs k > 0
+    ["audit", "--q", "53", "--N", "0", "--M", "1"],
+    ["audit", "--q", "53", "--N", "2"],              # N without M
+    ["mollifier-verify", "--q", "53", "--M", "2"],   # M without N
 ])
 def test_validation_failures_exit_one(args, capsys):
     rc, out, err = run_cli(args, capsys)
@@ -121,6 +125,18 @@ def test_weights_row_count(capsys):
     assert header == ["x", "W", "W2"]
     assert len(rows) == 25
     assert abs(float(rows[0]["W"]) - 1.0) < 1e-4
+
+
+def test_weights_are_nonincreasing_probabilities(capsys):
+    # each kernel is a tail probability, so its samples lie in [0, 1] and
+    # never rise with x
+    rc, out, _ = run_cli(["weights"], capsys)
+    assert rc == 0
+    _, rows = csv_rows(out)
+    for kind in ("W", "W2"):
+        vals = np.array([float(r[kind]) for r in rows])
+        assert np.all((vals >= 0.0) & (vals <= 1.0)), kind
+        assert np.all(np.diff(vals) <= 0.0), kind
 
 
 _IMPORT_GUARD = """
