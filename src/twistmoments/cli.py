@@ -249,6 +249,13 @@ def _validate(cfg: RunConfig):
             cfg.ladder(max(cfg.q_list or (3,)))
         except ValueError as exc:
             raise _CliError(f"bad ladder: {exc}")
+    if cfg.command in needs_q - {"chars"}:
+        # every L-value truncates where W's grid falls below tail_eps / SAFETY
+        try:
+            lvalues.default_evaluators(cfg.kappa)[0].envelope_cutoff(
+                cfg.tail_eps / lvalues.SAFETY)
+        except ValueError as exc:
+            raise _CliError(f"tail-eps {cfg.tail_eps:g} is too small: {exc}")
 
 
 def _fmt(v) -> str:

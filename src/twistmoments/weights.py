@@ -27,13 +27,13 @@ normalised to sum 1.  The integrands are analytic in the strip
 |Im| < pi/2 and decay like a Gaussian or a double exponential, so the rule
 converges geometrically in the step (Trefethen and Weideman, "The
 exponentially convergent trapezoidal rule").  Every value is a convex
-combination of numbers in [0, 1], so there is no cancellation, no truncated
-contour to guard and no noise floor.
+combination of numbers in [0, 1], so there is no cancellation and no
+truncated contour to guard.
 
 Production evaluation interpolates a 2048-sample log-spaced grid with a
 not-a-knot cubic spline in (log x, log W); direct quadrature stays available
-for audits.  The spline spans every positive sample; past them the kernel
-has underflowed and evaluates to 0.
+for audits.  The spline spans every sample above _FLOOR; past them the
+kernel evaluates to 0.
 """
 
 from __future__ import annotations
@@ -53,6 +53,12 @@ _CHUNK = 64
 # 7.7e-13 of it, and the normalisation would spread that as a 5.9e-13
 # relative error over every x >= 3e-4.
 _NODES = {"W": (-14.0, 26.0, 0.1), "W2": (-16.0, 8.0, 0.08)}
+# quad drops node terms below e^{-708} times Q's polynomial, at most about
+# e^{-680} (1e-295) each.  Samples above this floor keep full relative
+# accuracy (1e-13 against an exact log-space sum); below it W2's last
+# samples are off by up to 4% relative, which the log-space spline cannot
+# take.  Only W2 falls below it on the grid.
+_FLOOR = 1e-280
 
 
 class _NotAKnotSpline:
@@ -126,14 +132,15 @@ class WeightEvaluator:
 
     Args:
         kind: "W" (first-power kernel, with e^{s^2}) or "W2" (squared kernel).
-        kappa: weight of the eigenform, positive and even.
+        kappa: weight of the eigenform; only 12, for which _NODES is sized.
     """
 
     def __init__(self, kind: str, kappa: int = 12):
         if kind not in _NODES:
             raise ValueError(f"kind must be 'W' or 'W2', got {kind!r}")
-        if kappa <= 0 or kappa % 2:
-            raise ValueError(f"kappa must be positive and even, got {kappa}")
+        if kappa != 12:
+            raise ValueError("the trapezoid nodes are sized for kappa = 12, "
+                             f"got {kappa}")
         self.kind = kind
         self.kappa = kappa
         first, last, step = _NODES[kind]
@@ -162,9 +169,9 @@ class WeightEvaluator:
             # w_j Q(a, y) = e^{log w_j - y} sum_{i<a} y^i / i!, the sum by
             # Horner's rule.  An exponential below e^{-708} is taken as 0:
             # numpy's exp is up to 14 times slower where it underflows, and
-            # the terms dropped are below 1e-295 at kappa = 12.  Every term
-            # with y past 708 is dropped, so clamping y at 1e3 changes no
-            # value and keeps the sum finite for kappa below 696.
+            # the terms dropped are at most about 1e-295 each (see _FLOOR).
+            # Every term with y past 708 is dropped, so clamping y at 1e3
+            # changes no value and keeps the polynomial finite.
             np.minimum(y, 1e3, out=y)
             terms = np.full_like(y, self._coef[0])
             for c in self._coef[1:]:
@@ -183,8 +190,8 @@ class WeightEvaluator:
     def _build_grid(self):
         x = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
         v = self.quad(x)
-        zero = np.flatnonzero(v <= 0)
-        end = int(zero[0]) if len(zero) else len(v)
+        below = np.flatnonzero(v <= _FLOOR)
+        end = int(below[0]) if len(below) else len(v)
         self.grid_x = x
         self.grid_vals = v
         self._support_end = float(x[end - 1])
@@ -193,7 +200,7 @@ class WeightEvaluator:
 
     def __call__(self, x) -> np.ndarray | float:
         """Grid-interpolated value, clamped to the left-edge value below the
-        grid and to 0 past the last positive sample."""
+        grid and to 0 past the last sample above _FLOOR."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(xs <= 0):
             raise ValueError("weight argument must be positive")

@@ -69,6 +69,7 @@ def test_help_exits_zero(capsys):
     ["audit", "--q", "53", "--N", "0", "--M", "1"],
     ["audit", "--q", "53", "--N", "2"],              # N without M
     ["mollifier-verify", "--q", "53", "--M", "2"],   # M without N
+    ["lvalue", "--q", "7", "--tail-eps", "1e-21"],   # below W's grid
 ])
 def test_validation_failures_exit_one(args, capsys):
     rc, out, err = run_cli(args, capsys)
