@@ -480,40 +480,30 @@ def _validate_table(lam: np.ndarray, n_max: int) -> None:
         n = int(bad[0]) + 1
         raise ValueError(f"Deligne bound violated at n={n}: "
                          f"|lambda|={abs(lam[n]):.6g} > d(n)={d[n]}")
-    primes = arith.sieve_primes(n_max)
-    # Hecke recursion at every prime power in range
-    for p in primes[primes * primes <= n_max]:
-        pa = int(p)
-        while pa * p <= n_max:
-            nxt = lam[p] * lam[pa] - (lam[pa // p] if pa > p else 1.0)
-            if abs(lam[pa * p] - nxt) > _TABLE_TOL * max(1.0, abs(nxt)):
-                raise ValueError(f"Hecke recursion fails at p={p}, p^a={pa}")
-            pa *= p
     if n_max < 2:
         return
-    # multiplicativity: split every n as p^a * m with p = spf(n), (p, m) = 1
-    s = arith.smallest_prime_factors(n_max)[2:]
-    pa = s.copy()
-    m = np.arange(2, n_max + 1, dtype=np.int64) // s
-    for _ in range(int(math.log2(max(n_max, 2))) + 1):
-        msk = (m > 1) & (m % s == 0)
-        if not msk.any():
-            break
-        pa[msk] *= s[msk]
-        m[msk] //= s[msk]
-    split = m > 1
-    lhs = lam[2:][split]
-    rhs = lam[pa[split]] * lam[m[split]]
-    bad_mult = np.abs(lhs - rhs) > _TABLE_TOL * np.maximum(1.0, np.abs(lhs))
-    if bad_mult.any():
-        raise ValueError(
-            f"multiplicativity fails at {int(bad_mult.sum())} indices")
+    # one relation over every n >= 2, with p = spf(n):
+    #   lambda(n) = lambda(p) lambda(n/p) - [p | n/p] lambda(n/p^2).
+    # For n = p^a m, p not dividing m, it is multiplicativity at a = 1 and
+    # the Hecke recursion at p^a, times lambda(m), at a >= 2.
+    p = arith.smallest_prime_factors(n_max)[2:]
+    m = np.arange(2, n_max + 1) // p
+    nxt = lam[p] * lam[m]
+    again = m % p == 0
+    nxt[again] -= lam[m[again] // p[again]]
+    bad = np.nonzero(np.abs(lam[2:] - nxt)
+                     > _TABLE_TOL * np.maximum(1.0, np.abs(nxt)))[0]
+    if len(bad):
+        n = int(bad[0]) + 2
+        raise ValueError(f"Hecke relation fails at {len(bad)} indices, "
+                         f"first n={n} (p={p[n - 2]})")
 
 
 def build_eigenform(source: str = "builtin-delta", n_max: int = 1000,
                     kappa: int = 12) -> EigenformTable:
     """Build the eigenvalue table and validate it: lambda(1) = 1, the Deligne
-    bound, the Hecke recursion and multiplicativity, each to _TABLE_TOL.
+    bound, and the Hecke recursion with multiplicativity (one relation over
+    every n), each to _TABLE_TOL.
 
     Args:
         source: "builtin-delta", or a path to an "n<TAB>a(n)" coefficient

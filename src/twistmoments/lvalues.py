@@ -24,7 +24,11 @@ and is validated by the doubling test: doubling the cap moves values by well
 under 10 * tail_eps.
 
 The family route bins coefficients by residue class mod q once
-(O(n_cap)), then each character costs one length-q dot product.
+(O(n_cap)), then each character costs one length-q dot product.  The squared
+route is paid per family, not per character: for units a, b mod q,
+chi(a) chibar(b) = chi(a b^-1), so every primitive chi reads one real
+length-q table G built in O(m_cap log m_cap), and |L|^2 = 2 sum_c Re chi(c)
+G[c] is one more length-q dot.
 
 `family_values` is the one way a family is built.  Callers build it once per
 (modulus, config) and hand the records to every moment and audit; each record
@@ -33,6 +37,7 @@ carries the primitive character it was evaluated at.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,24 +136,21 @@ def _check_table(f: EigenformTable, cap: int):
             f"needs n <= {cap}; rebuild the table with a larger n_max")
 
 
-@lru_cache(maxsize=1)
 def _w2_table(q: int, cap: int, kappa: int) -> np.ndarray:
-    """W2(2 pi m / q^2) / sqrt(m) for m = 1..cap, read-only."""
+    """W2(2 pi m / q^2) / sqrt(m) for m = 1..cap."""
     m = np.arange(1, cap + 1)
-    w2s = default_evaluators(kappa)[1](m * (2 * np.pi / (q * q))) / np.sqrt(m)
-    w2s.setflags(write=False)
-    return w2s
+    return default_evaluators(kappa)[1](m * (2 * np.pi / (q * q))) / np.sqrt(m)
 
 
 def central_value_sq(f: EigenformTable, chi: characters.Character,
                      cfg: AfeConfig = DEFAULT_CONFIG) -> float:
-    """|L(1/2, f tensor chi)|^2 by the squared route (the audit formula).
+    """|L(1/2, f tensor chi)|^2 by the squared route for one character.
 
-    Groups the double sum by the product m = ab: one pass over a with a
-    strided dot against the W2(2 pi m/q^2)/sqrt(m) table.  The table depends
-    only on (q, m_cap, kappa), so the audited characters of one family share
-    it: the last one built is kept, and `family_values` drops it before it
-    returns.
+    This is the per-character oracle for `family_values`, which reads the
+    shared residue table instead; no package code calls it, and it is kept
+    for the tests and for the name perfbench/trace_cli.py wraps.  Groups the
+    double sum by the product m = ab: one pass over a with a strided dot
+    against the W2(2 pi m/q^2)/sqrt(m) table.
     """
     if not chi.is_primitive:
         raise ValueError(f"central_value_sq needs a primitive character, "
@@ -184,6 +186,61 @@ def central_value_sq(f: EigenformTable, chi: characters.Character,
     return total.real
 
 
+def _unit_inverses(q: int) -> np.ndarray:
+    """c^-1 mod q at each unit c, 0 at the non-units."""
+    inv = np.zeros(q, dtype=np.int64)
+    for c in range(1, q):
+        if math.gcd(c, q) == 1:
+            inv[c] = pow(c, -1, q)
+    return inv
+
+
+def _check_inverse_symmetry(g: np.ndarray, inv: np.ndarray) -> None:
+    """G[c] = G[c^-1] (swap a and b), so sum_c chi(c) G[c] is real; this
+    stands in for the per-character imaginary-part check."""
+    units = inv > 0
+    gap = np.max(np.abs(g[units] - g[inv[units]]))
+    scale = max(float(np.max(np.abs(g))), 1e-300)
+    if gap > 1e-8 * scale:
+        raise AssertionError(f"residue table not inverse-symmetric: "
+                             f"gap {gap:.3e} at max |G| {scale:.3e}")
+
+
+def _residue_table(f: EigenformTable, q: int, cap: int) -> np.ndarray:
+    """G[c] = sum of lambda(a) lambda(b) W2(2 pi ab/q^2)/sqrt(ab) over the
+    units a, b mod q with ab <= cap and a b^-1 = c (mod q).
+
+    For primitive chi mod q, |L(1/2, f tensor chi)|^2 = 2 sum_c chi(c) G[c].
+    The pairs are split at isqrt(cap) as in `central_value_sq`, with a
+    bincount over the residue of the long index in place of each dot; the
+    short index, a unit, then permutes the bins onto a b^-1.
+    """
+    w2s = _w2_table(q, cap, f.weight)
+    res = np.arange(1, cap + 1) % q          # residue of a (or b), index a-1
+    inv = _unit_inverses(q)
+    binv = inv[res]                          # residue of a^-1, 0 off units
+    lam = np.where(binv > 0, f.lam[1:cap + 1], 0.0)
+    d = np.arange(q)
+    g = np.zeros(q)
+    a0 = math.isqrt(cap)
+    for a in range(1, a0 + 1):
+        if lam[a - 1] == 0.0:
+            continue
+        top = cap // a
+        h = np.bincount(binv[:top], weights=lam[:top] * w2s[a - 1::a][:top],
+                        minlength=q)
+        g[res[a - 1] * d % q] += lam[a - 1] * h
+    for b in range(1, cap // (a0 + 1) + 1):
+        if lam[b - 1] == 0.0:
+            continue
+        hi = cap // b
+        h = np.bincount(res[a0:hi], weights=lam[a0:hi]
+                        * w2s[(a0 + 1) * b - 1::b][:hi - a0], minlength=q)
+        g[d * binv[b - 1] % q] += lam[b - 1] * h
+    _check_inverse_symmetry(g, inv)
+    return g
+
+
 def _residual(value: complex, sq: float) -> float:
     lhs = abs(value) ** 2
     return abs(lhs - sq) / max(lhs, abs(sq), _RESIDUAL_FLOOR)
@@ -198,8 +255,9 @@ def family_values(f: EigenformTable, q: int,
     is found by looking up chi.conjugate_index() among them.
 
     The audit subsample (cfg.audit_count characters, seeded choice) is
-    recomputed through both independent routes; the squared route is skipped
-    with a flag when its truncation would outrun the eigenform table.
+    recomputed through both independent routes, the squared one from the
+    family's residue table; the squared route is skipped with a flag when
+    its truncation would outrun the eigenform table.
     """
     prims = characters.primitive_characters(characters.build_group(q))
     ev = default_evaluators(f.weight)[0]
@@ -208,11 +266,11 @@ def family_values(f: EigenformTable, q: int,
 
     n = np.arange(1, cap + 1)
     coeff = f.lam[1:cap + 1] / np.sqrt(n)
-    w1 = coeff * ev(n * (cfg.X / q))
-    w2 = coeff * ev(n / (q * cfg.X))
     idx = n % q
-    b1 = np.bincount(idx, weights=w1, minlength=q)
-    b2 = np.bincount(idx, weights=w2, minlength=q)
+    b2 = np.bincount(idx, weights=coeff * ev(n / (q * cfg.X)), minlength=q)
+    # at X = 1 both sums weigh n by W(n/q)
+    b1 = b2 if cfg.X == 1 else np.bincount(
+        idx, weights=coeff * ev(n * (cfg.X / q)), minlength=q)
 
     audit_set: set[int] = set()
     if cfg.audit_count > 0:
@@ -227,6 +285,7 @@ def family_values(f: EigenformTable, q: int,
             audit_set = set(
                 int(prims[i].index) for i in
                 rng.choice(len(prims), size=count, replace=False))
+            g = _residue_table(f, q, m_cap)
 
     out = []
     for chi in prims:
@@ -234,7 +293,8 @@ def family_values(f: EigenformTable, q: int,
         value = complex(v @ b1) + characters.iota(chi, f.weight, v) * complex(
             v @ b2).conjugate()
         if chi.index in audit_set:
-            sq = central_value_sq(f, chi, cfg)
+            # G[c] = G[c^-1] and chi(c^-1) = conj chi(c): the sum is real
+            sq = 2.0 * float(v.real @ g)
             audited = True
         else:
             sq = abs(value) ** 2
@@ -246,6 +306,4 @@ def family_values(f: EigenformTable, q: int,
                 f"{res:.3e} beyond {CROSS_TOL:g}")
         out.append(CentralValue(chi=chi, value=value, sq_direct=sq,
                                 residual=res, audited=audited))
-    # the audits' shared W2 table is m_cap long: free it with the family
-    _w2_table.cache_clear()
     return out

@@ -41,6 +41,8 @@ def block_sum(values: np.ndarray) -> float:
     return neumaier(partials)
 
 
+# Reached in the package only from lvalues.central_value_sq, the
+# per-character oracle that no package code calls.
 def block_sum_complex(values: np.ndarray) -> complex:
     v = np.asarray(values)
     if v.size == 0:

@@ -391,6 +391,17 @@ def test_shared_eigenform_cache_serves_prefix(tmp_path):
     assert len(list(tmp_path.glob("eigenform_*.npy"))) == 3
 
 
+@pytest.mark.parametrize("n", [2, 4, 5, 10, 25, 27, 97, 1000])
+def test_validation_flags_each_perturbed_entry(n):
+    # primes, prime powers (the Hecke recursion) and coprime products
+    # (multiplicativity) are all read by the one relation
+    lam = np.array(hecke.build_eigenform(n_max=1000).lam)
+    hecke._validate_table(lam, 1000)
+    lam[n] += 1e-6
+    with pytest.raises(ValueError, match="Hecke relation fails"):
+        hecke._validate_table(lam, 1000)
+
+
 def test_shared_eigenform_rejects_invalid_cache(tmp_path):
     cache = str(tmp_path)
     hecke.shared_eigenform(500, cache_dir=cache)

@@ -174,7 +174,7 @@ def test_small_table_rejected():
 
 def test_family_shares_one_w2_table(family_table, monkeypatch):
     # the audited characters of one family read one W2(2 pi m/q^2)/sqrt(m)
-    # table, and the family does not keep it once its records are built
+    # table, through the family's residue table
     calls = []
     call = weights.WeightEvaluator.__call__
 
@@ -187,11 +187,11 @@ def test_family_shares_one_w2_table(family_table, monkeypatch):
     recs = lvalues.family_values(family_table, 53, cfg)
     assert sum(r.audited for r in recs) == 8
     assert calls.count("W2") == 1
-    assert lvalues._w2_table.cache_info().currsize == 0
 
 
 def test_family_evaluates_each_character_once(family_table, monkeypatch):
-    # the bin dot products and the root factor share one values() array
+    # the bin dot products, the root factor and the audit's dot against the
+    # residue table share one values() array
     calls = []
     values = characters.Character.values
 
@@ -200,6 +200,54 @@ def test_family_evaluates_each_character_once(family_table, monkeypatch):
         return values(self)
     monkeypatch.setattr(characters.Character, "values", counted)
     recs = lvalues.family_values(family_table, 53,
-                                 lvalues.AfeConfig(audit_count=0))
+                                 lvalues.AfeConfig(audit_count=8))
     assert len(recs) == 51
+    assert sum(r.audited for r in recs) == 8
     assert sorted(calls) == sorted(r.chi.index for r in recs)
+
+
+def test_family_never_calls_the_oracle(family_table, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("central_value_sq called")
+    monkeypatch.setattr(lvalues, "central_value_sq", refuse)
+    recs = lvalues.family_values(family_table, 53)
+    assert sum(r.audited for r in recs) == 8
+
+
+@pytest.mark.parametrize("q", [53, 64, 81, 105, 125])
+def test_audits_match_per_character_oracle(q, family_table):
+    # every primitive chi audited: the residue-table |L|^2 against the
+    # per-character double sum, at a prime, a power of 2, odd prime powers
+    # and a composite modulus
+    n = arith.phi_star(q)
+    cfg = lvalues.AfeConfig(tail_eps=1e-5, audit_count=n)
+    recs = lvalues.family_values(family_table, q, cfg)
+    assert sum(r.audited for r in recs) == n
+    for r in recs:
+        want = lvalues.central_value_sq(family_table, r.chi, cfg)
+        assert abs(r.sq_direct - want) <= 1e-11 * max(abs(want), 1e-2), r.chi
+
+
+@pytest.mark.parametrize("q", [53, 101])
+def test_residue_table_family_identity(q, family_table):
+    # at prime q the characters mod q are the primitive ones plus chi_0, so
+    # orthogonality sums 2 sum_c chi(c) G[c] over the family to
+    # 2 ((q - 1) G[1] - sum_c G[c]); the first-power route must agree
+    g = lvalues._residue_table(family_table, q,
+                               lvalues.required_m_cap(q, CFG))
+    by_table = 2.0 * ((q - 1) * g[1] - g.sum())
+    recs = lvalues.family_values(family_table, q,
+                                 lvalues.AfeConfig(audit_count=0))
+    first = sum(abs(r.value) ** 2 for r in recs)
+    assert abs(by_table - first) <= 1e-9 * first
+
+
+def test_residue_table_symmetry_guard():
+    q = 7
+    inv = lvalues._unit_inverses(q)
+    assert [int(inv[c]) for c in range(1, q)] == [1, 4, 5, 2, 3, 6]
+    g = np.array([0.0, 2.0, 1.0, 0.5, 1.0, 0.5, -1.0])
+    lvalues._check_inverse_symmetry(g, inv)
+    g[3] += 1e-6
+    with pytest.raises(AssertionError, match="inverse-symmetric"):
+        lvalues._check_inverse_symmetry(g, inv)
