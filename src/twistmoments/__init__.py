@@ -14,9 +14,22 @@ Modules:
     cli         command-line front end
 """
 
-from . import arith, characters, hecke, lvalues, moments, mollifier, sums, weights
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+# Each layer is registered at once but runs its code on first attribute
+# access, so a command loads only the layers it uses.  cli is left out:
+# `python -m twistmoments.cli` runs it as __main__.
+for _name in ("arith", "characters", "hecke", "lvalues", "moments",
+              "mollifier", "sums", "weights"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
 
 __all__ = [
     "arith", "characters", "hecke", "lvalues", "moments", "mollifier",

@@ -20,8 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import arith, characters, hecke, lvalues, moments, mollifier
-from .lvalues import AfeConfig
+from . import characters, hecke, lvalues, moments, mollifier
 
 DEFAULT_ELL = (8, 2)        # even, decreasing, small enough to act at q ~ 50
 _WEIGHT_SAMPLES = 25
@@ -71,9 +70,9 @@ class RunConfig:
         text = json.dumps(self.identity(), sort_keys=True, default=list)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
-    def afe(self) -> AfeConfig:
-        return AfeConfig(X=self.X, tail_eps=self.tail_eps, seed=self.seed,
-                         audit_count=self.audit_count)
+    def afe(self) -> lvalues.AfeConfig:
+        return lvalues.AfeConfig(X=self.X, tail_eps=self.tail_eps,
+                                 seed=self.seed, audit_count=self.audit_count)
 
     def ladder(self, q: int) -> mollifier.LadderParams:
         """The --ell override, else the (N, M) schedule, else the default
@@ -270,9 +269,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# the C-level formatter that gives _fmt's text for a column whose values all
+# have this exact type (so a bool never takes int's, and numpy scalars and
+# None fall through to _fmt)
+_COLUMN_FMT = {bool: "01".__getitem__, int: str, float: repr, str: str}
+
+
+def _format_column(col: tuple) -> list[str]:
+    kinds = set(map(type, col))
+    fmt = _COLUMN_FMT.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(fmt or _fmt, col))
+
+
 def _csv(cfg: RunConfig, header, rows, comments=()) -> str:
+    """One line per row, each column formatted as a whole."""
     lines = [f"# config {cfg.hash}", ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    cols = [_format_column(col) for col in zip(*rows)]
+    lines.extend(map(",".join, zip(*cols)))
     lines.extend(comments)
     return "\n".join(lines) + "\n"
 

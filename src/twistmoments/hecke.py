@@ -454,19 +454,6 @@ class EigenformTable:
         return float(self.lam[n])
 
 
-def _divisor_count_table(n_max: int) -> np.ndarray:
-    """d(n) for n <= n_max; the i-loop is cut at n_max/32 and the short
-    slices (divisors above that) are folded into 32 strided updates."""
-    d = np.zeros(n_max + 1, dtype=np.int32)
-    t = n_max // 32
-    for i in range(1, t + 1):
-        d[i::i] += 1
-    for j in range(1, n_max // (t + 1) + 1):
-        d[j * (t + 1)::j] += 1
-    d[0] = 0
-    return d
-
-
 # absolute (relative above 1) tolerance of every table invariant
 _TABLE_TOL = 1e-9
 
@@ -474,20 +461,22 @@ _TABLE_TOL = 1e-9
 def _validate_table(lam: np.ndarray, n_max: int) -> None:
     if abs(lam[1] - 1.0) > _TABLE_TOL:
         raise ValueError(f"lambda(1) = {lam[1]!r}, must be 1")
-    d = _divisor_count_table(n_max)
-    bad = np.nonzero(np.abs(lam[1:]) > d[1:] + _TABLE_TOL)[0]
-    if len(bad):
-        n = int(bad[0]) + 1
-        raise ValueError(f"Deligne bound violated at n={n}: "
-                         f"|lambda|={abs(lam[n]):.6g} > d(n)={d[n]}")
     if n_max < 2:
         return
+    # Deligne at the primes, |lambda(p)| <= 2; the relation below then
+    # carries |lambda(n)| <= d(n) to every n
+    p = arith.smallest_prime_factors(n_max)[2:]
+    n = np.arange(2, n_max + 1)
+    primes = np.flatnonzero(p == n) + 2
+    bad = primes[np.abs(lam[primes]) > 2.0 + _TABLE_TOL]
+    if len(bad):
+        raise ValueError(f"Deligne bound violated at p={bad[0]}: "
+                         f"|lambda|={abs(lam[bad[0]]):.6g} > 2")
     # one relation over every n >= 2, with p = spf(n):
     #   lambda(n) = lambda(p) lambda(n/p) - [p | n/p] lambda(n/p^2).
     # For n = p^a m, p not dividing m, it is multiplicativity at a = 1 and
     # the Hecke recursion at p^a, times lambda(m), at a >= 2.
-    p = arith.smallest_prime_factors(n_max)[2:]
-    m = np.arange(2, n_max + 1) // p
+    m = n // p
     nxt = lam[p] * lam[m]
     again = m % p == 0
     nxt[again] -= lam[m[again] // p[again]]
@@ -502,8 +491,8 @@ def _validate_table(lam: np.ndarray, n_max: int) -> None:
 def build_eigenform(source: str = "builtin-delta", n_max: int = 1000,
                     kappa: int = 12) -> EigenformTable:
     """Build the eigenvalue table and validate it: lambda(1) = 1, the Deligne
-    bound, and the Hecke recursion with multiplicativity (one relation over
-    every n), each to _TABLE_TOL.
+    bound at the primes, and the Hecke recursion with multiplicativity (one
+    relation over every n), each to _TABLE_TOL.
 
     Args:
         source: "builtin-delta", or a path to an "n<TAB>a(n)" coefficient

@@ -52,8 +52,9 @@ class AfeConfig:
     """Truncation and audit policy for the functional-equation sums.
 
     tail_eps is the target absolute tail of each truncated sum.
-    audit_count characters per family get the expensive |L|^2 double-sum
-    cross-check (0 disables it).
+    audit_count characters per family get the squared-route |L|^2
+    cross-check, one length-q dot against the family's residue table
+    (0 disables it).
     """
 
     X: float = 1.0

@@ -4,6 +4,7 @@ import collections
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -160,6 +161,75 @@ def test_cli_never_imports_scipy():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_csv_columns_match_per_cell_formatting():
+    # the column formatters must give the old per-cell _fmt text: bools as
+    # 0/1 (never int's str), floats by repr, None as empty, numpy scalars
+    # as their Python values
+    cfg = cli._resolve(cli._build_parser().parse_args(["chars", "--q", "5"]))
+    rows = [
+        (True, 3, 0.1, "pointwise", None, np.float64(2.5), np.int64(-7),
+         1, True),
+        (False, -12, 1e-300, "holder", 1.25, np.float64(1 / 3), np.int64(0),
+         2.0, np.bool_(False)),
+        (True, 10**20, float("inf"), "", -0.0, np.float64(-1e20),
+         np.int64(5), None, 1),
+    ]
+
+    def per_cell(rows):
+        return "".join(",".join(cli._fmt(v) for v in row) + "\n"
+                       for row in rows)
+
+    head = f"# config {cfg.hash}\nh\n"
+    assert cli._csv(cfg, ["h"], rows) == head + per_cell(rows)
+    assert cli._csv(cfg, ["h"], (r for r in rows), ["# c"]) == (
+        head + per_cell(rows) + "# c\n")
+    assert cli._csv(cfg, ["h"], []) == head
+    assert cli._csv(cfg, ["h"], (r for r in [])) == head
+
+_ROOT = pathlib.Path(__file__).parent.parent
+_FRESH_ENV = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+
+_LAZY_GUARD = """
+import contextlib, io, sys, types
+from twistmoments import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(sys.argv[1:]) == 0
+for name in ("arith", "characters", "hecke", "lvalues", "moments",
+             "mollifier", "sums", "weights"):
+    if type(sys.modules["twistmoments." + name]) is not types.ModuleType:
+        print(name)
+"""
+
+
+@pytest.mark.parametrize("args, unloaded", [
+    (["chars", "--q", "9"],
+     {"lvalues", "weights", "sums", "moments", "mollifier"}),
+    (["tau", "--n-max", "10"],
+     {"characters", "lvalues", "weights", "sums", "moments", "mollifier"}),
+])
+def test_commands_load_only_their_layers(args, unloaded):
+    # a layer whose code never ran is still its lazy stand-in in sys.modules
+    proc = subprocess.run([sys.executable, "-c", _LAZY_GUARD, *args],
+                          capture_output=True, text=True, env=_FRESH_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert unloaded <= set(proc.stdout.split()), proc.stdout
+
+
+@pytest.mark.parametrize("args", [["chars", "--q", "5"],
+                                  ["lvalue", "--q", "7"]])
+def test_tracer_runs_on_lazy_layers(tmp_path, args):
+    # perfbench/trace_cli.py reads every layer from sys.modules after
+    # importing only the cli, then wraps their functions
+    trace = tmp_path / "t.json"
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "perfbench" / "trace_cli.py"),
+         str(trace), "--", *args],
+        capture_output=True, text=True, env=_FRESH_ENV)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    assert "characters.group" in {span[0] for span in spans}
 
 
 def test_lvalue_family(capsys):

@@ -402,6 +402,15 @@ def test_validation_flags_each_perturbed_entry(n):
         hecke._validate_table(lam, 1000)
 
 
+def test_validation_flags_deligne_at_a_large_prime():
+    # 997 > n_max / 2 enters the relation only as lambda(997) lambda(1),
+    # so only the bound at the primes sees it
+    lam = np.array(hecke.build_eigenform(n_max=1000).lam)
+    lam[997] = 2.5
+    with pytest.raises(ValueError, match="Deligne"):
+        hecke._validate_table(lam, 1000)
+
+
 def test_shared_eigenform_rejects_invalid_cache(tmp_path):
     cache = str(tmp_path)
     hecke.shared_eigenform(500, cache_dir=cache)
