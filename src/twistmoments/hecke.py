@@ -459,7 +459,8 @@ _TABLE_TOL = 1e-9
 
 
 def _validate_table(lam: np.ndarray, n_max: int) -> None:
-    if abs(lam[1] - 1.0) > _TABLE_TOL:
+    # every test is written so that a NaN fails it
+    if not abs(lam[1] - 1.0) <= _TABLE_TOL:
         raise ValueError(f"lambda(1) = {lam[1]!r}, must be 1")
     if n_max < 2:
         return
@@ -468,7 +469,7 @@ def _validate_table(lam: np.ndarray, n_max: int) -> None:
     p = arith.smallest_prime_factors(n_max)[2:]
     n = np.arange(2, n_max + 1)
     primes = np.flatnonzero(p == n) + 2
-    bad = primes[np.abs(lam[primes]) > 2.0 + _TABLE_TOL]
+    bad = primes[~(np.abs(lam[primes]) <= 2.0 + _TABLE_TOL)]
     if len(bad):
         raise ValueError(f"Deligne bound violated at p={bad[0]}: "
                          f"|lambda|={abs(lam[bad[0]]):.6g} > 2")
@@ -480,8 +481,8 @@ def _validate_table(lam: np.ndarray, n_max: int) -> None:
     nxt = lam[p] * lam[m]
     again = m % p == 0
     nxt[again] -= lam[m[again] // p[again]]
-    bad = np.nonzero(np.abs(lam[2:] - nxt)
-                     > _TABLE_TOL * np.maximum(1.0, np.abs(nxt)))[0]
+    bad = np.nonzero(~(np.abs(lam[2:] - nxt)
+                       <= _TABLE_TOL * np.maximum(1.0, np.abs(nxt))))[0]
     if len(bad):
         n = int(bad[0]) + 2
         raise ValueError(f"Hecke relation fails at {len(bad)} indices, "

@@ -24,7 +24,6 @@ import numpy as np
 from . import arith, characters, lvalues, mollifier
 from .hecke import EigenformTable
 from .lvalues import AfeConfig, DEFAULT_CONFIG
-from .mollifier import MollifierContext
 
 _SLACK = 1e-9
 _TINY = 1e-300
@@ -83,7 +82,7 @@ class InequalityAudit:
         return [c for c in self.checks if not c.ok]
 
 
-def _family_q(ctx: MollifierContext, recs) -> int:
+def _family_q(ctx: mollifier.MollifierContext, recs) -> int:
     """The family's modulus, checked against the mollifier context's."""
     q = recs[0].chi.group.q
     if ctx.segments.q != q:
@@ -116,7 +115,8 @@ def family_moment(recs, k: float) -> MomentReport:
         log_q=logq, ratio_to_logq_pow_k2=normalized / logq ** (k * k))
 
 
-def twisted_first_moment(ctx: MollifierContext, recs, k: float) -> complex:
+def twisted_first_moment(ctx: mollifier.MollifierContext, recs,
+                         k: float) -> complex:
     """Sum* L(1/2) N(conj chi, k) N(chi, k-1) over the family.
 
     Returned as a complex number; the family is closed under conjugation, so
@@ -146,7 +146,7 @@ class DiagonalCheck:
     local_terms: tuple[float, ...]
 
 
-def diagonal_factorization_check(ctx: MollifierContext,
+def diagonal_factorization_check(ctx: mollifier.MollifierContext,
                                  k: float) -> DiagonalCheck:
     """Exact identity behind the diagonal of the twisted first moment.
 
@@ -235,7 +235,7 @@ def diagonal_local_factor(table: EigenformTable, p: int, k: float,
             "bound": bound, "ok": dev <= bound}
 
 
-def pointwise_inequality_audit(ctx: MollifierContext,
+def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
                                chi: characters.Character,
                                k: float | None = None) -> InequalityAudit:
     """Per-character regime checks of the truncated-exponential bounds.
@@ -302,7 +302,7 @@ def pointwise_inequality_audit(ctx: MollifierContext,
     return InequalityAudit(q=ctx.segments.q, k=kk, checks=tuple(checks))
 
 
-def family_pointwise_audit(ctx: MollifierContext, recs,
+def family_pointwise_audit(ctx: mollifier.MollifierContext, recs,
                            k: float | None = None) -> InequalityAudit:
     """Pointwise audit over every character of the family."""
     q = _family_q(ctx, recs)
@@ -314,8 +314,9 @@ def family_pointwise_audit(ctx: MollifierContext, recs,
     return InequalityAudit(q=q, k=kk, checks=tuple(checks))
 
 
-def _upper_weights(ctx: MollifierContext, chi: characters.Character,
-                   alpha: float, k: float) -> float:
+def _upper_weights(ctx: mollifier.MollifierContext,
+                   chi: characters.Character, alpha: float,
+                   k: float) -> float:
     """sum_v (prod_{j<=v} |N_j(chi, alpha)|^2) |Q_(v+1)(chi, k)|^2."""
     total = 0.0
     running = 1.0
@@ -326,7 +327,7 @@ def _upper_weights(ctx: MollifierContext, chi: characters.Character,
     return total
 
 
-def _upper_terms(ctx: MollifierContext, recs, k: float):
+def _upper_terms(ctx: mollifier.MollifierContext, recs, k: float):
     """Per-character terms of the guarded family sums, in family order.
 
     Returns five lists: |L N(chi, k-1)|^2, |L|^2 A(chi), the guarded product
@@ -347,7 +348,7 @@ def _upper_terms(ctx: MollifierContext, recs, k: float):
     return ln, la, guard, A, B
 
 
-def holder_chain_audit(ctx: MollifierContext, recs,
+def holder_chain_audit(ctx: mollifier.MollifierContext, recs,
                        k: float) -> InequalityAudit:
     """Family-level Hoelder splittings, asserted with constant 1.
 
@@ -421,7 +422,8 @@ class Prop56Report:
     normalized: tuple[float, float, float, float]
 
 
-def prop56_quantities(ctx: MollifierContext, recs, k: float) -> Prop56Report:
+def prop56_quantities(ctx: mollifier.MollifierContext, recs,
+                      k: float) -> Prop56Report:
     """The guarded family sums that cap the moment from above.
 
     A(chi) and B(chi) are the upper-principle weights built from

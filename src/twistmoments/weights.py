@@ -33,7 +33,11 @@ truncated contour to guard.
 Production evaluation interpolates a 2048-sample log-spaced grid with a
 not-a-knot cubic spline in (log x, log W); direct quadrature stays available
 for audits.  The spline spans every sample above _FLOOR; past them the
-kernel evaluates to 0.
+kernel evaluates to 0.  The knots are uniform in log x, so a point's cell is
+index arithmetic, trunc((log x - t_0)/h), corrected by at most one step each
+way against the knots themselves, with no search.  Points are taken
+_EVAL_BLOCK at a time and each block is written straight into the output
+array, so a call's working set is its output plus one block of scratch.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ _GRID_SIZE = 2048
 _GRID_LO = 1e-8
 _GRID_HI = 1e6
 _CHUNK = 64
+# points per block of a spline evaluation; the scratch is sized by it
+_EVAL_BLOCK = 4096
 # trapezoid nodes (first, last, step) in v for W and in u for W2, sized for
 # kappa = 12, the one weight the CLI takes.  The ends are sized against an
 # exact oracle, not by halving the step, which cannot see them: the mass cut
@@ -62,17 +68,27 @@ _FLOOR = 1e-280
 
 
 class _NotAKnotSpline:
-    """Cubic spline through (x_i, y_i), x strictly increasing, n >= 4, with
-    not-a-knot ends: the third derivative is continuous at x_1 and x_{n-2}.
+    """Cubic spline through (x_i, y_i) on uniform knots x_i = x_0 + i h,
+    n >= 4, with not-a-knot ends: the third derivative is continuous at x_1
+    and x_{n-2}.
 
     The knot slopes solve a tridiagonal system whose end rows carry the
     not-a-knot conditions; its eliminated pivots are dx_0 + dx_1 and the like,
     so the Thomas sweep needs no pivoting.  Each interval then holds the cubic
-    Hermite polynomial in powers of (x - x_i).
+    Hermite polynomial in powers of (x - x_i), one row of four coefficients.
+
+    A point's interval is i = trunc((x - x_0)/h), clamped to [1, n-3], then
+    moved up one where x_{i+1} <= x and down one where x_i > x: the largest i
+    in [0, n-2] with x_i <= x, as a binary search over the knots would find.
+    The one-step correction needs every knot within h/4 of x_0 + i h, which
+    the constructor checks.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         n = len(x)
+        h = (x[-1] - x[0]) / (n - 1)
+        if np.any(np.abs(x - (x[0] + h * np.arange(n))) > h / 4):
+            raise ValueError("spline knots must be uniform to within h/4")
         dx = np.diff(x)
         slope = np.diff(y) / dx
         # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
@@ -95,15 +111,51 @@ class _NotAKnotSpline:
         s = _thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self._x = x
+        self._x0 = float(x[0])
+        self._inv_h = 1 / h
+        # row i: (a, b, c, e) of ((a d + b) d + c) d + e, d = x - x_i
         self._coef = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1],
-                               y[:-1]])
+                               y[:-1]], axis=1)
 
-    def __call__(self, xv: np.ndarray) -> np.ndarray:
-        i = np.clip(np.searchsorted(self._x, xv, side="right") - 1,
-                    0, len(self._x) - 2)
-        d = xv - self._x[i]
-        a, b, c, e = self._coef[:, i]
-        return ((a * d + b) * d + c) * d + e
+    def __call__(self, xv) -> np.ndarray:
+        out = np.array(xv, dtype=float)
+        scratch = self.scratch(len(out))
+        for lo in range(0, len(out), _EVAL_BLOCK):
+            self.eval_block(out[lo:lo + _EVAL_BLOCK], scratch)
+        return out
+
+    @staticmethod
+    def scratch(n: int) -> tuple:
+        """Work arrays for eval_block on blocks of up to min(n, _EVAL_BLOCK)
+        points: cell index, step mask, knot or offset, coefficient rows."""
+        m = min(n, _EVAL_BLOCK)
+        return (np.empty(m, np.intp), np.empty(m, bool), np.empty(m),
+                np.empty((m, 4)))
+
+    def eval_block(self, buf: np.ndarray, scratch: tuple) -> None:
+        """Replace the points in buf (one block) by the spline's values."""
+        m = len(buf)
+        i, step, knot, rows = (a[:m] for a in scratch)
+        np.subtract(buf, self._x0, out=knot)
+        knot *= self._inv_h
+        np.clip(knot, 1, len(self._x) - 3, out=knot)
+        np.copyto(i, knot, casting="unsafe")        # trunc, as knot >= 1
+        # mode="clip" only spares numpy a buffered copy: i is in range
+        np.take(self._x[1:], i, out=knot, mode="clip")
+        np.less_equal(knot, buf, out=step)
+        i += step
+        np.take(self._x, i, out=knot, mode="clip")
+        np.greater(knot, buf, out=step)
+        i -= step
+        np.take(self._x, i, out=knot, mode="clip")
+        np.subtract(buf, knot, out=knot)            # d = x - x_i
+        np.take(self._coef, i, axis=0, out=rows, mode="clip")
+        np.multiply(rows[:, 0], knot, out=buf)
+        buf += rows[:, 1]
+        buf *= knot
+        buf += rows[:, 2]
+        buf *= knot
+        buf += rows[:, 3]
 
 
 def _thomas(sub: list, diag: list, sup: list, rhs: list) -> np.ndarray:
@@ -161,7 +213,7 @@ class WeightEvaluator:
         Q(a, 2 pi x e^{-t_j}) over the nodes.  Points are taken _CHUNK at a
         time, so the working set stays bounded for any number of points."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs <= 0):
+        if not np.all(xs > 0):
             raise ValueError("weight argument must be positive")
         out = np.empty(len(xs))
         for lo in range(0, len(xs), _CHUNK):
@@ -200,16 +252,34 @@ class WeightEvaluator:
 
     def __call__(self, x) -> np.ndarray | float:
         """Grid-interpolated value, clamped to the left-edge value below the
-        grid and to 0 past the last sample above _FLOOR."""
+        grid and to 0 past the last sample above _FLOOR.
+
+        Each block of _EVAL_BLOCK points is written into the output as log x,
+        then replaced by the spline's value in place and exponentiated, so
+        the call allocates its output and one block of scratch.  A block
+        with points off [_GRID_LO, _support_end] is clamped onto it first and
+        those points are overwritten afterwards.
+        """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs <= 0):
-            raise ValueError("weight argument must be positive")
-        out = np.zeros(len(xs))
-        low = xs < _GRID_LO
-        out[low] = self._left_val
-        mid = ~low & (xs <= self._support_end)
-        if np.any(mid):
-            out[mid] = np.exp(self._spline(np.log(xs[mid])))
+        out = np.empty(len(xs))
+        scratch = self._spline.scratch(len(xs))
+        for lo in range(0, len(xs), _EVAL_BLOCK):
+            blk = xs[lo:lo + _EVAL_BLOCK]
+            res = out[lo:lo + _EVAL_BLOCK]
+            least, most = blk.min(), blk.max()
+            if not least > 0:
+                raise ValueError("weight argument must be positive")
+            inside = least >= _GRID_LO and most <= self._support_end
+            if inside:
+                np.log(blk, out=res)
+            else:
+                np.log(np.clip(blk, _GRID_LO, self._support_end, out=res),
+                       out=res)
+            self._spline.eval_block(res, scratch)
+            np.exp(res, out=res)
+            if not inside:
+                res[blk < _GRID_LO] = self._left_val
+                res[blk > self._support_end] = 0.0
         return out if np.ndim(x) else float(out[0])
 
     def envelope_cutoff(self, eps: float) -> float:

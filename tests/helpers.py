@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 from scipy.special import loggamma
 
-from twistmoments import lvalues, sums
+from twistmoments import lvalues, sums, weights
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -260,3 +260,30 @@ def _two_sided_kernel(kind, kappa, c, T, h):
     kern[0] *= 0.5
     kern[-1] *= 0.5
     return s, kern
+
+
+def searchsorted_spline(spline, t) -> np.ndarray:
+    """The spline's values at t, each point's interval found by a binary
+    search over the knots: the lookup the index arithmetic replaced."""
+    knots = spline._x
+    i = np.clip(np.searchsorted(knots, t, side="right") - 1,
+                0, len(knots) - 2)
+    d = t - knots[i]
+    a, b, c, e = spline._coef[i].T
+    return ((a * d + b) * d + c) * d + e
+
+
+def searchsorted_weight(ev, x):
+    """WeightEvaluator.__call__ on whole arrays with masks and a binary
+    search per point, for the same contract: the left-edge value below the
+    grid, 0 past the support, ValueError for a non-positive or NaN x."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(xs > 0):
+        raise ValueError("weight argument must be positive")
+    out = np.zeros(len(xs))
+    low = xs < weights._GRID_LO
+    out[low] = ev._left_val
+    mid = ~low & (xs <= ev._support_end)
+    if np.any(mid):
+        out[mid] = np.exp(searchsorted_spline(ev._spline, np.log(xs[mid])))
+    return out if np.ndim(x) else float(out[0])

@@ -12,7 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from twistmoments import characters, cli, hecke, lvalues, mollifier
+from twistmoments import characters, cli, hecke, lvalues, mollifier, weights
+
+import helpers
 
 
 def run_cli(args, capsys):
@@ -167,7 +169,8 @@ def test_csv_columns_match_per_cell_formatting():
     # the column formatters must give the old per-cell _fmt text: bools as
     # 0/1 (never int's str), floats by repr, None as empty, numpy scalars
     # as their Python values
-    cfg = cli._resolve(cli._build_parser().parse_args(["chars", "--q", "5"]))
+    args = ["chars", "--q", "5"]
+    cfg = cli._resolve(cli._build_parser(args).parse_args(args))
     rows = [
         (True, 3, 0.1, "pointwise", None, np.float64(2.5), np.int64(-7),
          1, True),
@@ -208,6 +211,7 @@ for name in ("arith", "characters", "hecke", "lvalues", "moments",
      {"lvalues", "weights", "sums", "moments", "mollifier"}),
     (["tau", "--n-max", "10"],
      {"characters", "lvalues", "weights", "sums", "moments", "mollifier"}),
+    (["sweep", "--q-list", "5,7,9,11", "--fit"], {"mollifier"}),
 ])
 def test_commands_load_only_their_layers(args, unloaded):
     # a layer whose code never ran is still its lazy stand-in in sys.modules
@@ -452,6 +456,20 @@ def test_corrupt_cache_file_exits_two(tmp_path, capsys):
     assert "corrupt cache file" in err
 
 
+def test_nan_in_cache_file_exits_two(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["lvalue", "--q", "7", "--cache-dir", str(cache)]
+    rc, _, _ = run_cli(args, capsys)
+    assert rc == 0
+    (path,) = cache.glob("eigenform_*.npy")
+    lam = np.load(path)
+    lam[10] = np.nan
+    np.save(path, lam)
+    rc, _, err = run_cli(args, capsys)
+    assert rc == 2
+    assert "corrupt cache file" in err
+
+
 def test_tracer_names_resolve():
     # perfbench/trace_cli.py wraps these package attributes by name; a
     # rename or deletion here would break `perfbench/run.py --trace 1`
@@ -465,3 +483,39 @@ def test_tracer_names_resolve():
         for part in attr_path.split("."):
             owner = getattr(owner, part)
         assert callable(owner) or isinstance(owner, property), attr_path
+
+
+# ------------------------------------------------------- parser per command
+
+def _usage_cases():
+    cases = [[], ["-h"], ["--help"], ["nosuch"], ["nosuch", "--q", "5"],
+             ["--bogus", "chars", "--q", "5"]]
+    for name in cli._COMMANDS:
+        cases += [[name, "--help"], [name, "--bogus"], [name, "--q", "x"],
+                  [name, "--format", "xml"], ["--bogus", name, "--q", "x"]]
+    return cases
+
+
+@pytest.mark.parametrize("args", _usage_cases(), ids=" ".join)
+def test_parser_flags_only_the_named_command(args, capsys, monkeypatch):
+    # the parser flags only the command argv names; help, usage errors and
+    # exit codes must read as with the flags on all nine subcommands
+    got = run_cli(args, capsys)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda commands: full(cli._COMMANDS))
+    assert got == run_cli(args, capsys)
+
+
+# ------------------------------------------------ kernel lookup against oracle
+
+@pytest.mark.parametrize("args", [
+    ["lvalue", "--q", "53"],
+    ["sweep", "--q-list", "17,29,37,53", "--fit"],
+])
+def test_searchsorted_kernel_gives_the_same_bytes(args, capsys, monkeypatch):
+    want = run_cli(args, capsys)
+    assert want[0] == 0
+    monkeypatch.setattr(weights.WeightEvaluator, "__call__",
+                        helpers.searchsorted_weight)
+    assert run_cli(args, capsys) == want

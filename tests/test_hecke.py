@@ -411,6 +411,18 @@ def test_validation_flags_deligne_at_a_large_prime():
         hecke._validate_table(lam, 1000)
 
 
+@pytest.mark.parametrize("n, check", [(1, r"lambda\(1\)"), (2, "Deligne"),
+                                      (10, "Hecke relation"),
+                                      (997, "Deligne")])
+def test_validation_rejects_nan(n, check):
+    # each check must fail for NaN, and the first one to read the entry
+    # says so: lambda(1), the bound at a prime, the relation at a composite
+    lam = np.array(hecke.build_eigenform(n_max=1000).lam)
+    lam[n] = np.nan
+    with pytest.raises(ValueError, match=check):
+        hecke._validate_table(lam, 1000)
+
+
 def test_shared_eigenform_rejects_invalid_cache(tmp_path):
     cache = str(tmp_path)
     hecke.shared_eigenform(500, cache_dir=cache)

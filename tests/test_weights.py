@@ -1,5 +1,7 @@
 """Weight kernels: quadrature accuracy, grid fidelity, decay and errors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -129,6 +131,15 @@ def test_constructor_validation(ev_w):
         ev_w.quad(-1.0)
 
 
+def test_nan_argument_raises(ev_w, ev_w2):
+    for ev in (ev_w, ev_w2):
+        for bad in (np.nan, np.array([1.0, np.nan, 2.0]), -np.inf):
+            with pytest.raises(ValueError):
+                ev(bad)
+            with pytest.raises(ValueError):
+                ev.quad(bad)
+
+
 def test_decay_audit(ev_w, ev_w2):
     for ev in (ev_w, ev_w2):
         m = weights.decay_audit(ev, 3.0)
@@ -169,3 +180,79 @@ def test_cutoffs_match_scipy_route(ev_w, ev_w2):
         for tail_eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
             assert (ev.envelope_cutoff(tail_eps / lvalues.SAFETY)
                     == ref.envelope_cutoff(tail_eps / lvalues.SAFETY))
+
+
+# ----------------------------------------------- lookup against the oracle
+
+def _same(ev, xs):
+    return np.array_equal(ev(xs), helpers.searchsorted_weight(ev, xs))
+
+
+def test_lookup_matches_searchsorted_at_knots(ev_w, ev_w2):
+    # a knot is where the index arithmetic and its correction can slip
+    for ev in (ev_w, ev_w2):
+        t = ev._spline._x
+        pts = np.concatenate([t, np.nextafter(t, -np.inf),
+                              np.nextafter(t, np.inf)])
+        assert np.array_equal(ev._spline(pts),
+                              helpers.searchsorted_spline(ev._spline, pts))
+        x = ev.grid_x[:len(t)]
+        assert _same(ev, np.concatenate([x, np.nextafter(x, 0),
+                                         np.nextafter(x, np.inf)]))
+
+
+def test_lookup_matches_searchsorted_off_the_grid(ev_w, ev_w2):
+    # 10^5 points over [_GRID_LO / 100, 100 _support_end], so many blocks
+    # hold points on both sides of the spline's span
+    rng = np.random.default_rng(14)
+    for ev in (ev_w, ev_w2):
+        lo, hi = weights._GRID_LO / 100, 100 * ev._support_end
+        xs = np.exp(rng.uniform(np.log(lo), np.log(hi), 10**5))
+        assert (xs < weights._GRID_LO).any()
+        assert (xs > ev._support_end).any()
+        assert _same(ev, xs)
+        assert _same(ev, np.sort(xs))
+
+
+@pytest.mark.parametrize("q", [17, 53, 149, 211])
+def test_lookup_matches_searchsorted_on_family_arguments(ev_w, ev_w2, q):
+    # the arrays family_values passes to W and _w2_table passes to W2
+    for X in (0.5, 1.0, 2.0):
+        cfg = lvalues.AfeConfig(X=X)
+        n = np.arange(1, lvalues.required_n_cap(q, cfg) + 1)
+        assert _same(ev_w, n / (q * X))
+        assert _same(ev_w, n * (X / q))
+    m = np.arange(1, lvalues.required_m_cap(q) + 1)
+    assert _same(ev_w2, m * (2 * np.pi / (q * q)))
+
+
+def test_lookup_scalar_and_empty_inputs(ev_w, ev_w2):
+    for ev in (ev_w, ev_w2):
+        for x in (1e-9, 0.3, 7.0, 1e9, np.float64(2.5), np.array(2.5)):
+            got, want = ev(x), helpers.searchsorted_weight(ev, x)
+            assert type(got) is float and got == want
+        empty = ev(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_lookup_working_set_is_the_output(ev_w, ev_w2):
+    # the searchsorted route peaked at 9.25 times the output's bytes
+    xs = np.arange(1, 10**6 + 1) / 211
+    for ev in (ev_w, ev_w2):
+        tracemalloc.start()
+        try:
+            out = ev(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes
+
+
+def test_spline_refuses_jittered_knots():
+    t = np.linspace(0.0, 1.0, 64)
+    y = np.sin(t)
+    weights._NotAKnotSpline(t, y)
+    jittered = t.copy()
+    jittered[30] += 0.3 * (t[1] - t[0])
+    with pytest.raises(ValueError, match="uniform"):
+        weights._NotAKnotSpline(jittered, y)
