@@ -287,8 +287,9 @@ def gauss_sum(chi: Character, values: np.ndarray | None = None) -> complex:
     return complex(np.dot(values, _e_table(chi.group.q)))
 
 
-def iota(chi: Character, kappa: int, values: np.ndarray) -> complex:
-    """Root factor i^kappa tau(chi)^2 / q of the functional equation.
+def iota(chi: Character, values: np.ndarray) -> complex:
+    """Root factor tau(chi)^2 / q of the functional equation of the twist of
+    Delta by chi (the i^kappa of a weight-kappa form is i^12 = 1).
 
     values: chi.values(), which every caller already holds.
 
@@ -297,9 +298,8 @@ def iota(chi: Character, kappa: int, values: np.ndarray) -> complex:
     """
     if not chi.is_primitive:
         raise ValueError(f"iota needs a primitive character, got {chi!r}")
-    i_pow = (1, 1j, -1, -1j)[kappa % 4]
     t = gauss_sum(chi, values)
-    return i_pow * t * t / chi.group.q
+    return t * t / chi.group.q
 
 
 def kloosterman(u: int, v: int, q: int) -> float:

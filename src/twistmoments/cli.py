@@ -44,7 +44,6 @@ class RunConfig:
     command: str
     q_list: tuple[int, ...]
     k_list: tuple[float, ...]
-    kappa: int
     X: float
     tail_eps: float
     ell: tuple[int, ...] | None
@@ -59,10 +58,12 @@ class RunConfig:
     fit: bool
 
     def identity(self) -> dict:
-        """Every field that decides the results.  Where they are written and
-        where tables are cached do not change the content."""
+        """Every field that decides the results, and the weight 12 of Delta,
+        the one form the package computes with.  Where results are written
+        and where tables are cached do not change the content."""
         d = asdict(self)
         del d["out"], d["cache_dir"]
+        d["kappa"] = 12
         return d
 
     @property
@@ -85,18 +86,17 @@ class RunConfig:
 
 
 _DEFAULTS = {
-    "kappa": 12, "X": 1.0, "tail_eps": 1e-8, "format": "csv",
+    "X": 1.0, "tail_eps": 1e-8, "format": "csv",
     "seed": 0, "audit_count": 8, "n_max": 100, "fit": False,
 }
 # every setting a config file or a flag may give
-_KEYS = ("q", "q_list", "k", "k_list", "kappa", "X", "tail_eps", "ell", "N",
-         "M", "format", "out", "cache_dir", "seed", "audit_count", "n_max",
-         "fit")
+_KEYS = ("q", "q_list", "k", "k_list", "X", "tail_eps", "ell", "N", "M",
+         "format", "out", "cache_dir", "seed", "audit_count", "n_max", "fit")
 
 
 def _build_parser(commands) -> _Parser:
     """Every subcommand, with the flags on those named in commands only.
-    Only the subcommand argv names is ever parsed, and the 18 flags on all
+    Only the subcommand argv names is ever parsed, and the 17 flags on all
     nine took a fresh process about 3 ms.  Help and usage errors read the
     same as with the flags on all of them."""
     p = _Parser(prog="twistmoments", description=__doc__.splitlines()[0])
@@ -110,7 +110,6 @@ def _build_parser(commands) -> _Parser:
         sp.add_argument("--q-list", help="comma-separated moduli")
         sp.add_argument("--k", type=float)
         sp.add_argument("--k-list", help="comma-separated exponents")
-        sp.add_argument("--kappa", type=int)
         sp.add_argument("--X", type=float)
         sp.add_argument("--tail-eps", type=float)
         sp.add_argument("--ell", help="comma-separated ladder override")
@@ -200,8 +199,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
     cfg = RunConfig(
         command=args.command, q_list=q_list, k_list=k_list,
-        kappa=num("kappa"), X=num("X", float),
-        tail_eps=num("tail_eps", float),
+        X=num("X", float), tail_eps=num("tail_eps", float),
         ell=_parse_list(merged.get("ell"), "ell", int),
         N=num("N"), M=num("M"),
         format=str(merged["format"]), out=merged.get("out"),
@@ -215,11 +213,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 def _validate(cfg: RunConfig):
     if cfg.format not in ("csv", "json"):
         raise _CliError(f"format must be csv or json, got {cfg.format!r}")
-    if cfg.kappa != 12:
-        raise _CliError("only the built-in weight-12 eigenform is wired in; "
-                        "--kappa must be 12")
+    # NaN fails the first test of X, inf the second
     if not cfg.X > 0:
         raise _CliError(f"X must be positive, got {cfg.X}")
+    if not cfg.X < math.inf:
+        raise _CliError(f"X must be finite, got {cfg.X}")
     if not 0 < cfg.tail_eps < 1:
         raise _CliError(f"tail-eps must lie in (0,1), got {cfg.tail_eps}")
     if cfg.seed < 0:
@@ -231,6 +229,9 @@ def _validate(cfg: RunConfig):
                         f"got {cfg.n_max}")
     if any(k < 0 for k in cfg.k_list):
         raise _CliError(f"k must be >= 0, got {cfg.k_list}")
+    # NaN fails this test as well as inf
+    if not all(k < math.inf for k in cfg.k_list):
+        raise _CliError(f"k must be finite, got {cfg.k_list}")
     needs_q = {"chars", "lvalue", "moments", "sweep", "mollifier-verify",
                "audit", "fit"}
     if cfg.command in needs_q and not cfg.q_list:
@@ -247,6 +248,9 @@ def _validate(cfg: RunConfig):
             raise _CliError(
                 f"q={q}: need q >= 3 with q not 2 mod 4 "
                 "(no primitive characters otherwise)")
+    for what, vals in (("modulus", cfg.q_list), ("k", cfg.k_list)):
+        if len(set(vals)) != len(vals):
+            raise _CliError(f"repeated {what} in {vals}")
     if cfg.command in ("mollifier-verify", "audit") or cfg.ell is not None:
         try:
             cfg.ladder(max(cfg.q_list or (3,)))
@@ -255,7 +259,7 @@ def _validate(cfg: RunConfig):
     if cfg.command in needs_q - {"chars"}:
         # every L-value truncates where W's grid falls below tail_eps / SAFETY
         try:
-            lvalues.default_evaluators(cfg.kappa)[0].envelope_cutoff(
+            lvalues.default_evaluators()[0].envelope_cutoff(
                 cfg.tail_eps / lvalues.SAFETY)
         except ValueError as exc:
             raise _CliError(f"tail-eps {cfg.tail_eps:g} is too small: {exc}")
@@ -320,8 +324,8 @@ def _render(cfg: RunConfig, header, rows, audits=None, comments=()) -> str:
 def _cmd_tau(cfg: RunConfig) -> str:
     taus = hecke.ramanujan_tau_table(cfg.n_max)
     if cfg.format == "csv":
-        # plain coefficient-file format, importable by the hecke reader;
-        # deliberately no hash comment or header line
+        # plain "n<TAB>tau(n)" coefficient lines; deliberately no hash
+        # comment or header line
         return hecke.coefficient_lines(taus)
     return _render(cfg, ("n", "tau"), enumerate(map(int, taus), start=1))
 
@@ -338,7 +342,7 @@ def _cmd_chars(cfg: RunConfig) -> str:
 
 
 def _cmd_weights(cfg: RunConfig) -> str:
-    w1, w2 = lvalues.default_evaluators(cfg.kappa)
+    w1, w2 = lvalues.default_evaluators()
     xs = np.geomspace(1e-3, 1e3, _WEIGHT_SAMPLES)
     rows = [(float(x), float(w1(x)), float(w2(x))) for x in xs]
     return _render(cfg, ("x", "W", "W2"), rows)
@@ -349,7 +353,7 @@ def _cmd_lvalue(cfg: RunConfig) -> str:
     rows = []
     for q in cfg.q_list:
         tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe),
-                                     cfg.kappa, cache_dir=cfg.cache_dir)
+                                     cache_dir=cfg.cache_dir)
         for r in lvalues.family_values(tab, q, afe):
             rows.append((q, r.chi.index, r.chi.conductor, r.value.real,
                          r.value.imag, abs(r.value), r.sq_direct,
@@ -361,7 +365,7 @@ def _cmd_lvalue(cfg: RunConfig) -> str:
 def _moment_rows(cfg: RunConfig):
     afe = cfg.afe()
     need = max(lvalues.required_n_cap(q, afe) for q in cfg.q_list)
-    tab = hecke.shared_eigenform(need, cfg.kappa, cache_dir=cfg.cache_dir)
+    tab = hecke.shared_eigenform(need, cache_dir=cfg.cache_dir)
     rows = []
     reports: dict[float, list[moments.MomentReport]] = {}
     for rep in moments.sweep_reports(tab, cfg.q_list, cfg.k_list, afe):
@@ -425,7 +429,7 @@ def _cmd_audit(cfg: RunConfig) -> str:
     k = cfg.k_list[0]
     afe = cfg.afe()
     ladder = cfg.ladder(q)
-    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe), cfg.kappa,
+    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe),
                                  cache_dir=cfg.cache_dir)
     recs = lvalues.family_values(tab, q, afe)
     ctx = mollifier.MollifierContext(tab, ladder,
@@ -453,7 +457,7 @@ def _cmd_mollifier_verify(cfg: RunConfig) -> str:
     k = cfg.k_list[0]
     afe = cfg.afe()
     ladder = cfg.ladder(q)
-    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe), cfg.kappa,
+    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe),
                                  cache_dir=cfg.cache_dir)
     segs = mollifier.build_segments(q, ladder)
     ctx = mollifier.MollifierContext(tab, ladder, segs)

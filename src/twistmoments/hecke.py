@@ -1,4 +1,7 @@
-"""Hecke eigenvalues for the fixed level-1 eigenform, default Delta (kappa=12).
+"""Hecke eigenvalues of Delta, the level-1 eigenform of weight 12.
+
+S_12(SL_2(Z)) is one-dimensional, so Delta is the only form of its weight
+and level, and the one form every family here twists.
 
 tau(n) is computed exactly from Delta = x prod (1-x^m)^24.  The cube of the
 eta-type product is Jacobi's sparse series sum (-1)^k (2k+1) x^{k(k+1)/2}
@@ -24,8 +27,8 @@ only numpy and builds no Python integer per coefficient.
 The table is returned as signed decimal byte strings, blank-padded to the
 width of the longest entry, which int() reads exactly and
 astype(np.float64) rounds correctly.  Normalized eigenvalues
-lambda(n) = tau(n)/n^((kappa-1)/2) are stored as float64: float(tau(n))
-divided by n ** 5.5 (for kappa = 12) taken by numpy's array power.  That
+lambda(n) = tau(n)/n^(11/2) are stored as float64: float(tau(n))
+divided by n ** 5.5 taken by numpy's array power.  That
 power is not libm's pow: it differs in the last bit for 1,025 of
 n <= 20,000, so the table is not bit-equal to the Python expression
 float(tau) / n ** 5.5.
@@ -418,32 +421,15 @@ def coefficient_lines(taus: np.ndarray) -> str:
     return line[line != 0].tobytes().decode("ascii")
 
 
-def read_coefficient_file(path: str) -> list[int]:
-    """Read an "n<TAB>a(n)" file, validating ascending 1-based indices."""
-    coeffs: list[int] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n_str, a_str = line.split("\t")
-            if int(n_str) != len(coeffs) + 1:
-                raise ValueError(f"{path}: expected index {len(coeffs)+1}, "
-                                 f"got {n_str}")
-            coeffs.append(int(a_str))
-    if not coeffs:
-        raise ValueError(f"{path}: empty coefficient file")
-    return coeffs
-
-
 @dataclass(frozen=True)
 class EigenformTable:
-    """Normalized eigenvalues lambda(1..n_max) of a level-1 eigenform.
+    """Normalized eigenvalues lambda(1..n_max) of Delta.
 
-    lam is indexed so lam[n] is lambda(n); lam[0] is unused (zero).
+    lam is indexed so lam[n] is lambda(n); lam[0] is unused (zero).  source
+    says where the table came from: a build, or the cache file it was read
+    from.
     """
 
-    weight: int
     n_max: int
     lam: np.ndarray = field(repr=False)
     source: str = "builtin-delta"
@@ -489,39 +475,22 @@ def _validate_table(lam: np.ndarray, n_max: int) -> None:
                          f"first n={n} (p={p[n - 2]})")
 
 
-def build_eigenform(source: str = "builtin-delta", n_max: int = 1000,
-                    kappa: int = 12) -> EigenformTable:
-    """Build the eigenvalue table and validate it: lambda(1) = 1, the Deligne
-    bound at the primes, and the Hecke recursion with multiplicativity (one
-    relation over every n), each to _TABLE_TOL.
-
-    Args:
-        source: "builtin-delta", or a path to an "n<TAB>a(n)" coefficient
-            file holding unnormalized integer coefficients a(n).
-        n_max: table length (for file sources, capped at the file length).
-        kappa: weight; builtin-delta forces 12.
+def build_eigenform(n_max: int = 1000) -> EigenformTable:
+    """Build the eigenvalue table of Delta and validate it: lambda(1) = 1,
+    the Deligne bound at the primes, and the Hecke recursion with
+    multiplicativity (one relation over every n), each to _TABLE_TOL.
 
     Raises:
-        ValueError: invariant violations, or unreadable source.
+        ValueError: n_max out of range, or an invariant violation.
     """
-    if source == "builtin-delta":
-        if kappa != 12:
-            raise ValueError("builtin-delta has weight 12")
-        coeffs = ramanujan_tau_table(n_max).astype(np.float64)
-    else:
-        coeffs = read_coefficient_file(source)
-        if len(coeffs) < n_max:
-            n_max = len(coeffs)
-        coeffs = np.array([float(c) for c in coeffs[:n_max]])
-    if kappa < 2 or kappa % 2:
-        raise ValueError(f"weight must be a positive even integer, got {kappa}")
+    coeffs = ramanujan_tau_table(n_max).astype(np.float64)
     n = np.arange(n_max + 1, dtype=np.float64)
     lam = np.zeros(n_max + 1)
     lam[1:] = coeffs
-    lam[1:] /= n[1:] ** ((kappa - 1) / 2)
+    lam[1:] /= n[1:] ** 5.5
     _validate_table(lam, n_max)
     lam.setflags(write=False)
-    return EigenformTable(weight=kappa, n_max=n_max, lam=lam, source=source)
+    return EigenformTable(n_max=n_max, lam=lam)
 
 
 def lambda_tilde(table: EigenformTable, n: int) -> float:
@@ -557,7 +526,8 @@ def mertens_log_sum(x: float) -> float:
     return float(np.sum(np.log(primes) / primes))
 
 
-_shared_tables: dict[int, EigenformTable] = {}
+# the process table that shared_eigenform serves views of
+_shared_table: EigenformTable | None = None
 _SHARED_STEP = 250_000
 # Part of every cache key: files written under another format are ignored.
 _CACHE_FORMAT = 2
@@ -571,24 +541,26 @@ def _rounded_size(n_max: int) -> int:
     return -(-n_max // _SHARED_STEP) * _SHARED_STEP
 
 
-def _cache_path(cache_dir: str, kappa: int, n_max: int) -> str:
-    key = hashlib.sha256(f"builtin-delta:{kappa}:{n_max}:v{_CACHE_FORMAT}"
+# The 12 in the file names and keys is Delta's weight.  Changing it would
+# make every cache already written a miss.
+def _cache_path(cache_dir: str, n_max: int) -> str:
+    key = hashlib.sha256(f"builtin-delta:12:{n_max}:v{_CACHE_FORMAT}"
                          .encode()).hexdigest()[:12]
-    return os.path.join(cache_dir, f"eigenform_{kappa}_{n_max}_{key}.npy")
+    return os.path.join(cache_dir, f"eigenform_12_{n_max}_{key}.npy")
 
 
-def _cached_lengths(cache_dir: str, kappa: int) -> list[int]:
+def _cached_lengths(cache_dir: str) -> list[int]:
     """Lengths of the current-format tables in cache_dir, ascending."""
     found = []
     for name in os.listdir(cache_dir):
-        m = re.fullmatch(rf"eigenform_{kappa}_(\d+)_\w+\.npy", name)
+        m = re.fullmatch(r"eigenform_12_(\d+)_\w+\.npy", name)
         if m and os.path.join(cache_dir, name) == _cache_path(
-                cache_dir, kappa, int(m[1])):
+                cache_dir, int(m[1])):
             found.append(int(m[1]))
     return sorted(found)
 
 
-def _load_cached(path: str, kappa: int, n_max: int) -> EigenformTable:
+def _load_cached(path: str, n_max: int) -> EigenformTable:
     """The first n_max terms of a cached table, validated like a fresh build.
 
     Raises:
@@ -606,13 +578,12 @@ def _load_cached(path: str, kappa: int, n_max: int) -> EigenformTable:
     except (ValueError, EOFError) as exc:
         raise ValueError(f"corrupt cache file {path}: {exc}") from None
     lam.setflags(write=False)
-    return EigenformTable(weight=kappa, n_max=n_max, lam=lam,
-                          source=f"cache:{path}")
+    return EigenformTable(n_max=n_max, lam=lam, source=f"cache:{path}")
 
 
-def shared_eigenform(n_max: int, kappa: int = 12,
+def shared_eigenform(n_max: int,
                      cache_dir: str | None = None) -> EigenformTable:
-    """Builtin-delta table of exactly _rounded_size(n_max) terms.
+    """Table of exactly _rounded_size(n_max) terms.
 
     Tau generation dominates table cost, so everything in one process shares
     a single table, built at _rounded_size and grown, never shrunk; a request
@@ -627,22 +598,21 @@ def shared_eigenform(n_max: int, kappa: int = 12,
         ValueError: a cached table is unreadable or fails validation.
         OSError: the cache directory cannot be created or written.
     """
+    global _shared_table
     size = _rounded_size(n_max)
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
-        hit = next((n for n in _cached_lengths(cache_dir, kappa)
-                    if n >= size), None)
+        hit = next((n for n in _cached_lengths(cache_dir) if n >= size),
+                   None)
         if hit is not None:
-            return _load_cached(_cache_path(cache_dir, kappa, hit), kappa,
-                                size)
-    tab = _shared_tables.get(kappa)
+            return _load_cached(_cache_path(cache_dir, hit), size)
+    tab = _shared_table
     if tab is None or tab.n_max < size:
-        tab = build_eigenform(n_max=size, kappa=kappa)
-        _shared_tables[kappa] = tab
+        tab = _shared_table = build_eigenform(n_max=size)
     if tab.n_max > size:
-        tab = EigenformTable(weight=kappa, n_max=size,
-                             lam=tab.lam[:size + 1], source=tab.source)
+        tab = EigenformTable(n_max=size, lam=tab.lam[:size + 1],
+                             source=tab.source)
     if cache_dir is not None:
-        with _replacing(_cache_path(cache_dir, kappa, size)) as fh:
+        with _replacing(_cache_path(cache_dir, size)) as fh:
             np.save(fh, tab.lam)
     return tab

@@ -1,10 +1,15 @@
 """Central values L(1/2, f tensor chi) via two approximate functional
 equations, with envelope-driven truncation and mutual cross-validation.
 
+f is Delta, of weight 12, the weight for which the kernels W and W2 and the
+root factor iota_chi below are written.
+
 First-power route (exact for every balance parameter X > 0):
 
     L = sum_n lambda(n) chi(n) / sqrt(n) W(n X / q)
       + iota_chi sum_n lambda(n) chibar(n) / sqrt(n) W(n / (q X))
+
+with iota_chi = tau(chi)^2 / q.
 
 Squared route:
 
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -63,9 +68,10 @@ class AfeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.X <= 0:
-            raise ValueError(f"X must be positive, got {self.X}")
-        if self.tail_eps <= 0:
+        # written so that NaN fails each test
+        if not 0 < self.X < math.inf:
+            raise ValueError(f"X must be positive and finite, got {self.X}")
+        if not self.tail_eps > 0:
             raise ValueError("tail_eps must be positive")
 
 
@@ -97,18 +103,16 @@ CAP_LIMIT = 200_000_000
 _RESIDUAL_FLOOR = 1e-2
 
 
-@lru_cache(maxsize=8)
-def default_evaluators(kappa: int) -> tuple[weights.WeightEvaluator,
-                                            weights.WeightEvaluator]:
-    """Shared grid-backed evaluators (W, W2) for one eigenform weight."""
-    return (weights.WeightEvaluator("W", kappa=kappa),
-            weights.WeightEvaluator("W2", kappa=kappa))
+@cache
+def default_evaluators() -> tuple[weights.WeightEvaluator,
+                                  weights.WeightEvaluator]:
+    """Shared grid-backed evaluators (W, W2)."""
+    return weights.WeightEvaluator("W"), weights.WeightEvaluator("W2")
 
 
-def required_n_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG,
-                   kappa: int = 12) -> int:
+def required_n_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG) -> int:
     """Truncation length for the first-power route at modulus q."""
-    ev = default_evaluators(kappa)[0]
+    ev = default_evaluators()[0]
     x_eps = ev.envelope_cutoff(cfg.tail_eps / SAFETY)
     cap = int(np.ceil(x_eps * q * max(cfg.X, 1.0 / cfg.X)))
     if cap > CAP_LIMIT:
@@ -117,10 +121,9 @@ def required_n_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG,
     return cap
 
 
-def required_m_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG,
-                   kappa: int = 12) -> int:
+def required_m_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG) -> int:
     """Truncation length (on the product ab) for the squared route."""
-    ev2 = default_evaluators(kappa)[1]
+    ev2 = default_evaluators()[1]
     x_eps = ev2.envelope_cutoff(cfg.tail_eps / SAFETY)
     cap = int(np.ceil(x_eps * q * q / (2 * np.pi)))
     if cap > CAP_LIMIT:
@@ -137,10 +140,10 @@ def _check_table(f: EigenformTable, cap: int):
             f"needs n <= {cap}; rebuild the table with a larger n_max")
 
 
-def _w2_table(q: int, cap: int, kappa: int) -> np.ndarray:
+def _w2_table(q: int, cap: int) -> np.ndarray:
     """W2(2 pi m / q^2) / sqrt(m) for m = 1..cap."""
     m = np.arange(1, cap + 1)
-    return default_evaluators(kappa)[1](m * (2 * np.pi / (q * q))) / np.sqrt(m)
+    return default_evaluators()[1](m * (2 * np.pi / (q * q))) / np.sqrt(m)
 
 
 def central_value_sq(f: EigenformTable, chi: characters.Character,
@@ -157,9 +160,9 @@ def central_value_sq(f: EigenformTable, chi: characters.Character,
         raise ValueError(f"central_value_sq needs a primitive character, "
                          f"got {chi!r}")
     q = chi.group.q
-    cap = required_m_cap(q, cfg, f.weight)
+    cap = required_m_cap(q, cfg)
     _check_table(f, cap)
-    w2s = _w2_table(q, cap, f.weight)
+    w2s = _w2_table(q, cap)
     chiv = chi.values()[np.arange(1, cap + 1) % q]
     u = f.lam[1:cap + 1] * chiv            # lambda(a) chi(a), index a-1
     vbar = np.conj(u)                      # lambda(b) chibar(b), index b-1
@@ -216,7 +219,7 @@ def _residue_table(f: EigenformTable, q: int, cap: int) -> np.ndarray:
     bincount over the residue of the long index in place of each dot; the
     short index, a unit, then permutes the bins onto a b^-1.
     """
-    w2s = _w2_table(q, cap, f.weight)
+    w2s = _w2_table(q, cap)
     res = np.arange(1, cap + 1) % q          # residue of a (or b), index a-1
     inv = _unit_inverses(q)
     binv = inv[res]                          # residue of a^-1, 0 off units
@@ -261,8 +264,8 @@ def family_values(f: EigenformTable, q: int,
     its truncation would outrun the eigenform table.
     """
     prims = characters.primitive_characters(characters.build_group(q))
-    ev = default_evaluators(f.weight)[0]
-    cap = required_n_cap(q, cfg, f.weight)
+    ev = default_evaluators()[0]
+    cap = required_n_cap(q, cfg)
     _check_table(f, cap)
 
     n = np.arange(1, cap + 1)
@@ -276,7 +279,7 @@ def family_values(f: EigenformTable, q: int,
     audit_set: set[int] = set()
     if cfg.audit_count > 0:
         try:
-            m_cap = required_m_cap(q, cfg, f.weight)
+            m_cap = required_m_cap(q, cfg)
             can_audit = m_cap <= f.n_max
         except ValueError:
             can_audit = False
@@ -291,7 +294,7 @@ def family_values(f: EigenformTable, q: int,
     out = []
     for chi in prims:
         v = chi.values()
-        value = complex(v @ b1) + characters.iota(chi, f.weight, v) * complex(
+        value = complex(v @ b1) + characters.iota(chi, v) * complex(
             v @ b2).conjugate()
         if chi.index in audit_set:
             # G[c] = G[c^-1] and chi(c^-1) = conj chi(c): the sum is real

@@ -15,11 +15,10 @@ multiplicative extension of the prime weights and w(p^e) = e!.  Both forms
 are implemented and must agree; the Dirichlet form is the enumeration oracle
 and the source of explicit coefficient maps for family computations.
 
-Two prime weightings exist in the source material: the bare chi(p)/sqrt(p)
-sum, and the lambda(p)-weighted one that makes the Dirichlet form carry the
-eigenform's coefficients.  A context flag selects between them; the weighted
-form is the default because the diagonal factorization identity and the
-local-factor shape only hold there.
+The prime sums are weighted by lambda(p), Delta's normalized eigenvalues,
+so the Dirichlet form carries the eigenform's coefficients.  That is the
+weighting of the source construction, and the one under which the diagonal
+factorization identity and the local-factor shape hold.
 """
 
 from __future__ import annotations
@@ -205,46 +204,39 @@ def _ipow(z: complex, n: int) -> complex:
 
 
 def prime_poly(chi: characters.Character, segment,
-               table: EigenformTable | None = None) -> complex:
-    """Short prime sum over the segment: sum of chi(p)/sqrt(p), optionally
-    lambda(p)-weighted when an eigenform table is supplied."""
+               table: EigenformTable) -> complex:
+    """Short prime sum over the segment: sum of lambda(p) chi(p)/sqrt(p)."""
     vals = chi.values()
     q = chi.group.q
     acc = 0.0 + 0.0j
     for p in segment:
-        w = table.lam_at(p) if table is not None else 1.0
-        acc += w * vals[p % q] / math.sqrt(p)
+        acc += table.lam_at(p) * vals[p % q] / math.sqrt(p)
     return complex(acc)
 
 
 class MollifierContext:
     """Everything needed to evaluate the polynomial tower for one (q, ladder).
 
-    Holds the eigenform table, ladder, segments and the weighting mode;
-    caches per-character prime sums.  Immutable in intent: do not mutate
-    fields after construction.
+    Holds the eigenform table, ladder and segments; caches per-character
+    prime sums.  Immutable in intent: do not mutate fields after
+    construction.
     """
 
     def __init__(self, table: EigenformTable, ladder: LadderParams,
-                 segments: PrimeSegments, weighted: bool = True):
+                 segments: PrimeSegments):
         if len(segments.segments) != ladder.R:
             raise ValueError("segments do not match ladder length")
         self.table = table
         self.ladder = ladder
         self.segments = segments
-        self.weighted = weighted
         self._psums: dict[tuple[int, int], complex] = {}
 
-    def weight_of(self, p: int) -> float:
-        return self.table.lam_at(p) if self.weighted else 1.0
-
     def prime_sum(self, chi: characters.Character, j: int) -> complex:
-        """P_j(chi) in the context's weighting, cached per (chi, j)."""
+        """P_j(chi), cached per (chi, j)."""
         key = (chi.index, j)
         got = self._psums.get(key)
         if got is None:
-            seg = self.segments.segments[j - 1]
-            got = prime_poly(chi, seg, self.table if self.weighted else None)
+            got = prime_poly(chi, self.segments.segments[j - 1], self.table)
             self._psums[key] = got
         return got
 
@@ -312,7 +304,7 @@ def segment_coefficients(ctx: MollifierContext, j: int,
             return
         grow(idx + 1, n, omega, coeff)        # exponent 0 at this prime
         pv = primes[idx]
-        wt = ctx.weight_of(pv)
+        wt = ctx.table.lam_at(pv)
         pk, c, e = n, coeff, 0
         while omega + e + 1 <= ell:
             e += 1

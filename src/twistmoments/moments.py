@@ -150,8 +150,8 @@ def diagonal_factorization_check(ctx: mollifier.MollifierContext,
                                  k: float) -> DiagonalCheck:
     """Exact identity behind the diagonal of the twisted first moment.
 
-    With x the coefficient map of N(., k-1) and y that of N(., k), both in
-    the lambda-weighted mode, the double sum
+    With x the coefficient map of N(., k-1) and y that of N(., k), the
+    double sum
 
         sum_b (y_b / b) sum_{a m = b} lambda(m) x_a
 
@@ -162,8 +162,6 @@ def diagonal_factorization_check(ctx: mollifier.MollifierContext,
     where c_alpha is the per-segment coefficient map.  Both sides are finite
     and must agree to DIAGONAL_TOL, relative.
     """
-    if not ctx.weighted:
-        raise ValueError("identity requires the lambda-weighted mode")
     x = mollifier.mollifier_coefficients(ctx, k - 1)
     y = mollifier.mollifier_coefficients(ctx, k)
     top = max(y)
@@ -406,39 +404,6 @@ def holder_chain_audit(ctx: mollifier.MollifierContext, recs,
             lhs=abs(twisted), rhs=rhs, ok=abs(twisted) <= rhs * (1 + _SLACK)))
     return InequalityAudit(q=q, k=k, checks=tuple(checks),
                            reported=reported)
-
-
-@dataclass(frozen=True)
-class Prop56Report:
-    """The four guarded family sums with their (log q)^(k^2) normalizations."""
-
-    q: int
-    k: float
-    phi_star: int
-    sum_LN_sq: float            # Sum* |L N(chi, k-1)|^2
-    sum_L_sq_weighted: float    # Sum* |L|^2 A(chi)
-    sum_guarded_product: float  # Sum* prod_j (|N_j(k)|^2 + |Q_j(k)|^2)
-    sum_weights_k: float        # Sum* B(chi)
-    normalized: tuple[float, float, float, float]
-
-
-def prop56_quantities(ctx: mollifier.MollifierContext, recs,
-                      k: float) -> Prop56Report:
-    """The guarded family sums that cap the moment from above.
-
-    A(chi) and B(chi) are the upper-principle weights built from
-    prod_{j<=v} |N_j|^2 times |Q_(v+1)|^2, at alpha = k-1 and k.
-    """
-    q = _family_q(ctx, recs)
-    ln, la, guard, _, B = _upper_terms(ctx, recs, k)
-    sums = (sum(ln), sum(la), sum(guard), sum(B))
-    phi_star = arith.phi_star(q)
-    scale = phi_star * math.log(q) ** (k * k)
-    return Prop56Report(
-        q=q, k=k, phi_star=phi_star,
-        sum_LN_sq=sums[0], sum_L_sq_weighted=sums[1],
-        sum_guarded_product=sums[2], sum_weights_k=sums[3],
-        normalized=tuple(s / scale for s in sums))
 
 
 @dataclass(frozen=True)

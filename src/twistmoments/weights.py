@@ -5,7 +5,8 @@ Two kernels, both inverse Mellin transforms along a vertical line Re s > 0:
     W(x)  = (1/2pi i) int Gamma(a + s)/Gamma(a) e^{s^2} (2 pi x)^{-s} ds/s
     W2(x) = (1/2pi i) int [Gamma(a + s)/Gamma(a)]^2 (2 pi x)^{-s} ds/s
 
-with a = kappa/2.  W drives the first-power equation, W2 the squared one.
+with a = 6, half the weight 12 of Delta.  W drives the first-power
+equation, W2 the squared one.
 
 Both are tails of positive random variables.  For Y ~ Gamma(a),
 E[Y^s] = Gamma(a + s)/Gamma(a), and for V ~ N(0, 2), E[e^{sV}] = e^{s^2};
@@ -16,7 +17,7 @@ independent Gamma(a) and U = log Y2,
     W2(x) = P(Y1 Y2 > 2 pi x) = E[Q(a, 2 pi x e^{-U})]
 
 where Q(a, y) = P(Y > y) = e^{-y} sum_{j<a} y^j / j!, a finite sum because
-kappa is even.  Both fall from 1 as x -> 0 and decay faster than any power:
+a is an integer.  Both fall from 1 as x -> 0 and decay faster than any power:
 W like exp(-log^2(2 pi x)/4), W2 like exp(-2 sqrt(2 pi x)).  This is the
 incomplete-gamma form of the kernels (Rubinstein, "Computational methods
 and experiments in analytic number theory").
@@ -52,12 +53,14 @@ _GRID_HI = 1e6
 _CHUNK = 64
 # points per block of a spline evaluation; the scratch is sized by it
 _EVAL_BLOCK = 4096
+# the Gamma parameter a of both kernels: half of Delta's weight 12
+_A = 6
 # trapezoid nodes (first, last, step) in v for W and in u for W2, sized for
-# kappa = 12, the one weight the CLI takes.  The ends are sized against an
-# exact oracle, not by halving the step, which cannot see them: the mass cut
-# off is below 1e-22, while cutting the Gaussian nodes at -10 would drop
-# 7.7e-13 of it, and the normalisation would spread that as a 5.9e-13
-# relative error over every x >= 3e-4.
+# a = 6.  The ends are sized against an exact oracle, not by halving the
+# step, which cannot see them: the mass cut off is below 1e-22, while
+# cutting the Gaussian nodes at -10 would drop 7.7e-13 of it, and the
+# normalisation would spread that as a 5.9e-13 relative error over every
+# x >= 3e-4.
 _NODES = {"W": (-14.0, 26.0, 0.1), "W2": (-16.0, 8.0, 0.08)}
 # quad drops node terms below e^{-708} times Q's polynomial, at most about
 # e^{-680} (1e-295) each.  Samples above this floor keep full relative
@@ -184,26 +187,20 @@ class WeightEvaluator:
 
     Args:
         kind: "W" (first-power kernel, with e^{s^2}) or "W2" (squared kernel).
-        kappa: weight of the eigenform; only 12, for which _NODES is sized.
     """
 
-    def __init__(self, kind: str, kappa: int = 12):
+    def __init__(self, kind: str):
         if kind not in _NODES:
             raise ValueError(f"kind must be 'W' or 'W2', got {kind!r}")
-        if kappa != 12:
-            raise ValueError("the trapezoid nodes are sized for kappa = 12, "
-                             f"got {kappa}")
         self.kind = kind
-        self.kappa = kappa
         first, last, step = _NODES[kind]
         t = np.linspace(first, last, round((last - first) / step) + 1)
-        log_w = -t * t / 4 if kind == "W" else kappa // 2 * t - np.exp(t)
+        log_w = -t * t / 4 if kind == "W" else _A * t - np.exp(t)
         log_w -= log_w.max()
         self._log_weights = log_w - np.log(np.exp(log_w).sum())
         self._scale = np.exp(-t)
         # 1/i! for i = a-1 down to 0, for Horner's rule
-        self._coef = [1 / math.factorial(i)
-                      for i in reversed(range(kappa // 2))]
+        self._coef = [1 / math.factorial(i) for i in reversed(range(_A))]
         self._build_grid()
 
     # ------------------------------------------------------------------ direct
@@ -297,9 +294,7 @@ class WeightEvaluator:
 def decay_audit(ev: WeightEvaluator, c_test: float) -> float:
     """Max of |W(x)| x^{c_test} over a log grid x in [1, 1e4]: the implied
     constant in the min(1, x^{-c}) decay bound at exponent c_test."""
-    if not 0 < c_test < ev.kappa / 2:
-        raise ValueError(
-            f"c_test must lie in (0, kappa/2) = (0, {ev.kappa / 2}), "
-            f"got {c_test}")
+    if not 0 < c_test < _A:
+        raise ValueError(f"c_test must lie in (0, {_A}), got {c_test}")
     x = np.geomspace(1.0, 1e4, 200)
     return float(np.max(np.abs(ev.quad(x)) * x ** c_test))

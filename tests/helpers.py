@@ -43,6 +43,24 @@ def trial_factor(n: int) -> dict[int, int]:
     return out
 
 
+def read_coefficient_file(path: str) -> list[int]:
+    """Read an "n<TAB>a(n)" file, validating ascending 1-based indices."""
+    coeffs: list[int] = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            n_str, a_str = line.split("\t")
+            if int(n_str) != len(coeffs) + 1:
+                raise ValueError(f"{path}: expected index {len(coeffs)+1}, "
+                                 f"got {n_str}")
+            coeffs.append(int(a_str))
+    if not coeffs:
+        raise ValueError(f"{path}: empty coefficient file")
+    return coeffs
+
+
 def tau_q_expansion(n_max: int) -> list[int]:
     """tau(1..n_max) read off x prod_m (1 - x^m)^24, in exact integers.
 
@@ -174,11 +192,11 @@ def gauss_sum_literal(chi, q: int) -> complex:
 def central_values_direct(f, chis, cfg) -> list[complex]:
     """L(1/2, f tensor chi) for each primitive chi mod one q by the
     first-power route at cfg.X: per character, one compensated sum term by
-    term over n = 1..n_cap, and the root factor i^kappa tau(chi)^2 / q from
-    the literal Gauss sum."""
+    term over n = 1..n_cap, and the root factor i^12 tau(chi)^2 / q
+    = tau(chi)^2 / q from the literal Gauss sum."""
     q = chis[0].group.q
-    ev = lvalues.default_evaluators(f.weight)[0]
-    cap = lvalues.required_n_cap(q, cfg, f.weight)
+    ev = lvalues.default_evaluators()[0]
+    cap = lvalues.required_n_cap(q, cfg)
     n = np.arange(1, cap + 1)
     coeff = f.lam[1:cap + 1] / np.sqrt(n)
     w1 = coeff * ev(n * (cfg.X / q))
@@ -188,7 +206,7 @@ def central_values_direct(f, chis, cfg) -> list[complex]:
         chiv = chi.values()[n % q]
         tau = gauss_sum_literal(chi, q)
         out.append(sums.block_sum_complex(w1 * chiv)
-                   + (1, 1j, -1, -1j)[f.weight % 4] * tau * tau / q
+                   + tau * tau / q
                    * sums.block_sum_complex(w2 * np.conj(chiv)))
     return out
 

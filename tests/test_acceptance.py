@@ -115,7 +115,7 @@ def test_03_eigenform_suite():
 def test_04_weight_suite():
     t0 = time.perf_counter()
     failures = []
-    ev_w, ev_w2 = lvalues.default_evaluators(12)
+    ev_w, ev_w2 = lvalues.default_evaluators()
     # the contour on Re s = 1, at twice its height (12 for W, 40 for W2)
     # and half its step 1/64
     for kind, ev, T in (("W", ev_w, 24.0), ("W2", ev_w2, 80.0)):
@@ -141,7 +141,7 @@ def test_05_afe_cross_validation(sweep_table):
     t0 = time.perf_counter()
     failures = []
     cfg_half = lvalues.AfeConfig(X=0.5)
-    ev, _ = lvalues.default_evaluators(12)
+    ev, _ = lvalues.default_evaluators()
     for q in (5, 7, 53, 101):
         recs1 = lvalues.family_values(sweep_table, q, CFG)
         recs2 = lvalues.family_values(sweep_table, q, cfg_half)
@@ -180,18 +180,15 @@ def test_06_mollifier_suite(sweep_table):
         for k in (0.5, 2.0):
             lad = mollifier.build_ladder(q, k=k, override_ell=(8, 2))
             segs = mollifier.build_segments(q, lad)
-            for weighted in (True, False):
-                ctx = mollifier.MollifierContext(sweep_table, lad, segs,
-                                                 weighted=weighted)
-                for chi in prims:
-                    for alpha in (k, k - 1):
-                        for j in range(1, lad.R + 1):
-                            e = mollifier.n_poly(ctx, chi, j, alpha)
-                            d = mollifier.n_poly(ctx, chi, j, alpha,
-                                                 mode="dirichlet")
-                            if abs(e - d) > 1e-10:
-                                failures.append(
-                                    ("dual", q, k, weighted, chi.index, j))
+            ctx = mollifier.MollifierContext(sweep_table, lad, segs)
+            for chi in prims:
+                for alpha in (k, k - 1):
+                    for j in range(1, lad.R + 1):
+                        e = mollifier.n_poly(ctx, chi, j, alpha)
+                        d = mollifier.n_poly(ctx, chi, j, alpha,
+                                             mode="dirichlet")
+                        if abs(e - d) > 1e-10:
+                            failures.append(("dual", q, k, chi.index, j))
     rng = np.random.default_rng(31)
     for _ in range(200):
         K = 2 * int(rng.integers(1, 7))

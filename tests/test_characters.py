@@ -146,24 +146,22 @@ def test_gauss_sum_conjugation_identity(q):
 def test_root_number_factor_unit_modulus():
     g = characters.build_group(7)
     for chi in characters.primitive_characters(g):
-        v = characters.iota(chi, 12, chi.values())
+        v = characters.iota(chi, chi.values())
         assert abs(abs(v) - 1.0) < 1e-9
-        # the i^kappa wheel: weights 12 and 14 differ by i^2 = -1
-        assert abs(characters.iota(chi, 14, chi.values()) + v) < 1e-9
 
 
 def test_root_number_factor_quadratic_mod5_is_one():
     g = characters.build_group(5)
     chi = next(c for c in g.characters()
                if not c.is_principal and c.conjugate_index() == c.index)
-    assert abs(characters.iota(chi, 12, chi.values()) - 1.0) < 1e-12
+    assert abs(characters.iota(chi, chi.values()) - 1.0) < 1e-12
 
 
 def test_root_number_factor_rejects_imprimitive():
     g = characters.build_group(9)
     chi0 = next(c for c in g.characters() if c.is_principal)
     with pytest.raises(ValueError):
-        characters.iota(chi0, 12, chi0.values())
+        characters.iota(chi0, chi0.values())
 
 
 def test_kloosterman_small_cases():

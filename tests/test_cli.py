@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, formats, config handling, exit codes."""
 
+import argparse
 import collections
 import importlib
 import importlib.util
@@ -53,7 +54,7 @@ def test_help_exits_zero(capsys):
     ["chars", "--q", "10"],            # q = 2 mod 4
     ["chars", "--q", "2"],
     ["lvalue"],                        # needs a modulus
-    ["lvalue", "--q", "7", "--kappa", "14"],
+    ["lvalue", "--q", "7", "--kappa", "12"],     # the form is fixed: Delta
     ["lvalue", "--q", "7", "--X", "0"],
     ["lvalue", "--q", "7", "--tail-eps", "2"],
     ["moments", "--q", "53", "--k", "-1"],
@@ -73,6 +74,13 @@ def test_help_exits_zero(capsys):
     ["audit", "--q", "53", "--N", "2"],              # N without M
     ["mollifier-verify", "--q", "53", "--M", "2"],   # M without N
     ["lvalue", "--q", "7", "--tail-eps", "1e-21"],   # below W's grid
+    ["moments", "--q", "7", "--k", "nan"],
+    ["moments", "--q", "7", "--k", "inf"],
+    ["audit", "--q", "17", "--k", "inf"],
+    ["lvalue", "--q", "7", "--X", "inf"],
+    ["fit", "--q-list", "53,53,101,149"],            # repeated modulus
+    ["sweep", "--q-list", "5,7,9,11", "--k-list", "1,1", "--fit"],
+    ["lvalue", "--q-list", "7,7"],
 ])
 def test_validation_failures_exit_one(args, capsys):
     rc, out, err = run_cli(args, capsys)
@@ -98,7 +106,7 @@ def test_tau_csv_is_plain_coefficient_file(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert len(lines) == 100
     assert not lines[0].startswith("#")
-    assert hecke.read_coefficient_file(str(out_path)) == [
+    assert helpers.read_coefficient_file(str(out_path)) == [
         int(t) for t in hecke.ramanujan_tau_table(100)]
 
 
@@ -352,7 +360,8 @@ def test_config_file_rejections(tmp_path, capsys):
                         ({"seed": 1.5}, "seed"),
                         ({"q_list": 5}, "q list"),
                         ({"fit": "yes"}, "fit"),
-                        ({"out": 1}, "out")):
+                        ({"out": 1}, "out"),
+                        ({"kappa": 12}, "'kappa'")):
         bad.write_text(json.dumps(body))
         rc, out, err = run_cli(["lvalue", "--q", "5", "--config", str(bad)],
                                capsys)
@@ -387,6 +396,31 @@ def test_config_hash_semantics(tmp_path, capsys):
     e = _hash_of(["chars", "--q", "9", "--cache-dir", str(tmp_path / "c2")],
                  capsys)
     assert d == e == a
+
+
+@pytest.mark.parametrize("args, want", [
+    (["lvalue", "--q", "7"], "11046d808a2e"),
+    (["sweep", "--q-list", "53,81,101,105,149,211", "--k-list", "0.5,1,2",
+      "--fit", "--tail-eps", "1e-5"], "589dcb736181"),
+    (["audit", "--q", "17", "--k", "0.5", "--tail-eps", "1e-7"],
+     "232f48c98e8c"),
+    (["chars", "--q", "9"], "be2853625b6c"),
+])
+def test_config_hash_is_pinned(args, want):
+    # the hash heads every report and keys reruns: the settings it covers,
+    # with the fixed weight 12 of Delta among them, must hash as before
+    assert cli._resolve(cli._build_parser(args).parse_args(args)).hash == want
+
+
+def test_config_keys_are_the_flags():
+    # a setting is given by a flag or a config-file key alike, so the two
+    # sets must not drift apart
+    parser = cli._build_parser(cli._COMMANDS)
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    for name, sp in sub.choices.items():
+        dests = {a.dest for a in sp._actions} - {"help", "config"}
+        assert dests == set(cli._KEYS), name
 
 
 def test_repeat_runs_byte_identical(tmp_path, capsys):
@@ -430,7 +464,7 @@ def test_cache_dir_serves_shorter_request_by_prefix(tmp_path, capsys):
 def test_uncached_rows_do_not_depend_on_modulus_order(monkeypatch, capsys):
     # without --cache-dir every call gets a table of exactly its own size,
     # whatever bigger table an earlier modulus left in the process
-    monkeypatch.setattr(hecke, "_shared_tables", {})
+    monkeypatch.setattr(hecke, "_shared_table", None)
     rows_211 = {}
     for q_list in ("211", "401,211"):
         rc, out, _ = run_cli(["lvalue", "--q-list", q_list,

@@ -19,6 +19,12 @@ def test_config_validation():
         lvalues.AfeConfig(X=-1.0)
     with pytest.raises(ValueError):
         lvalues.AfeConfig(tail_eps=0.0)
+    # NaN and inf are refused here, not later inside the truncation
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            lvalues.AfeConfig(X=bad)
+    with pytest.raises(ValueError):
+        lvalues.AfeConfig(tail_eps=np.nan)
 
 
 def test_required_caps_scale():
@@ -130,9 +136,8 @@ def test_family_records_hold_no_value_arrays():
     n_max = lvalues.required_n_cap(q, cfg)
     lam = np.zeros(n_max + 1)
     lam[1:] = np.random.default_rng(1).uniform(-1.0, 1.0, n_max)
-    table = hecke.EigenformTable(weight=12, n_max=n_max, lam=lam,
-                                 source="random")
-    lvalues.default_evaluators(12)
+    table = hecke.EigenformTable(n_max=n_max, lam=lam, source="random")
+    lvalues.default_evaluators()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -147,7 +152,7 @@ def test_family_records_hold_no_value_arrays():
 def test_cap_doubling_is_negligible(family_table):
     # terms past the certified cap are numerically dead: extending the sum
     # to twice the cap moves the value by far less than the tail budget
-    ev, _ = lvalues.default_evaluators(12)
+    ev, _ = lvalues.default_evaluators()
     t = family_table
     for q in (5, 53):
         cap = lvalues.required_n_cap(q, CFG)

@@ -141,22 +141,20 @@ def test_truncation_error_bound():
         assert abs(z) ** K / math.factorial(K) <= (a * math.e / 20) ** K + 1e-15
 
 
-def _single_prime_ctx(table, q=7, p=5, ell=2, weighted=True):
+def _single_prime_ctx(table, q=7, p=5, ell=2):
     lad = mollifier.build_ladder(q, override_ell=(ell,))
     segs = mollifier.PrimeSegments(q=q, boundaries=(float(p),),
                                    segments=((p,),))
-    return mollifier.MollifierContext(table, lad, segs, weighted=weighted)
+    return mollifier.MollifierContext(table, lad, segs)
 
 
 def test_prime_poly_examples(table_100k):
     g7 = characters.build_group(7)
     chi0 = next(c for c in g7.characters() if c.is_principal)
-    assert mollifier.prime_poly(chi0, ()) == 0
-    want = 1 / math.sqrt(3) + 1 / math.sqrt(5)
-    assert abs(mollifier.prime_poly(chi0, (3, 5)) - want) < 1e-15
     t = table_100k
-    wantw = t.lam_at(3) / math.sqrt(3) + t.lam_at(5) / math.sqrt(5)
-    assert abs(mollifier.prime_poly(chi0, (3, 5), table=t) - wantw) < 1e-15
+    assert mollifier.prime_poly(chi0, (), t) == 0
+    want = t.lam_at(3) / math.sqrt(3) + t.lam_at(5) / math.sqrt(5)
+    assert abs(mollifier.prime_poly(chi0, (3, 5), t) - want) < 1e-15
 
 
 def test_prime_poly_triangle_bound(table_100k):
@@ -164,20 +162,17 @@ def test_prime_poly_triangle_bound(table_100k):
     seg = (2, 3, 5, 7, 11)
     cap = sum(abs(table_100k.lam_at(p)) / math.sqrt(p) for p in seg)
     for chi in g.characters()[:20]:
-        val = mollifier.prime_poly(chi, seg, table=table_100k)
+        val = mollifier.prime_poly(chi, seg, table_100k)
         assert abs(val) <= cap + 1e-12
 
 
 def test_context_weight_modes(table_100k):
-    ctx_w = _single_prime_ctx(table_100k, weighted=True)
-    ctx_u = _single_prime_ctx(table_100k, weighted=False)
-    assert ctx_w.weight_of(5) == table_100k.lam_at(5)
-    assert ctx_u.weight_of(5) == 1.0
+    # the one weighting: lambda(p) chi(p) / sqrt(p)
+    ctx = _single_prime_ctx(table_100k)
     chi0 = next(c for c in characters.build_group(7).characters()
                 if c.is_principal)
-    assert abs(ctx_w.prime_sum(chi0, 1)
+    assert abs(ctx.prime_sum(chi0, 1)
                - table_100k.lam_at(5) / math.sqrt(5)) < 1e-15
-    assert abs(ctx_u.prime_sum(chi0, 1) - 1 / math.sqrt(5)) < 1e-15
 
 
 def test_context_validates_segment_count(table_100k):
@@ -191,7 +186,7 @@ def test_n_poly_single_prime_binomial(table_100k):
     ctx = _single_prime_ctx(table_100k)
     chi = characters.build_group(7).character(1)
     alpha = 0.7
-    P = mollifier.prime_poly(chi, (5,), table=table_100k)
+    P = mollifier.prime_poly(chi, (5,), table_100k)
     want = 1 + alpha * P + (alpha * P) ** 2 / 2
     assert abs(mollifier.n_poly(ctx, chi, 1, alpha) - want) < 1e-12
     assert abs(mollifier.n_poly(ctx, chi, 1, 0.0) - 1.0) < 1e-15
@@ -202,21 +197,19 @@ def test_n_poly_against_monomial_expansion(table_100k):
     lad = mollifier.build_ladder(q, override_ell=(4,))
     segs = mollifier.PrimeSegments(q=q, boundaries=(5.0,), segments=((3, 5),))
     g = characters.build_group(q)
-    for weighted in (True, False):
-        ctx = mollifier.MollifierContext(table_100k, lad, segs,
-                                         weighted=weighted)
-        for chi in (g.character(1), g.character(3)):
-            for alpha in (0.5, -0.5, 1.0):
-                want = 0j
-                for m in range(5):
-                    for tup in itertools.product((3, 5), repeat=m):
-                        term = alpha ** m / math.factorial(m)
-                        for p in tup:
-                            term *= ctx.weight_of(p) * chi(p) / math.sqrt(p)
-                        want += term
-                for mode in ("exp", "dirichlet"):
-                    got = mollifier.n_poly(ctx, chi, 1, alpha, mode=mode)
-                    assert abs(got - want) < 1e-12, (weighted, mode, alpha)
+    ctx = mollifier.MollifierContext(table_100k, lad, segs)
+    for chi in (g.character(1), g.character(3)):
+        for alpha in (0.5, -0.5, 1.0):
+            want = 0j
+            for m in range(5):
+                for tup in itertools.product((3, 5), repeat=m):
+                    term = alpha ** m / math.factorial(m)
+                    for p in tup:
+                        term *= table_100k.lam_at(p) * chi(p) / math.sqrt(p)
+                    want += term
+            for mode in ("exp", "dirichlet"):
+                got = mollifier.n_poly(ctx, chi, 1, alpha, mode=mode)
+                assert abs(got - want) < 1e-12, (mode, alpha)
 
 
 def test_n_poly_argument_validation(table_100k):
@@ -234,7 +227,7 @@ def test_q_poly_scaling_identity(table_100k):
     ctx = _single_prime_ctx(table_100k)  # k = 1: c = 64, r = 3
     chi = characters.build_group(7).character(1)
     lad = ctx.ladder
-    P = mollifier.prime_poly(chi, (5,), table=table_100k)
+    P = mollifier.prime_poly(chi, (5,), table_100k)
     Q = mollifier.q_poly(ctx, chi, 1)
     root = abs(Q) ** (1 / (lad.r_k * lad.ell[0]))
     assert abs(root - lad.c_k * abs(P) / lad.ell[0]) < 1e-9
@@ -258,7 +251,7 @@ def test_q_poly_guard_at_desk_modulus(table_100k):
     g = characters.build_group(53)
     ell2 = lad.ell[1]
     for chi in characters.primitive_characters(g)[:12]:
-        P = mollifier.prime_poly(chi, segs.segments[1], table=table_100k)
+        P = mollifier.prime_poly(chi, segs.segments[1], table_100k)
         assert abs(P) >= ell2 / 60  # |lambda(2)|/sqrt(2) = 0.375 for all chi
         assert abs(mollifier.q_poly(ctx, chi, 2)) >= 1.0 - 1e-12
 
@@ -317,17 +310,15 @@ def test_dirichlet_dual_full_product(table_100k):
     lad = mollifier.build_ladder(53, override_ell=(8, 2))
     segs = mollifier.build_segments(53, lad)
     g = characters.build_group(53)
-    for weighted in (True, False):
-        ctx = mollifier.MollifierContext(table_100k, lad, segs,
-                                         weighted=weighted)
-        for chi in characters.primitive_characters(g)[:8]:
-            for alpha in (0.5, -0.5):
-                e = mollifier.n_full(ctx, chi, alpha)
-                d = mollifier.n_full(ctx, chi, alpha, mode="dirichlet")
-                assert abs(d - e) < 1e-12
-                coeffs = mollifier.mollifier_coefficients(ctx, alpha)
-                v = mollifier.evaluate_coefficients(coeffs, chi)
-                assert abs(v - e) < 1e-12
+    ctx = mollifier.MollifierContext(table_100k, lad, segs)
+    for chi in characters.primitive_characters(g)[:8]:
+        for alpha in (0.5, -0.5):
+            e = mollifier.n_full(ctx, chi, alpha)
+            d = mollifier.n_full(ctx, chi, alpha, mode="dirichlet")
+            assert abs(d - e) < 1e-12
+            coeffs = mollifier.mollifier_coefficients(ctx, alpha)
+            v = mollifier.evaluate_coefficients(coeffs, chi)
+            assert abs(v - e) < 1e-12
 
 
 def test_evaluate_coefficients_deterministic(table_100k):

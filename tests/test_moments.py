@@ -108,7 +108,6 @@ def test_twisted_moment_against_coefficient_oracle(family_table, fam53):
     lambda ctx, recs: moments.twisted_first_moment(ctx, recs, 0.5),
     lambda ctx, recs: moments.family_pointwise_audit(ctx, recs, 0.5),
     lambda ctx, recs: moments.holder_chain_audit(ctx, recs, 0.5),
-    lambda ctx, recs: moments.prop56_quantities(ctx, recs, 0.5),
 ])
 def test_family_and_context_must_share_modulus(audit, table_100k, fam7):
     with pytest.raises(ValueError, match="q=11"):
@@ -139,14 +138,6 @@ def test_diagonal_identity_desk_ladder(family_table):
     ctx = mollifier.MollifierContext(family_table, lad, segs)
     for k in (0.5, 1.0, 2.0):
         assert moments.diagonal_factorization_check(ctx, k).ok
-
-
-def test_diagonal_requires_weighted_context(table_100k):
-    lad = mollifier.build_ladder(11, override_ell=(2,))
-    segs = mollifier.PrimeSegments(q=11, boundaries=(5.0,), segments=((5,),))
-    ctx = mollifier.MollifierContext(table_100k, lad, segs, weighted=False)
-    with pytest.raises(ValueError):
-        moments.diagonal_factorization_check(ctx, 1.0)
 
 
 def test_diagonal_rejects_small_table():
@@ -224,37 +215,44 @@ def test_holder_chain_audit(k, family_table, fam53):
         assert "twisted_moment" in audit.reported
 
 
+def _upper_sums(ctx, recs, k):
+    """The family sums of |L N(chi, k-1)|^2, |L|^2 A(chi), the guarded
+    product and B(chi), from the terms holder_chain_audit reads."""
+    ln, la, guard, _, B = moments._upper_terms(ctx, recs, k)
+    return sum(ln), sum(la), sum(guard), sum(B)
+
+
 def test_upper_bound_sums_degenerate(table_100k, fam7):
     ctx = _context(table_100k, 7)  # empty segments: N = 1, Q = 0
-    rep = moments.prop56_quantities(ctx, fam7, 1.0)
-    assert rep.phi_star == 5
-    assert abs(rep.sum_guarded_product - 5.0) < 1e-12
-    assert abs(rep.sum_weights_k - 5.0) < 1e-12
+    terms = moments._upper_terms(ctx, fam7, 1.0)
+    assert [len(t) for t in terms] == [5] * 5     # phi*(7) = 5
+    ln, _, guard, B = _upper_sums(ctx, fam7, 1.0)
+    assert abs(guard - 5.0) < 1e-12
+    assert abs(B - 5.0) < 1e-12
     raw = moments.family_moment(fam7, 1.0).raw_moment
-    assert abs(rep.sum_LN_sq - raw) < 1e-9
-    assert len(rep.normalized) == 4
+    assert abs(ln - raw) < 1e-9
 
 
 def test_upper_bound_sums_over_sweep(family_table, fam53, fam101):
     families = {53: fam53, 101: fam101}
     for q in (149, 211):
         families[q] = lvalues.family_values(family_table, q, CFG)
-    reps = [moments.prop56_quantities(_context(family_table, q, 0.5), recs,
-                                      0.5)
-            for q, recs in families.items()]
+    sums = {q: _upper_sums(_context(family_table, q, 0.5), recs, 0.5)
+            for q, recs in families.items()}
     # the mollified second-moment sum tracks phi* (log q)^(k^2) closely;
     # the guard-weighted sums do not (their guards are far above size 1 at
     # these moduli), so only positivity and structure are asserted for them
-    vals = [r.normalized[0] for r in reps]
+    vals = [s[0] / (arith.phi_star(q) * math.log(q) ** 0.25)
+            for q, s in sums.items()]
     assert min(vals) > 0
     assert max(vals) / min(vals) <= 4.0
-    for r in reps:
-        assert all(v > 0 for v in r.normalized)
+    for s in sums.values():
+        assert min(s) > 0
+        guard, B = s[2:]
         # ladder (8, 2) leaves segment 1 empty below 3^64, so the leading
         # guard vanishes and the two guard-weighted family sums coincide
-        assert abs(r.sum_guarded_product - r.sum_weights_k) \
-            <= 1e-9 * r.sum_weights_k
-    raw_gp = [r.sum_guarded_product for r in reps]
+        assert abs(guard - B) <= 1e-9 * B
+    raw_gp = [s[2] for s in sums.values()]
     assert raw_gp == sorted(raw_gp)
 
 

@@ -13,12 +13,12 @@ import helpers
 
 @pytest.fixture(scope="module")
 def ev_w():
-    return lvalues.default_evaluators(12)[0]
+    return lvalues.default_evaluators()[0]
 
 
 @pytest.fixture(scope="module")
 def ev_w2():
-    return lvalues.default_evaluators(12)[1]
+    return lvalues.default_evaluators()[1]
 
 
 def test_small_x_limit(ev_w, ev_w2):
@@ -124,8 +124,6 @@ def test_constructor_validation(ev_w):
     with pytest.raises(ValueError):
         weights.WeightEvaluator("V")
     with pytest.raises(ValueError):
-        weights.WeightEvaluator("W", kappa=10)
-    with pytest.raises(ValueError):
         ev_w.quad(0.0)
     with pytest.raises(ValueError):
         ev_w.quad(-1.0)
@@ -146,7 +144,7 @@ def test_decay_audit(ev_w, ev_w2):
         assert np.isfinite(m)
         assert m > 0
     with pytest.raises(ValueError):
-        weights.decay_audit(ev_w, 6.0)  # must stay below kappa/2
+        weights.decay_audit(ev_w, 6.0)  # must stay below a = 6
     with pytest.raises(ValueError):
         weights.decay_audit(ev_w, 0.0)
 
@@ -170,13 +168,13 @@ class _ScipyRouteEvaluator(weights.WeightEvaluator):
 
     def quad(self, x):
         return helpers.contour_weight_samples(
-            self.kind, x, self.kappa, 1.0, 12.0 if self.kind == "W" else 40.0,
+            self.kind, x, 12, 1.0, 12.0 if self.kind == "W" else 40.0,
             1.0 / 64)
 
 
 def test_cutoffs_match_scipy_route(ev_w, ev_w2):
     for ev in (ev_w, ev_w2):
-        ref = _ScipyRouteEvaluator(ev.kind, kappa=ev.kappa)
+        ref = _ScipyRouteEvaluator(ev.kind)
         for tail_eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
             assert (ev.envelope_cutoff(tail_eps / lvalues.SAFETY)
                     == ref.envelope_cutoff(tail_eps / lvalues.SAFETY))
