@@ -19,6 +19,12 @@ import sys
 
 __version__ = "0.1.0"
 
+# The exact tau route works at any size; this bound only limits the time and
+# memory one request may take (5.58M terms: about 25 s and a 1.22 GB peak in
+# a fresh process on one core of a 2-core machine).  It is hecke's, kept
+# here so that the CLI checks --n-max without loading hecke.
+TAU_N_MAX = 20_000_000
+
 # Each layer is registered at once but runs its code on first attribute
 # access, so a command loads only the layers it uses.  cli is left out:
 # `python -m twistmoments.cli` runs it as __main__.

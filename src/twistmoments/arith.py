@@ -1,20 +1,22 @@
 """Integer substrate: primes, factorization, and small multiplicative functions.
 
 Everything here operates on ordinary Python/NumPy 64-bit integers; desk-scale
-moduli and summation indices never approach that range.  A smallest-prime-factor
-sieve is built lazily and grown on demand, so factorization of the n that occur
-in hot loops is a table walk rather than repeated trial division.
+moduli and summation indices never approach that range.  factorize and the
+multiplicative functions built on it use trial division in plain Python: their
+callers factor moduli, group orders and divisors, a few hundred small
+arguments a run.  The smallest-prime-factor sieve behind
+smallest_prime_factors and sieve_primes is a numpy table, built lazily and
+grown on demand; numpy is imported only there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-# factorize reads n below this from the table, larger n by trial division
-_SIEVE_MAX = 1_000_000
+if TYPE_CHECKING:
+    import numpy as np
 
 # Lazily built smallest-prime-factor table; _spf[n] is the least prime
 # dividing n (0 for n < 2).  Sized to the first request, then grown to at
@@ -23,6 +25,7 @@ _spf: np.ndarray | None = None
 
 
 def _spf_table(limit: int) -> np.ndarray:
+    import numpy as np
     global _spf
     if _spf is None or len(_spf) <= limit:
         size = max(limit + 1, 2 * len(_spf) if _spf is not None else 0)
@@ -55,6 +58,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     Returns:
         int64 array of primes.
     """
+    import numpy as np
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     tab = _spf_table(limit)
@@ -71,7 +75,7 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a positive integer.
+    """Factor a positive integer by trial division.
 
     Args:
         n: integer >= 1; n = 1 yields an empty factor list.
@@ -83,28 +87,17 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     m = int(n)
     out: list[tuple[int, int]] = []
-    if 1 < m < _SIEVE_MAX:
-        tab = _spf_table(m)
-        while m > 1:
-            p = int(tab[m])
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while m % d == 0:
+                m //= d
                 e += 1
-            out.append((p, e))
-    else:
-        # trial division; fine for the occasional large argument
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                e = 0
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                out.append((d, e))
-            d += 1 if d == 2 else 2
-        if m > 1:
-            out.append((m, 1))
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append((m, 1))
     return Factorization(int(n), tuple(out))
 
 

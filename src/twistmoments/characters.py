@@ -8,13 +8,14 @@ and takes exact roots of unity: chi(n) = e(t(n)/D) with D = lcm(d_i) and
 
     t(n) = sum_i e_i (D/d_i) dlog_i(n) mod D.
 
-That one formula gives character values, parity (t(-1) = 0) and the sums
-over primitive characters.  A Character is a (group, index) handle and holds
-no arrays.  Each group holds conductors, parity and conjugation as integer
-vectors over the flat index, computed once; conductors and conjugation come
-in closed form from the component exponents.  The conductor is multiplicative
-over the CRT components, and on each component it depends only on the order
-of the exponent there.
+That one formula gives character values and the sums over primitive
+characters.  A Character is a (group, index) handle and holds no arrays.
+Each group holds conductors, parity and conjugation as tuples of Python
+ints and bools over the flat index, built with the group in one plain-Python
+pass: each follows in closed form from the exponents on each prime power.  The
+discrete-log rows, the unit mask and the roots of unity are numpy arrays,
+built on the first evaluation of a character value or sum and kept with the
+group, so listing a family imports no numpy.
 
 Convention: e(z) = exp(2*pi*i*z).  The Kloosterman sum here is
 S(u,v,q) = sum over units h of e((u h + v h^-1)/q); some sources write the
@@ -25,11 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 from . import arith
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _is_primitive_root(g: int, m: int, phi: int, phi_primes: tuple[int, ...]) -> bool:
@@ -51,6 +54,7 @@ def least_primitive_root(m: int) -> int:
 
 def _cyclic_dlog(m: int, gen: int, order: int) -> np.ndarray:
     """Exponent of n mod m with respect to gen (-1 off the orbit)."""
+    import numpy as np
     small = np.full(m, -1, dtype=np.int64)
     acc = 1
     for t in range(order):
@@ -61,6 +65,7 @@ def _cyclic_dlog(m: int, gen: int, order: int) -> np.ndarray:
 
 def _two_power_dlogs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Joint exponents for units mod m = 2^a, a >= 3: n = (-1)^s 5^t."""
+    import numpy as np
     t_sign = np.full(m, -1, dtype=np.int64)
     t_five = np.full(m, -1, dtype=np.int64)
     acc = 1
@@ -73,48 +78,40 @@ def _two_power_dlogs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return t_sign, t_five
 
 
-def _conductors(fac: tuple[tuple[int, int], ...],
-                tuples: np.ndarray) -> np.ndarray:
-    """Conductor of every character: the product of its local conductors.
-
-    On an odd p^a a character of local order o > 1 has local conductor
-    p times the p-part of o.  On 4 it is 4 for an odd exponent.  On 2^a with
-    a >= 3, sign s and <5>-exponent of local order o, it is 4o when o > 1,
-    else 4 if s = 1.  Local order 1 always gives 1.
-    """
-    cond = np.ones(tuples.shape[1], dtype=np.int64)
-    row = 0
-    for p, a in fac:
-        e = tuples[row]
-        if p != 2:
-            d = (p - 1) * p ** (a - 1)
-            o = d // np.gcd(e, d)
-            cond *= np.where(o > 1, p * (o // np.gcd(o, p - 1)), 1)
-            row += 1
-        elif a == 2:
-            cond *= np.where(e % 2 == 1, 4, 1)
-            row += 1
-        else:
-            d = 2 ** (a - 2)
-            o = d // np.gcd(tuples[row + 1], d)
-            cond *= np.where(o > 1, 4 * o, np.where(e == 1, 4, 1))
-            row += 2
-    return cond
+def _local_conductors(m: int, p: int, d: int) -> list[int]:
+    """Conductor of exponent e = 0..d-1 on a cyclic component of order d of
+    m = p^a: m / gcd(e, p^k) with p^k the p-part of d, and 1 at e = 0.  On
+    an odd p^a that is p times the p-part of the order d/gcd(e, d), on <5>
+    mod 2^a it is 4 times that order."""
+    out = [m] * d
+    step = p
+    while d % step == 0:
+        out[::step] = [m // step] * (d // step)
+        step *= p
+    out[0] = 1
+    return out
 
 
-def _exponent_tuples(orders, index: np.ndarray) -> np.ndarray:
-    """Row i: the exponent on component i of each flat index; the flat index
-    is mixed radix with component 0 least significant."""
-    return np.array(np.unravel_index(index, tuple(orders[::-1]))[::-1])
+def _exponents(orders, index: int) -> list[int]:
+    """The exponent on each component of a flat index: mixed radix,
+    component 0 least significant."""
+    out = []
+    for d in orders:
+        index, e = divmod(index, d)
+        out.append(e)
+    return out
 
 
-def _phase(exps: np.ndarray, orders, index, n) -> np.ndarray:
-    """t(n) = sum_i e_i (D/d_i) dlog_i(n) mod D for the characters at flat
-    `index` (int or array, rows) and the residues `n` (index into the
-    columns of `exps`).  Non-units get an arbitrary phase."""
-    exponent = math.lcm(*orders)
-    scaled = _exponent_tuples(orders, index).T * (exponent // np.array(orders))
-    return scaled @ exps[:, n] % exponent
+def _phase(group: CharacterGroup, indices, n) -> np.ndarray:
+    """t(n) = sum_i e_i (D/d_i) dlog_i(n) mod D: one row per flat index in
+    `indices`, over the residues `n` (index into the columns of `exps`).
+    Non-units get an arbitrary phase."""
+    import numpy as np
+    orders, D = group.orders(), group.exponent
+    scaled = np.array([[e * (D // d) for e, d in zip(_exponents(orders, i),
+                                                      orders)]
+                       for i in indices], dtype=np.int64)
+    return scaled.reshape(len(indices), len(orders)) @ group.exps[:, n] % D
 
 
 @dataclass(frozen=True)
@@ -125,24 +122,57 @@ class CharacterGroup:
     its discrete log: for an odd prime power q there is one component, whose
     generator g is the least primitive root, and exps[0][g^t mod q] = t.
     The exponent D is the lcm of the component orders.  `conductors`, `even`
-    and `conj` are vectors over the flat character index: the conductor of
-    chi, whether chi(-1) = 1, and the flat index of chi-bar.  Every array is
-    read-only, since `build_group` hands one group to all its callers.
+    and `conj` are tuples over the flat character index: the conductor of
+    chi, whether chi(-1) = 1, and the flat index of chi-bar.  `exps`,
+    `unit_mask` and `roots` are built on first use and kept read-only, since
+    `build_group` hands one group to all its callers.
     """
 
     q: int
     phi_q: int
     components: tuple[tuple[int, int, int], ...]  # (modulus, generator, order)
     exponent: int
-    exps: np.ndarray          # shape (ncomp, q), -1 at non-units
-    unit_mask: np.ndarray     # shape (q,), bool
-    roots: np.ndarray         # exp(2 pi i t / D), t = 0..D-1
-    conductors: np.ndarray    # shape (phi_q,), int64
-    even: np.ndarray          # shape (phi_q,), bool
-    conj: np.ndarray          # shape (phi_q,), int64
+    conductors: tuple[int, ...]
+    even: tuple[bool, ...]
+    conj: tuple[int, ...]
 
     def orders(self) -> tuple[int, ...]:
         return tuple(c[2] for c in self.components)
+
+    @cached_property
+    def exps(self) -> np.ndarray:
+        """Shape (ncomp, q): the discrete log of n on each component, -1 at
+        non-units."""
+        import numpy as np
+        rows = []
+        for m, g, d in self.components:
+            if m % 8:                   # cyclic: an odd p^a, or 4
+                rows.append(_cyclic_dlog(m, g, d))
+            elif g == m - 1:            # <-1> of 2^a, and <5> after it
+                rows.extend(_two_power_dlogs(m))
+        nn = np.arange(self.q, dtype=np.int64)
+        exps = np.stack([row[nn % m]
+                         for row, (m, _, _) in zip(rows, self.components)])
+        if not np.all(exps[:, self.unit_mask] >= 0):
+            raise AssertionError(f"dlog table incomplete for q={self.q}")
+        exps.setflags(write=False)
+        return exps
+
+    @cached_property
+    def unit_mask(self) -> np.ndarray:
+        """Shape (q,): whether gcd(n, q) = 1."""
+        import numpy as np
+        mask = np.gcd(np.arange(self.q, dtype=np.int64), self.q) == 1
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """exp(2 pi i t / D), t = 0..D-1."""
+        import numpy as np
+        roots = np.exp(2j * np.pi * np.arange(self.exponent) / self.exponent)
+        roots.setflags(write=False)
+        return roots
 
     def character(self, index: int) -> "Character":
         if not 0 <= index < self.phi_q:
@@ -158,7 +188,7 @@ def build_group(q: int) -> CharacterGroup:
     """Build the character group mod q, any q >= 3 with q != 2 (mod 4).
 
     Groups are memoised, so every caller at one modulus shares one group;
-    all of its arrays are read-only.
+    its vectors are tuples and its arrays read-only.
 
     Raises:
         ValueError: q = 2 mod 4 (no primitive characters) or q < 3.
@@ -167,53 +197,48 @@ def build_group(q: int) -> CharacterGroup:
         raise ValueError(f"q={q}: group building needs q >= 3")
     if q % 4 == 2:
         raise ValueError(f"q={q} = 2 (mod 4): no primitive characters exist")
-    fac = arith.factorize(q).factors
 
+    # per prime power p^a, by local index: the conductor, whether chi(-1)
+    # = 1, and the local index of chi-bar.  -1 is g^(d/2) on a cyclic
+    # component, so chi(-1) there is (-1)^e; on 2^a, a >= 3, the local index
+    # is s + 2t for (-1)^s 5^t, and chi(-1) = (-1)^s.
     components: list[tuple[int, int, int]] = []
-    small_tables: list[np.ndarray] = []
-    for p, e in fac:
-        m = p ** e
-        if p == 2:
-            if e == 2:
-                components.append((4, 3, 2))
-                small_tables.append(_cyclic_dlog(4, 3, 2))
-            else:
-                t_sign, t_five = _two_power_dlogs(m)
-                components.append((m, m - 1, 2))           # <-1>
-                small_tables.append(t_sign)
-                components.append((m, 5, m // 4))          # <5>, order 2^(e-2)
-                small_tables.append(t_five)
+    local: list[tuple[list[int], list[bool], list[int]]] = []
+    for p, a in arith.factorize(q).factors:
+        m = p ** a
+        if p == 2 and a >= 3:
+            d = m // 4
+            components += [(m, m - 1, 2), (m, 5, d)]          # <-1>, <5>
+            # the sign alone has conductor 4; any t != 0 has 4 * order >= 8
+            cond = [f for f in _local_conductors(m, 2, d) for _ in (0, 1)]
+            cond[:2] = [1, 4]
+            local.append((cond, [True, False] * d,
+                          [s + 2 * (-t % d) for t in range(d) for s in (0, 1)]))
+        elif p == 2:
+            components.append((4, 3, 2))
+            local.append(([1, 4], [True, False], [0, 1]))
         else:
-            g = least_primitive_root(m)
             d = arith.euler_phi(m)
-            components.append((m, g, d))
-            small_tables.append(_cyclic_dlog(m, g, d))
+            components.append((m, least_primitive_root(m), d))
+            local.append((_local_conductors(m, p, d), [True, False] * (d // 2),
+                          [-e % d for e in range(d)]))
 
-    nn = np.arange(q, dtype=np.int64)
-    exps = np.stack([tab[nn % m]
-                     for tab, (m, _, _) in zip(small_tables, components)])
-    unit_mask = np.gcd(nn, q) == 1
-    if not np.all(exps[:, unit_mask] >= 0):
-        raise AssertionError(f"dlog table incomplete for q={q}")
+    # one mixed-radix pass, p^a blocks in ascending p, the first least
+    # significant: conductors multiply over the coprime blocks, parities
+    # multiply, and chi-bar is chi-bar on every block
+    conductors, even, conj = [1], [True], [0]
+    for cond, par, neg in local:
+        stride = len(conj)
+        conductors = [c * f for f in cond for c in conductors]
+        even = [e == t for t in par for e in even]
+        conj = [i + stride * n for n in neg for i in conj]
     orders = [d for _, _, d in components]
-    exponent = math.lcm(*orders)
     phi_q = arith.euler_phi(q)
     assert math.prod(orders) == phi_q
-    roots = np.exp(2j * np.pi * np.arange(exponent) / exponent)
-
-    index = np.arange(phi_q)
-    tuples = _exponent_tuples(orders, index)
-    orders_col = np.array(orders).reshape(-1, 1)
-    conj = np.ravel_multi_index(tuple((-tuples % orders_col)[::-1]),
-                                orders[::-1])
-    arrays = {"exps": exps, "unit_mask": unit_mask, "roots": roots,
-              "conductors": _conductors(fac, tuples),
-              "even": _phase(exps, orders, index, q - 1) == 0,
-              "conj": conj}
-    for v in arrays.values():
-        v.setflags(write=False)
     return CharacterGroup(q=q, phi_q=phi_q, components=tuple(components),
-                          exponent=exponent, **arrays)
+                          exponent=math.lcm(*orders),
+                          conductors=tuple(conductors), even=tuple(even),
+                          conj=tuple(conj))
 
 
 class Character:
@@ -233,23 +258,25 @@ class Character:
     def values(self) -> np.ndarray:
         """chi(n) for n = 0..q-1 as a read-only complex array (0 at
         non-units), evaluated afresh on each call."""
+        import numpy as np
         grp = self.group
-        phase = _phase(grp.exps, grp.orders(), self.index, slice(None))
+        phase = _phase(grp, [self.index], slice(None))[0]
         vals = np.where(grp.unit_mask, grp.roots[phase], 0.0)
         vals.setflags(write=False)
         return vals
 
     def __call__(self, n):
+        import numpy as np
         return self.values()[np.asarray(n) % self.group.q]
 
     @property
     def conductor(self) -> int:
         """Smallest f | q from which chi is induced."""
-        return int(self.group.conductors[self.index])
+        return self.group.conductors[self.index]
 
     @property
     def is_primitive(self) -> bool:
-        return bool(self.group.conductors[self.index] == self.group.q)
+        return self.group.conductors[self.index] == self.group.q
 
     @property
     def is_principal(self) -> bool:
@@ -257,7 +284,7 @@ class Character:
 
     def conjugate_index(self) -> int:
         """Flat index of chi-bar."""
-        return int(self.group.conj[self.index])
+        return self.group.conj[self.index]
 
     def __repr__(self):
         return (f"Character(q={self.group.q}, index={self.index}, "
@@ -266,14 +293,15 @@ class Character:
 
 def primitive_characters(group: CharacterGroup) -> list[Character]:
     """All primitive characters, ascending flat index; length phi_star(q)."""
-    prims = [Character(group, int(i))
-             for i in np.flatnonzero(group.conductors == group.q)]
+    prims = [Character(group, i)
+             for i, c in enumerate(group.conductors) if c == group.q]
     assert len(prims) == arith.phi_star(group.q)
     return prims
 
 
 @lru_cache(maxsize=64)
 def _e_table(q: int) -> np.ndarray:
+    import numpy as np
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 
@@ -282,6 +310,7 @@ def gauss_sum(chi: Character, values: np.ndarray | None = None) -> complex:
 
     values: chi.values(), when the caller already holds them.
     """
+    import numpy as np
     if values is None:
         values = chi.values()
     return complex(np.dot(values, _e_table(chi.group.q)))
@@ -309,6 +338,7 @@ def kloosterman(u: int, v: int, q: int) -> float:
     and discarded (h <-> -h pairing makes the sum real; that is verified
     numerically rather than assumed).
     """
+    import numpy as np
     if q < 2:
         raise ValueError(f"kloosterman needs q >= 2, got {q}")
     h = np.flatnonzero(np.gcd(np.arange(q), q) == 1)
@@ -344,10 +374,10 @@ def primitive_sum_identity(a: int, q: int, audit: bool = False) -> int:
     rhs = sum(arith.mobius(q // c) * arith.euler_phi(c)
               for c in arith.divisors(q) if g % c == 0)
     if audit:
+        import numpy as np
         grp = build_group(q)
-        phase = _phase(grp.exps, grp.orders(),
-                       np.flatnonzero(grp.conductors == q), a % q)
-        lhs = complex(np.sum(grp.roots[phase]))
+        prims = [i for i, c in enumerate(grp.conductors) if c == q]
+        lhs = complex(np.sum(grp.roots[_phase(grp, prims, a % q)]))
         if abs(lhs - rhs) > 1e-6:
             raise AssertionError(
                 f"sum over primitive chi mod {q} of chi({a}) = {lhs}, "

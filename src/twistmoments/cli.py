@@ -18,9 +18,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from . import characters, hecke, lvalues, moments, mollifier
+from . import TAU_N_MAX, characters, hecke, lvalues, moments, mollifier
 
 DEFAULT_ELL = (8, 2)        # even, decreasing, small enough to act at q ~ 50
 _WEIGHT_SAMPLES = 25
@@ -224,8 +222,8 @@ def _validate(cfg: RunConfig):
         raise _CliError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.audit_count < 0:
         raise _CliError(f"audit-count must be >= 0, got {cfg.audit_count}")
-    if not 1 <= cfg.n_max <= hecke.TAU_N_MAX:
-        raise _CliError(f"n-max must lie in 1..{hecke.TAU_N_MAX}, "
+    if not 1 <= cfg.n_max <= TAU_N_MAX:
+        raise _CliError(f"n-max must lie in 1..{TAU_N_MAX}, "
                         f"got {cfg.n_max}")
     if any(k < 0 for k in cfg.k_list):
         raise _CliError(f"k must be >= 0, got {cfg.k_list}")
@@ -263,11 +261,24 @@ def _validate(cfg: RunConfig):
                 cfg.tail_eps / lvalues.SAFETY)
         except ValueError as exc:
             raise _CliError(f"tail-eps {cfg.tail_eps:g} is too small: {exc}")
+        # n_cap grows with q and with max(X, 1/X), which may overflow
+        try:
+            lvalues.required_n_cap(max(cfg.q_list), cfg.afe())
+        except ValueError as exc:
+            raise _CliError(f"X={cfg.X:g} is too far from 1: {exc}")
+        except OverflowError:
+            raise _CliError(f"X={cfg.X:g} is too far from 1: n_cap overflows")
+
+
+def _plain(v):
+    """A numpy scalar as its Python value, anything else as it is.  No
+    numpy scalar exists before numpy is loaded, so this never loads it."""
+    np = sys.modules.get("numpy")
+    return v.item() if np is not None and isinstance(v, np.generic) else v
 
 
 def _fmt(v) -> str:
-    if isinstance(v, np.generic):
-        v = v.item()
+    v = _plain(v)
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, float):
@@ -301,7 +312,8 @@ def _csv(cfg: RunConfig, header, rows, comments=()) -> str:
 def _json_default(v):
     """numpy scalars as their Python values, anything else iterable as a
     list."""
-    return v.item() if isinstance(v, np.generic) else list(v)
+    plain = _plain(v)
+    return plain if plain is not v else list(v)
 
 
 def _json_doc(cfg: RunConfig, header, rows, audits=None) -> str:
@@ -334,14 +346,14 @@ def _cmd_chars(cfg: RunConfig) -> str:
     rows = []
     for q in cfg.q_list:
         grp = characters.build_group(q)
-        rows.extend(zip([q] * grp.phi_q, range(grp.phi_q),
-                        grp.conductors.tolist(),
-                        (grp.conductors == q).tolist(), grp.even.tolist()))
+        rows.extend(zip([q] * grp.phi_q, range(grp.phi_q), grp.conductors,
+                        [c == q for c in grp.conductors], grp.even))
     return _render(cfg, ("q", "index", "conductor", "primitive", "even"),
                    rows)
 
 
 def _cmd_weights(cfg: RunConfig) -> str:
+    import numpy as np
     w1, w2 = lvalues.default_evaluators()
     xs = np.geomspace(1e-3, 1e3, _WEIGHT_SAMPLES)
     rows = [(float(x), float(w1(x)), float(w2(x))) for x in xs]
@@ -453,6 +465,7 @@ def _cmd_audit(cfg: RunConfig) -> str:
 
 
 def _cmd_mollifier_verify(cfg: RunConfig) -> str:
+    import numpy as np
     q = cfg.q_list[0]
     k = cfg.k_list[0]
     afe = cfg.afe()

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import arith
+from . import TAU_N_MAX, arith
 
 _ZERO = ord("0")
 # unit roundoff of float64
@@ -356,12 +356,6 @@ def _decimal_strings(neg: np.ndarray, digits: np.ndarray) -> np.ndarray:
     out = text.view(f"S{width + 1}").ravel()
     out.setflags(write=False)
     return out
-
-
-# The route is exact at any size; this bound only limits the time and
-# memory one request may take (5.58M terms: about 25 s and a 1.22 GB peak
-# in a fresh process on one core of a 2-core machine).
-TAU_N_MAX = 20_000_000
 
 
 def ramanujan_tau_table(n_max: int) -> np.ndarray:

@@ -91,6 +91,13 @@ def _validate_ell(ell: tuple[int, ...], generated: bool):
             f"ladder violates sum(1/ell_j) <= 2/ell_R: {ell}")
 
 
+def _exceeds_power_of_ten(n: int, M: int) -> bool:
+    """n > 10^M for n >= 1.  The digit count decides unless it is M + 1,
+    and only then is 10^M formed, no longer than n itself."""
+    digits = len(str(n))
+    return digits > M + 1 or (digits == M + 1 and n != 10 ** M)
+
+
 def build_ladder(q: int, N: int | None = None, M: int | None = None,
                  k: float = 1.0,
                  override_ell: tuple[int, ...] | None = None) -> LadderParams:
@@ -112,12 +119,11 @@ def build_ladder(q: int, N: int | None = None, M: int | None = None,
         raise ValueError("need N and M (or an override ladder)")
     if N < 1 or M < 1:
         raise ValueError(f"N, M must be >= 1, got N={N}, M={M}")
-    threshold = 10 ** M
     ell: list[int] = []
     loglog = math.log(math.log(q))
     if loglog > 0:
         cur = 2 * math.ceil(N * loglog)
-        while cur > threshold:
+        while _exceeds_power_of_ten(cur, M):
             ell.append(cur)
             nxt = 2 * math.ceil(N * math.log(cur))
             if nxt >= cur:

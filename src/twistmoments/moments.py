@@ -123,10 +123,10 @@ def twisted_first_moment(ctx: mollifier.MollifierContext, recs,
     the imaginary part should be at noise level.
     """
     _family_q(ctx, recs)
-    group = recs[0].chi.group
-    index = np.array([r.chi.index for r in recs])
-    # the records ascend in index, so chi-bar's position is a sorted lookup
-    mates = np.searchsorted(index, group.conj[index]).tolist()
+    conj = recs[0].chi.group.conj
+    # the family is closed under conjugation: chi-bar's record by its index
+    position = {rec.chi.index: j for j, rec in enumerate(recs)}
+    mates = [position[conj[rec.chi.index]] for rec in recs]
     total = 0.0 + 0.0j
     for rec, mate in zip(recs, mates):
         total += (rec.value

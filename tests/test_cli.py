@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -81,6 +82,8 @@ def test_help_exits_zero(capsys):
     ["fit", "--q-list", "53,53,101,149"],            # repeated modulus
     ["sweep", "--q-list", "5,7,9,11", "--k-list", "1,1", "--fit"],
     ["lvalue", "--q-list", "7,7"],
+    ["lvalue", "--q", "7", "--X", "1e-9"],           # n_cap past CAP_LIMIT
+    ["lvalue", "--q", "7", "--X", "1e-320"],         # 1/X overflows
 ])
 def test_validation_failures_exit_one(args, capsys):
     rc, out, err = run_cli(args, capsys)
@@ -216,7 +219,7 @@ for name in ("arith", "characters", "hecke", "lvalues", "moments",
 
 @pytest.mark.parametrize("args, unloaded", [
     (["chars", "--q", "9"],
-     {"lvalues", "weights", "sums", "moments", "mollifier"}),
+     {"hecke", "lvalues", "weights", "sums", "moments", "mollifier"}),
     (["tau", "--n-max", "10"],
      {"characters", "lvalues", "weights", "sums", "moments", "mollifier"}),
     (["sweep", "--q-list", "5,7,9,11", "--fit"], {"mollifier"}),
@@ -227,6 +230,24 @@ def test_commands_load_only_their_layers(args, unloaded):
                           capture_output=True, text=True, env=_FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
     assert unloaded <= set(proc.stdout.split()), proc.stdout
+
+
+_NUMPY_GUARD = """
+import contextlib, io, sys
+from twistmoments import cli
+for fmt in ("csv", "json"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["chars", "--q-list", "1009,1024,1155,1200,1331",
+                        "--format", fmt]) == 0
+assert "numpy" not in sys.modules, "chars loaded numpy"
+"""
+
+
+def test_chars_never_imports_numpy():
+    # listing a family is integer arithmetic on the standard library alone
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_GUARD],
+                          capture_output=True, text=True, env=_FRESH_ENV)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("args", [["chars", "--q", "5"],
@@ -410,6 +431,26 @@ def test_config_hash_is_pinned(args, want):
     # the hash heads every report and keys reruns: the settings it covers,
     # with the fixed weight 12 of Delta among them, must hash as before
     assert cli._resolve(cli._build_parser(args).parse_args(args)).hash == want
+
+
+_WIDE_MODULI = ("1009,1013,1019,1021,1031,1033,1039,1049,1201,1499,1331,1369,"
+                "1024,1001,1005,1007,1015,1023,1025,1105,1155,1225,1485,"
+                "1100,1200,1452")
+
+
+@pytest.mark.parametrize("fmt, want", [
+    ("csv", "35253ea8aac34f2dbdf438c9e0adbef3"
+            "20671f6d3caf32456004bd4e3eae5f45"),
+    ("json", "c6c89b60fb17dd7d8c34e096f0026a5d"
+             "718afadae7cc523728777cccf3a34419"),
+], ids=["csv", "json"])
+def test_chars_output_is_pinned(fmt, want, capsys):
+    # every conductor, primitive flag and parity of the 26 moduli in
+    # 1000..1500 that perfbench's chars-wide lists, byte for byte
+    rc, out, _ = run_cli(["chars", "--q-list", _WIDE_MODULI, "--format", fmt],
+                         capsys)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_config_keys_are_the_flags():

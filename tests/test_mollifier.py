@@ -68,6 +68,22 @@ def test_generated_schedule():
     assert lad0.ell == ()
 
 
+def test_generated_schedule_at_a_huge_floor():
+    # the floor 10^M is compared by digit count, never formed
+    lad = mollifier.build_ladder(53, N=2, M=10**9)
+    assert lad.generated
+    assert lad.ell == ()
+
+
+def test_generated_schedule_floor_is_strict():
+    # an entry equal to 10^M is not above the floor: at q = 10^30 and N = 1
+    # the schedule starts at 2 ceil(log log q) = 10, at 10^60 and N = 10 at
+    # 100, and at 10^100 and N = 1 at 12
+    assert mollifier.build_ladder(10**30, N=1, M=1).ell == ()
+    assert mollifier.build_ladder(10**60, N=10, M=2).ell == ()
+    assert mollifier.build_ladder(10**100, N=1, M=1).ell == (12,)
+
+
 def test_ladder_requires_schedule_or_override():
     with pytest.raises(ValueError):
         mollifier.build_ladder(53)  # neither (N, M) nor an override
