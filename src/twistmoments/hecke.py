@@ -14,24 +14,27 @@ matrix holding |a_i| in decimal digits, most significant first.  Each
 squaring splits the rows into signed base-10^w limbs of at most 10^w/2 and
 convolves them with float64 FFTs of a power-of-two length: one rfft per
 limb and, for each diagonal l + m = s of limb pairs, one inverse transform
-of the summed spectrum products.  Where it takes fewer transform points,
-the rows are first cut into three pieces and each piece is transformed at
-the length its own square needs; the pieces' products land at their
-offsets.  Each diagonal is rounded to integers and carried in base 10^w,
-least significant first, back into digit rows.  The limb width w is the
-widest whose a-priori rounding bound (Percival's, from the limbs' l2 norms)
-is at most 1/4, and every rounded value must lie within 1/8 of an integer,
-else the squaring raises.  So the route is exact at every size; it needs
-only numpy and builds no Python integer per coefficient.
+of the summed spectrum products.  The rows are first cut into P pieces,
+P from the length alone by a cost model fitted on measured squarings, and
+each piece is transformed at the length its own square needs; the pieces'
+products land at their offsets.  Small transforms stay in cache, so a few
+pieces beat one long transform.  Each diagonal is rounded to integers and
+carried in base 10^w, least significant first.  The limb width w is the
+widest whose a-priori rounding bound (Percival's, from the limbs' l2
+norms, found before any limb is kept) is at most 1/4, and every rounded
+value must lie within 1/8 of an integer, else the squaring raises.  So the
+route is exact at every size; it needs only numpy and builds no Python
+integer per coefficient.
 
-The table is returned as signed decimal byte strings, blank-padded to the
-width of the longest entry, which int() reads exactly and
-astype(np.float64) rounds correctly.  Normalized eigenvalues
-lambda(n) = tau(n)/n^(11/2) are stored as float64: float(tau(n))
-divided by n ** 5.5 taken by numpy's array power.  That
-power is not libm's pow: it differs in the last bit for 1,025 of
-n <= 20,000, so the table is not bit-equal to the Python expression
-float(tau) / n ** 5.5.
+The carried limbs of the first squaring go back into digit rows for the
+second.  Those of the second give the table: as signed decimal byte
+strings, blank-padded to the width of the longest entry, which int() reads
+exactly, or as float64, each correctly rounded straight from the limbs
+(bit-equal to astype(np.float64) of the strings).  Normalized eigenvalues
+lambda(n) = tau(n)/n^(11/2) are stored as float64: those floats divided by
+n ** 5.5 taken by numpy's array power.  That power is not libm's pow: it
+differs in the last bit for 1,025 of n <= 20,000, so the table is not
+bit-equal to the Python expression float(tau) / n ** 5.5.
 shared_eigenform keeps one table per process and, on request, an on-disk
 cache of validated tables that serves any shorter request by prefix.
 """
@@ -63,6 +66,12 @@ _MAX_LIMB_DIGITS = 4
 # spectrum products are accumulated this many entries at a time, so no
 # full-length temporary is made
 _BLOCK = 1 << 15
+# rows converted to floats at a time, so their words stay in cache
+_ROWS = 1 << 12
+# the most pieces a squaring cuts its rows into, and the cost of a
+# piece's spectrum products against one transform level (see _pieces)
+_P_MAX = 16
+_PRODUCT_COST = 0.4
 
 
 def _eta6(length: int) -> np.ndarray:
@@ -97,16 +106,14 @@ def _digit_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values < 0, digits
 
 
-def _balanced_limbs(neg: np.ndarray, columns: np.ndarray,
-                    width: int) -> list[np.ndarray]:
-    """Digit columns (the digit matrix transposed) as signed base-10^width
-    limbs, least significant first: row i is sum_l limbs[l][i] 10^(width l),
-    and |limbs| <= 10^width / 2.  Each limb is its own array, so it can be
-    freed on its own."""
+def _block_limbs(columns: np.ndarray, width: int) -> np.ndarray:
+    """Balanced base-10^width limbs of the magnitudes a block of digit
+    columns holds, least significant first: an int16 array (count + 1,
+    rows), row i summing to the value of column i, every limb in
+    (-10^width / 2, 10^width / 2]."""
     cols, rows = columns.shape
-    count = -(-cols // width)
     base = 10**width
-    limbs = [np.zeros(rows, dtype=np.int16) for _ in range(count + 1)]
+    limbs = np.zeros((-(-cols // width) + 1, rows), dtype=np.int16)
     for col, digit in enumerate(columns):
         limb = limbs[(cols - 1 - col) // width]
         limb *= 10
@@ -116,22 +123,65 @@ def _balanced_limbs(neg: np.ndarray, columns: np.ndarray,
         limb += borrow
         borrow = limb > base // 2
         limb -= borrow * np.int16(base)
+    return limbs
+
+
+def _balanced_limbs(neg: np.ndarray, columns: np.ndarray,
+                    width: int) -> list[np.ndarray]:
+    """Digit columns (the digit matrix transposed) as signed base-10^width
+    limbs, least significant first: row i is sum_l limbs[l][i] 10^(width l),
+    and |limbs| <= 10^width / 2.  Each limb is its own array, so it can be
+    freed on its own."""
+    cols, rows = columns.shape
+    limbs = [np.empty(rows, dtype=np.int16)
+             for _ in range(-(-cols // width) + 1)]
+    for at in range(0, rows, _BLOCK):
+        end = at + _BLOCK
+        block = _block_limbs(columns[:, at:end], width)
+        block *= np.where(neg[at:end], np.int16(-1), np.int16(1))
+        for limb, part in zip(limbs, block):
+            limb[at:end] = part
     if not limbs[-1].any():
         limbs.pop()
-    sign = np.where(neg, np.int16(-1), np.int16(1))
-    for limb in limbs:
-        limb *= sign
     return limbs
+
+
+def _limb_norms(columns: np.ndarray, width: int,
+                pieces: int) -> np.ndarray:
+    """norms[l, i], the l2 norm of balanced limb l (see _balanced_limbs) on
+    piece i of the columns' rows, without keeping the limbs.  A top limb
+    that is zero on every row is left out, as _balanced_limbs leaves it.
+    Each squared norm is a sum of integers below 2^53, so it is exact."""
+    cols, rows = columns.shape
+    piece = rows // pieces
+    squares = np.zeros((-(-cols // width) + 1, pieces))
+    for i in range(pieces):
+        for at in range(i * piece, (i + 1) * piece, _BLOCK):
+            end = min(at + _BLOCK, (i + 1) * piece)
+            x = _block_limbs(columns[:, at:end], width).astype(np.float64)
+            squares[:, i] += np.einsum("ij,ij->i", x, x)
+    if not squares[-1].any():
+        squares = squares[:-1]
+    return np.sqrt(squares)
 
 
 def _pieces(length: int) -> tuple[int, int]:
     """(P, k) for squaring `length` terms: the rows are cut into P pieces of
     ceil(length / P) terms, each transformed at the least length 2^k
-    >= 2 piece - 1, so a piece's square does not wrap.  P is 3 where three
-    pieces take fewer transform points in all than one, else 1."""
-    one = (2 * length - 2).bit_length()
-    third = (2 * -(-length // 3) - 2).bit_length()
-    return (3, third) if 3 << third < 1 << one else (1, one)
+    >= 2 piece - 1, so a piece's square does not wrap.
+
+    P in 1.._P_MAX minimises the cost model P 2^k (k + _PRODUCT_COST P),
+    fitted on measured squarings: P transforms of 2^k points take time
+    in proportion to P 2^k k, and the P (P + 1) / 2 spectrum products of
+    every limb pair to P^2 2^k.  More pieces take fewer transform points
+    in all, and smaller transforms stay in cache, until the products
+    dominate.
+    """
+    def cost(plan):
+        pieces, levels = plan
+        return (pieces << levels) * (levels + _PRODUCT_COST * pieces)
+    return min(((p, (2 * -(-length // p) - 2).bit_length())
+                for p in range(1, _P_MAX + 1)), key=cost)
 
 
 def _rounding_bounds(norms: np.ndarray, levels: int) -> np.ndarray:
@@ -178,23 +228,21 @@ def _split_limbs(neg: np.ndarray, digits: np.ndarray,
     """The widest limb width whose rounding bounds for squaring `length`
     terms are all at most 1/4, and the balanced limbs of that width, cut
     into the pieces of _pieces(length): limbs[l][i] is limb l of rows
-    i piece .. (i + 1) piece - 1, zero past the last row."""
+    i piece .. (i + 1) piece - 1, zero past the last row.  Each width is
+    bounded from its limbs' norms alone; only the accepted one's limbs are
+    kept."""
     pieces, levels = _pieces(length)
     piece = -(-length // pieces)
     rows, cols = digits.shape
     columns = np.zeros((cols, pieces * piece), dtype=np.uint8)
     columns[:, :rows] = digits.T
-    signs = np.zeros(pieces * piece, dtype=bool)
-    signs[:rows] = neg
     for width in range(_MAX_LIMB_DIGITS, 0, -1):
-        limbs = [limb.reshape(pieces, piece)
-                 for limb in _balanced_limbs(signs, columns, width)]
-        norms = np.empty((len(limbs), pieces))
-        for l, limb in enumerate(limbs):
-            x = limb.astype(np.float64)
-            norms[l] = np.sqrt(np.einsum("ij,ij->i", x, x))
+        norms = _limb_norms(columns, width, pieces)
         if _rounding_bounds(norms, levels).max() <= 0.25:
-            return width, limbs
+            signs = np.zeros(pieces * piece, dtype=bool)
+            signs[:rows] = neg
+            return width, [limb.reshape(pieces, piece) for limb
+                           in _balanced_limbs(signs, columns, width)]
     raise ArithmeticError("no limb width keeps the FFT rounding below 1/4")
 
 
@@ -233,9 +281,10 @@ def _carry_limb(carry: np.ndarray,
     return carry.astype(np.uint16), high
 
 
-def _square_rows(neg: np.ndarray, digits: np.ndarray,
-                 length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact coefficients of (sum a_i x^i)^2 below x^length, as digit rows.
+def _square_limbs(neg: np.ndarray, digits: np.ndarray,
+                  length: int) -> tuple[np.ndarray, list[np.ndarray], int]:
+    """Exact coefficients of (sum a_i x^i)^2 below x^length, as carried
+    limbs.
 
     With a_i = sum_l x_l[i] B^l in balanced limbs (B = 10^width, see
     _split_limbs), c_k = sum_s z_s[k] B^s where z_s = sum_{l+m=s} x_l * x_m.
@@ -257,8 +306,10 @@ def _square_rows(neg: np.ndarray, digits: np.ndarray,
         length: number of output coefficients to keep.
 
     Returns:
-        The sign mask and digit matrix of c_0 .. c_{length-1}, as wide as
-        the longest |c_k|.
+        (sign, limbs, width): the sign mask of c_0 .. c_{length-1} and
+        |c_k| = sum_l limbs[l][k] 10^(width (N - 1 - l)) in uint16 limbs
+        of [0, 10^width), most significant first; leading limbs that are
+        zero on every row are dropped, down to one.
 
     Raises:
         ArithmeticError: a rounded value is farther than 1/8 from an
@@ -266,7 +317,8 @@ def _square_rows(neg: np.ndarray, digits: np.ndarray,
     """
     neg, digits = neg[:length], digits[:length]
     if not digits.any():
-        return np.zeros(length, dtype=bool), np.zeros((length, 1), np.uint8)
+        return (np.zeros(length, dtype=bool),
+                [np.zeros(length, dtype=np.uint16)], 1)
     width, limbs = _split_limbs(neg, digits, length)
     pieces, levels = _pieces(length)
     count, base, size = len(limbs), 10**width, 1 << levels
@@ -323,16 +375,84 @@ def _square_rows(neg: np.ndarray, digits: np.ndarray,
         level -= 1
     while len(out) > 1 and not out[0].any():
         del out[0]
-    columns = np.empty((len(out), width, length), dtype=np.uint8)
-    for k in range(len(out)):
-        limb, out[k] = out[k], None
+    return sign, out, width
+
+
+def _limb_digits(sign: np.ndarray, limbs: list[np.ndarray],
+                 width: int) -> tuple[np.ndarray, np.ndarray]:
+    """_square_limbs's result as digit rows (sign mask, decimal digits most
+    significant first, as wide as the longest value); limbs is emptied."""
+    length = len(sign)
+    columns = np.empty((len(limbs), width, length), dtype=np.uint8)
+    for k in range(len(limbs)):
+        limb, limbs[k] = limbs[k], None
         for j in range(width - 1, -1, -1):
             limb, columns[k, j] = np.divmod(limb, 10)
-    columns = columns.reshape(-1, length)
+    columns = columns.reshape(len(limbs) * width, length)
     lead = columns[:width - 1].any(axis=1)
     columns = columns[int(lead.argmax()) if lead.any() else width - 1:]
     # column-major digit rows: each digit position is contiguous
     return sign, columns.T
+
+
+def _square_rows(neg: np.ndarray, digits: np.ndarray,
+                 length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact coefficients of (sum a_i x^i)^2 below x^length, as digit rows
+    (see _square_limbs)."""
+    return _limb_digits(*_square_limbs(neg, digits, length))
+
+
+def _limb_floats(sign: np.ndarray, limbs: list[np.ndarray],
+                 width: int) -> np.ndarray:
+    """_square_limbs's values as float64, each correctly rounded (to
+    nearest, ties to even), as astype(np.float64) rounds their decimal
+    strings.
+
+    _ROWS rows at a time, the limbs are read in chunks of base
+    C = 10^(width g) <= 10^9 < 2^30 into exact base-2^32 words by Horner's
+    rule (word * C + carry < 2^62).  The top 64 bits of each value, from
+    its three highest words, with a sticky bit for any lower bit set in
+    the lowest place, round to float64 by one hardware conversion, as the
+    whole value would: the 11 bits dropped compare with a half the same
+    way.  A power of two then scales it exactly.
+    """
+    group = 9 // width
+    step = np.uint64(10**(width * group))
+    first = (len(limbs) - 1) % group + 1
+    edges = [0, *range(first, len(limbs) + 1, group)]
+    out = np.empty(len(sign))
+    for at in range(0, len(sign), _ROWS):
+        end = at + _ROWS
+        # three zero words, then the value's words, least significant first
+        words = [np.zeros(min(_ROWS, len(sign) - at), dtype=np.uint64)] * 3
+        for lo, hi in zip(edges, edges[1:]):
+            carry = limbs[lo][at:end].astype(np.uint64)
+            for limb in limbs[lo + 1:hi]:
+                carry = carry * np.uint64(10**width) + limb[at:end]
+            for i in range(3, len(words)):
+                carry = words[i] * step + carry
+                words[i] = carry & np.uint64(0xFFFFFFFF)
+                carry >>= np.uint64(32)
+            words.append(carry)
+        words = np.array(words)
+        nonzero = words != 0
+        # the highest nonzero word (the highest word for a zero value)
+        top = len(words) - 1 - nonzero[::-1].argmax(axis=0)
+        rows = np.arange(words.shape[1])
+        high, middle, low = (words[top - j, rows] for j in range(3))
+        # bits of the highest word, 1..32 (1 for a zero value)
+        bits = np.maximum(np.frexp(high.astype(np.float64))[1], 1)
+        shift = bits.astype(np.uint64)
+        mantissa = ((high << (np.uint64(64) - shift))
+                    | (middle << (np.uint64(32) - shift)) | (low >> shift))
+        sticky = np.logical_or.accumulate(nonzero, axis=0)[top - 3, rows]
+        sticky |= (low << (np.uint64(64) - shift)) != 0
+        mantissa |= sticky
+        part = out[at:end]
+        np.ldexp(mantissa.astype(np.float64), 32 * (top - 3) + bits - 64,
+                 out=part)
+        np.negative(part, out=part, where=sign[at:end])
+    return out
 
 
 def _decimal_strings(neg: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -358,13 +478,15 @@ def _decimal_strings(neg: np.ndarray, digits: np.ndarray) -> np.ndarray:
     return out
 
 
-def ramanujan_tau_table(n_max: int) -> np.ndarray:
+def ramanujan_tau_table(n_max: int, *, floats: bool = False) -> np.ndarray:
     """Exact tau(1..n_max): entry n-1 is tau(n) as a signed decimal byte
     string (blank-padded, fixed width, read-only).
 
     tau(n) overflows 64-bit integers past n ~ 3000.  int() of an entry is
     the exact value, and astype(np.float64) of the array rounds each entry
-    correctly; callers wanting eigenvalues should go through build_eigenform.
+    correctly.  With floats, entry n-1 is that float64 itself, read from the
+    last squaring's limbs; callers wanting eigenvalues should go through
+    build_eigenform.
 
     Raises:
         ValueError: n_max < 1 or beyond TAU_N_MAX.
@@ -375,10 +497,11 @@ def ramanujan_tau_table(n_max: int) -> np.ndarray:
         raise ValueError(
             f"n_max={n_max} exceeds the supported bound {TAU_N_MAX} "
             "(time and memory of the exact squarings)")
-    neg, digits = _digit_rows(_eta6(n_max))
-    for _ in range(2):
-        neg, digits = _square_rows(neg, digits, n_max)
-    return _decimal_strings(neg, digits)
+    rows = _square_rows(*_digit_rows(_eta6(n_max)), n_max)
+    tau = _square_limbs(*rows, n_max)
+    if floats:
+        return _limb_floats(*tau)
+    return _decimal_strings(*_limb_digits(*tau))
 
 
 @contextlib.contextmanager
@@ -477,10 +600,9 @@ def build_eigenform(n_max: int = 1000) -> EigenformTable:
     Raises:
         ValueError: n_max out of range, or an invariant violation.
     """
-    coeffs = ramanujan_tau_table(n_max).astype(np.float64)
     n = np.arange(n_max + 1, dtype=np.float64)
     lam = np.zeros(n_max + 1)
-    lam[1:] = coeffs
+    lam[1:] = ramanujan_tau_table(n_max, floats=True)
     lam[1:] /= n[1:] ** 5.5
     _validate_table(lam, n_max)
     lam.setflags(write=False)

@@ -116,7 +116,7 @@ def required_n_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG) -> int:
     x_eps = ev.envelope_cutoff(cfg.tail_eps / SAFETY)
     cap = int(np.ceil(x_eps * q * max(cfg.X, 1.0 / cfg.X)))
     if cap > CAP_LIMIT:
-        raise ValueError(f"n_cap {cap} exceeds the limit "
+        raise ValueError(f"n_cap {cap:.4g} exceeds the limit "
                          f"{CAP_LIMIT} at q={q}")
     return cap
 

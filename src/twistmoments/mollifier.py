@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import arith, characters
-from .hecke import EigenformTable
+
+if TYPE_CHECKING:
+    from .hecke import EigenformTable
 
 # largest coefficient map a segment or the full mollifier may hold
 _SUPPORT_CAP = 1_000_000
@@ -159,7 +160,7 @@ def build_segments(q: int, ladder: LadderParams) -> PrimeSegments:
     segs: list[tuple[int, ...]] = []
     lo = 2.0  # segment 1 takes odd primes only
     for j, hi in enumerate(bounds):
-        primes = arith.sieve_primes(int(hi)) if hi >= 2 else np.array([], int)
+        primes = arith.sieve_primes(int(hi)) if hi >= 2 else ()
         seg = tuple(int(p) for p in primes if lo < p <= hi)
         segs.append(seg)
         lo = hi

@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 from scipy.special import loggamma
 
-from twistmoments import lvalues, sums, weights
+from twistmoments import hecke, lvalues, sums, weights
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -132,6 +132,26 @@ def digit_rows(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
     digits = np.frombuffer(text.encode(), np.uint8) - ord("0")
     return (np.array([v < 0 for v in values], dtype=bool),
             digits.reshape(len(values), width))
+
+
+def limb_rows(values: list[int],
+              width: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Python integers as carried limbs: a sign mask and uint16 limbs of
+    |v| in base 10^width, most significant first, one more limb than the
+    largest value needs (a leading limb of zeros)."""
+    base = 10**width
+    count = max((len(str(abs(v))) for v in values), default=1) // width + 2
+    return (np.array([v < 0 for v in values], dtype=bool),
+            [np.array([abs(v) // base**(count - 1 - l) % base
+                       for v in values], dtype=np.uint16)
+             for l in range(count)])
+
+
+def tau_floats(n_max: int) -> np.ndarray:
+    """tau(1..n_max) as float64, each decimal string of the tau table
+    rounded by numpy's own parser: astype(np.float64) of
+    hecke.ramanujan_tau_table, the route the eigenform once took."""
+    return hecke.ramanujan_tau_table(n_max).astype(np.float64)
 
 
 def row_values(neg: np.ndarray, digits: np.ndarray) -> list[int]:

@@ -84,11 +84,14 @@ def test_help_exits_zero(capsys):
     ["lvalue", "--q-list", "7,7"],
     ["lvalue", "--q", "7", "--X", "1e-9"],           # n_cap past CAP_LIMIT
     ["lvalue", "--q", "7", "--X", "1e-320"],         # 1/X overflows
+    ["lvalue", "--q", "7", "--X", "1e300"],          # a 305-digit n_cap
 ])
 def test_validation_failures_exit_one(args, capsys):
     rc, out, err = run_cli(args, capsys)
     assert rc == 1
     assert "error" in err
+    # one short line says what is wrong, whatever the size of the input
+    assert len(err.splitlines()[-1]) < 160
     assert out == ""
 
 
@@ -235,10 +238,11 @@ def test_commands_load_only_their_layers(args, unloaded):
 _NUMPY_GUARD = """
 import contextlib, io, sys
 from twistmoments import cli
-for fmt in ("csv", "json"):
+for args in (["--q-list", "1009,1024,1155,1200,1331", "--format", "csv"],
+             ["--q-list", "1009,1024,1155,1200,1331", "--format", "json"],
+             ["--q", "9", "--ell", "8,2"]):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run(["chars", "--q-list", "1009,1024,1155,1200,1331",
-                        "--format", fmt]) == 0
+        assert cli.run(["chars", *args]) == 0
 assert "numpy" not in sys.modules, "chars loaded numpy"
 """
 

@@ -129,22 +129,31 @@ def test_square_rows_balanced_slot_edges(a):
 
 
 def test_pieces_cover_every_square_without_wrap():
-    for length in range(1, 5000):
-        pieces, levels = hecke._pieces(length)
+    lengths = range(1, 5000)
+    plans = [hecke._pieces(length) for length in lengths]
+    for length, (pieces, levels) in zip(lengths, plans):
         piece, size = -(-length // pieces), 1 << levels
         # the least power of two that holds the square of one piece
         assert size // 2 < 2 * piece - 1 <= size
-        # three pieces only where they take fewer transform points in all
-        one = 1 << (2 * length - 2).bit_length()
-        assert pieces == 1 or (pieces == 3 and 3 * size < one)
-        assert pieces == 3 or size == one
+        assert 1 <= pieces <= hecke._P_MAX
+    # the plan depends on the length alone, not on what was asked before
+    assert [hecke._pieces(length) for length in reversed(lengths)] == \
+        plans[::-1]
+
+
+def _plan_changes(limit):
+    """Every length below limit where _pieces picks another piece count
+    than one term shorter, and that shorter length."""
+    return sorted({at for length in range(2, limit)
+                   if hecke._pieces(length)[0] != hecke._pieces(length - 1)[0]
+                   for at in (length - 1, length)})
 
 
 def test_square_rows_at_every_short_length():
-    # both piece counts, and every length whose square of a piece ends one
+    # every piece count, and every length whose square of a piece ends one
     # past a power of two, so a transform one point short would wrap
     rng = np.random.default_rng(11)
-    for length in range(1, 200):
+    for length in sorted({*range(1, 200), *_plan_changes(5000)}):
         a = [int(v) for v in rng.integers(-10**9, 10**9, size=length)]
         assert _square(a, length) == helpers.square_trunc_biased(a, length), \
             length
@@ -170,6 +179,30 @@ def _bounds(neg, digits, width, length):
               for x in limb.reshape(pieces, piece)]
              for limb in hecke._balanced_limbs(signs, columns, width)]
     return hecke._rounding_bounds(np.array(norms), levels)
+
+
+@pytest.mark.parametrize("length", [1, 7, 100, 5000])
+def test_limb_norms_match_the_built_limbs(length):
+    # the norms that choose the width are those of the limbs kept, bit for
+    # bit, with the same top limb dropped when no row borrows into it
+    rng = np.random.default_rng(length)
+    vals = [int(v) * 10**12 + int(w) for v, w in
+            zip(rng.integers(-10**9, 10**9, size=length),
+                rng.integers(0, 10**12, size=length))]
+    vals[0] = 10**21 - 1
+    neg, digits = helpers.digit_rows(vals)
+    pieces, _ = hecke._pieces(length)
+    piece = -(-length // pieces)
+    columns = np.zeros((digits.shape[1], pieces * piece), dtype=np.uint8)
+    columns[:, :length] = digits.T
+    signs = np.zeros(pieces * piece, dtype=bool)
+    signs[:length] = neg
+    for width in range(1, 5):
+        limbs = hecke._balanced_limbs(signs, columns, width)
+        want = [[math.sqrt(float(np.dot(x.astype(np.int64), x)))
+                 for x in limb.reshape(pieces, piece)] for limb in limbs]
+        got = hecke._limb_norms(columns, width, pieces)
+        assert got.tolist() == want, width
 
 
 def test_limb_width_is_widest_within_bound():
@@ -206,6 +239,51 @@ def test_square_rows_raises_when_a_transform_is_off(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", shifted)
     with pytest.raises(ArithmeticError, match="from an integer"):
         _square([3, -1, 4, 1, -5], 5)
+
+
+def test_tau_floats_match_the_parsed_strings():
+    # every n <= 100,000: the floats read from the limbs are numpy's
+    # parse of the decimal strings, bit for bit
+    n = 100_000
+    got = hecke.ramanujan_tau_table(n, floats=True)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), helpers.tau_floats(n).view(
+        np.int64))
+
+
+def _float_cases():
+    """Integers at the edges of float64 rounding, up to 41 digits."""
+    vals = [0, 1, -1, 9, 10**4 - 1, 10**4, 2**53 - 1, 2**53, 2**64 - 1,
+            10**40, 10**41 - 1, -(10**41 - 1), 2**136 - 1]
+    for shift in (0, 1, 11, 31, 32, 33, 63, 64, 65, 80):
+        for top in (2**52, 2**53 - 1, 2**52 + 1, 0x1A2B3C4D5E6F7):
+            # odd and even ties, and one above and below each: a half ulp
+            tie = (2 * top + 1) << shift
+            vals += [tie, tie - 1, tie + 1, -tie]
+        # all 54 bits set: rounds up into the next binade
+        vals += [(2**54 - 1) << shift, ((2**54 - 1) << shift) + 1]
+    rng = np.random.default_rng(7)
+    for digits in (15, 16, 17, 20, 28, 33, 40, 41):
+        vals += [int(rng.integers(1, 10)) * 10**(digits - 1)
+                 + int(rng.integers(0, 2**62)) * int(rng.integers(-1, 2))
+                 for _ in range(50)]
+    vals += [-v for v in vals[1::5]]
+    assert max(map(abs, vals)) < 10**41
+    return vals
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_limb_floats_round_like_the_string_parse(width):
+    vals = _float_cases()
+    sign, limbs = helpers.limb_rows(vals, width)
+    got = hecke._limb_floats(sign, limbs, width)
+    text = hecke._decimal_strings(*hecke._limb_digits(sign, list(limbs),
+                                                      width))
+    assert [int(t) for t in text] == vals
+    want = text.astype(np.float64)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # and Python's correctly rounded int to float
+    assert got.tolist() == [float(v) for v in vals]
 
 
 def test_coefficient_lines_match_plain_format():
