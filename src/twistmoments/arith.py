@@ -101,19 +101,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(int(n), tuple(out))
 
 
-def big_omega(n: int) -> int:
-    """Omega(n): number of prime factors counted with multiplicity."""
-    return sum(e for _, e in factorize(n).factors)
-
-
-def divisor_count(n: int) -> int:
-    """d(n) = prod (e+1)."""
-    out = 1
-    for _, e in factorize(n).factors:
-        out *= e + 1
-    return out
-
-
 def mobius(n: int) -> int:
     """Mobius mu(n): 0 unless n is squarefree, else (-1)^(number of primes)."""
     fac = factorize(n).factors
@@ -126,14 +113,6 @@ def euler_phi(n: int) -> int:
     out = 1
     for p, e in factorize(n).factors:
         out *= (p - 1) * p ** (e - 1)
-    return out
-
-
-def w_of(n: int) -> int:
-    """w(n) = prod alpha! over the exponents; w(p^a) = a!."""
-    out = 1
-    for _, e in factorize(n).factors:
-        out *= math.factorial(e)
     return out
 
 

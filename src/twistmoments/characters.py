@@ -1,4 +1,4 @@
-"""Dirichlet character groups mod q, Gauss and Kloosterman sums, identities.
+"""Dirichlet character groups mod q, Gauss and Kloosterman sums.
 
 Any q >= 3 with q not congruent to 2 mod 4 is accepted.  The unit group is
 decomposed into cyclic components (one per odd prime power, the <-1, 5> pair
@@ -8,14 +8,14 @@ and takes exact roots of unity: chi(n) = e(t(n)/D) with D = lcm(d_i) and
 
     t(n) = sum_i e_i (D/d_i) dlog_i(n) mod D.
 
-That one formula gives character values and the sums over primitive
-characters.  A Character is a (group, index) handle and holds no arrays.
-Each group holds conductors, parity and conjugation as tuples of Python
-ints and bools over the flat index, built with the group in one plain-Python
-pass: each follows in closed form from the exponents on each prime power.  The
-discrete-log rows, the unit mask and the roots of unity are numpy arrays,
-built on the first evaluation of a character value or sum and kept with the
-group, so listing a family imports no numpy.
+That one formula gives every character value.  A Character is a (group,
+index) handle and holds no arrays.  Each group holds conductors, parity and
+conjugation as tuples of Python ints and bools over the flat index, built
+with the group in one plain-Python pass: each follows in closed form from
+the exponents on each prime power.  The discrete-log rows, the unit mask
+and the roots of unity are numpy arrays, built on the first evaluation of a
+character value or sum and kept with the group, so listing a family imports
+no numpy.
 
 Convention: e(z) = exp(2*pi*i*z).  The Kloosterman sum here is
 S(u,v,q) = sum over units h of e((u h + v h^-1)/q); some sources write the
@@ -355,31 +355,3 @@ def kloosterman(u: int, v: int, q: int) -> float:
         raise AssertionError(
             f"S({u},{v},{q}) imaginary part {total.imag:.3e} not negligible")
     return float(total.real)
-
-
-def primitive_sum_identity(a: int, q: int, audit: bool = False) -> int:
-    """Sum of chi(a) over primitive chi mod q, via the Mobius side.
-
-    Returns sum over c | (q, a-1) of mu(q/c) phi(c).  With audit=True the
-    left side is formed by direct summation of chi(a) over the primitive
-    characters of build_group(q), each by the phase formula, and both sides
-    are required to agree within 1e-6.
-
-    Raises:
-        ValueError: gcd(a, q) > 1.
-    """
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"need (a, q) = 1, got a={a}, q={q}")
-    g = math.gcd(q, a - 1) if a != 1 else q
-    rhs = sum(arith.mobius(q // c) * arith.euler_phi(c)
-              for c in arith.divisors(q) if g % c == 0)
-    if audit:
-        import numpy as np
-        grp = build_group(q)
-        prims = [i for i, c in enumerate(grp.conductors) if c == q]
-        lhs = complex(np.sum(grp.roots[_phase(grp, prims, a % q)]))
-        if abs(lhs - rhs) > 1e-6:
-            raise AssertionError(
-                f"sum over primitive chi mod {q} of chi({a}) = {lhs}, "
-                f"Mobius side = {rhs}")
-    return rhs

@@ -438,7 +438,6 @@ def _cmd_fit(cfg: RunConfig) -> str:
 
 def _cmd_audit(cfg: RunConfig) -> str:
     q = cfg.q_list[0]
-    k = cfg.k_list[0]
     afe = cfg.afe()
     ladder = cfg.ladder(q)
     tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe),
@@ -446,8 +445,8 @@ def _cmd_audit(cfg: RunConfig) -> str:
     recs = lvalues.family_values(tab, q, afe)
     ctx = mollifier.MollifierContext(tab, ladder,
                                      mollifier.build_segments(q, ladder))
-    pw = moments.family_pointwise_audit(ctx, recs, k)
-    hc = moments.holder_chain_audit(ctx, recs, k)
+    pw = moments.family_pointwise_audit(ctx, recs)
+    hc = moments.holder_chain_audit(ctx, recs)
     rows = [("pointwise", c.name, c.subject, c.lhs, c.rhs, c.ok)
             for c in pw.checks]
     rows += [("holder", c.name, c.subject, c.lhs, c.rhs, c.ok)
@@ -478,13 +477,13 @@ def _cmd_mollifier_verify(cfg: RunConfig) -> str:
     prims = characters.primitive_characters(grp)
     rows = []
 
-    sample = prims[:12]
     for j in range(1, ladder.R + 1):
         worst = 0.0
-        for chi in sample:
-            for alpha in (k, k - 1):
-                a = mollifier.n_poly(ctx, chi, j, alpha, "exp")
-                b = mollifier.n_poly(ctx, chi, j, alpha, "dirichlet")
+        for alpha in (k, k - 1):
+            coeffs = mollifier.segment_coefficients(ctx, j, alpha)
+            for chi in prims[:12]:
+                a = mollifier.n_poly(ctx, chi, j, alpha)
+                b = mollifier.evaluate_coefficients(coeffs, chi)
                 worst = max(worst, abs(a - b))
         rows.append(("dual_representation", f"j={j}", worst, 1e-10,
                      worst <= 1e-10))

@@ -281,7 +281,7 @@ def _carry_limb(carry: np.ndarray,
     return carry.astype(np.uint16), high
 
 
-def _square_limbs(neg: np.ndarray, digits: np.ndarray,
+def _square_limbs(rows: list[np.ndarray],
                   length: int) -> tuple[np.ndarray, list[np.ndarray], int]:
     """Exact coefficients of (sum a_i x^i)^2 below x^length, as carried
     limbs.
@@ -301,8 +301,10 @@ def _square_limbs(neg: np.ndarray, digits: np.ndarray,
     is -1 holds c_k + B^N, and its magnitude is the nines complement plus 1.
 
     Args:
-        neg, digits: sign mask and most-significant-first decimal digits of
-            |a_i|; rows past `length` are ignored, missing ones are zero.
+        rows: [sign mask, most-significant-first decimal digits of |a_i|],
+            handed over: the list is emptied, so the rows are freed once
+            their limbs are built unless the caller holds them elsewhere.
+            Rows past `length` are ignored, missing ones are zero.
         length: number of output coefficients to keep.
 
     Returns:
@@ -315,11 +317,13 @@ def _square_limbs(neg: np.ndarray, digits: np.ndarray,
         ArithmeticError: a rounded value is farther than 1/8 from an
             integer, or no limb width meets the bound.
     """
-    neg, digits = neg[:length], digits[:length]
+    neg, digits = (row[:length] for row in rows)
+    rows.clear()
     if not digits.any():
         return (np.zeros(length, dtype=bool),
                 [np.zeros(length, dtype=np.uint16)], 1)
     width, limbs = _split_limbs(neg, digits, length)
+    del neg, digits
     pieces, levels = _pieces(length)
     count, base, size = len(limbs), 10**width, 1 << levels
     piece = limbs[0].shape[1]
@@ -399,7 +403,7 @@ def _square_rows(neg: np.ndarray, digits: np.ndarray,
                  length: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact coefficients of (sum a_i x^i)^2 below x^length, as digit rows
     (see _square_limbs)."""
-    return _limb_digits(*_square_limbs(neg, digits, length))
+    return _limb_digits(*_square_limbs([neg, digits], length))
 
 
 def _limb_floats(sign: np.ndarray, limbs: list[np.ndarray],
@@ -497,8 +501,10 @@ def ramanujan_tau_table(n_max: int, *, floats: bool = False) -> np.ndarray:
         raise ValueError(
             f"n_max={n_max} exceeds the supported bound {TAU_N_MAX} "
             "(time and memory of the exact squarings)")
-    rows = _square_rows(*_digit_rows(_eta6(n_max)), n_max)
-    tau = _square_limbs(*rows, n_max)
+    # handed over: the first square's rows are freed once the second
+    # squaring has built its limbs, before its transforms
+    rows = list(_square_rows(*_digit_rows(_eta6(n_max)), n_max))
+    tau = _square_limbs(rows, n_max)
     if floats:
         return _limb_floats(*tau)
     return _decimal_strings(*_limb_digits(*tau))
@@ -609,22 +615,6 @@ def build_eigenform(n_max: int = 1000) -> EigenformTable:
     return EigenformTable(n_max=n_max, lam=lam)
 
 
-def lambda_tilde(table: EigenformTable, n: int) -> float:
-    """Completely multiplicative extension: prod lambda(p)^a over n's factors.
-
-    Raises:
-        ValueError: some prime factor of n exceeds the table range.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out = 1.0
-    for p, e in arith.factorize(n).factors:
-        if p > table.n_max:
-            raise ValueError(f"prime {p} outside table range {table.n_max}")
-        out *= table.lam_at(p) ** e
-    return out
-
-
 def rankin_prime_sum(table: EigenformTable, x: float) -> float:
     """Sum of lambda(p)^2/p over primes p <= x (grows like log log x)."""
     if x > table.n_max:
@@ -632,14 +622,6 @@ def rankin_prime_sum(table: EigenformTable, x: float) -> float:
     primes = arith.sieve_primes(int(x))
     lam_p = table.lam[primes]
     return float(np.sum(lam_p * lam_p / primes))
-
-
-def mertens_log_sum(x: float) -> float:
-    """Sum of (log p)/p over primes p <= x (equals log x + O(1))."""
-    primes = arith.sieve_primes(int(x))
-    if len(primes) == 0:
-        return 0.0
-    return float(np.sum(np.log(primes) / primes))
 
 
 # the process table that shared_eigenform serves views of

@@ -8,12 +8,18 @@ cut at q^(1/ell_j^2)) and three per-character quantities:
     N_j(chi, a)   E_{ell_j}(a * P_j(chi)), truncated exponential
     Q_j(chi, k)   (c_k P_j(chi) / ell_j)^(r_k ell_j), the guard power
 
+tower(ctx, chi) evaluates all of them at the ladder's k, from one
+chi.values() call, with the two ladder products N(chi, k) and N(chi, k-1);
+every audit in moments reads those records.  This exp form is the
+production route.
+
 N_j also has an exact Dirichlet-polynomial form: expanding the truncated
 exponential multinomially gives sum over P_j-smooth n with Omega(n) <= ell_j
 of lt(n) a^Omega(n) / w(n) * chi(n)/sqrt(n), where lt is the completely
-multiplicative extension of the prime weights and w(p^e) = e!.  Both forms
-are implemented and must agree; the Dirichlet form is the enumeration oracle
-and the source of explicit coefficient maps for family computations.
+multiplicative extension of the prime weights and w(p^e) = e!.  That form,
+evaluate_coefficients(segment_coefficients(...), chi), is the oracle that
+mollifier-verify and the tests compare the exp form against, and the source
+of explicit coefficient maps for family computations.
 
 The prime sums are weighted by lambda(p), Delta's normalized eigenvalues,
 so the Dirichlet form carries the eigenform's coefficients.  That is the
@@ -210,10 +216,12 @@ def _ipow(z: complex, n: int) -> complex:
     return acc
 
 
-def prime_poly(chi: characters.Character, segment,
-               table: EigenformTable) -> complex:
-    """Short prime sum over the segment: sum of lambda(p) chi(p)/sqrt(p)."""
-    vals = chi.values()
+def prime_poly(chi: characters.Character, segment, table: EigenformTable,
+               vals=None) -> complex:
+    """Short prime sum over the segment: sum of lambda(p) chi(p)/sqrt(p).
+    vals, if given, is chi.values()."""
+    if vals is None:
+        vals = chi.values()
     q = chi.group.q
     acc = 0.0 + 0.0j
     for p in segment:
@@ -222,11 +230,10 @@ def prime_poly(chi: characters.Character, segment,
 
 
 class MollifierContext:
-    """Everything needed to evaluate the polynomial tower for one (q, ladder).
-
-    Holds the eigenform table, ladder and segments; caches per-character
-    prime sums.  Immutable in intent: do not mutate fields after
-    construction.
+    """Everything needed to evaluate the polynomial tower for one (q, ladder):
+    the eigenform table, ladder and segments.  It caches nothing; tower()
+    evaluates a character's tower once for each caller that needs it.
+    Immutable in intent: do not mutate fields after construction.
     """
 
     def __init__(self, table: EigenformTable, ladder: LadderParams,
@@ -236,54 +243,44 @@ class MollifierContext:
         self.table = table
         self.ladder = ladder
         self.segments = segments
-        self._psums: dict[tuple[int, int], complex] = {}
-
-    def prime_sum(self, chi: characters.Character, j: int) -> complex:
-        """P_j(chi), cached per (chi, j)."""
-        key = (chi.index, j)
-        got = self._psums.get(key)
-        if got is None:
-            got = prime_poly(chi, self.segments.segments[j - 1], self.table)
-            self._psums[key] = got
-        return got
 
 
 def n_poly(ctx: MollifierContext, chi: characters.Character, j: int,
-           alpha: float, mode: str = "exp") -> complex:
-    """N_j(chi, alpha): truncated exponential of the prime sum ("exp"), or
-    the expanded Dirichlet polynomial ("dirichlet"); the two agree exactly.
-    """
+           alpha: float) -> complex:
+    """N_j(chi, alpha): the truncated exponential of alpha P_j(chi)."""
     if not 1 <= j <= ctx.ladder.R:
         raise ValueError(f"j={j} outside 1..{ctx.ladder.R}")
-    if mode == "exp":
-        return trunc_exp(ctx.ladder.ell[j - 1],
-                         alpha * ctx.prime_sum(chi, j))
-    if mode == "dirichlet":
-        coeffs = segment_coefficients(ctx, j, alpha)
-        return evaluate_coefficients(coeffs, chi)
-    raise ValueError(f"mode must be 'exp' or 'dirichlet', got {mode!r}")
+    return trunc_exp(ctx.ladder.ell[j - 1], alpha * prime_poly(
+        chi, ctx.segments.segments[j - 1], ctx.table))
 
 
-def n_full(ctx: MollifierContext, chi: characters.Character,
-           alpha: float, mode: str = "exp") -> complex:
-    """N(chi, alpha): product of N_j over the whole ladder (1 when R=0)."""
-    acc = 1.0 + 0.0j
-    for j in range(1, ctx.ladder.R + 1):
-        acc *= n_poly(ctx, chi, j, alpha, mode)
-    return acc
+@dataclass(frozen=True)
+class Tower:
+    """One character's tower at the ladder's k.  Entry j-1 of each tuple
+    belongs to rung j: P_j, N_j(k), N_j(k-1) and Q_j(k).  N and N1 are the
+    ladder products N(chi, k) and N(chi, k-1), 1 when R = 0."""
+
+    P: tuple[complex, ...]
+    Nk: tuple[complex, ...]
+    Nk1: tuple[complex, ...]
+    Q: tuple[complex, ...]
+    N: complex
+    N1: complex
 
 
-def q_poly(ctx: MollifierContext, chi: characters.Character, j: int,
-           k: float | None = None) -> complex:
-    """Q_j(chi, k) = (c_k P_j(chi)/ell_j)^(r_k ell_j); Q_(R+1) is 1."""
-    if j == ctx.ladder.R + 1:
-        return 1.0 + 0.0j
-    if not 1 <= j <= ctx.ladder.R:
-        raise ValueError(f"j={j} outside 1..{ctx.ladder.R + 1}")
-    kk = ctx.ladder.k if k is None else k
-    ell = ctx.ladder.ell[j - 1]
-    base = c_k_value(kk) * ctx.prime_sum(chi, j) / ell
-    return _ipow(base, r_k_value(kk) * ell)
+def tower(ctx: MollifierContext, chi: characters.Character) -> Tower:
+    """P_j, N_j(k), N_j(k-1) and Q_j(k) for j = 1..R, and the products,
+    computed as n_poly and the guard power define them, in rung order."""
+    lad = ctx.ladder
+    vals = chi.values()
+    P = tuple(prime_poly(chi, seg, ctx.table, vals)
+              for seg in ctx.segments.segments)
+    Nk = tuple(trunc_exp(ell, lad.k * p) for ell, p in zip(lad.ell, P))
+    Nk1 = tuple(trunc_exp(ell, (lad.k - 1) * p) for ell, p in zip(lad.ell, P))
+    Q = tuple(_ipow(lad.c_k * p / ell, lad.r_k * ell)
+              for ell, p in zip(lad.ell, P))
+    return Tower(P=P, Nk=Nk, Nk1=Nk1, Q=Q, N=math.prod(Nk, start=1 + 0j),
+                 N1=math.prod(Nk1, start=1 + 0j))
 
 
 def segment_coefficients(ctx: MollifierContext, j: int,

@@ -9,6 +9,10 @@ module; the audits check, instance by instance, the pointwise truncated
 exponential bounds, the Hoelder splittings at family level, and the exact
 diagonal factorization identity behind the twisted first moment.
 
+The audits work at the k of the context's ladder.  Each reads the
+mollifier.Tower records of the family's characters, and builds each
+character's tower at most once.
+
 Asymptotic statements (anything with an unspecified constant) are never
 asserted: they surface as reported ratios so sweeps can eyeball boundedness,
 while every constant-1 inequality is asserted with a small relative slack.
@@ -115,24 +119,32 @@ def family_moment(recs, k: float) -> MomentReport:
         log_q=logq, ratio_to_logq_pow_k2=normalized / logq ** (k * k))
 
 
-def twisted_first_moment(ctx: mollifier.MollifierContext, recs,
-                         k: float) -> complex:
-    """Sum* L(1/2) N(conj chi, k) N(chi, k-1) over the family.
+def _towers(ctx: mollifier.MollifierContext, recs) -> list:
+    """The tower of each record's character, in family order, once the
+    family's modulus is checked against the context's."""
+    _family_q(ctx, recs)
+    return [mollifier.tower(ctx, rec.chi) for rec in recs]
+
+
+def _twisted(recs, towers) -> complex:
+    """twisted_first_moment from the family's towers."""
+    conj = recs[0].chi.group.conj
+    # the family is closed under conjugation: chi-bar's record by its index
+    position = {rec.chi.index: j for j, rec in enumerate(recs)}
+    total = 0.0 + 0.0j
+    for rec, tw in zip(recs, towers):
+        total += rec.value * towers[position[conj[rec.chi.index]]].N * tw.N1
+    return total
+
+
+def twisted_first_moment(ctx: mollifier.MollifierContext, recs) -> complex:
+    """Sum* L(1/2) N(conj chi, k) N(chi, k-1) over the family, k the
+    ladder's.
 
     Returned as a complex number; the family is closed under conjugation, so
     the imaginary part should be at noise level.
     """
-    _family_q(ctx, recs)
-    conj = recs[0].chi.group.conj
-    # the family is closed under conjugation: chi-bar's record by its index
-    position = {rec.chi.index: j for j, rec in enumerate(recs)}
-    mates = [position[conj[rec.chi.index]] for rec in recs]
-    total = 0.0 + 0.0j
-    for rec, mate in zip(recs, mates):
-        total += (rec.value
-                  * mollifier.n_full(ctx, recs[mate].chi, k)
-                  * mollifier.n_full(ctx, rec.chi, k - 1))
-    return total
+    return _twisted(recs, _towers(ctx, recs))
 
 
 @dataclass(frozen=True)
@@ -234,9 +246,9 @@ def diagonal_local_factor(table: EigenformTable, p: int, k: float,
 
 
 def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
-                               chi: characters.Character,
-                               k: float | None = None) -> InequalityAudit:
-    """Per-character regime checks of the truncated-exponential bounds.
+                               chi: characters.Character) -> InequalityAudit:
+    """Per-character regime checks of the truncated-exponential bounds, at
+    the ladder's k.
 
     For each rung j, |P_j(chi)| picks a regime.  With x = exp(-ell_j):
 
@@ -253,9 +265,8 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
     All are exact inequalities; each instance is asserted with relative
     slack _SLACK.
     """
-    kk = ctx.ladder.k if k is None else k
-    if kk <= 0:
-        raise ValueError(f"k must be positive, got {kk}")
+    kk = ctx.ladder.k
+    tw = mollifier.tower(ctx, chi)
     checks: list[CheckRecord] = []
 
     def add(name: str, j: int, lhs: float, rhs: float, lower: bool = False):
@@ -267,13 +278,9 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
             name=name, subject=f"chi={chi.index} j={j}",
             lhs=lhs, rhs=rhs, ok=ok))
 
-    for j in range(1, ctx.ladder.R + 1):
-        ell = ctx.ladder.ell[j - 1]
+    for j, ell in enumerate(ctx.ladder.ell, 1):
         x = math.exp(-ell)
-        P = abs(ctx.prime_sum(chi, j))
-        Nk = abs(mollifier.n_poly(ctx, chi, j, kk))
-        Nk1 = abs(mollifier.n_poly(ctx, chi, j, kk - 1))
-        Q = abs(mollifier.q_poly(ctx, chi, j, kk))
+        P, Nk, Nk1, Q = (abs(v[j - 1]) for v in (tw.P, tw.Nk, tw.Nk1, tw.Q))
         if kk <= 1:
             if P <= ell / 60:
                 add("product_small_regime", j,
@@ -300,32 +307,28 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
     return InequalityAudit(q=ctx.segments.q, k=kk, checks=tuple(checks))
 
 
-def family_pointwise_audit(ctx: mollifier.MollifierContext, recs,
-                           k: float | None = None) -> InequalityAudit:
+def family_pointwise_audit(ctx: mollifier.MollifierContext,
+                           recs) -> InequalityAudit:
     """Pointwise audit over every character of the family."""
     q = _family_q(ctx, recs)
     checks: list[CheckRecord] = []
-    kk = ctx.ladder.k if k is None else k
     for rec in recs:
-        checks.extend(
-            pointwise_inequality_audit(ctx, rec.chi, kk).checks)
-    return InequalityAudit(q=q, k=kk, checks=tuple(checks))
+        checks.extend(pointwise_inequality_audit(ctx, rec.chi).checks)
+    return InequalityAudit(q=q, k=ctx.ladder.k, checks=tuple(checks))
 
 
-def _upper_weights(ctx: mollifier.MollifierContext,
-                   chi: characters.Character, alpha: float,
-                   k: float) -> float:
-    """sum_v (prod_{j<=v} |N_j(chi, alpha)|^2) |Q_(v+1)(chi, k)|^2."""
+def _upper_weight(N, Q) -> float:
+    """sum_v (prod_{j<=v} |N_j|^2) |Q_(v+1)|^2, with Q_(R+1) = 1."""
     total = 0.0
     running = 1.0
-    for v in range(ctx.ladder.R + 1):
-        if v >= 1:
-            running *= abs(mollifier.n_poly(ctx, chi, v, alpha)) ** 2
-        total += running * abs(mollifier.q_poly(ctx, chi, v + 1, k)) ** 2
+    for v, guard in enumerate(Q + (1.0,)):
+        if v:
+            running *= abs(N[v - 1]) ** 2
+        total += running * abs(guard) ** 2
     return total
 
 
-def _upper_terms(ctx: mollifier.MollifierContext, recs, k: float):
+def _upper_terms(recs, towers):
     """Per-character terms of the guarded family sums, in family order.
 
     Returns five lists: |L N(chi, k-1)|^2, |L|^2 A(chi), the guarded product
@@ -333,22 +336,21 @@ def _upper_terms(ctx: mollifier.MollifierContext, recs, k: float):
     A and B are the upper-principle weights at alpha = k-1 and k.
     """
     ln, la, guard, A, B = [], [], [], [], []
-    for rec in recs:
-        c = rec.chi
-        a = _upper_weights(ctx, c, k - 1, k)
-        ln.append(abs(rec.value * mollifier.n_full(ctx, c, k - 1)) ** 2)
+    for rec, tw in zip(recs, towers):
+        a = _upper_weight(tw.Nk1, tw.Q)
+        ln.append(abs(rec.value * tw.N1) ** 2)
         la.append(abs(rec.value) ** 2 * a)
-        guard.append(math.prod(abs(mollifier.n_poly(ctx, c, j, k)) ** 2
-                               + abs(mollifier.q_poly(ctx, c, j, k)) ** 2
-                               for j in range(1, ctx.ladder.R + 1)))
+        guard.append(math.prod(abs(n) ** 2 + abs(g) ** 2
+                               for n, g in zip(tw.Nk, tw.Q)))
         A.append(a)
-        B.append(_upper_weights(ctx, c, k, k))
+        B.append(_upper_weight(tw.Nk, tw.Q))
     return ln, la, guard, A, B
 
 
-def holder_chain_audit(ctx: mollifier.MollifierContext, recs,
-                       k: float) -> InequalityAudit:
-    """Family-level Hoelder splittings, asserted with constant 1.
+def holder_chain_audit(ctx: mollifier.MollifierContext,
+                       recs) -> InequalityAudit:
+    """Family-level Hoelder splittings at the ladder's k, asserted with
+    constant 1.
 
     k <= 1 asserts the three-factor split of the twisted moment and the
     two-factor split of the upper principle; k > 1 asserts the two-factor
@@ -358,19 +360,18 @@ def holder_chain_audit(ctx: mollifier.MollifierContext, recs,
     to stay of size 1).
     """
     q = _family_q(ctx, recs)
-    chis = [r.chi for r in recs]
+    k = ctx.ladder.k
+    towers = _towers(ctx, recs)
     checks: list[CheckRecord] = []
     reported: dict = {}
 
-    twisted = twisted_first_moment(ctx, recs, k)
+    twisted = _twisted(recs, towers)
     S_2k = family_moment(recs, k).raw_moment
     reported["twisted_moment"] = abs(twisted)
 
     if k <= 1:
-        ln, la, guard, A, B = _upper_terms(ctx, recs, k)
-        S_NN = sum(abs(mollifier.n_full(ctx, c, k)) ** (2 / k)
-                   * abs(mollifier.n_full(ctx, c, k - 1)) ** 2
-                   for c in chis)
+        ln, la, guard, A, B = _upper_terms(recs, towers)
+        S_NN = sum(abs(tw.N) ** (2 / k) * abs(tw.N1) ** 2 for tw in towers)
         rhs = (S_2k ** 0.5 * sum(ln) ** ((1 - k) / 2) * S_NN ** (k / 2))
         checks.append(CheckRecord(
             name="holder_three_factor", subject=f"q={q}",
@@ -394,10 +395,8 @@ def holder_chain_audit(ctx: mollifier.MollifierContext, recs,
         reported["upper_weight_min"] = min(weights)
         reported["upper_weight_max"] = max(weights)
     else:
-        S_prod = sum(
-            (abs(mollifier.n_full(ctx, c, k))
-             * abs(mollifier.n_full(ctx, c, k - 1))) ** (2 * k / (2 * k - 1))
-            for c in chis)
+        S_prod = sum((abs(tw.N) * abs(tw.N1)) ** (2 * k / (2 * k - 1))
+                     for tw in towers)
         rhs = S_2k ** (1 / (2 * k)) * S_prod ** ((2 * k - 1) / (2 * k))
         checks.append(CheckRecord(
             name="holder_two_factor", subject=f"q={q}",

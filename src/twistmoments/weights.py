@@ -289,12 +289,3 @@ class WeightEvaluator:
         if not len(idx):
             raise ValueError(f"majorant never reaches {eps:g} on the grid")
         return float(self.grid_x[idx[0]])
-
-
-def decay_audit(ev: WeightEvaluator, c_test: float) -> float:
-    """Max of |W(x)| x^{c_test} over a log grid x in [1, 1e4]: the implied
-    constant in the min(1, x^{-c}) decay bound at exponent c_test."""
-    if not 0 < c_test < _A:
-        raise ValueError(f"c_test must lie in (0, {_A}), got {c_test}")
-    x = np.geomspace(1.0, 1e4, 200)
-    return float(np.max(np.abs(ev.quad(x)) * x ** c_test))

@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 from scipy.special import loggamma
 
-from twistmoments import hecke, lvalues, sums, weights
+from twistmoments import arith, characters, hecke, lvalues, sums, weights
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -325,3 +325,89 @@ def searchsorted_weight(ev, x):
     if np.any(mid):
         out[mid] = np.exp(searchsorted_spline(ev._spline, np.log(xs[mid])))
     return out if np.ndim(x) else float(out[0])
+
+
+# Multiplicative functions, prime sums and identities with no caller in the
+# package, kept as oracles for the tests that pin their values.
+
+def big_omega(n: int) -> int:
+    """Omega(n): number of prime factors counted with multiplicity."""
+    return sum(e for _, e in arith.factorize(n).factors)
+
+
+def divisor_count(n: int) -> int:
+    """d(n) = prod (e+1)."""
+    out = 1
+    for _, e in arith.factorize(n).factors:
+        out *= e + 1
+    return out
+
+
+def w_of(n: int) -> int:
+    """w(n) = prod alpha! over the exponents; w(p^a) = a!."""
+    out = 1
+    for _, e in arith.factorize(n).factors:
+        out *= math.factorial(e)
+    return out
+
+
+def lambda_tilde(table, n: int) -> float:
+    """Completely multiplicative extension: prod lambda(p)^a over n's factors.
+
+    Raises:
+        ValueError: some prime factor of n exceeds the table range.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    out = 1.0
+    for p, e in arith.factorize(n).factors:
+        if p > table.n_max:
+            raise ValueError(f"prime {p} outside table range {table.n_max}")
+        out *= table.lam_at(p) ** e
+    return out
+
+
+def mertens_log_sum(x: float) -> float:
+    """Sum of (log p)/p over primes p <= x (equals log x + O(1))."""
+    primes = arith.sieve_primes(int(x))
+    if len(primes) == 0:
+        return 0.0
+    return float(np.sum(np.log(primes) / primes))
+
+
+def decay_audit(ev, c_test: float) -> float:
+    """Max of |W(x)| x^{c_test} over a log grid x in [1, 1e4]: the implied
+    constant in the min(1, x^{-c}) decay bound at exponent c_test."""
+    if not 0 < c_test < weights._A:
+        raise ValueError(
+            f"c_test must lie in (0, {weights._A}), got {c_test}")
+    x = np.geomspace(1.0, 1e4, 200)
+    return float(np.max(np.abs(ev.quad(x)) * x ** c_test))
+
+
+def primitive_sum_identity(a: int, q: int, audit: bool = False) -> int:
+    """Sum of chi(a) over primitive chi mod q, via the Mobius side.
+
+    Returns sum over c | (q, a-1) of mu(q/c) phi(c).  With audit=True the
+    left side is formed by direct summation of chi(a) over the primitive
+    characters of build_group(q), each by the phase formula, and both sides
+    are required to agree within 1e-6.
+
+    Raises:
+        ValueError: gcd(a, q) > 1.
+    """
+    if math.gcd(a, q) != 1:
+        raise ValueError(f"need (a, q) = 1, got a={a}, q={q}")
+    g = math.gcd(q, a - 1) if a != 1 else q
+    rhs = sum(arith.mobius(q // c) * arith.euler_phi(c)
+              for c in arith.divisors(q) if g % c == 0)
+    if audit:
+        grp = characters.build_group(q)
+        prims = [i for i, c in enumerate(grp.conductors) if c == q]
+        lhs = complex(np.sum(grp.roots[characters._phase(grp, prims,
+                                                         a % q)]))
+        if abs(lhs - rhs) > 1e-6:
+            raise AssertionError(
+                f"sum over primitive chi mod {q} of chi({a}) = {lhs}, "
+                f"Mobius side = {rhs}")
+    return rhs

@@ -64,8 +64,8 @@ def test_factorize_random_against_sympy():
 
 
 @pytest.mark.parametrize("fn, oracle", [
-    (arith.big_omega, lambda n: sum(sympy.factorint(n).values())),
-    (arith.divisor_count, sympy.divisor_count),
+    (helpers.big_omega, lambda n: sum(sympy.factorint(n).values())),
+    (helpers.divisor_count, sympy.divisor_count),
     (arith.mobius, sympy.mobius),
     (arith.euler_phi, sympy.totient),
 ])
@@ -76,11 +76,11 @@ def test_small_range_against_sympy(fn, oracle):
 
 def test_w_of_examples():
     # product of e! over the exponents of the factorization
-    assert arith.w_of(1) == 1
-    assert arith.w_of(8) == 6
-    assert arith.w_of(12) == 2
-    assert arith.w_of(2 * 3 * 5) == 1
-    assert arith.w_of(2**4 * 3**2) == math.factorial(4) * 2
+    assert helpers.w_of(1) == 1
+    assert helpers.w_of(8) == 6
+    assert helpers.w_of(12) == 2
+    assert helpers.w_of(2 * 3 * 5) == 1
+    assert helpers.w_of(2**4 * 3**2) == math.factorial(4) * 2
 
 
 def test_divisors_sorted():
@@ -116,8 +116,8 @@ def test_phi_star_inverts_phi():
 
 def test_multiplicativity_on_coprime_pairs():
     rng = np.random.default_rng(11)
-    fns = (arith.divisor_count, arith.euler_phi, arith.mobius,
-           arith.w_of, arith.phi_star)
+    fns = (helpers.divisor_count, arith.euler_phi, arith.mobius,
+           helpers.w_of, arith.phi_star)
     checked = 0
     while checked < 200:
         a, b = (int(v) for v in rng.integers(2, 5000, size=2))
@@ -125,5 +125,6 @@ def test_multiplicativity_on_coprime_pairs():
             continue
         for fn in fns:
             assert fn(a * b) == fn(a) * fn(b), (fn.__name__, a, b)
-        assert arith.big_omega(a * b) == arith.big_omega(a) + arith.big_omega(b)
+        assert (helpers.big_omega(a * b)
+                == helpers.big_omega(a) + helpers.big_omega(b))
         checked += 1

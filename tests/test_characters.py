@@ -184,7 +184,7 @@ def test_kloosterman_matches_loop_oracle():
 
 def test_kloosterman_symmetry_and_weil():
     for q in (3, 9, 25):
-        bound = arith.divisor_count(q) * math.sqrt(q)
+        bound = helpers.divisor_count(q) * math.sqrt(q)
         for v in range(q):
             s = characters.kloosterman(1, v, q)
             assert abs(s) <= bound + 1e-9
@@ -204,15 +204,15 @@ def test_row_orthogonality_desk_moduli():
 
 
 def test_primitive_sum_identity():
-    assert characters.primitive_sum_identity(1, 9) == arith.phi_star(9)
-    assert characters.primitive_sum_identity(2, 9) == 0
-    assert characters.primitive_sum_identity(4, 3) == 1
+    assert helpers.primitive_sum_identity(1, 9) == arith.phi_star(9)
+    assert helpers.primitive_sum_identity(2, 9) == 0
+    assert helpers.primitive_sum_identity(4, 3) == 1
     for q in (9, 27):
         for a in range(1, q):
             if math.gcd(a, q) == 1:
-                characters.primitive_sum_identity(a, q, audit=True)
+                helpers.primitive_sum_identity(a, q, audit=True)
     with pytest.raises(ValueError):
-        characters.primitive_sum_identity(3, 9)
+        helpers.primitive_sum_identity(3, 9)
 
 
 _VECTOR_MODULI = ([q for q in range(3, 401) if q % 4 != 2]

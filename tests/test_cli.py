@@ -336,6 +336,21 @@ def test_audit_builds_group_family_and_context_once(monkeypatch, capsys):
     assert calls == {"build_group": 1, "family_values": 1, "__init__": 1}
 
 
+def test_audit_builds_each_tower_once_per_audit(monkeypatch, capsys):
+    # 51 characters, R = 2: one tower each in the pointwise and the Hoelder
+    # audit, and a tower is 2R truncated exponentials and R guard powers
+    calls = collections.Counter()
+    for name in ("trunc_exp", "_ipow"):
+        def counted(*args, _fn=getattr(mollifier, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(mollifier, name, counted)
+    rc, _, _ = run_cli(["audit", "--q", "53", "--k", "0.5"], capsys)
+    assert rc == 0
+    assert calls["trunc_exp"] <= 408
+    assert calls["_ipow"] <= 204
+
+
 def test_mollifier_verify_json(capsys):
     rc, out, _ = run_cli(
         ["mollifier-verify", "--q", "53", "--k", "0.5", "--format", "json"],

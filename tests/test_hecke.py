@@ -383,7 +383,7 @@ def test_eigenform_basic_identities():
     assert t.lam_at(1) == 1.0
     # lambda(4) = lambda(2)^2 - 1 from the prime-power recursion
     assert abs(t.lam_at(4) - (t.lam_at(2) ** 2 - 1.0)) < 1e-12
-    d = np.array([arith.divisor_count(n) for n in range(1, 10_001)],
+    d = np.array([helpers.divisor_count(n) for n in range(1, 10_001)],
                  dtype=float)
     assert np.all(np.abs(t.lam[1:]) <= d + 1e-9)
 
@@ -402,13 +402,13 @@ def test_hecke_relation_on_random_pairs(table_100k):
 def test_lambda_tilde(table_100k):
     t = table_100k
     want = t.lam_at(2) ** 2 * t.lam_at(3)
-    assert abs(hecke.lambda_tilde(t, 12) - want) < 1e-15
+    assert abs(helpers.lambda_tilde(t, 12) - want) < 1e-15
     for n in range(1, 10_001):
         if arith.mobius(n) != 0:
-            diff = hecke.lambda_tilde(t, n) - t.lam_at(n)
-            assert abs(diff) < 1e-12 * arith.divisor_count(n), n
+            diff = helpers.lambda_tilde(t, n) - t.lam_at(n)
+            assert abs(diff) < 1e-12 * helpers.divisor_count(n), n
     with pytest.raises(ValueError):
-        hecke.lambda_tilde(t, 0)
+        helpers.lambda_tilde(t, 0)
 
 
 def test_rankin_prime_sum_values(table_100k):
@@ -430,11 +430,11 @@ def test_rankin_tracks_loglog(table_100k):
 
 
 def test_mertens_log_sum():
-    assert hecke.mertens_log_sum(1.5) == 0.0
-    assert abs(hecke.mertens_log_sum(2) - math.log(2) / 2) < 1e-15
+    assert helpers.mertens_log_sum(1.5) == 0.0
+    assert abs(helpers.mertens_log_sum(2) - math.log(2) / 2) < 1e-15
     want = sum(math.log(p) / p for p in (2, 3, 5, 7))
-    assert abs(hecke.mertens_log_sum(10) - want) < 1e-12
-    resid = hecke.mertens_log_sum(1e5) - math.log(1e5)
+    assert abs(helpers.mertens_log_sum(10) - want) < 1e-12
+    resid = helpers.mertens_log_sum(1e5) - math.log(1e5)
     assert abs(resid + 1.3286305110533725) < 1e-9
 
 

@@ -187,7 +187,8 @@ def test_context_weight_modes(table_100k):
     ctx = _single_prime_ctx(table_100k)
     chi0 = next(c for c in characters.build_group(7).characters()
                 if c.is_principal)
-    assert abs(ctx.prime_sum(chi0, 1)
+    assert abs(mollifier.prime_poly(chi0, ctx.segments.segments[0],
+                                    ctx.table)
                - table_100k.lam_at(5) / math.sqrt(5)) < 1e-15
 
 
@@ -223,8 +224,11 @@ def test_n_poly_against_monomial_expansion(table_100k):
                     for p in tup:
                         term *= table_100k.lam_at(p) * chi(p) / math.sqrt(p)
                     want += term
-            for mode in ("exp", "dirichlet"):
-                got = mollifier.n_poly(ctx, chi, 1, alpha, mode=mode)
+            coeffs = mollifier.segment_coefficients(ctx, 1, alpha)
+            for mode, got in (
+                    ("exp", mollifier.n_poly(ctx, chi, 1, alpha)),
+                    ("dirichlet",
+                     mollifier.evaluate_coefficients(coeffs, chi))):
                 assert abs(got - want) < 1e-12, (mode, alpha)
 
 
@@ -235,8 +239,6 @@ def test_n_poly_argument_validation(table_100k):
         mollifier.n_poly(ctx, chi, 0, 1.0)
     with pytest.raises(ValueError):
         mollifier.n_poly(ctx, chi, 2, 1.0)
-    with pytest.raises(ValueError):
-        mollifier.n_poly(ctx, chi, 1, 1.0, mode="series")
 
 
 def test_q_poly_scaling_identity(table_100k):
@@ -244,7 +246,7 @@ def test_q_poly_scaling_identity(table_100k):
     chi = characters.build_group(7).character(1)
     lad = ctx.ladder
     P = mollifier.prime_poly(chi, (5,), table_100k)
-    Q = mollifier.q_poly(ctx, chi, 1)
+    Q = mollifier.tower(ctx, chi).Q[0]
     root = abs(Q) ** (1 / (lad.r_k * lad.ell[0]))
     assert abs(root - lad.c_k * abs(P) / lad.ell[0]) < 1e-9
 
@@ -254,10 +256,7 @@ def test_q_poly_edges(table_100k):
     segs = mollifier.PrimeSegments(q=7, boundaries=(1.5,), segments=((),))
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     chi = characters.build_group(7).character(1)
-    assert mollifier.q_poly(ctx, chi, 1) == 0
-    assert mollifier.q_poly(ctx, chi, 2) == 1  # past the last rung
-    with pytest.raises(ValueError):
-        mollifier.q_poly(ctx, chi, 3)
+    assert mollifier.tower(ctx, chi).Q == (0,)
 
 
 def test_q_poly_guard_at_desk_modulus(table_100k):
@@ -269,7 +268,30 @@ def test_q_poly_guard_at_desk_modulus(table_100k):
     for chi in characters.primitive_characters(g)[:12]:
         P = mollifier.prime_poly(chi, segs.segments[1], table_100k)
         assert abs(P) >= ell2 / 60  # |lambda(2)|/sqrt(2) = 0.375 for all chi
-        assert abs(mollifier.q_poly(ctx, chi, 2)) >= 1.0 - 1e-12
+        assert abs(mollifier.tower(ctx, chi).Q[1]) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("q", [53, 101])
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+def test_tower_matches_the_scalar_routes(q, k, table_100k):
+    lad = mollifier.build_ladder(q, k=k, override_ell=(8, 2))
+    ctx = mollifier.MollifierContext(table_100k, lad,
+                                     mollifier.build_segments(q, lad))
+    full = mollifier.mollifier_coefficients(ctx, k)
+    full1 = mollifier.mollifier_coefficients(ctx, k - 1)
+    for chi in characters.primitive_characters(characters.build_group(q)):
+        tw = mollifier.tower(ctx, chi)
+        for j, (ell, seg) in enumerate(zip(lad.ell, ctx.segments.segments),
+                                       1):
+            P = mollifier.prime_poly(chi, seg, table_100k)
+            assert tw.P[j - 1] == P
+            assert tw.Nk[j - 1] == mollifier.n_poly(ctx, chi, j, k)
+            assert tw.Nk1[j - 1] == mollifier.n_poly(ctx, chi, j, k - 1)
+            assert tw.Q[j - 1] == mollifier._ipow(lad.c_k * P / ell,
+                                                  lad.r_k * ell)
+        assert abs(tw.N - mollifier.evaluate_coefficients(full, chi)) < 1e-10
+        assert abs(tw.N1
+                   - mollifier.evaluate_coefficients(full1, chi)) < 1e-10
 
 
 def test_segment_coefficients_single_prime(table_100k):
@@ -323,14 +345,17 @@ def test_coefficient_cap_enforced(table_100k, monkeypatch):
 
 
 def test_dirichlet_dual_full_product(table_100k):
-    lad = mollifier.build_ladder(53, override_ell=(8, 2))
+    # at k = 0.5 the tower's products are N(chi, 0.5) and N(chi, -0.5)
+    lad = mollifier.build_ladder(53, k=0.5, override_ell=(8, 2))
     segs = mollifier.build_segments(53, lad)
     g = characters.build_group(53)
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     for chi in characters.primitive_characters(g)[:8]:
-        for alpha in (0.5, -0.5):
-            e = mollifier.n_full(ctx, chi, alpha)
-            d = mollifier.n_full(ctx, chi, alpha, mode="dirichlet")
+        tw = mollifier.tower(ctx, chi)
+        for alpha, e in ((0.5, tw.N), (-0.5, tw.N1)):
+            d = math.prod(mollifier.evaluate_coefficients(
+                mollifier.segment_coefficients(ctx, j, alpha), chi)
+                for j in (1, 2))
             assert abs(d - e) < 1e-12
             coeffs = mollifier.mollifier_coefficients(ctx, alpha)
             v = mollifier.evaluate_coefficients(coeffs, chi)
@@ -352,7 +377,8 @@ def test_prime_sum_of_the_prime_two(table_100k):
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     chi = characters.primitive_characters(characters.build_group(53))[0]
     # P_2 = lambda(2) chi(2)/sqrt(2), so its modulus is 24/2^6 = 0.375
-    assert abs(abs(ctx.prime_sum(chi, 2)) - 0.375) < 1e-12
+    P = mollifier.prime_poly(chi, ctx.segments.segments[1], ctx.table)
+    assert abs(abs(P) - 0.375) < 1e-12
 
 
 def test_segment_prime_sum_bounds(table_100k):

@@ -76,15 +76,14 @@ def test_twisted_moment_degenerate_equals_plain_first_moment(table_100k,
                                                             fam7):
     ctx = _context(table_100k, 7)  # 7^(1/4) < 2: every segment is empty
     assert ctx.segments.empty_flags == (True, True)
-    tw = moments.twisted_first_moment(ctx, fam7, 1.0)
+    tw = moments.twisted_first_moment(ctx, fam7)
     first = sum(r.value for r in fam7)
     assert abs(tw - first) < 1e-10
 
 
 def test_twisted_moment_positive_at_desk_scale(family_table, fam53, fam101):
     for q, recs in ((53, fam53), (101, fam101)):
-        tw = moments.twisted_first_moment(_context(family_table, q), recs,
-                                          1.0)
+        tw = moments.twisted_first_moment(_context(family_table, q), recs)
         assert tw.real > 0.0
 
 
@@ -100,14 +99,14 @@ def test_twisted_moment_against_coefficient_oracle(family_table, fam53):
         want += (rec.value
                  * mollifier.evaluate_coefficients(ca, bar)
                  * mollifier.evaluate_coefficients(cb, chi))
-    got = moments.twisted_first_moment(ctx, fam53, k)
+    got = moments.twisted_first_moment(ctx, fam53)
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("audit", [
-    lambda ctx, recs: moments.twisted_first_moment(ctx, recs, 0.5),
-    lambda ctx, recs: moments.family_pointwise_audit(ctx, recs, 0.5),
-    lambda ctx, recs: moments.holder_chain_audit(ctx, recs, 0.5),
+    lambda ctx, recs: moments.twisted_first_moment(ctx, recs),
+    lambda ctx, recs: moments.family_pointwise_audit(ctx, recs),
+    lambda ctx, recs: moments.holder_chain_audit(ctx, recs),
 ])
 def test_family_and_context_must_share_modulus(audit, table_100k, fam7):
     with pytest.raises(ValueError, match="q=11"):
@@ -173,7 +172,7 @@ def test_diagonal_local_factor_envelopes(table_100k):
 def test_family_pointwise_audit_counts(q, k, expect, table_100k, request):
     ctx = _context(table_100k, q, k)
     audit = moments.family_pointwise_audit(
-        ctx, request.getfixturevalue(f"fam{q}"), k=k)
+        ctx, request.getfixturevalue(f"fam{q}"))
     assert audit.all_ok
     assert audit.fail_count == 0
     assert audit.pass_count == expect
@@ -201,8 +200,7 @@ def test_pointwise_single_character_structure(table_100k):
 
 @pytest.mark.parametrize("k", [0.5, 2.0])
 def test_holder_chain_audit(k, family_table, fam53):
-    audit = moments.holder_chain_audit(_context(family_table, 53, k), fam53,
-                                       k)
+    audit = moments.holder_chain_audit(_context(family_table, 53, k), fam53)
     assert audit.all_ok
     names = [c.name for c in audit.checks]
     if k <= 1:
@@ -215,18 +213,22 @@ def test_holder_chain_audit(k, family_table, fam53):
         assert "twisted_moment" in audit.reported
 
 
-def _upper_sums(ctx, recs, k):
+def _upper_terms(ctx, recs):
+    return moments._upper_terms(recs, moments._towers(ctx, recs))
+
+
+def _upper_sums(ctx, recs):
     """The family sums of |L N(chi, k-1)|^2, |L|^2 A(chi), the guarded
     product and B(chi), from the terms holder_chain_audit reads."""
-    ln, la, guard, _, B = moments._upper_terms(ctx, recs, k)
+    ln, la, guard, _, B = _upper_terms(ctx, recs)
     return sum(ln), sum(la), sum(guard), sum(B)
 
 
 def test_upper_bound_sums_degenerate(table_100k, fam7):
     ctx = _context(table_100k, 7)  # empty segments: N = 1, Q = 0
-    terms = moments._upper_terms(ctx, fam7, 1.0)
+    terms = _upper_terms(ctx, fam7)
     assert [len(t) for t in terms] == [5] * 5     # phi*(7) = 5
-    ln, _, guard, B = _upper_sums(ctx, fam7, 1.0)
+    ln, _, guard, B = _upper_sums(ctx, fam7)
     assert abs(guard - 5.0) < 1e-12
     assert abs(B - 5.0) < 1e-12
     raw = moments.family_moment(fam7, 1.0).raw_moment
@@ -237,7 +239,7 @@ def test_upper_bound_sums_over_sweep(family_table, fam53, fam101):
     families = {53: fam53, 101: fam101}
     for q in (149, 211):
         families[q] = lvalues.family_values(family_table, q, CFG)
-    sums = {q: _upper_sums(_context(family_table, q, 0.5), recs, 0.5)
+    sums = {q: _upper_sums(_context(family_table, q, 0.5), recs)
             for q, recs in families.items()}
     # the mollified second-moment sum tracks phi* (log q)^(k^2) closely;
     # the guard-weighted sums do not (their guards are far above size 1 at

@@ -140,13 +140,13 @@ def test_nan_argument_raises(ev_w, ev_w2):
 
 def test_decay_audit(ev_w, ev_w2):
     for ev in (ev_w, ev_w2):
-        m = weights.decay_audit(ev, 3.0)
+        m = helpers.decay_audit(ev, 3.0)
         assert np.isfinite(m)
         assert m > 0
     with pytest.raises(ValueError):
-        weights.decay_audit(ev_w, 6.0)  # must stay below a = 6
+        helpers.decay_audit(ev_w, 6.0)  # must stay below a = 6
     with pytest.raises(ValueError):
-        weights.decay_audit(ev_w, 0.0)
+        helpers.decay_audit(ev_w, 0.0)
 
 
 def test_spline_against_scipy(ev_w, ev_w2):
