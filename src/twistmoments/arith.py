@@ -12,9 +12,12 @@ grown on demand; numpy is imported only there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
+# typing.TYPE_CHECKING without loading typing, which the numpy-free listing
+# path would otherwise import for this flag alone; type checkers read any
+# TYPE_CHECKING name as true
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -66,12 +69,11 @@ def sieve_primes(limit: int) -> np.ndarray:
     return n[tab[2:limit + 1] == n]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Canonical factorization n = prod p^e, primes strictly ascending."""
+class Factorization(namedtuple("Factorization", "n factors")):
+    """Canonical factorization n = prod p^e, primes strictly ascending:
+    n (int) and factors, a tuple of (p, e) pairs."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def factorize(n: int) -> Factorization:

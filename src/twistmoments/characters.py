@@ -15,7 +15,11 @@ with the group in one plain-Python pass: each follows in closed form from
 the exponents on each prime power.  The discrete-log rows, the unit mask
 and the roots of unity are numpy arrays, built on the first evaluation of a
 character value or sum and kept with the group, so listing a family imports
-no numpy.
+no numpy.  Nor does it import dataclasses: CharacterGroup, like
+arith.Factorization and cli.RunConfig, is a named-tuple subclass, since
+dataclasses loads inspect, ast, dis and tokenize and generates each record's
+methods when its class is defined, about 10 ms of a listing process that
+does nothing else.
 
 Convention: e(z) = exp(2*pi*i*z).  The Kloosterman sum here is
 S(u,v,q) = sum over units h of e((u h + v h^-1)/q); some sources write the
@@ -25,12 +29,13 @@ exponential without the 2*pi*i, but the Weil bound fixes this normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
 
 from . import arith
 
+# typing.TYPE_CHECKING without loading typing, as in arith
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -114,8 +119,9 @@ def _phase(group: CharacterGroup, indices, n) -> np.ndarray:
     return scaled.reshape(len(indices), len(orders)) @ group.exps[:, n] % D
 
 
-@dataclass(frozen=True)
-class CharacterGroup:
+class CharacterGroup(namedtuple(
+        "CharacterGroup",
+        "q phi_q components exponent conductors even conj")):
     """Unit group mod q with discrete-log tables for character evaluation.
 
     Each component is (modulus, generator, order), and row i of `exps` is
@@ -125,16 +131,9 @@ class CharacterGroup:
     and `conj` are tuples over the flat character index: the conductor of
     chi, whether chi(-1) = 1, and the flat index of chi-bar.  `exps`,
     `unit_mask` and `roots` are built on first use and kept read-only, since
-    `build_group` hands one group to all its callers.
+    `build_group` hands one group to all its callers; the class has no
+    __slots__, so its instances carry the __dict__ those caches live in.
     """
-
-    q: int
-    phi_q: int
-    components: tuple[tuple[int, int, int], ...]  # (modulus, generator, order)
-    exponent: int
-    conductors: tuple[int, ...]
-    even: tuple[bool, ...]
-    conj: tuple[int, ...]
 
     def orders(self) -> tuple[int, ...]:
         return tuple(c[2] for c in self.components)

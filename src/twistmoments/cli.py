@@ -7,6 +7,11 @@ the resolved config hash with its results so outputs are traceable; given
 the same config and seed the bytes are identical.
 
 Exit codes: 0 success, 1 bad usage or config, 2 computation failure.
+
+Listing a family (chars) loads neither numpy nor dataclasses: the records on
+its path, RunConfig here, characters.CharacterGroup and arith.Factorization,
+are named-tuple subclasses, and its CSV is formatted one character group at
+a time.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from . import TAU_N_MAX, characters, hecke, lvalues, moments, mollifier
 
@@ -35,31 +40,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters; hashed for output traceability."""
+class RunConfig(namedtuple("RunConfig", (
+        "command", "q_list", "k_list", "X", "tail_eps", "ell", "N", "M",
+        "format", "out", "cache_dir", "seed", "audit_count", "n_max",
+        "fit"))):
+    """Fully resolved run parameters; hashed for output traceability.
 
-    command: str
-    q_list: tuple[int, ...]
-    k_list: tuple[float, ...]
-    X: float
-    tail_eps: float
-    ell: tuple[int, ...] | None
-    N: int | None
-    M: int | None
-    format: str
-    out: str | None
-    cache_dir: str | None
-    seed: int
-    audit_count: int
-    n_max: int
-    fit: bool
+    q_list, k_list and ell are tuples (ell, N and M None when unset), out
+    and cache_dir paths or None.
+    """
+
+    __slots__ = ()
 
     def identity(self) -> dict:
         """Every field that decides the results, and the weight 12 of Delta,
         the one form the package computes with.  Where results are written
         and where tables are cached do not change the content."""
-        d = asdict(self)
+        d = self._asdict()
         del d["out"], d["cache_dir"]
         d["kappa"] = 12
         return d
@@ -300,13 +297,16 @@ def _format_column(col: tuple) -> list[str]:
     return list(map(fmt or _fmt, col))
 
 
+def _csv_text(cfg: RunConfig, header, lines) -> str:
+    """The hash comment, the header and the given lines, each ended by a
+    newline."""
+    return "\n".join([f"# config {cfg.hash}", ",".join(header), *lines]) + "\n"
+
+
 def _csv(cfg: RunConfig, header, rows, comments=()) -> str:
     """One line per row, each column formatted as a whole."""
-    lines = [f"# config {cfg.hash}", ",".join(header)]
     cols = [_format_column(col) for col in zip(*rows)]
-    lines.extend(map(",".join, zip(*cols)))
-    lines.extend(comments)
-    return "\n".join(lines) + "\n"
+    return _csv_text(cfg, header, [*map(",".join, zip(*cols)), *comments])
 
 
 def _json_default(v):
@@ -342,14 +342,26 @@ def _cmd_tau(cfg: RunConfig) -> str:
     return _render(cfg, ("n", "tau"), enumerate(map(int, taus), start=1))
 
 
+_CHARS_HEADER = ("q", "index", "conductor", "primitive", "even")
+
+
 def _cmd_chars(cfg: RunConfig) -> str:
-    rows = []
-    for q in cfg.q_list:
-        grp = characters.build_group(q)
-        rows.extend(zip([q] * grp.phi_q, range(grp.phi_q), grp.conductors,
-                        [c == q for c in grp.conductors], grp.even))
-    return _render(cfg, ("q", "index", "conductor", "primitive", "even"),
-                   rows)
+    groups = [characters.build_group(q) for q in cfg.q_list]
+    if cfg.format == "json":
+        rows = [row for grp in groups for row in zip(
+            [grp.q] * grp.phi_q, range(grp.phi_q), grp.conductors,
+            [c == grp.q for c in grp.conductors], grp.even)]
+        return _json_doc(cfg, _CHARS_HEADER, rows)
+    # _csv's text, one line per character straight from the group's tuples;
+    # "conductor,primitive,even" takes few values, each formatted once
+    body = []
+    for grp in groups:
+        q = grp.q
+        tails = {(c, e): f"{c},{c == q:d},{e:d}"
+                 for c in set(grp.conductors) for e in (False, True)}
+        body.extend([f"{q},{i},{tails[ce]}"
+                     for i, ce in enumerate(zip(grp.conductors, grp.even))])
+    return _csv_text(cfg, _CHARS_HEADER, body)
 
 
 def _cmd_weights(cfg: RunConfig) -> str:

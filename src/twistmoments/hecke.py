@@ -567,35 +567,45 @@ class EigenformTable:
 _TABLE_TOL = 1e-9
 
 
+# indices per block of the table validation, whose temporaries are then a
+# few block-length arrays whatever the table length
+_VALIDATE_BLOCK = 1 << 16
+
+
 def _validate_table(lam: np.ndarray, n_max: int) -> None:
     # every test is written so that a NaN fails it
     if not abs(lam[1] - 1.0) <= _TABLE_TOL:
         raise ValueError(f"lambda(1) = {lam[1]!r}, must be 1")
-    if n_max < 2:
-        return
-    # Deligne at the primes, |lambda(p)| <= 2; the relation below then
-    # carries |lambda(n)| <= d(n) to every n
-    p = arith.smallest_prime_factors(n_max)[2:]
-    n = np.arange(2, n_max + 1)
-    primes = np.flatnonzero(p == n) + 2
-    bad = primes[~(np.abs(lam[primes]) <= 2.0 + _TABLE_TOL)]
-    if len(bad):
-        raise ValueError(f"Deligne bound violated at p={bad[0]}: "
-                         f"|lambda|={abs(lam[bad[0]]):.6g} > 2")
-    # one relation over every n >= 2, with p = spf(n):
-    #   lambda(n) = lambda(p) lambda(n/p) - [p | n/p] lambda(n/p^2).
-    # For n = p^a m, p not dividing m, it is multiplicativity at a = 1 and
-    # the Hecke recursion at p^a, times lambda(m), at a >= 2.
-    m = n // p
-    nxt = lam[p] * lam[m]
-    again = m % p == 0
-    nxt[again] -= lam[m[again] // p[again]]
-    bad = np.nonzero(~(np.abs(lam[2:] - nxt)
-                       <= _TABLE_TOL * np.maximum(1.0, np.abs(nxt))))[0]
-    if len(bad):
-        n = int(bad[0]) + 2
-        raise ValueError(f"Hecke relation fails at {len(bad)} indices, "
-                         f"first n={n} (p={p[n - 2]})")
+    spf = arith.smallest_prime_factors(n_max)
+    hecke_bad, first = 0, None
+    # blocks of n in ascending order; a Deligne failure outranks the
+    # relation, so the relation's failures are counted and reported last
+    for lo in range(2, n_max + 1, _VALIDATE_BLOCK):
+        hi = min(lo + _VALIDATE_BLOCK, n_max + 1)
+        n, p = np.arange(lo, hi), spf[lo:hi]
+        # Deligne at the primes, |lambda(p)| <= 2; the relation below then
+        # carries |lambda(n)| <= d(n) to every n
+        primes = n[p == n]
+        bad = primes[~(np.abs(lam[primes]) <= 2.0 + _TABLE_TOL)]
+        if len(bad):
+            raise ValueError(f"Deligne bound violated at p={bad[0]}: "
+                             f"|lambda|={abs(lam[bad[0]]):.6g} > 2")
+        # one relation over every n >= 2, with p = spf(n):
+        #   lambda(n) = lambda(p) lambda(n/p) - [p | n/p] lambda(n/p^2).
+        # For n = p^a m, p not dividing m, it is multiplicativity at a = 1
+        # and the Hecke recursion at p^a, times lambda(m), at a >= 2.
+        m = n // p
+        nxt = lam[p] * lam[m]
+        again = m % p == 0
+        nxt[again] -= lam[m[again] // p[again]]
+        bad = np.nonzero(~(np.abs(lam[lo:hi] - nxt)
+                           <= _TABLE_TOL * np.maximum(1.0, np.abs(nxt))))[0]
+        if len(bad) and first is None:
+            first = int(n[bad[0]]), int(p[bad[0]])
+        hecke_bad += len(bad)
+    if hecke_bad:
+        raise ValueError(f"Hecke relation fails at {hecke_bad} indices, "
+                         f"first n={first[0]} (p={first[1]})")
 
 
 def build_eigenform(n_max: int = 1000) -> EigenformTable:

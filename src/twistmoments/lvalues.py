@@ -29,7 +29,8 @@ and is validated by the doubling test: doubling the cap moves values by well
 under 10 * tail_eps.
 
 The family route bins coefficients by residue class mod q once
-(O(n_cap)), then each character costs one length-q dot product.  The squared
+(O(n_cap) time, in blocks of n so its memory does not grow with n_cap),
+then each character costs one length-q dot product.  The squared
 route is paid per family, not per character: for units a, b mod q,
 chi(a) chibar(b) = chi(a b^-1), so every primitive chi reads one real
 length-q table G built in O(m_cap log m_cap), and |L|^2 = 2 sum_c Re chi(c)
@@ -98,6 +99,9 @@ SAFETY = 8.0
 CROSS_TOL = 1e-3
 # largest truncation length either route may ask for
 CAP_LIMIT = 200_000_000
+# terms per block of the first-power binning, which then holds a few
+# block-length arrays beside the bins whatever n_cap is
+_BIN_BLOCK = 1 << 16
 # relative-residual denominator floor: below this scale the two routes are
 # compared at absolute resolution instead of relative
 _RESIDUAL_FLOOR = 1e-2
@@ -250,6 +254,30 @@ def _residual(value: complex, sq: float) -> float:
     return abs(lhs - sq) / max(lhs, abs(sq), _RESIDUAL_FLOOR)
 
 
+def _first_power_bins(f: EigenformTable, q: int, cfg: AfeConfig,
+                      cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The residue bins (b1, b2) of the first-power route: b[r] is the sum
+    over n <= cap, n = r mod q, of lambda(n)/sqrt(n) W(n X/q) for b1 and
+    W(n/(q X)) for b2.  At X = 1 they are one array.
+
+    The bins are filled one block of n at a time.  np.add.at adds in index
+    order, as one bincount over every n would, so they are the same to the
+    bit.
+    """
+    ev = default_evaluators()[0]
+    b2 = np.zeros(q)
+    b1 = b2 if cfg.X == 1 else np.zeros(q)
+    for lo in range(1, cap + 1, _BIN_BLOCK):
+        hi = min(lo + _BIN_BLOCK, cap + 1)
+        n = np.arange(lo, hi)
+        coeff = f.lam[lo:hi] / np.sqrt(n)
+        idx = n % q
+        np.add.at(b2, idx, coeff * ev(n / (q * cfg.X)))
+        if b1 is not b2:
+            np.add.at(b1, idx, coeff * ev(n * (cfg.X / q)))
+    return b1, b2
+
+
 def family_values(f: EigenformTable, q: int,
                   cfg: AfeConfig = DEFAULT_CONFIG) -> list[CentralValue]:
     """L(1/2, f tensor chi) over every primitive chi mod q, ascending index.
@@ -264,17 +292,10 @@ def family_values(f: EigenformTable, q: int,
     its truncation would outrun the eigenform table.
     """
     prims = characters.primitive_characters(characters.build_group(q))
-    ev = default_evaluators()[0]
     cap = required_n_cap(q, cfg)
     _check_table(f, cap)
 
-    n = np.arange(1, cap + 1)
-    coeff = f.lam[1:cap + 1] / np.sqrt(n)
-    idx = n % q
-    b2 = np.bincount(idx, weights=coeff * ev(n / (q * cfg.X)), minlength=q)
-    # at X = 1 both sums weigh n by W(n/q)
-    b1 = b2 if cfg.X == 1 else np.bincount(
-        idx, weights=coeff * ev(n * (cfg.X / q)), minlength=q)
+    b1, b2 = _first_power_bins(f, q, cfg, cap)
 
     audit_set: set[int] = set()
     if cfg.audit_count > 0:

@@ -8,10 +8,10 @@ cut at q^(1/ell_j^2)) and three per-character quantities:
     N_j(chi, a)   E_{ell_j}(a * P_j(chi)), truncated exponential
     Q_j(chi, k)   (c_k P_j(chi) / ell_j)^(r_k ell_j), the guard power
 
-tower(ctx, chi) evaluates all of them at the ladder's k, from one
-chi.values() call, with the two ladder products N(chi, k) and N(chi, k-1);
-every audit in moments reads those records.  This exp form is the
-production route.
+tower(ctx, chi) evaluates them at the ladder's k, from one chi.values()
+call, with the two ladder products N(chi, k) and N(chi, k-1), and leaves
+each Q_j until it is read; every audit in moments reads those records.
+This exp form is the production route.
 
 N_j also has an exact Dirichlet-polynomial form: expanding the truncated
 exponential multinomially gives sum over P_j-smooth n with Omega(n) <= ell_j
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import arith, characters
@@ -257,30 +258,43 @@ def n_poly(ctx: MollifierContext, chi: characters.Character, j: int,
 @dataclass(frozen=True)
 class Tower:
     """One character's tower at the ladder's k.  Entry j-1 of each tuple
-    belongs to rung j: P_j, N_j(k), N_j(k-1) and Q_j(k).  N and N1 are the
-    ladder products N(chi, k) and N(chi, k-1), 1 when R = 0."""
+    belongs to rung j: P_j, N_j(k) and N_j(k-1).  N and N1 are the ladder
+    products N(chi, k) and N(chi, k-1), 1 when R = 0.
+
+    The guard powers Q_j(k) are computed only when read, since most audits
+    read few of them: guard(j) evaluates one, and Q holds all R once read.
+    """
 
     P: tuple[complex, ...]
     Nk: tuple[complex, ...]
     Nk1: tuple[complex, ...]
-    Q: tuple[complex, ...]
     N: complex
     N1: complex
+    ladder: LadderParams
+
+    def guard(self, j: int) -> complex:
+        """Q_j(k) = (c_k P_j / ell_j)^(r_k ell_j), evaluated on each call."""
+        lad = self.ladder
+        ell = lad.ell[j - 1]
+        return _ipow(lad.c_k * self.P[j - 1] / ell, lad.r_k * ell)
+
+    @cached_property
+    def Q(self) -> tuple[complex, ...]:
+        """Q_j(k) for j = 1..R, in rung order."""
+        return tuple(self.guard(j) for j in range(1, self.ladder.R + 1))
 
 
 def tower(ctx: MollifierContext, chi: characters.Character) -> Tower:
-    """P_j, N_j(k), N_j(k-1) and Q_j(k) for j = 1..R, and the products,
-    computed as n_poly and the guard power define them, in rung order."""
+    """P_j, N_j(k) and N_j(k-1) for j = 1..R, and the products, computed
+    as n_poly defines them, in rung order."""
     lad = ctx.ladder
     vals = chi.values()
     P = tuple(prime_poly(chi, seg, ctx.table, vals)
               for seg in ctx.segments.segments)
     Nk = tuple(trunc_exp(ell, lad.k * p) for ell, p in zip(lad.ell, P))
     Nk1 = tuple(trunc_exp(ell, (lad.k - 1) * p) for ell, p in zip(lad.ell, P))
-    Q = tuple(_ipow(lad.c_k * p / ell, lad.r_k * ell)
-              for ell, p in zip(lad.ell, P))
-    return Tower(P=P, Nk=Nk, Nk1=Nk1, Q=Q, N=math.prod(Nk, start=1 + 0j),
-                 N1=math.prod(Nk1, start=1 + 0j))
+    return Tower(P=P, Nk=Nk, Nk1=Nk1, N=math.prod(Nk, start=1 + 0j),
+                 N1=math.prod(Nk1, start=1 + 0j), ladder=lad)
 
 
 def segment_coefficients(ctx: MollifierContext, j: int,

@@ -230,13 +230,15 @@ def diagonal_local_factor(table: EigenformTable, p: int, k: float,
     """
     lam_p = table.lam_at(p)
     lpow = _lam_prime_powers(lam_p, _LOCAL_TERMS)
+    # (k-1)^l lambda(p)^l / l!, l = 0..i, each computed once
+    inner_w: list[float] = []
     total = 0.0
     for i in range(_LOCAL_TERMS + 1):
         outer = lam_p ** i * k ** i / (p ** i * math.factorial(i))
         if outer == 0.0 or abs(outer) < 1e-320:
             break
-        inner = sum((k - 1) ** l * lam_p ** l / math.factorial(l)
-                    * lpow[i - l] for l in range(i + 1))
+        inner_w.append((k - 1) ** i * lam_p ** i / math.factorial(i))
+        inner = sum(w * lpow[i - l] for l, w in enumerate(inner_w))
         total += outer * inner
     target = 1.0 + k * k * lam_p * lam_p / p
     dev = abs(total - target)
@@ -263,7 +265,7 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
         large: same left side <= |Q_j(k)|^2, and |Q_j(k)| >= 1.
 
     All are exact inequalities; each instance is asserted with relative
-    slack _SLACK.
+    slack _SLACK.  Q_j(k) is computed for the large regime only.
     """
     kk = ctx.ladder.k
     tw = mollifier.tower(ctx, chi)
@@ -280,7 +282,7 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
 
     for j, ell in enumerate(ctx.ladder.ell, 1):
         x = math.exp(-ell)
-        P, Nk, Nk1, Q = (abs(v[j - 1]) for v in (tw.P, tw.Nk, tw.Nk1, tw.Q))
+        P, Nk, Nk1 = (abs(v[j - 1]) for v in (tw.P, tw.Nk, tw.Nk1))
         if kk <= 1:
             if P <= ell / 60:
                 add("product_small_regime", j,
@@ -290,6 +292,7 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
                     Nk1 ** (2 * kk) * Nk ** (2 * (1 - kk)),
                     (1 - x) ** 2, lower=True)
             else:
+                Q = abs(tw.guard(j))
                 mid = (64 * P / ell) ** (2 * (1 + 1 / kk) * ell)
                 add("product_large_regime", j, Nk ** (2 / kk) * Nk1 ** 2, mid)
                 add("q_dominates_large_regime", j, mid, Q * Q)
@@ -302,6 +305,7 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
                     Nk ** 2 * (1 + x) ** e
                     * (1 - x) ** (-2 * (kk - 1) / (2 * kk - 1)))
             else:
+                Q = abs(tw.guard(j))
                 add("product_large_regime", j, (Nk * Nk1) ** e, Q * Q)
                 add("guard_unit", j, Q, 1.0, lower=True)
     return InequalityAudit(q=ctx.segments.q, k=kk, checks=tuple(checks))

@@ -231,6 +231,53 @@ def central_values_direct(f, chis, cfg) -> list[complex]:
     return out
 
 
+def chars_rows(q_list) -> list[tuple]:
+    """The rows of a chars listing, (q, index, conductor, primitive, even)
+    per character, for cli._render's generic column formatting: the route
+    that cli._cmd_chars, formatting each group's lines directly, must match
+    byte for byte."""
+    rows = []
+    for q in q_list:
+        grp = characters.build_group(q)
+        rows.extend(zip([q] * grp.phi_q, range(grp.phi_q), grp.conductors,
+                        [c == q for c in grp.conductors], grp.even))
+    return rows
+
+
+def first_power_bins_one_pass(f, q, cfg) -> tuple:
+    """The first-power residue bins (b1, b2) as one bincount over every
+    n <= n_cap, the unblocked pass that lvalues._first_power_bins fills one
+    block at a time."""
+    ev = lvalues.default_evaluators()[0]
+    cap = lvalues.required_n_cap(q, cfg)
+    n = np.arange(1, cap + 1)
+    coeff = f.lam[1:cap + 1] / np.sqrt(n)
+    idx = n % q
+    b2 = np.bincount(idx, weights=coeff * ev(n / (q * cfg.X)), minlength=q)
+    b1 = b2 if cfg.X == 1 else np.bincount(
+        idx, weights=coeff * ev(n * (cfg.X / q)), minlength=q)
+    return b1, b2
+
+
+def local_factor_literal(lam_p: float, p: int, k: float,
+                         terms: int) -> float:
+    """T_p of moments.diagonal_local_factor term by term as its docstring
+    writes it, every power and factorial taken afresh in each (i, l)
+    term, the terms added in the same order."""
+    lpow = [1.0, lam_p]
+    for _ in range(terms - 1):
+        lpow.append(lam_p * lpow[-1] - lpow[-2])
+    total = 0.0
+    for i in range(terms + 1):
+        outer = lam_p ** i * k ** i / (p ** i * math.factorial(i))
+        if outer == 0.0 or abs(outer) < 1e-320:
+            break
+        inner = sum((k - 1) ** l * lam_p ** l / math.factorial(l)
+                    * lpow[i - l] for l in range(i + 1))
+        total += outer * inner
+    return total
+
+
 def kernel_exact(kind: str, x: float, kappa: int = 12) -> float:
     """W(x) or W2(x) at 25 digits, rounded to a float.
 

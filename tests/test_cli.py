@@ -237,18 +237,24 @@ def test_commands_load_only_their_layers(args, unloaded):
 
 _NUMPY_GUARD = """
 import contextlib, io, sys
+start = set(sys.modules)
 from twistmoments import cli
 for args in (["--q-list", "1009,1024,1155,1200,1331", "--format", "csv"],
              ["--q-list", "1009,1024,1155,1200,1331", "--format", "json"],
              ["--q", "9", "--ell", "8,2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["chars", *args]) == 0
+    if "--ell" not in args:
+        added = {"dataclasses", "inspect"} & (set(sys.modules) - start)
+        assert not added, f"chars {args} loaded {sorted(added)}"
 assert "numpy" not in sys.modules, "chars loaded numpy"
 """
 
 
 def test_chars_never_imports_numpy():
-    # listing a family is integer arithmetic on the standard library alone
+    # listing a family is integer arithmetic on the standard library alone,
+    # and its records are named tuples, so a plain listing loads no
+    # dataclasses either (--ell checks the ladder in mollifier, which does)
     proc = subprocess.run([sys.executable, "-c", _NUMPY_GUARD],
                           capture_output=True, text=True, env=_FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
@@ -349,6 +355,30 @@ def test_audit_builds_each_tower_once_per_audit(monkeypatch, capsys):
     assert rc == 0
     assert calls["trunc_exp"] <= 408
     assert calls["_ipow"] <= 204
+
+
+@pytest.mark.parametrize("k", ["0.5", "2"])
+def test_audit_computes_only_the_guard_powers_it_reads(k, monkeypatch,
+                                                       capsys):
+    # the pointwise audit reads Q_j in its large regime alone, one
+    # guard_unit row per rung there; the Hoelder audit reads all R of each
+    # of the 51 characters at k <= 1 and none at k > 1
+    calls = collections.Counter()
+
+    def counted(*args, _fn=mollifier._ipow):
+        calls["_ipow"] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(mollifier, "_ipow", counted)
+    rc, out, _ = run_cli(["audit", "--q", "53", "--k", k, "--format", "json"],
+                         capsys)
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    large = sum(r["kind"] == "pointwise" and r["name"] == "guard_unit"
+                for r in rows)
+    assert calls["_ipow"] == large + (51 * 2 if float(k) <= 1 else 0)
+    if k == "2":
+        assert calls["_ipow"] == 51
 
 
 def test_mollifier_verify_json(capsys):
@@ -470,6 +500,22 @@ def test_chars_output_is_pinned(fmt, want, capsys):
                          capsys)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+_ORACLE_MODULI = (1009, 1024, 1155, 1200, 1331, 9, 16, 105)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("q_list", [(q,) for q in _ORACLE_MODULI]
+                         + [_ORACLE_MODULI], ids=str)
+def test_chars_bytes_match_the_row_oracle(q_list, fmt, capsys):
+    # the per-group lines against the generic row route, every byte
+    args = ["chars", "--q-list", ",".join(map(str, q_list)), "--format", fmt]
+    cfg = cli._resolve(cli._build_parser(args).parse_args(args))
+    rc, out, _ = run_cli(args, capsys)
+    assert rc == 0
+    assert out == cli._render(cfg, cli._CHARS_HEADER,
+                              helpers.chars_rows(q_list))
 
 
 def test_config_keys_are_the_flags():

@@ -487,6 +487,37 @@ def test_validation_rejects_nan(n, check):
         hecke._validate_table(lam, 1000)
 
 
+def _validation_message(lam, n_max):
+    with pytest.raises(ValueError) as info:
+        hecke._validate_table(lam, n_max)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n, value, check", [
+    (5, None, "Hecke relation"),          # first block, read in every block
+    (70_001, None, "Hecke relation"),     # a later block
+    (99_991, 2.5, "Deligne"),             # a prime in a later block
+    (131_073, None, "Hecke relation"),    # the last index of a block
+    (199_999, 2.5, "Deligne"),            # a prime in the last block
+    (200_000, None, "Hecke relation"),    # the last index of the table
+])
+@pytest.mark.parametrize("block", [1 << 12, None], ids=["4096", "default"])
+def test_blocked_validation_keeps_the_one_pass_message(n, value, check,
+                                                       block, monkeypatch):
+    # the count of failing indices, the first n and its p, or the first
+    # prime past the bound, exactly as one pass over the whole table says
+    n_max = 200_000
+    lam = np.array(hecke.shared_eigenform(n_max).lam)
+    hecke._validate_table(lam, n_max)
+    lam[n] = lam[n] + 1e-6 if value is None else value
+    if block is not None:
+        monkeypatch.setattr(hecke, "_VALIDATE_BLOCK", block)
+    got = _validation_message(lam, n_max)
+    monkeypatch.setattr(hecke, "_VALIDATE_BLOCK", n_max)
+    assert got == _validation_message(lam, n_max)
+    assert got.startswith(check)
+
+
 def test_shared_eigenform_rejects_invalid_cache(tmp_path):
     cache = str(tmp_path)
     hecke.shared_eigenform(500, cache_dir=cache)

@@ -149,6 +149,20 @@ def test_family_records_hold_no_value_arrays():
     assert held < arith.phi_star(q) * q * 8 / 10
 
 
+@pytest.mark.parametrize("q", [7, 53, 211])
+@pytest.mark.parametrize("X", [1.0, 0.5, 1.7])
+def test_blocked_bins_equal_one_bincount(q, X, sweep_table):
+    # np.add.at block by block adds in the order one bincount does
+    cfg = lvalues.AfeConfig(X=X)
+    cap = lvalues.required_n_cap(q, cfg)
+    assert q < 211 or cap > 10 * lvalues._BIN_BLOCK
+    got = lvalues._first_power_bins(sweep_table, q, cfg, cap)
+    want = helpers.first_power_bins_one_pass(sweep_table, q, cfg)
+    assert (got[0] is got[1]) == (X == 1.0)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_cap_doubling_is_negligible(family_table):
     # terms past the certified cap are numerically dead: extending the sum
     # to twice the cap moves the value by far less than the tail budget

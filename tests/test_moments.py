@@ -8,6 +8,8 @@ import pytest
 
 from twistmoments import arith, characters, hecke, lvalues, moments, mollifier
 
+import helpers
+
 CFG = lvalues.DEFAULT_CONFIG
 
 
@@ -161,6 +163,16 @@ def test_diagonal_local_factor_envelopes(table_100k):
     narrow = [moments.diagonal_local_factor(table_100k, p, 2.0)
               for p in primes]
     assert not all(r["ok"] for r in narrow)  # k^4 growth breaks the k<=1 bound
+
+
+def test_diagonal_local_factor_equals_the_literal_sum(table_100k):
+    # the weights (k-1)^l lambda(p)^l / l! are computed once per prime; the
+    # value is the literal double sum to the bit
+    for k in (0.5, 1.0, 2.0, 0.25, 3.0):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            rec = moments.diagonal_local_factor(table_100k, p, k)
+            assert rec["value"] == helpers.local_factor_literal(
+                table_100k.lam_at(p), p, k, moments._LOCAL_TERMS), (p, k)
 
 
 @pytest.mark.parametrize("q, k, expect", [
