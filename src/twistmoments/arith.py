@@ -4,9 +4,8 @@ Everything here operates on ordinary Python/NumPy 64-bit integers; desk-scale
 moduli and summation indices never approach that range.  factorize and the
 multiplicative functions built on it use trial division in plain Python: their
 callers factor moduli, group orders and divisors, a few hundred small
-arguments a run.  The smallest-prime-factor sieve behind
-smallest_prime_factors and sieve_primes is a numpy table, built lazily and
-grown on demand; numpy is imported only there.
+arguments a run.  smallest_prime_factors and sieve_primes sieve a numpy
+table afresh on each call and keep nothing; numpy is imported only there.
 """
 
 from __future__ import annotations
@@ -21,35 +20,19 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
-# Lazily built smallest-prime-factor table; _spf[n] is the least prime
-# dividing n (0 for n < 2).  Sized to the first request, then grown to at
-# least twice its length whenever a request outruns it; never shrunk.
-_spf: np.ndarray | None = None
-
-
-def _spf_table(limit: int) -> np.ndarray:
-    import numpy as np
-    global _spf
-    if _spf is None or len(_spf) <= limit:
-        size = max(limit + 1, 2 * len(_spf) if _spf is not None else 0)
-        tab = np.zeros(size, dtype=np.int64)
-        tab[2::2] = 2
-        for p in range(3, int(math.isqrt(size - 1)) + 1, 2):
-            if tab[p] == 0:
-                tab[p * p::2 * p][tab[p * p::2 * p] == 0] = p
-        odd = np.arange(3, size, 2)
-        rest = tab[3::2] == 0
-        tab[3::2][rest] = odd[rest]
-        _spf = tab
-    return _spf
-
 
 def smallest_prime_factors(limit: int) -> np.ndarray:
-    """Read-only view of the least prime factor of n, n = 0..limit (0 for
-    n < 2), served from the shared table."""
-    view = _spf_table(limit)[:limit + 1]
-    view.setflags(write=False)
-    return view
+    """The least prime factor of n, n = 0..limit (0 for n < 2), sieved
+    afresh into int32, which holds every n up to TAU_N_MAX < 2^31."""
+    import numpy as np
+    tab = np.zeros(limit + 1, dtype=np.int32)
+    tab[2::2] = 2
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if tab[p] == 0:
+            tab[p * p::2 * p][tab[p * p::2 * p] == 0] = p
+    rest = tab[3::2] == 0
+    tab[3::2][rest] = np.arange(3, limit + 1, 2, dtype=np.int32)[rest]
+    return tab
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -64,7 +47,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     import numpy as np
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    tab = _spf_table(limit)
+    tab = smallest_prime_factors(limit)
     n = np.arange(2, limit + 1)
     return n[tab[2:limit + 1] == n]
 

@@ -265,8 +265,14 @@ class Character:
         return vals
 
     def __call__(self, n):
+        """chi(n) for an integer n (a numpy scalar) or an integer array n
+        (an array of its shape): the entries of values() at n mod q, with
+        phases computed at those residues only."""
         import numpy as np
-        return self.values()[np.asarray(n) % self.group.q]
+        grp = self.group
+        r = np.asarray(n, dtype=np.int64) % grp.q
+        phase = _phase(grp, [self.index], r.ravel())[0].reshape(r.shape)
+        return np.where(grp.unit_mask[r], grp.roots[phase], 0.0)[()]
 
     @property
     def conductor(self) -> int:

@@ -448,17 +448,24 @@ def _cmd_fit(cfg: RunConfig) -> str:
                    rows)
 
 
-def _cmd_audit(cfg: RunConfig) -> str:
+def _context(cfg: RunConfig) -> mollifier.MollifierContext:
+    """The eigenform table, ladder and prime segments of the run's one
+    modulus, held by its mollifier context."""
     q = cfg.q_list[0]
-    afe = cfg.afe()
     ladder = cfg.ladder(q)
-    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe),
+    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, cfg.afe()),
                                  cache_dir=cfg.cache_dir)
-    recs = lvalues.family_values(tab, q, afe)
-    ctx = mollifier.MollifierContext(tab, ladder,
-                                     mollifier.build_segments(q, ladder))
-    pw = moments.family_pointwise_audit(ctx, recs)
-    hc = moments.holder_chain_audit(ctx, recs)
+    return mollifier.MollifierContext(tab, ladder,
+                                      mollifier.build_segments(q, ladder))
+
+
+def _cmd_audit(cfg: RunConfig) -> str:
+    ctx = _context(cfg)
+    recs = lvalues.family_values(ctx.table, ctx.segments.q, cfg.afe())
+    # one tower per character, read by both audits
+    towers = moments.family_towers(ctx, recs)
+    pw = moments.family_pointwise_audit(recs, towers)
+    hc = moments.holder_chain_audit(recs, towers)
     rows = [("pointwise", c.name, c.subject, c.lhs, c.rhs, c.ok)
             for c in pw.checks]
     rows += [("holder", c.name, c.subject, c.lhs, c.rhs, c.ok)
@@ -477,16 +484,11 @@ def _cmd_audit(cfg: RunConfig) -> str:
 
 def _cmd_mollifier_verify(cfg: RunConfig) -> str:
     import numpy as np
-    q = cfg.q_list[0]
     k = cfg.k_list[0]
-    afe = cfg.afe()
-    ladder = cfg.ladder(q)
-    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe),
-                                 cache_dir=cfg.cache_dir)
-    segs = mollifier.build_segments(q, ladder)
-    ctx = mollifier.MollifierContext(tab, ladder, segs)
-    grp = characters.build_group(q)
-    prims = characters.primitive_characters(grp)
+    ctx = _context(cfg)
+    ladder = ctx.ladder
+    prims = characters.primitive_characters(
+        characters.build_group(ctx.segments.q))
     rows = []
 
     for j in range(1, ladder.R + 1):
@@ -529,9 +531,8 @@ def _cmd_mollifier_verify(cfg: RunConfig) -> str:
     rows.append(("diagonal_identity", f"k={_fmt(k)}", chk.residual,
                  moments.DIAGONAL_TOL, chk.ok))
 
-    envelope = 10.0 if k <= 1 else 80.0
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        rec = moments.diagonal_local_factor(tab, p, k, envelope=envelope)
+        rec = moments.diagonal_local_factor(ctx.table, p, k)
         rows.append(("diagonal_local_factor", f"p={p}", rec["deviation"],
                      rec["bound"], rec["ok"]))
 

@@ -8,10 +8,11 @@ cut at q^(1/ell_j^2)) and three per-character quantities:
     N_j(chi, a)   E_{ell_j}(a * P_j(chi)), truncated exponential
     Q_j(chi, k)   (c_k P_j(chi) / ell_j)^(r_k ell_j), the guard power
 
-tower(ctx, chi) evaluates them at the ladder's k, from one chi.values()
-call, with the two ladder products N(chi, k) and N(chi, k-1), and leaves
-each Q_j until it is read; every audit in moments reads those records.
-This exp form is the production route.
+tower(ctx, chi) evaluates them at the ladder's k, from chi at the segment
+primes only, with the two ladder products N(chi, k) and N(chi, k-1), and
+leaves each Q_j until it is read.  moments.family_towers builds one tower
+per character once per run, and every audit reads those records.  This exp
+form is the production route.
 
 N_j also has an exact Dirichlet-polynomial form: expanding the truncated
 exponential multinomially gives sum over P_j-smooth n with Omega(n) <= ell_j
@@ -25,17 +26,21 @@ The prime sums are weighted by lambda(p), Delta's normalized eigenvalues,
 so the Dirichlet form carries the eigenform's coefficients.  That is the
 weighting of the source construction, and the one under which the diagonal
 factorization identity and the local-factor shape hold.
+
+LadderParams, PrimeSegments and Tower are named-tuple subclasses, like
+cli.RunConfig, so checking a ladder (chars --ell) loads no dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from . import arith, characters
 
+# typing.TYPE_CHECKING without loading typing, as in arith
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .hecke import EigenformTable
 
@@ -67,17 +72,14 @@ def r_k_value(k: float) -> int:
     return math.ceil(1 + 1 / k) + 1
 
 
-@dataclass(frozen=True)
-class LadderParams:
-    """Lengths ell (decreasing, even), with the k-dependent constants."""
+class LadderParams(namedtuple(
+        "LadderParams", "k ell c_k r_k N M generated",
+        defaults=(None, None, False))):
+    """Lengths ell (decreasing, even), with the k-dependent constants c_k
+    and r_k; N and M are the schedule's (None for an override), and
+    generated tells whether the schedule made ell."""
 
-    k: float
-    ell: tuple[int, ...]
-    c_k: float
-    r_k: int
-    N: int | None = None
-    M: int | None = None
-    generated: bool = False
+    __slots__ = ()
 
     @property
     def R(self) -> int:
@@ -143,9 +145,9 @@ def build_ladder(q: int, N: int | None = None, M: int | None = None,
                         N=N, M=M, generated=True)
 
 
-@dataclass(frozen=True)
-class PrimeSegments:
-    """Disjoint prime intervals, one per ladder entry.
+class PrimeSegments(namedtuple("PrimeSegments", "q boundaries segments")):
+    """Disjoint prime intervals, one per ladder entry: q, the float
+    boundaries and a tuple of prime tuples.
 
     boundaries[j] = q^(1/ell_(j+1)^2).  Segment 1 is the odd primes up to
     boundaries[0]; segment j > 1 is the primes in
@@ -153,9 +155,7 @@ class PrimeSegments:
     first later segment whose lower edge is below it.
     """
 
-    q: int
-    boundaries: tuple[float, ...]
-    segments: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def empty_flags(self) -> tuple[bool, ...]:
@@ -217,16 +217,14 @@ def _ipow(z: complex, n: int) -> complex:
     return acc
 
 
-def prime_poly(chi: characters.Character, segment, table: EigenformTable,
-               vals=None) -> complex:
-    """Short prime sum over the segment: sum of lambda(p) chi(p)/sqrt(p).
-    vals, if given, is chi.values()."""
-    if vals is None:
-        vals = chi.values()
-    q = chi.group.q
+def prime_poly(chi: characters.Character, segment,
+               table: EigenformTable) -> complex:
+    """Short prime sum over the segment: sum of lambda(p) chi(p)/sqrt(p),
+    reading chi at the segment's primes only (one call, none if empty)."""
     acc = 0.0 + 0.0j
-    for p in segment:
-        acc += table.lam_at(p) * vals[p % q] / math.sqrt(p)
+    if len(segment):
+        for p, v in zip(segment, chi(segment)):
+            acc += table.lam_at(p) * v / math.sqrt(p)
     return complex(acc)
 
 
@@ -255,22 +253,16 @@ def n_poly(ctx: MollifierContext, chi: characters.Character, j: int,
         chi, ctx.segments.segments[j - 1], ctx.table))
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(namedtuple("Tower", "P Nk Nk1 N N1 ladder")):
     """One character's tower at the ladder's k.  Entry j-1 of each tuple
     belongs to rung j: P_j, N_j(k) and N_j(k-1).  N and N1 are the ladder
     products N(chi, k) and N(chi, k-1), 1 when R = 0.
 
     The guard powers Q_j(k) are computed only when read, since most audits
     read few of them: guard(j) evaluates one, and Q holds all R once read.
+    The class has no __slots__, so its instances carry the __dict__ that Q
+    is cached in.
     """
-
-    P: tuple[complex, ...]
-    Nk: tuple[complex, ...]
-    Nk1: tuple[complex, ...]
-    N: complex
-    N1: complex
-    ladder: LadderParams
 
     def guard(self, j: int) -> complex:
         """Q_j(k) = (c_k P_j / ell_j)^(r_k ell_j), evaluated on each call."""
@@ -288,8 +280,7 @@ def tower(ctx: MollifierContext, chi: characters.Character) -> Tower:
     """P_j, N_j(k) and N_j(k-1) for j = 1..R, and the products, computed
     as n_poly defines them, in rung order."""
     lad = ctx.ladder
-    vals = chi.values()
-    P = tuple(prime_poly(chi, seg, ctx.table, vals)
+    P = tuple(prime_poly(chi, seg, ctx.table)
               for seg in ctx.segments.segments)
     Nk = tuple(trunc_exp(ell, lad.k * p) for ell, p in zip(lad.ell, P))
     Nk1 = tuple(trunc_exp(ell, (lad.k - 1) * p) for ell, p in zip(lad.ell, P))
@@ -363,12 +354,13 @@ def mollifier_coefficients(ctx: MollifierContext,
 
 def evaluate_coefficients(coeffs: dict[int, float],
                           chi: characters.Character) -> complex:
-    """sum coeff(n) chi(n)/sqrt(n) over the map's support (fixed n order)."""
-    vals = chi.values()
+    """sum coeff(n) chi(n)/sqrt(n) over the map's support (fixed n order),
+    reading chi on the support only."""
+    support = sorted(coeffs)
     q = chi.group.q
     acc = 0.0 + 0.0j
-    for n in sorted(coeffs):
-        acc += coeffs[n] * vals[n % q] / math.sqrt(n)
+    for n, v in zip(support, chi([n % q for n in support])):
+        acc += coeffs[n] * v / math.sqrt(n)
     return complex(acc)
 
 

@@ -2,16 +2,16 @@
 
 Everything here works over the family of primitive characters mod q, as
 built once by lvalues.family_values: the caller builds it, then passes the
-same records (with one MollifierContext for the modulus) to every moment and
-audit, which check that the context and the family share q.  The
-moment statistics are exact finite sums of |L(1/2)| powers from the lvalues
-module; the audits check, instance by instance, the pointwise truncated
-exponential bounds, the Hoelder splittings at family level, and the exact
-diagonal factorization identity behind the twisted first moment.
+same records to every moment and audit.  The moment statistics are exact
+finite sums of |L(1/2)| powers from the lvalues module; the audits check,
+instance by instance, the pointwise truncated exponential bounds, the
+Hoelder splittings at family level, and the exact diagonal factorization
+identity behind the twisted first moment.
 
-The audits work at the k of the context's ladder.  Each reads the
-mollifier.Tower records of the family's characters, and builds each
-character's tower at most once.
+The audits work at the k of the towers' ladder.  family_towers checks
+that a MollifierContext and the family share q, then builds one
+mollifier.Tower per character; the caller builds them once per run and
+passes the same towers, with the records, to every audit.
 
 Asymptotic statements (anything with an unspecified constant) are never
 asserted: they surface as reported ratios so sweeps can eyeball boundedness,
@@ -86,15 +86,6 @@ class InequalityAudit:
         return [c for c in self.checks if not c.ok]
 
 
-def _family_q(ctx: mollifier.MollifierContext, recs) -> int:
-    """The family's modulus, checked against the mollifier context's."""
-    q = recs[0].chi.group.q
-    if ctx.segments.q != q:
-        raise ValueError(f"mollifier context is built for q={ctx.segments.q}"
-                         f" but the family is for q={q}")
-    return q
-
-
 def family_moment(recs, k: float) -> MomentReport:
     """Sum* |L(1/2)|^(2k) over a family built by lvalues.family_values.
 
@@ -119,32 +110,31 @@ def family_moment(recs, k: float) -> MomentReport:
         log_q=logq, ratio_to_logq_pow_k2=normalized / logq ** (k * k))
 
 
-def _towers(ctx: mollifier.MollifierContext, recs) -> list:
+def family_towers(ctx: mollifier.MollifierContext,
+                  recs) -> list[mollifier.Tower]:
     """The tower of each record's character, in family order, once the
     family's modulus is checked against the context's."""
-    _family_q(ctx, recs)
+    q = recs[0].chi.group.q
+    if ctx.segments.q != q:
+        raise ValueError(f"mollifier context is built for q={ctx.segments.q}"
+                         f" but the family is for q={q}")
     return [mollifier.tower(ctx, rec.chi) for rec in recs]
 
 
-def _twisted(recs, towers) -> complex:
-    """twisted_first_moment from the family's towers."""
-    conj = recs[0].chi.group.conj
-    # the family is closed under conjugation: chi-bar's record by its index
-    position = {rec.chi.index: j for j, rec in enumerate(recs)}
-    total = 0.0 + 0.0j
-    for rec, tw in zip(recs, towers):
-        total += rec.value * towers[position[conj[rec.chi.index]]].N * tw.N1
-    return total
-
-
-def twisted_first_moment(ctx: mollifier.MollifierContext, recs) -> complex:
-    """Sum* L(1/2) N(conj chi, k) N(chi, k-1) over the family, k the
-    ladder's.
+def twisted_first_moment(recs, towers) -> complex:
+    """Sum* L(1/2) N(conj chi, k) N(chi, k-1) over the family, from the
+    family's towers at their ladder's k.
 
     Returned as a complex number; the family is closed under conjugation, so
     the imaginary part should be at noise level.
     """
-    return _twisted(recs, _towers(ctx, recs))
+    conj = recs[0].chi.group.conj
+    # the family is closed under conjugation: chi-bar's record by its index
+    position = {rec.chi.index: j for j, rec in enumerate(recs)}
+    total = 0.0 + 0.0j
+    for rec, tw in zip(recs, towers, strict=True):
+        total += rec.value * towers[position[conj[rec.chi.index]]].N * tw.N1
+    return total
 
 
 @dataclass(frozen=True)
@@ -216,17 +206,16 @@ def _lam_prime_powers(lam_p: float, jmax: int) -> list[float]:
     return out[:jmax + 1]
 
 
-def diagonal_local_factor(table: EigenformTable, p: int, k: float,
-                          envelope: float = 10.0) -> dict:
+def diagonal_local_factor(table: EigenformTable, p: int, k: float) -> dict:
     """Unrestricted Euler factor of the diagonal identity at one prime.
 
     T_p = sum_i (lambda(p)^i k^i / (p^i i!)) *
           sum_{l<=i} (k-1)^l lambda(p)^l / l! * lambda(p^(i-l)),
 
     which should match 1 + k^2 lambda(p)^2 / p up to a remainder of size
-    envelope/p^2.  The default envelope of 10 covers k <= 1; the remainder's
-    constant grows like k^4 (the p^-2 term carries k^2 lambda^2 (5k-2)/2
-    against it), so larger k needs a wider envelope.
+    envelope/p^2.  The envelope is 10 for k <= 1 and 80 above: the
+    remainder's constant grows like k^4 (the p^-2 term carries
+    k^2 lambda^2 (5k-2)/2 against it), so larger k needs the wider one.
     """
     lam_p = table.lam_at(p)
     lpow = _lam_prime_powers(lam_p, _LOCAL_TERMS)
@@ -242,15 +231,15 @@ def diagonal_local_factor(table: EigenformTable, p: int, k: float,
         total += outer * inner
     target = 1.0 + k * k * lam_p * lam_p / p
     dev = abs(total - target)
-    bound = envelope / p ** 2
+    bound = (10.0 if k <= 1 else 80.0) / p ** 2
     return {"p": p, "value": total, "target": target, "deviation": dev,
             "bound": bound, "ok": dev <= bound}
 
 
-def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
-                               chi: characters.Character) -> InequalityAudit:
-    """Per-character regime checks of the truncated-exponential bounds, at
-    the ladder's k.
+def pointwise_inequality_audit(chi: characters.Character,
+                               tw: mollifier.Tower) -> InequalityAudit:
+    """Per-character regime checks of the truncated-exponential bounds, on
+    chi's tower at its ladder's k.
 
     For each rung j, |P_j(chi)| picks a regime.  With x = exp(-ell_j):
 
@@ -267,8 +256,7 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
     All are exact inequalities; each instance is asserted with relative
     slack _SLACK.  Q_j(k) is computed for the large regime only.
     """
-    kk = ctx.ladder.k
-    tw = mollifier.tower(ctx, chi)
+    kk = tw.ladder.k
     checks: list[CheckRecord] = []
 
     def add(name: str, j: int, lhs: float, rhs: float, lower: bool = False):
@@ -280,7 +268,7 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
             name=name, subject=f"chi={chi.index} j={j}",
             lhs=lhs, rhs=rhs, ok=ok))
 
-    for j, ell in enumerate(ctx.ladder.ell, 1):
+    for j, ell in enumerate(tw.ladder.ell, 1):
         x = math.exp(-ell)
         P, Nk, Nk1 = (abs(v[j - 1]) for v in (tw.P, tw.Nk, tw.Nk1))
         if kk <= 1:
@@ -308,17 +296,17 @@ def pointwise_inequality_audit(ctx: mollifier.MollifierContext,
                 Q = abs(tw.guard(j))
                 add("product_large_regime", j, (Nk * Nk1) ** e, Q * Q)
                 add("guard_unit", j, Q, 1.0, lower=True)
-    return InequalityAudit(q=ctx.segments.q, k=kk, checks=tuple(checks))
+    return InequalityAudit(q=chi.group.q, k=kk, checks=tuple(checks))
 
 
-def family_pointwise_audit(ctx: mollifier.MollifierContext,
-                           recs) -> InequalityAudit:
-    """Pointwise audit over every character of the family."""
-    q = _family_q(ctx, recs)
+def family_pointwise_audit(recs, towers) -> InequalityAudit:
+    """Pointwise audit over every character of the family, on the family's
+    towers."""
     checks: list[CheckRecord] = []
-    for rec in recs:
-        checks.extend(pointwise_inequality_audit(ctx, rec.chi).checks)
-    return InequalityAudit(q=q, k=ctx.ladder.k, checks=tuple(checks))
+    for rec, tw in zip(recs, towers, strict=True):
+        checks.extend(pointwise_inequality_audit(rec.chi, tw).checks)
+    return InequalityAudit(q=recs[0].chi.group.q, k=towers[0].ladder.k,
+                           checks=tuple(checks))
 
 
 def _upper_weight(N, Q) -> float:
@@ -340,7 +328,7 @@ def _upper_terms(recs, towers):
     A and B are the upper-principle weights at alpha = k-1 and k.
     """
     ln, la, guard, A, B = [], [], [], [], []
-    for rec, tw in zip(recs, towers):
+    for rec, tw in zip(recs, towers, strict=True):
         a = _upper_weight(tw.Nk1, tw.Q)
         ln.append(abs(rec.value * tw.N1) ** 2)
         la.append(abs(rec.value) ** 2 * a)
@@ -351,10 +339,9 @@ def _upper_terms(recs, towers):
     return ln, la, guard, A, B
 
 
-def holder_chain_audit(ctx: mollifier.MollifierContext,
-                       recs) -> InequalityAudit:
-    """Family-level Hoelder splittings at the ladder's k, asserted with
-    constant 1.
+def holder_chain_audit(recs, towers) -> InequalityAudit:
+    """Family-level Hoelder splittings on the family's towers, at their
+    ladder's k, asserted with constant 1.
 
     k <= 1 asserts the three-factor split of the twisted moment and the
     two-factor split of the upper principle; k > 1 asserts the two-factor
@@ -363,13 +350,13 @@ def holder_chain_audit(ctx: mollifier.MollifierContext,
     family sum and the per-character weight min (which the arguments need
     to stay of size 1).
     """
-    q = _family_q(ctx, recs)
-    k = ctx.ladder.k
-    towers = _towers(ctx, recs)
+    q = recs[0].chi.group.q
+    ladder = towers[0].ladder
+    k = ladder.k
     checks: list[CheckRecord] = []
     reported: dict = {}
 
-    twisted = _twisted(recs, towers)
+    twisted = twisted_first_moment(recs, towers)
     S_2k = family_moment(recs, k).raw_moment
     reported["twisted_moment"] = abs(twisted)
 
@@ -383,7 +370,7 @@ def holder_chain_audit(ctx: mollifier.MollifierContext,
 
         S_guard = sum(guard)
         bump = math.prod((1 + math.exp(-l)) ** (2 / k)
-                         for l in ctx.ladder.ell)
+                         for l in ladder.ell)
         checks.append(CheckRecord(
             name="guarded_product_dominates", subject=f"q={q}",
             lhs=S_NN, rhs=bump * S_guard,

@@ -7,6 +7,8 @@ their build time does not count against the per-criterion budgets.
 """
 
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -20,6 +22,9 @@ from twistmoments import (arith, characters, hecke, lvalues, moments,
 import helpers
 
 CFG = lvalues.DEFAULT_CONFIG
+# a subprocess imports the package from this checkout's source
+_ENV = {**os.environ,
+        "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
 
 
 def _verdict(num, name, failures, elapsed, budget):
@@ -215,10 +220,11 @@ def test_07_inequality_audit(sweep_table):
             lad = mollifier.build_ladder(q, k=k, override_ell=(8, 2))
             segs = mollifier.build_segments(q, lad)
             ctx = mollifier.MollifierContext(sweep_table, lad, segs)
-            fam = moments.family_pointwise_audit(ctx, recs)
+            towers = moments.family_towers(ctx, recs)
+            fam = moments.family_pointwise_audit(recs, towers)
             if not fam.all_ok:
                 failures.append(("pointwise", q, k, fam.failures()[:2]))
-            hold = moments.holder_chain_audit(ctx, recs)
+            hold = moments.holder_chain_audit(recs, towers)
             if not hold.all_ok:
                 failures.append(("holder", q, k, hold.failures()[:2]))
     _verdict(7, "inequality audit", failures, time.perf_counter() - t0, 300.0)
@@ -247,7 +253,7 @@ def test_09_determinism(tmp_path):
             [sys.executable, "-m", "twistmoments.cli", "sweep",
              "--q-list", "53,101", "--k", "1", "--seed", "0",
              "--out", str(path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_ENV)
         assert proc.returncode == 0, proc.stderr
         blobs.append(path.read_bytes())
     failures = [] if blobs[0] == blobs[1] else [("bytes_differ",)]

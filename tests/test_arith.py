@@ -22,25 +22,24 @@ def test_sieve_against_sympy():
         sympy.primerange(2, 10_001))
 
 
-def test_sieve_table_grows_to_the_request(monkeypatch):
-    # start from no table: each request that outruns it at least doubles it
-    monkeypatch.setattr(arith, "_spf", None)
+def test_sieve_table_grows_to_the_request():
+    # every request sieves its own table to its own length, and arith
+    # keeps none of them between calls
     assert arith.smallest_prime_factors(97)[97] == 97
-    assert len(arith._spf) == 98
+    assert len(arith.smallest_prime_factors(97)) == 98
     assert arith.smallest_prime_factors(150)[150] == 2
-    assert len(arith._spf) == 196
+    assert arith.smallest_prime_factors(150).dtype == np.int32
     for n in range(2, 500):
         assert (arith.smallest_prime_factors(n)[n]
                 == min(helpers.trial_factor(n))), n
-    assert len(arith._spf) == 784  # grown at n = 196 and n = 392
     # factorize divides by trial and never reads the table
     for n in range(1, 500):
         assert dict(arith.factorize(n).factors) == helpers.trial_factor(n), n
-    assert len(arith._spf) == 784
     assert arith.sieve_primes(1000).tolist() == helpers.trial_primes(1000)
-    assert len(arith._spf) == 1568
     assert arith.sieve_primes(30).tolist() == helpers.trial_primes(30)
-    assert len(arith._spf) == 1568
+    assert arith.sieve_primes(30).dtype == np.int64
+    assert not [name for name, v in vars(arith).items()
+                if isinstance(v, np.ndarray)]
 
 
 def test_factorize_examples():

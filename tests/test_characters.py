@@ -67,6 +67,27 @@ def test_character_call_periodic_multiplicative_zero_off_units():
         assert abs(chi(a * b) - chi(a) * chi(b)) < 1e-12
 
 
+@pytest.mark.parametrize("q", [9, 16, 105, 1024])
+def test_call_equals_the_value_array_bit_for_bit(q):
+    # chi(n) computes phases at n mod q alone; it must give the entries of
+    # the whole-array route to the bit, with the same types, at units and
+    # at non-units, for scalar and array n of any shape
+    g = characters.build_group(q)
+    n = np.arange(-q, 2 * q)
+    scalars = [0, 1, 2, 3, 5, q - 1, q, q + 7, -3, 10**12 + 1]
+    for chi in g.characters():
+        v = chi.values()
+        got, want = chi(n), v[n % q]
+        assert type(got) is np.ndarray and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        got = chi(n.reshape(3, q))
+        assert got.shape == (3, q) and got.tobytes() == want.tobytes()
+        for s in scalars:
+            got, want = chi(s), v[s % q]
+            assert type(got) is type(want) is np.complex128, s
+            assert got.tobytes() == want.tobytes(), (chi.index, s)
+
+
 def test_values_array_write_protected():
     g = characters.build_group(7)
     v = g.character(1).values()

@@ -19,6 +19,11 @@ from twistmoments import characters, cli, hecke, lvalues, mollifier, weights
 import helpers
 
 
+# every subprocess imports the package from this checkout's source
+_ROOT = pathlib.Path(__file__).parent.parent
+_FRESH_ENV = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+
+
 def run_cli(args, capsys):
     rc = cli.run(list(args))
     cap = capsys.readouterr()
@@ -175,7 +180,7 @@ assert "scipy" not in sys.modules, "the package loaded scipy"
 def test_cli_never_imports_scipy():
     # a fresh interpreter, so no other test has loaded scipy already
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -204,9 +209,6 @@ def test_csv_columns_match_per_cell_formatting():
         head + per_cell(rows) + "# c\n")
     assert cli._csv(cfg, ["h"], []) == head
     assert cli._csv(cfg, ["h"], (r for r in [])) == head
-
-_ROOT = pathlib.Path(__file__).parent.parent
-_FRESH_ENV = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
 
 _LAZY_GUARD = """
 import contextlib, io, sys, types
@@ -244,17 +246,16 @@ for args in (["--q-list", "1009,1024,1155,1200,1331", "--format", "csv"],
              ["--q", "9", "--ell", "8,2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["chars", *args]) == 0
-    if "--ell" not in args:
-        added = {"dataclasses", "inspect"} & (set(sys.modules) - start)
-        assert not added, f"chars {args} loaded {sorted(added)}"
+    added = {"dataclasses", "inspect"} & (set(sys.modules) - start)
+    assert not added, f"chars {args} loaded {sorted(added)}"
 assert "numpy" not in sys.modules, "chars loaded numpy"
 """
 
 
 def test_chars_never_imports_numpy():
     # listing a family is integer arithmetic on the standard library alone,
-    # and its records are named tuples, so a plain listing loads no
-    # dataclasses either (--ell checks the ladder in mollifier, which does)
+    # and its records are named tuples, so a listing loads no dataclasses
+    # either, nor does --ell, whose ladder is a named tuple too
     proc = subprocess.run([sys.executable, "-c", _NUMPY_GUARD],
                           capture_output=True, text=True, env=_FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
@@ -343,8 +344,9 @@ def test_audit_builds_group_family_and_context_once(monkeypatch, capsys):
 
 
 def test_audit_builds_each_tower_once_per_audit(monkeypatch, capsys):
-    # 51 characters, R = 2: one tower each in the pointwise and the Hoelder
-    # audit, and a tower is 2R truncated exponentials and R guard powers
+    # 51 characters, R = 2: one tower each, read by the pointwise and the
+    # Hoelder audit, and a tower is 2R truncated exponentials and at most R
+    # guard powers
     calls = collections.Counter()
     for name in ("trunc_exp", "_ipow"):
         def counted(*args, _fn=getattr(mollifier, name), _name=name):
@@ -353,8 +355,28 @@ def test_audit_builds_each_tower_once_per_audit(monkeypatch, capsys):
         monkeypatch.setattr(mollifier, name, counted)
     rc, _, _ = run_cli(["audit", "--q", "53", "--k", "0.5"], capsys)
     assert rc == 0
-    assert calls["trunc_exp"] <= 408
+    assert calls["trunc_exp"] == 204
     assert calls["_ipow"] <= 204
+
+
+def test_towers_read_chi_at_the_segment_primes_only(monkeypatch, capsys):
+    # audit evaluates each of the 51 characters' value arrays once, for its
+    # L-value, and builds its tower once; mollifier-verify reads chi only
+    # at segment primes and coefficient supports, never a whole array
+    calls = collections.Counter()
+    for owner, name in ((characters.Character, "values"),
+                        (mollifier, "tower")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    rc, _, _ = run_cli(["audit", "--q", "53", "--k", "0.5"], capsys)
+    assert rc == 0
+    assert calls == {"values": 51, "tower": 51}
+    calls.clear()
+    rc, _, _ = run_cli(["mollifier-verify", "--q", "53"], capsys)
+    assert rc == 0
+    assert calls["values"] == 0
 
 
 @pytest.mark.parametrize("k", ["0.5", "2"])

@@ -34,6 +34,12 @@ def _context(table, q, k=1.0):
                                       mollifier.build_segments(q, lad))
 
 
+def _towers(table, recs, k=1.0):
+    """The family's towers on the (8, 2) ladder at k."""
+    return moments.family_towers(
+        _context(table, recs[0].chi.group.q, k), recs)
+
+
 def test_zeroth_moment_counts_family(fam53):
     rep = moments.family_moment(fam53, 0.0)
     assert rep.raw_moment == 51.0
@@ -78,14 +84,14 @@ def test_twisted_moment_degenerate_equals_plain_first_moment(table_100k,
                                                             fam7):
     ctx = _context(table_100k, 7)  # 7^(1/4) < 2: every segment is empty
     assert ctx.segments.empty_flags == (True, True)
-    tw = moments.twisted_first_moment(ctx, fam7)
+    tw = moments.twisted_first_moment(fam7, moments.family_towers(ctx, fam7))
     first = sum(r.value for r in fam7)
     assert abs(tw - first) < 1e-10
 
 
 def test_twisted_moment_positive_at_desk_scale(family_table, fam53, fam101):
     for q, recs in ((53, fam53), (101, fam101)):
-        tw = moments.twisted_first_moment(_context(family_table, q), recs)
+        tw = moments.twisted_first_moment(recs, _towers(family_table, recs))
         assert tw.real > 0.0
 
 
@@ -101,18 +107,22 @@ def test_twisted_moment_against_coefficient_oracle(family_table, fam53):
         want += (rec.value
                  * mollifier.evaluate_coefficients(ca, bar)
                  * mollifier.evaluate_coefficients(cb, chi))
-    got = moments.twisted_first_moment(ctx, fam53)
+    got = moments.twisted_first_moment(fam53,
+                                       moments.family_towers(ctx, fam53))
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("audit", [
-    lambda ctx, recs: moments.twisted_first_moment(ctx, recs),
-    lambda ctx, recs: moments.family_pointwise_audit(ctx, recs),
-    lambda ctx, recs: moments.holder_chain_audit(ctx, recs),
+    lambda recs, towers: moments.twisted_first_moment(recs, towers),
+    lambda recs, towers: moments.family_pointwise_audit(recs, towers),
+    lambda recs, towers: moments.holder_chain_audit(recs, towers),
 ])
 def test_family_and_context_must_share_modulus(audit, table_100k, fam7):
+    # every audit reads towers that family_towers built, and it refuses a
+    # context for another modulus before any audit runs
     with pytest.raises(ValueError, match="q=11"):
-        audit(_context(table_100k, 11, 0.5), fam7)
+        audit(fam7, moments.family_towers(_context(table_100k, 11, 0.5),
+                                          fam7))
 
 
 def test_diagonal_identity_synthetic(table_100k):
@@ -157,12 +167,11 @@ def test_diagonal_local_factor_envelopes(table_100k):
             rec = moments.diagonal_local_factor(table_100k, p, k)
             assert rec["ok"], (p, k)
             assert rec["ok"] == (rec["deviation"] <= rec["bound"])
-    wide = [moments.diagonal_local_factor(table_100k, p, 2.0, envelope=80.0)
-            for p in primes]
+            assert rec["bound"] == 10.0 / p ** 2
+    # k^4 growth breaks the k <= 1 envelope of 10, so k = 2 takes 80
+    wide = [moments.diagonal_local_factor(table_100k, p, 2.0) for p in primes]
     assert all(r["ok"] for r in wide)
-    narrow = [moments.diagonal_local_factor(table_100k, p, 2.0)
-              for p in primes]
-    assert not all(r["ok"] for r in narrow)  # k^4 growth breaks the k<=1 bound
+    assert [r["bound"] for r in wide] == [80.0 / p ** 2 for p in primes]
 
 
 def test_diagonal_local_factor_equals_the_literal_sum(table_100k):
@@ -182,9 +191,9 @@ def test_diagonal_local_factor_equals_the_literal_sum(table_100k):
     (101, 2.0, 297),
 ])
 def test_family_pointwise_audit_counts(q, k, expect, table_100k, request):
-    ctx = _context(table_100k, q, k)
-    audit = moments.family_pointwise_audit(
-        ctx, request.getfixturevalue(f"fam{q}"))
+    recs = request.getfixturevalue(f"fam{q}")
+    audit = moments.family_pointwise_audit(recs,
+                                           _towers(table_100k, recs, k))
     assert audit.all_ok
     assert audit.fail_count == 0
     assert audit.pass_count == expect
@@ -196,7 +205,7 @@ def test_pointwise_single_character_structure(table_100k):
     segs = mollifier.build_segments(101, lad)
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     chi = characters.primitive_characters(characters.build_group(101))[0]
-    audit = moments.pointwise_inequality_audit(ctx, chi)
+    audit = moments.pointwise_inequality_audit(chi, mollifier.tower(ctx, chi))
     assert audit.all_ok
     names = {c.name for c in audit.checks}
     assert names <= {"product_small_regime", "lower_small_regime",
@@ -212,7 +221,7 @@ def test_pointwise_single_character_structure(table_100k):
 
 @pytest.mark.parametrize("k", [0.5, 2.0])
 def test_holder_chain_audit(k, family_table, fam53):
-    audit = moments.holder_chain_audit(_context(family_table, 53, k), fam53)
+    audit = moments.holder_chain_audit(fam53, _towers(family_table, fam53, k))
     assert audit.all_ok
     names = [c.name for c in audit.checks]
     if k <= 1:
@@ -226,7 +235,7 @@ def test_holder_chain_audit(k, family_table, fam53):
 
 
 def _upper_terms(ctx, recs):
-    return moments._upper_terms(recs, moments._towers(ctx, recs))
+    return moments._upper_terms(recs, moments.family_towers(ctx, recs))
 
 
 def _upper_sums(ctx, recs):
