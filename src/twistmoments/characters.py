@@ -8,18 +8,20 @@ and takes exact roots of unity: chi(n) = e(t(n)/D) with D = lcm(d_i) and
 
     t(n) = sum_i e_i (D/d_i) dlog_i(n) mod D.
 
-That one formula gives every character value.  A Character is a (group,
-index) handle and holds no arrays.  Each group holds conductors, parity and
-conjugation as tuples of Python ints and bools over the flat index, built
-with the group in one plain-Python pass: each follows in closed form from
-the exponents on each prime power.  The discrete-log rows, the unit mask
-and the roots of unity are numpy arrays, built on the first evaluation of a
-character value or sum and kept with the group, so listing a family imports
-no numpy.  Nor does it import dataclasses: CharacterGroup, like
-arith.Factorization and cli.RunConfig, is a named-tuple subclass, since
-dataclasses loads inspect, ast, dis and tokenize and generates each record's
-methods when its class is defined, about 10 ms of a listing process that
-does nothing else.
+That one formula gives every character value.  In these coordinates the
+characters are those of Z/d_1 x ... x Z/d_m, so sum_r f(r) chi(r) for every
+chi at once is one DFT of f placed on the grid of dlog tuples
+(family_sums).  A Character is a (group, index) handle and holds no arrays.
+Each group holds conductors, parity and conjugation as tuples of Python ints
+and bools over the flat index, built with the group in one plain-Python
+pass: each follows in closed form from the exponents on each prime power.
+The discrete-log rows, the unit mask and the roots of unity are numpy
+arrays, built on the first evaluation of a character value or sum and kept
+with the group, so listing a family imports no numpy.  Nor does it import
+dataclasses: CharacterGroup, like arith.Factorization and cli.RunConfig, is
+a named-tuple subclass, since dataclasses loads inspect, ast, dis and
+tokenize and generates each record's methods when its class is defined,
+about 10 ms of a listing process that does nothing else.
 
 Convention: e(z) = exp(2*pi*i*z).  The Kloosterman sum here is
 S(u,v,q) = sum over units h of e((u h + v h^-1)/q); some sources write the
@@ -105,18 +107,6 @@ def _exponents(orders, index: int) -> list[int]:
         index, e = divmod(index, d)
         out.append(e)
     return out
-
-
-def _phase(group: CharacterGroup, indices, n) -> np.ndarray:
-    """t(n) = sum_i e_i (D/d_i) dlog_i(n) mod D: one row per flat index in
-    `indices`, over the residues `n` (index into the columns of `exps`).
-    Non-units get an arbitrary phase."""
-    import numpy as np
-    orders, D = group.orders(), group.exponent
-    scaled = np.array([[e * (D // d) for e, d in zip(_exponents(orders, i),
-                                                      orders)]
-                       for i in indices], dtype=np.int64)
-    return scaled.reshape(len(indices), len(orders)) @ group.exps[:, n] % D
 
 
 class CharacterGroup(namedtuple(
@@ -254,25 +244,19 @@ class Character:
         self.group = group
         self.index = index
 
-    def values(self) -> np.ndarray:
-        """chi(n) for n = 0..q-1 as a read-only complex array (0 at
-        non-units), evaluated afresh on each call."""
-        import numpy as np
-        grp = self.group
-        phase = _phase(grp, [self.index], slice(None))[0]
-        vals = np.where(grp.unit_mask, grp.roots[phase], 0.0)
-        vals.setflags(write=False)
-        return vals
-
     def __call__(self, n):
         """chi(n) for an integer n (a numpy scalar) or an integer array n
-        (an array of its shape): the entries of values() at n mod q, with
-        phases computed at those residues only."""
+        (an array of its shape), 0 where gcd(n, q) > 1: the phase t(n) of
+        the module docstring, computed at the residues n mod q only."""
         import numpy as np
         grp = self.group
+        orders, D = grp.orders(), grp.exponent
+        scaled = np.array([e * (D // d) for e, d in
+                           zip(_exponents(orders, self.index), orders)])
         r = np.asarray(n, dtype=np.int64) % grp.q
-        phase = _phase(grp, [self.index], r.ravel())[0].reshape(r.shape)
-        return np.where(grp.unit_mask[r], grp.roots[phase], 0.0)[()]
+        phase = scaled @ grp.exps[:, r.ravel()] % D
+        return np.where(grp.unit_mask[r], grp.roots[phase.reshape(r.shape)],
+                        0.0)[()]
 
     @property
     def conductor(self) -> int:
@@ -310,30 +294,28 @@ def _e_table(q: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 
-def gauss_sum(chi: Character, values: np.ndarray | None = None) -> complex:
-    """tau(chi) = sum over a mod q of chi(a) e(a/q).
+def family_sums(group: CharacterGroup, f) -> np.ndarray:
+    """sum over r mod q of f(r) chi(r) for every chi mod q, by flat index,
+    for a length-q array f (its entries at non-units are not read).
 
-    values: chi.values(), when the caller already holds them.
+    chi(r) = e(sum_i e_i dlog_i(r) / d_i), so this is one unnormalised
+    inverse DFT of f on the grid of dlog tuples, whose axes run from the
+    last component to the first: its C-order ravel is the flat index.
     """
     import numpy as np
-    if values is None:
-        values = chi.values()
-    return complex(np.dot(values, _e_table(chi.group.q)))
+    exps = group.exps[:, group.unit_mask]
+    grid = np.zeros(group.orders()[::-1], dtype=complex)
+    grid[tuple(exps[::-1])] = np.asarray(f)[group.unit_mask]
+    return np.fft.ifftn(grid, norm="forward").ravel()
 
 
-def iota(chi: Character, values: np.ndarray) -> complex:
-    """Root factor tau(chi)^2 / q of the functional equation of the twist of
-    Delta by chi (the i^kappa of a weight-kappa form is i^12 = 1).
-
-    values: chi.values(), which every caller already holds.
-
-    Raises:
-        ValueError: chi not primitive (the factor is only defined there).
-    """
-    if not chi.is_primitive:
-        raise ValueError(f"iota needs a primitive character, got {chi!r}")
-    t = gauss_sum(chi, values)
-    return t * t / chi.group.q
+def gauss_sum(chi: Character) -> complex:
+    """tau(chi) = sum over a mod q of chi(a) e(a/q), one character at a
+    time: the oracle for the family's transform, and a name that
+    perfbench/trace_cli.py wraps."""
+    import numpy as np
+    q = chi.group.q
+    return complex(np.dot(chi(np.arange(q)), _e_table(q)))
 
 
 def kloosterman(u: int, v: int, q: int) -> float:

@@ -374,11 +374,13 @@ def _cmd_weights(cfg: RunConfig) -> str:
 
 def _cmd_lvalue(cfg: RunConfig) -> str:
     afe = cfg.afe()
+    caps = [lvalues.required_n_cap(q, afe) for q in cfg.q_list]
+    # one table; each family reads the prefix its own n_cap would get, so
+    # its audit flags do not depend on the other moduli
+    tab = hecke.shared_eigenform(max(caps), cache_dir=cfg.cache_dir)
     rows = []
-    for q in cfg.q_list:
-        tab = hecke.shared_eigenform(lvalues.required_n_cap(q, afe),
-                                     cache_dir=cfg.cache_dir)
-        for r in lvalues.family_values(tab, q, afe):
+    for q, cap in zip(cfg.q_list, caps):
+        for r in lvalues.family_values(hecke.table_prefix(tab, cap), q, afe):
             rows.append((q, r.chi.index, r.chi.conductor, r.value.real,
                          r.value.imag, abs(r.value), r.sq_direct,
                          r.residual, r.audited))

@@ -649,6 +649,16 @@ def _rounded_size(n_max: int) -> int:
     return -(-n_max // _SHARED_STEP) * _SHARED_STEP
 
 
+def table_prefix(tab: EigenformTable, n_max: int) -> EigenformTable:
+    """The table every request for n_max gets: the first _rounded_size(n_max)
+    terms of tab, which must hold them (tab itself at that length)."""
+    size = _rounded_size(n_max)
+    if tab.n_max < size:
+        raise ValueError(f"table covers n <= {tab.n_max}, need {size}")
+    return tab if tab.n_max == size else EigenformTable(
+        n_max=size, lam=tab.lam[:size + 1], source=tab.source)
+
+
 # The 12 in the file names and keys is Delta's weight.  Changing it would
 # make every cache already written a miss.
 def _cache_path(cache_dir: str, n_max: int) -> str:
@@ -717,9 +727,7 @@ def shared_eigenform(n_max: int,
     tab = _shared_table
     if tab is None or tab.n_max < size:
         tab = _shared_table = build_eigenform(n_max=size)
-    if tab.n_max > size:
-        tab = EigenformTable(n_max=size, lam=tab.lam[:size + 1],
-                             source=tab.source)
+    tab = table_prefix(tab, size)
     if cache_dir is not None:
         with _replacing(_cache_path(cache_dir, size)) as fh:
             np.save(fh, tab.lam)

@@ -29,12 +29,14 @@ and is validated by the doubling test: doubling the cap moves values by well
 under 10 * tail_eps.
 
 The family route bins coefficients by residue class mod q once
-(O(n_cap) time, in blocks of n so its memory does not grow with n_cap),
-then each character costs one length-q dot product.  The squared
-route is paid per family, not per character: for units a, b mod q,
+(O(n_cap) time, in blocks of n so its memory does not grow with n_cap).
+Every character sum after that is taken for the whole family at once by
+characters.family_sums, one DFT on the unit group: the two bin sums, the
+Gauss sums tau(chi) (the transform of e(r/q)) and with them iota_chi.  The
+squared route is paid per family, not per character: for units a, b mod q,
 chi(a) chibar(b) = chi(a b^-1), so every primitive chi reads one real
 length-q table G built in O(m_cap log m_cap), and |L|^2 = 2 sum_c Re chi(c)
-G[c] is one more length-q dot.
+G[c] is one more transform.
 
 `family_values` is the one way a family is built.  Callers build it once per
 (modulus, config) and hand the records to every moment and audit; each record
@@ -167,7 +169,7 @@ def central_value_sq(f: EigenformTable, chi: characters.Character,
     cap = required_m_cap(q, cfg)
     _check_table(f, cap)
     w2s = _w2_table(q, cap)
-    chiv = chi.values()[np.arange(1, cap + 1) % q]
+    chiv = chi(np.arange(q))[np.arange(1, cap + 1) % q]
     u = f.lam[1:cap + 1] * chiv            # lambda(a) chi(a), index a-1
     vbar = np.conj(u)                      # lambda(b) chibar(b), index b-1
     # ordered pairs (a, b), ab <= cap, split at a0 = isqrt(cap): the short-a
@@ -291,11 +293,19 @@ def family_values(f: EigenformTable, q: int,
     family's residue table; the squared route is skipped with a flag when
     its truncation would outrun the eigenform table.
     """
-    prims = characters.primitive_characters(characters.build_group(q))
+    grp = characters.build_group(q)
+    prims = characters.primitive_characters(grp)
+    idx = [chi.index for chi in prims]
     cap = required_n_cap(q, cfg)
     _check_table(f, cap)
 
     b1, b2 = _first_power_bins(f, q, cfg, cap)
+    s1 = characters.family_sums(grp, b1)[idx]
+    # b2 is real, so conj(sum_r b2(r) chi(r)) is the sum against chi-bar
+    s2 = s1 if b2 is b1 else characters.family_sums(grp, b2)[idx]
+    tau = characters.family_sums(grp, np.exp(2j * np.pi * np.arange(q) / q))
+    # the root factor iota_chi = tau(chi)^2 / q
+    values = s1 + tau[idx] ** 2 / q * s2.conj()
 
     audit_set: set[int] = set()
     if cfg.audit_count > 0:
@@ -310,20 +320,14 @@ def family_values(f: EigenformTable, q: int,
             audit_set = set(
                 int(prims[i].index) for i in
                 rng.choice(len(prims), size=count, replace=False))
-            g = _residue_table(f, q, m_cap)
+            # G[c] = G[c^-1] and chi(c^-1) = conj chi(c): the sums are real
+            sq_all = 2.0 * characters.family_sums(
+                grp, _residue_table(f, q, m_cap)).real
 
     out = []
-    for chi in prims:
-        v = chi.values()
-        value = complex(v @ b1) + characters.iota(chi, v) * complex(
-            v @ b2).conjugate()
-        if chi.index in audit_set:
-            # G[c] = G[c^-1] and chi(c^-1) = conj chi(c): the sum is real
-            sq = 2.0 * float(v.real @ g)
-            audited = True
-        else:
-            sq = abs(value) ** 2
-            audited = False
+    for chi, value in zip(prims, values.tolist()):
+        audited = chi.index in audit_set
+        sq = float(sq_all[chi.index]) if audited else abs(value) ** 2
         res = _residual(value, sq)
         if audited and res > CROSS_TOL:
             raise AssertionError(

@@ -8,11 +8,13 @@ cut at q^(1/ell_j^2)) and three per-character quantities:
     N_j(chi, a)   E_{ell_j}(a * P_j(chi)), truncated exponential
     Q_j(chi, k)   (c_k P_j(chi) / ell_j)^(r_k ell_j), the guard power
 
-tower(ctx, chi) evaluates them at the ladder's k, from chi at the segment
-primes only, with the two ladder products N(chi, k) and N(chi, k-1), and
-leaves each Q_j until it is read.  moments.family_towers builds one tower
-per character once per run, and every audit reads those records.  This exp
-form is the production route.
+prime_sums(ctx, j) gives P_j for every character mod q at once, as one
+characters.family_sums transform of the weights on segment j's primes.
+tower(ctx, P) evaluates the rest at the ladder's k from one character's
+P_j, with the two ladder products N(chi, k) and N(chi, k-1), and leaves
+each Q_j until it is read.  moments.family_towers builds one tower per
+character once per run, and every audit reads those records.  This exp
+form is the production route; n_poly reads the same sums.
 
 N_j also has an exact Dirichlet-polynomial form: expanding the truncated
 exponential multinomially gives sum over P_j-smooth n with Omega(n) <= ell_j
@@ -42,6 +44,8 @@ from . import arith, characters
 # typing.TYPE_CHECKING without loading typing, as in arith
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import numpy as np
+
     from .hecke import EigenformTable
 
 # largest coefficient map a segment or the full mollifier may hold
@@ -217,21 +221,23 @@ def _ipow(z: complex, n: int) -> complex:
     return acc
 
 
-def prime_poly(chi: characters.Character, segment,
-               table: EigenformTable) -> complex:
-    """Short prime sum over the segment: sum of lambda(p) chi(p)/sqrt(p),
-    reading chi at the segment's primes only (one call, none if empty)."""
-    acc = 0.0 + 0.0j
-    if len(segment):
-        for p, v in zip(segment, chi(segment)):
-            acc += table.lam_at(p) * v / math.sqrt(p)
-    return complex(acc)
+def prime_sums(ctx: MollifierContext, j: int) -> np.ndarray:
+    """P_j(chi) = sum over segment j's primes p of lambda(p) chi(p)/sqrt(p),
+    for every character mod q by flat index: one characters.family_sums
+    transform of the weights carried on the primes' residues.  A prime
+    dividing q sits on a non-unit, where every chi vanishes."""
+    import numpy as np
+    q = ctx.segments.q
+    f = np.zeros(q)
+    for p in ctx.segments.segments[j - 1]:
+        f[p % q] += ctx.table.lam_at(p) / math.sqrt(p)
+    return characters.family_sums(characters.build_group(q), f)
 
 
 class MollifierContext:
     """Everything needed to evaluate the polynomial tower for one (q, ladder):
-    the eigenform table, ladder and segments.  It caches nothing; tower()
-    evaluates a character's tower once for each caller that needs it.
+    the eigenform table, ladder and segments.  It caches nothing; each
+    prime_sums call takes its transform afresh.
     Immutable in intent: do not mutate fields after construction.
     """
 
@@ -249,8 +255,8 @@ def n_poly(ctx: MollifierContext, chi: characters.Character, j: int,
     """N_j(chi, alpha): the truncated exponential of alpha P_j(chi)."""
     if not 1 <= j <= ctx.ladder.R:
         raise ValueError(f"j={j} outside 1..{ctx.ladder.R}")
-    return trunc_exp(ctx.ladder.ell[j - 1], alpha * prime_poly(
-        chi, ctx.segments.segments[j - 1], ctx.table))
+    return trunc_exp(ctx.ladder.ell[j - 1],
+                     alpha * complex(prime_sums(ctx, j)[chi.index]))
 
 
 class Tower(namedtuple("Tower", "P Nk Nk1 N N1 ladder")):
@@ -276,14 +282,15 @@ class Tower(namedtuple("Tower", "P Nk Nk1 N N1 ladder")):
         return tuple(self.guard(j) for j in range(1, self.ladder.R + 1))
 
 
-def tower(ctx: MollifierContext, chi: characters.Character) -> Tower:
-    """P_j, N_j(k) and N_j(k-1) for j = 1..R, and the products, computed
-    as n_poly defines them, in rung order."""
+def tower(ctx: MollifierContext, P: tuple[complex, ...]) -> Tower:
+    """The tower of the character whose prime sums are P (P_j for j = 1..R,
+    as prime_sums gives them): N_j(k) and N_j(k-1), and the products,
+    computed as n_poly defines them, in rung order."""
     lad = ctx.ladder
-    P = tuple(prime_poly(chi, seg, ctx.table)
-              for seg in ctx.segments.segments)
-    Nk = tuple(trunc_exp(ell, lad.k * p) for ell, p in zip(lad.ell, P))
-    Nk1 = tuple(trunc_exp(ell, (lad.k - 1) * p) for ell, p in zip(lad.ell, P))
+    Nk = tuple(trunc_exp(ell, lad.k * p)
+               for ell, p in zip(lad.ell, P, strict=True))
+    Nk1 = tuple(trunc_exp(ell, (lad.k - 1) * p)
+                for ell, p in zip(lad.ell, P, strict=True))
     return Tower(P=P, Nk=Nk, Nk1=Nk1, N=math.prod(Nk, start=1 + 0j),
                  N1=math.prod(Nk1, start=1 + 0j), ladder=lad)
 

@@ -9,9 +9,10 @@ Hoelder splittings at family level, and the exact diagonal factorization
 identity behind the twisted first moment.
 
 The audits work at the k of the towers' ladder.  family_towers checks
-that a MollifierContext and the family share q, then builds one
-mollifier.Tower per character; the caller builds them once per run and
-passes the same towers, with the records, to every audit.
+that a MollifierContext and the family share q, takes each rung's prime
+sums for the whole family in one transform (mollifier.prime_sums), then
+builds one mollifier.Tower per character; the caller builds them once per
+run and passes the same towers, with the records, to every audit.
 
 Asymptotic statements (anything with an unspecified constant) are never
 asserted: they surface as reported ratios so sweeps can eyeball boundedness,
@@ -113,12 +114,16 @@ def family_moment(recs, k: float) -> MomentReport:
 def family_towers(ctx: mollifier.MollifierContext,
                   recs) -> list[mollifier.Tower]:
     """The tower of each record's character, in family order, once the
-    family's modulus is checked against the context's."""
+    family's modulus is checked against the context's: one prime_sums
+    transform per rung serves every character."""
     q = recs[0].chi.group.q
     if ctx.segments.q != q:
         raise ValueError(f"mollifier context is built for q={ctx.segments.q}"
                          f" but the family is for q={q}")
-    return [mollifier.tower(ctx, rec.chi) for rec in recs]
+    sums = [mollifier.prime_sums(ctx, j).tolist()
+            for j in range(1, ctx.ladder.R + 1)]
+    return [mollifier.tower(ctx, tuple(s[rec.chi.index] for s in sums))
+            for rec in recs]
 
 
 def twisted_first_moment(recs, towers) -> complex:

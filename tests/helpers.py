@@ -17,7 +17,8 @@ import mpmath
 import numpy as np
 from scipy.special import loggamma
 
-from twistmoments import arith, characters, hecke, lvalues, sums, weights
+from twistmoments import (arith, characters, hecke, lvalues, mollifier, sums,
+                          weights)
 
 
 def trial_primes(limit: int) -> list[int]:
@@ -209,6 +210,21 @@ def gauss_sum_literal(chi, q: int) -> complex:
                for a in range(q))
 
 
+def prime_sum_literal(chi, segment, table) -> complex:
+    """sum over the segment's primes of lambda(p) chi(p) / sqrt(p), one
+    character value at a time."""
+    return sum((table.lam_at(p) * complex(chi(p)) / math.sqrt(p)
+                for p in segment), 0j)
+
+
+def tower_of(ctx, chi):
+    """mollifier.tower of one character, from its entries of each rung's
+    prime_sums transform, as moments.family_towers reads them."""
+    return mollifier.tower(ctx, tuple(
+        complex(mollifier.prime_sums(ctx, j)[chi.index])
+        for j in range(1, ctx.ladder.R + 1)))
+
+
 def central_values_direct(f, chis, cfg) -> list[complex]:
     """L(1/2, f tensor chi) for each primitive chi mod one q by the
     first-power route at cfg.X: per character, one compensated sum term by
@@ -223,7 +239,7 @@ def central_values_direct(f, chis, cfg) -> list[complex]:
     w2 = coeff * ev(n / (q * cfg.X))
     out = []
     for chi in chis:
-        chiv = chi.values()[n % q]
+        chiv = chi(n)
         tau = gauss_sum_literal(chi, q)
         out.append(sums.block_sum_complex(w1 * chiv)
                    + tau * tau / q
@@ -451,8 +467,7 @@ def primitive_sum_identity(a: int, q: int, audit: bool = False) -> int:
     if audit:
         grp = characters.build_group(q)
         prims = [i for i, c in enumerate(grp.conductors) if c == q]
-        lhs = complex(np.sum(grp.roots[characters._phase(grp, prims,
-                                                         a % q)]))
+        lhs = sum(complex(grp.character(i)(a)) for i in prims)
         if abs(lhs - rhs) > 1e-6:
             raise AssertionError(
                 f"sum over primitive chi mod {q} of chi({a}) = {lhs}, "

@@ -46,7 +46,7 @@ def test_01_identity_suite():
         if q % 4 == 2:
             continue
         g = characters.build_group(q)
-        V = np.array([c.values() for c in g.characters()])
+        V = np.array([c(np.arange(q)) for c in g.characters()])
         conds = helpers.conductors_for_value_matrix(
             V, q, list(arith.divisors(q)))
         if int(np.sum(conds == q)) != arith.phi_star(q):
@@ -166,7 +166,7 @@ def test_05_afe_cross_validation(sweep_table):
         chi = recs1[0].chi
         n = np.arange(cap + 1, 2 * cap + 1)
         w = ev(n / q)
-        chivals = chi.values()[n % q]
+        chivals = chi(n)
         terms = sweep_table.lam[cap + 1:2 * cap + 1] / np.sqrt(n) * w
         drift = (abs(np.sum(terms * chivals))
                  + abs(np.sum(terms * chivals.conj())))

@@ -70,13 +70,13 @@ def test_character_call_periodic_multiplicative_zero_off_units():
 @pytest.mark.parametrize("q", [9, 16, 105, 1024])
 def test_call_equals_the_value_array_bit_for_bit(q):
     # chi(n) computes phases at n mod q alone; it must give the entries of
-    # the whole-array route to the bit, with the same types, at units and
+    # its values at 0..q-1 to the bit, with the same types, at units and
     # at non-units, for scalar and array n of any shape
     g = characters.build_group(q)
     n = np.arange(-q, 2 * q)
     scalars = [0, 1, 2, 3, 5, q - 1, q, q + 7, -3, 10**12 + 1]
     for chi in g.characters():
-        v = chi.values()
+        v = chi(np.arange(q))
         got, want = chi(n), v[n % q]
         assert type(got) is np.ndarray and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
@@ -88,19 +88,12 @@ def test_call_equals_the_value_array_bit_for_bit(q):
             assert got.tobytes() == want.tobytes(), (chi.index, s)
 
 
-def test_values_array_write_protected():
-    g = characters.build_group(7)
-    v = g.character(1).values()
-    with pytest.raises(ValueError):
-        v[0] = 1.0
-
-
 @pytest.mark.parametrize("q", [9, 27, 49])
 def test_conductor_against_periodicity_oracle(q):
     g = characters.build_group(q)
     divs = list(arith.divisors(q))
     for chi in g.characters():
-        want = helpers.conductor_by_periodicity(chi.values(), q, divs)
+        want = helpers.conductor_by_periodicity(chi(np.arange(q)), q, divs)
         assert chi.conductor == want
         assert chi.is_primitive == (want == q)
         assert chi.is_principal == (want == 1)
@@ -110,7 +103,7 @@ def test_quadratic_character_mod9_has_conductor3():
     g = characters.build_group(9)
     quads = [c for c in g.characters()
              if not c.is_principal
-             and np.allclose(c.values()[g.unit_mask] ** 2, 1.0)]
+             and np.allclose(c(np.arange(9))[g.unit_mask] ** 2, 1.0)]
     assert len(quads) == 1
     assert quads[0].conductor == 3
     assert not quads[0].is_primitive
@@ -126,7 +119,8 @@ def test_conjugation_pairs_close():
     g = characters.build_group(27)
     for chi in g.characters():
         bar = g.character(chi.conjugate_index())
-        assert np.allclose(bar.values(), chi.values().conj())
+        n = np.arange(27)
+        assert np.allclose(bar(n), chi(n).conj())
         assert bar.conjugate_index() == chi.index
 
 
@@ -164,25 +158,25 @@ def test_gauss_sum_conjugation_identity(q):
         assert abs(lhs - rhs) < 1e-9
 
 
+def _root_factors(g):
+    """iota_chi = tau(chi)^2 / q for every character, with the Gauss sums
+    taken as family_values takes them: the transform of e(r/q)."""
+    tau = characters.family_sums(g, np.exp(2j * np.pi * np.arange(g.q) / g.q))
+    return tau * tau / g.q
+
+
 def test_root_number_factor_unit_modulus():
     g = characters.build_group(7)
+    iota = _root_factors(g)
     for chi in characters.primitive_characters(g):
-        v = characters.iota(chi, chi.values())
-        assert abs(abs(v) - 1.0) < 1e-9
+        assert abs(abs(iota[chi.index]) - 1.0) < 1e-9
 
 
 def test_root_number_factor_quadratic_mod5_is_one():
     g = characters.build_group(5)
     chi = next(c for c in g.characters()
                if not c.is_principal and c.conjugate_index() == c.index)
-    assert abs(characters.iota(chi, chi.values()) - 1.0) < 1e-12
-
-
-def test_root_number_factor_rejects_imprimitive():
-    g = characters.build_group(9)
-    chi0 = next(c for c in g.characters() if c.is_principal)
-    with pytest.raises(ValueError):
-        characters.iota(chi0, chi0.values())
+    assert abs(_root_factors(g)[chi.index] - 1.0) < 1e-12
 
 
 def test_kloosterman_small_cases():
@@ -217,7 +211,7 @@ def test_row_orthogonality_desk_moduli():
         if q % 4 == 2:
             continue
         g = characters.build_group(q)
-        V = np.array([c.values() for c in g.characters()])
+        V = np.array([c(np.arange(q)) for c in g.characters()])
         Vu = V[:, g.unit_mask]
         gram = Vu @ Vu.conj().T
         err = np.abs(gram - g.phi_q * np.eye(g.phi_q)).max()
@@ -246,7 +240,7 @@ def test_group_vectors_against_value_oracles(q):
     # conductors, parity and conjugation come from the component exponents;
     # check them against the character values themselves
     g = characters.build_group(q)
-    V = np.array([c.values() for c in g.characters()])
+    V = np.array([c(np.arange(q)) for c in g.characters()])
     divs = list(arith.divisors(q))
     want = np.array([helpers.conductor_by_periodicity(v, q, divs)
                      for v in V])
@@ -275,3 +269,34 @@ def test_shared_groups_are_read_only(q):
         assert getattr(g, name) is arr
         with pytest.raises(ValueError):
             arr[0] = arr[0]
+
+
+# every group shape: odd primes and prime powers, 4 | q, 2^a with a >= 3,
+# and composites mixing them
+_SHAPE_MODULI = [5, 9, 16, 17, 53, 64, 81, 105, 125, 211, 1001, 1024, 1155,
+                 1200, 1452, 1499]
+
+
+@pytest.mark.parametrize("q", _SHAPE_MODULI)
+def test_family_sums_against_literal_sums(q):
+    # one transform against sum_r f(r) chi(r), one character at a time, for
+    # a random complex f with random entries at the non-units too
+    g = characters.build_group(q)
+    rng = np.random.default_rng(q)
+    f = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    got = characters.family_sums(g, f)
+    n = np.arange(q)
+    want = np.array([np.dot(chi(n), f) for chi in g.characters()])
+    assert got.shape == (g.phi_q,)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("q", [5, 9, 16, 17, 53, 64, 105, 125])
+def test_family_gauss_sums_against_literal(q):
+    # the Gauss sums of every character, primitive or not, as the
+    # transform of e(r/q); |tau(chi)| <= sqrt(q)
+    g = characters.build_group(q)
+    tau = characters.family_sums(g, np.exp(2j * np.pi * np.arange(q) / q))
+    for chi in g.characters():
+        assert abs(tau[chi.index] - helpers.gauss_sum_literal(chi, q)) \
+            <= 1e-13 * math.sqrt(q), chi

@@ -2,6 +2,7 @@
 
 import argparse
 import collections
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -334,7 +335,16 @@ def test_audit_builds_group_family_and_context_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
-    count(characters, "build_group")
+    # a group is built on a miss of build_group's cache: count the builds
+    # behind a fresh cache, which serves later calls, such as each rung's
+    # prime_sums, the same group
+    build = characters.build_group.__wrapped__
+
+    @functools.lru_cache(maxsize=16)
+    def built(q):
+        calls["build_group"] += 1
+        return build(q)
+    monkeypatch.setattr(characters, "build_group", built)
     count(lvalues, "family_values")
     count(mollifier.MollifierContext, "__init__")
     rc, _, _ = run_cli(["audit", "--q", "17", "--k", "0.5",
@@ -360,23 +370,36 @@ def test_audit_builds_each_tower_once_per_audit(monkeypatch, capsys):
 
 
 def test_towers_read_chi_at_the_segment_primes_only(monkeypatch, capsys):
-    # audit evaluates each of the 51 characters' value arrays once, for its
-    # L-value, and builds its tower once; mollifier-verify reads chi only
-    # at segment primes and coefficient supports, never a whole array
+    # audit takes every character sum by family_sums: the bin sums, the
+    # Gauss sums and the audit's sums (3), and one prime sum per rung (2),
+    # then builds each of the 51 towers once; no character is evaluated
+    # one at a time, nor is a per-character Gauss sum taken, in audit,
+    # lvalue or sweep.  mollifier-verify evaluates chi only in
+    # evaluate_coefficients, once per call on the coefficient support
     calls = collections.Counter()
-    for owner, name in ((characters.Character, "values"),
-                        (mollifier, "tower")):
+    for owner, name in ((characters, "family_sums"),
+                        (characters, "gauss_sum"),
+                        (characters.Character, "__call__"),
+                        (mollifier, "tower"),
+                        (mollifier, "evaluate_coefficients")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(owner, name, counted)
     rc, _, _ = run_cli(["audit", "--q", "53", "--k", "0.5"], capsys)
     assert rc == 0
-    assert calls == {"values": 51, "tower": 51}
+    assert calls == {"family_sums": 5, "tower": 51}
+    for args in (["lvalue", "--q-list", "53,81", "--X", "0.5"],
+                 ["sweep", "--q-list", "53,81", "--k-list", "0.5,1"]):
+        calls.clear()
+        rc, _, _ = run_cli(args, capsys)
+        assert rc == 0
+        assert set(calls) == {"family_sums"}, args
     calls.clear()
     rc, _, _ = run_cli(["mollifier-verify", "--q", "53"], capsys)
     assert rc == 0
-    assert calls["values"] == 0
+    assert calls["__call__"] == calls["evaluate_coefficients"] == 48
+    assert calls["gauss_sum"] == 0
 
 
 @pytest.mark.parametrize("k", ["0.5", "2"])
@@ -602,6 +625,37 @@ def test_uncached_rows_do_not_depend_on_modulus_order(monkeypatch, capsys):
                             if l.startswith("211,")]
     assert len(rows_211["211"]) == 209          # phi*(211)
     assert rows_211["211"] == rows_211["401,211"]
+
+
+def test_lvalue_list_loads_one_table(tmp_path, monkeypatch, capsys):
+    # a --q-list run reads one table, sized for its largest modulus, and
+    # loads and validates it once; each family still reads the prefix its
+    # own n_cap asks for, so its rows equal a one-modulus run's.  At q = 149
+    # that prefix is too short for the squared route, which the 500k-term
+    # table of q = 307 would allow
+    args = ["lvalue", "--q-list", "53,149,307", "--tail-eps", "1e-5",
+            "--cache-dir", str(tmp_path)]
+    rc, cold, _ = run_cli(args, capsys)
+    assert rc == 0
+    assert len(list(tmp_path.glob("eigenform_*.npy"))) == 1
+    calls = collections.Counter()
+    for name in ("_load_cached", "_validate_table"):
+        def counted(*a, _fn=getattr(hecke, name), _name=name):
+            calls[_name] += 1
+            return _fn(*a)
+        monkeypatch.setattr(hecke, name, counted)
+    rc, warm, _ = run_cli(args, capsys)
+    assert rc == 0
+    assert warm == cold
+    assert calls == {"_load_cached": 1, "_validate_table": 1}
+    monkeypatch.undo()
+    for q in ("53", "149", "307"):
+        rc, one, _ = run_cli(["lvalue", "--q", q, "--tail-eps", "1e-5"],
+                             capsys)
+        assert rc == 0
+        want = csv_rows(one)[1]
+        assert want == [r for r in csv_rows(warm)[1] if r["q"] == q]
+        assert any(r["audited"] == "1" for r in want) == (q == "53")
 
 
 def test_corrupt_cache_file_exits_two(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Central values: balance-point invariance, conjugation, route agreement."""
 
+import collections
 import tracemalloc
 
 import numpy as np
@@ -175,7 +176,7 @@ def test_cap_doubling_is_negligible(family_table):
         chi = characters.primitive_characters(g)[0]
         n = np.arange(cap + 1, 2 * cap + 1)
         w = ev(n / q)
-        chivals = chi.values()[n % q]
+        chivals = chi(n)
         terms = t.lam[cap + 1:2 * cap + 1] / np.sqrt(n) * w
         drift = abs(np.sum(terms * chivals)) + abs(np.sum(terms * chivals.conj()))
         assert drift < 10 * CFG.tail_eps
@@ -209,20 +210,30 @@ def test_family_shares_one_w2_table(family_table, monkeypatch):
 
 
 def test_family_evaluates_each_character_once(family_table, monkeypatch):
-    # the bin dot products, the root factor and the audit's dot against the
-    # residue table share one values() array
-    calls = []
-    values = characters.Character.values
+    # every character sum of the family comes from one family_sums
+    # transform: the bin sums (one array at X = 1, two otherwise), the Gauss
+    # sums and the audit's sum against the residue table; no character is
+    # evaluated, and no per-character Gauss sum is taken
+    calls = collections.Counter()
 
-    def counted(self):
-        calls.append(self.index)
-        return values(self)
-    monkeypatch.setattr(characters.Character, "values", counted)
-    recs = lvalues.family_values(family_table, 53,
-                                 lvalues.AfeConfig(audit_count=8))
-    assert len(recs) == 51
-    assert sum(r.audited for r in recs) == 8
-    assert sorted(calls) == sorted(r.chi.index for r in recs)
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(characters, "family_sums")
+    count(characters, "gauss_sum")
+    count(characters.Character, "__call__")
+    for X, transforms in ((1.0, 3), (0.5, 4)):
+        calls.clear()
+        recs = lvalues.family_values(family_table, 53,
+                                     lvalues.AfeConfig(X=X, audit_count=8))
+        assert len(recs) == 51
+        assert sum(r.audited for r in recs) == 8
+        assert calls == {"family_sums": transforms}
 
 
 def test_family_never_calls_the_oracle(family_table, monkeypatch):

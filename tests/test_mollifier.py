@@ -11,6 +11,8 @@ import sympy
 
 from twistmoments import characters, hecke, mollifier
 
+import helpers
+
 
 @pytest.mark.parametrize("k, ck, rk", [
     (0.25, 64.0, 6),
@@ -164,31 +166,36 @@ def _single_prime_ctx(table, q=7, p=5, ell=2):
     return mollifier.MollifierContext(table, lad, segs)
 
 
+def _segments_ctx(table, q, *segments):
+    """A context at q with the given prime segments, one rung each."""
+    lad = mollifier.build_ladder(
+        q, override_ell=tuple(2 * (len(segments) - j)
+                              for j in range(len(segments))))
+    segs = mollifier.PrimeSegments(q=q, boundaries=(0.0,) * len(segments),
+                                   segments=segments)
+    return mollifier.MollifierContext(table, lad, segs)
+
+
 def test_prime_poly_examples(table_100k):
-    g7 = characters.build_group(7)
-    chi0 = next(c for c in g7.characters() if c.is_principal)
     t = table_100k
-    assert mollifier.prime_poly(chi0, (), t) == 0
+    ctx = _segments_ctx(t, 7, (), (3, 5))
+    assert not mollifier.prime_sums(ctx, 1).any()
     want = t.lam_at(3) / math.sqrt(3) + t.lam_at(5) / math.sqrt(5)
-    assert abs(mollifier.prime_poly(chi0, (3, 5), t) - want) < 1e-15
+    assert abs(mollifier.prime_sums(ctx, 2)[0] - want) < 1e-15
 
 
 def test_prime_poly_triangle_bound(table_100k):
-    g = characters.build_group(53)
     seg = (2, 3, 5, 7, 11)
     cap = sum(abs(table_100k.lam_at(p)) / math.sqrt(p) for p in seg)
-    for chi in g.characters()[:20]:
-        val = mollifier.prime_poly(chi, seg, table_100k)
-        assert abs(val) <= cap + 1e-12
+    vals = mollifier.prime_sums(_segments_ctx(table_100k, 53, seg), 1)
+    assert len(vals) == 52
+    assert np.abs(vals).max() <= cap + 1e-12
 
 
 def test_context_weight_modes(table_100k):
     # the one weighting: lambda(p) chi(p) / sqrt(p)
     ctx = _single_prime_ctx(table_100k)
-    chi0 = next(c for c in characters.build_group(7).characters()
-                if c.is_principal)
-    assert abs(mollifier.prime_poly(chi0, ctx.segments.segments[0],
-                                    ctx.table)
+    assert abs(mollifier.prime_sums(ctx, 1)[0]
                - table_100k.lam_at(5) / math.sqrt(5)) < 1e-15
 
 
@@ -203,7 +210,7 @@ def test_n_poly_single_prime_binomial(table_100k):
     ctx = _single_prime_ctx(table_100k)
     chi = characters.build_group(7).character(1)
     alpha = 0.7
-    P = mollifier.prime_poly(chi, (5,), table_100k)
+    P = helpers.prime_sum_literal(chi, (5,), table_100k)
     want = 1 + alpha * P + (alpha * P) ** 2 / 2
     assert abs(mollifier.n_poly(ctx, chi, 1, alpha) - want) < 1e-12
     assert abs(mollifier.n_poly(ctx, chi, 1, 0.0) - 1.0) < 1e-15
@@ -245,8 +252,8 @@ def test_q_poly_scaling_identity(table_100k):
     ctx = _single_prime_ctx(table_100k)  # k = 1: c = 64, r = 3
     chi = characters.build_group(7).character(1)
     lad = ctx.ladder
-    P = mollifier.prime_poly(chi, (5,), table_100k)
-    Q = mollifier.tower(ctx, chi).Q[0]
+    P = helpers.prime_sum_literal(chi, (5,), table_100k)
+    Q = helpers.tower_of(ctx, chi).Q[0]
     root = abs(Q) ** (1 / (lad.r_k * lad.ell[0]))
     assert abs(root - lad.c_k * abs(P) / lad.ell[0]) < 1e-9
 
@@ -256,7 +263,7 @@ def test_q_poly_edges(table_100k):
     segs = mollifier.PrimeSegments(q=7, boundaries=(1.5,), segments=((),))
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     chi = characters.build_group(7).character(1)
-    assert mollifier.tower(ctx, chi).Q == (0,)
+    assert helpers.tower_of(ctx, chi).Q == (0,)
 
 
 def test_q_poly_guard_at_desk_modulus(table_100k):
@@ -265,10 +272,11 @@ def test_q_poly_guard_at_desk_modulus(table_100k):
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     g = characters.build_group(53)
     ell2 = lad.ell[1]
+    P2 = mollifier.prime_sums(ctx, 2)
     for chi in characters.primitive_characters(g)[:12]:
-        P = mollifier.prime_poly(chi, segs.segments[1], table_100k)
+        P = P2[chi.index]
         assert abs(P) >= ell2 / 60  # |lambda(2)|/sqrt(2) = 0.375 for all chi
-        assert abs(mollifier.tower(ctx, chi).Q[1]) >= 1.0 - 1e-12
+        assert abs(helpers.tower_of(ctx, chi).Q[1]) >= 1.0 - 1e-12
 
 
 @pytest.mark.parametrize("q", [53, 101])
@@ -279,12 +287,15 @@ def test_tower_matches_the_scalar_routes(q, k, table_100k):
                                      mollifier.build_segments(q, lad))
     full = mollifier.mollifier_coefficients(ctx, k)
     full1 = mollifier.mollifier_coefficients(ctx, k - 1)
+    sums = [mollifier.prime_sums(ctx, j) for j in (1, 2)]
     for chi in characters.primitive_characters(characters.build_group(q)):
-        tw = mollifier.tower(ctx, chi)
+        tw = helpers.tower_of(ctx, chi)
         for j, (ell, seg) in enumerate(zip(lad.ell, ctx.segments.segments),
                                        1):
-            P = mollifier.prime_poly(chi, seg, table_100k)
+            P = complex(sums[j - 1][chi.index])
             assert tw.P[j - 1] == P
+            assert abs(P - helpers.prime_sum_literal(chi, seg, table_100k)) \
+                <= 1e-14
             assert tw.Nk[j - 1] == mollifier.n_poly(ctx, chi, j, k)
             assert tw.Nk1[j - 1] == mollifier.n_poly(ctx, chi, j, k - 1)
             assert tw.Q[j - 1] == mollifier._ipow(lad.c_k * P / ell,
@@ -351,7 +362,7 @@ def test_dirichlet_dual_full_product(table_100k):
     g = characters.build_group(53)
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     for chi in characters.primitive_characters(g)[:8]:
-        tw = mollifier.tower(ctx, chi)
+        tw = helpers.tower_of(ctx, chi)
         for alpha, e in ((0.5, tw.N), (-0.5, tw.N1)):
             d = math.prod(mollifier.evaluate_coefficients(
                 mollifier.segment_coefficients(ctx, j, alpha), chi)
@@ -377,7 +388,7 @@ def test_prime_sum_of_the_prime_two(table_100k):
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     chi = characters.primitive_characters(characters.build_group(53))[0]
     # P_2 = lambda(2) chi(2)/sqrt(2), so its modulus is 24/2^6 = 0.375
-    P = mollifier.prime_poly(chi, ctx.segments.segments[1], ctx.table)
+    P = mollifier.prime_sums(ctx, 2)[chi.index]
     assert abs(abs(P) - 0.375) < 1e-12
 
 
@@ -402,3 +413,28 @@ def test_segment_prime_sum_bounds(table_100k):
     recs2 = mollifier.segment_prime_sum_bounds(ctx2)
     assert all(r["checked"] is False for r in recs2)
     assert recs2[1]["value"] > 0
+
+
+@pytest.mark.parametrize("q, ell, segment", [
+    (53, (8, 2), None),
+    (101, (8, 2), None),
+    (1024, (8, 2), None),         # segment 2 is (2, 3, 5), and 2 divides q
+    (53, (2,), tuple(p for p in sympy.primerange(2, 400))),
+    (1024, (2,), tuple(p for p in sympy.primerange(2, 200))),
+])
+def test_prime_sums_against_the_literal_sum(q, ell, segment, table_100k):
+    # every character's P_j from the transform against
+    # sum lambda(p) chi(p)/sqrt(p) one prime at a time, on the desk ladder's
+    # segments and on long segments whose primes pass q and share residues
+    lad = mollifier.build_ladder(q, override_ell=ell)
+    segs = (mollifier.build_segments(q, lad) if segment is None else
+            mollifier.PrimeSegments(q=q, boundaries=(400.0,),
+                                    segments=(segment,)))
+    ctx = mollifier.MollifierContext(table_100k, lad, segs)
+    g = characters.build_group(q)
+    for j, seg in enumerate(segs.segments, 1):
+        got = mollifier.prime_sums(ctx, j)
+        assert got.shape == (g.phi_q,)
+        for chi in g.characters():
+            want = helpers.prime_sum_literal(chi, seg, table_100k)
+            assert abs(got[chi.index] - want) <= 1e-13, (j, chi)

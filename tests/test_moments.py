@@ -205,7 +205,7 @@ def test_pointwise_single_character_structure(table_100k):
     segs = mollifier.build_segments(101, lad)
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     chi = characters.primitive_characters(characters.build_group(101))[0]
-    audit = moments.pointwise_inequality_audit(chi, mollifier.tower(ctx, chi))
+    audit = moments.pointwise_inequality_audit(chi, helpers.tower_of(ctx, chi))
     assert audit.all_ok
     names = {c.name for c in audit.checks}
     assert names <= {"product_small_regime", "lower_small_regime",
