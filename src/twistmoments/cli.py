@@ -493,12 +493,17 @@ def _cmd_mollifier_verify(cfg: RunConfig) -> str:
         characters.build_group(ctx.segments.q))
     rows = []
 
+    # the production towers, from one prime_sums transform per rung
+    sums = [mollifier.prime_sums(ctx, j).tolist()
+            for j in range(1, ladder.R + 1)]
+    towers = [mollifier.tower(ctx, tuple(s[chi.index] for s in sums))
+              for chi in prims[:12]]
     for j in range(1, ladder.R + 1):
         worst = 0.0
-        for alpha in (k, k - 1):
+        for alpha, n_j in ((k, [tw.Nk[j - 1] for tw in towers]),
+                           (k - 1, [tw.Nk1[j - 1] for tw in towers])):
             coeffs = mollifier.segment_coefficients(ctx, j, alpha)
-            for chi in prims[:12]:
-                a = mollifier.n_poly(ctx, chi, j, alpha)
+            for chi, a in zip(prims[:12], n_j):
                 b = mollifier.evaluate_coefficients(coeffs, chi)
                 worst = max(worst, abs(a - b))
         rows.append(("dual_representation", f"j={j}", worst, 1e-10,

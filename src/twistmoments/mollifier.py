@@ -14,7 +14,8 @@ tower(ctx, P) evaluates the rest at the ladder's k from one character's
 P_j, with the two ladder products N(chi, k) and N(chi, k-1), and leaves
 each Q_j until it is read.  moments.family_towers builds one tower per
 character once per run, and every audit reads those records.  This exp
-form is the production route; n_poly reads the same sums.
+form is the production route.  n_poly evaluates one N_j the same way, from
+a whole transform; nothing in the package calls it.
 
 N_j also has an exact Dirichlet-polynomial form: expanding the truncated
 exponential multinomially gives sum over P_j-smooth n with Omega(n) <= ell_j
@@ -252,7 +253,11 @@ class MollifierContext:
 
 def n_poly(ctx: MollifierContext, chi: characters.Character, j: int,
            alpha: float) -> complex:
-    """N_j(chi, alpha): the truncated exponential of alpha P_j(chi)."""
+    """N_j(chi, alpha): the truncated exponential of alpha P_j(chi), from
+    a whole prime_sums transform for one character.  It has no caller in
+    the package, where tower reads every N_j from one transform per rung:
+    the tests' one-character route, and a name that perfbench/trace_cli.py
+    wraps."""
     if not 1 <= j <= ctx.ladder.R:
         raise ValueError(f"j={j} outside 1..{ctx.ladder.R}")
     return trunc_exp(ctx.ladder.ell[j - 1],

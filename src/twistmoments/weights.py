@@ -31,14 +31,16 @@ exponentially convergent trapezoidal rule").  Every value is a convex
 combination of numbers in [0, 1], so there is no cancellation and no
 truncated contour to guard.
 
-Production evaluation interpolates a 2048-sample log-spaced grid with a
-not-a-knot cubic spline in (log x, log W); direct quadrature stays available
-for audits.  The spline spans every sample above _FLOOR; past them the
-kernel evaluates to 0.  The knots are uniform in log x, so a point's cell is
-index arithmetic, trunc((log x - t_0)/h), corrected by at most one step each
-way against the knots themselves, with no search.  Points are taken
-_EVAL_BLOCK at a time and each block is written straight into the output
-array, so a call's working set is its output plus one block of scratch.
+Production evaluation interpolates a 2048-sample log-spaced grid by cubic
+Hermite in (log x, log W), on knot slopes x W'(x)/W(x) from the same
+trapezoid pass as the samples, so no linear system is solved; direct
+quadrature stays available for audits.  The interpolant spans every sample
+above _FLOOR; past them the kernel evaluates to 0.  The knots are uniform in
+log x, so a point's cell is index arithmetic, trunc((log x - t_0)/h),
+corrected by at most one step each way against the knots themselves, with
+no search.  Points are taken _EVAL_BLOCK at a time and each block is
+written straight into the output array, so a call's working set is its
+output plus one block of scratch.
 """
 
 from __future__ import annotations
@@ -70,15 +72,13 @@ _NODES = {"W": (-14.0, 26.0, 0.1), "W2": (-16.0, 8.0, 0.08)}
 _FLOOR = 1e-280
 
 
-class _NotAKnotSpline:
-    """Cubic spline through (x_i, y_i) on uniform knots x_i = x_0 + i h,
-    n >= 4, with not-a-knot ends: the third derivative is continuous at x_1
-    and x_{n-2}.
-
-    The knot slopes solve a tridiagonal system whose end rows carry the
-    not-a-knot conditions; its eliminated pivots are dx_0 + dx_1 and the like,
-    so the Thomas sweep needs no pivoting.  Each interval then holds the cubic
-    Hermite polynomial in powers of (x - x_i), one row of four coefficients.
+class _HermiteSpline:
+    """Cubic Hermite interpolant through (x_i, y_i) with slopes s_i on
+    uniform knots x_i = x_0 + i h, n >= 4.  Each interval holds the cubic
+    that matches the values and slopes at both of its knots, in powers of
+    (x - x_i), one row of four coefficients; no linear system couples the
+    rows.  On a cell of width h its error is at most h^4/384 max|y^(4)|
+    (de Boor, "A Practical Guide to Splines").
 
     A point's interval is i = trunc((x - x_0)/h), clamped to [1, n-3], then
     moved up one where x_{i+1} <= x and down one where x_i > x: the largest i
@@ -87,31 +87,13 @@ class _NotAKnotSpline:
     the constructor checks.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
+    def __init__(self, x: np.ndarray, y: np.ndarray, s: np.ndarray):
         n = len(x)
         h = (x[-1] - x[0]) / (n - 1)
         if np.any(np.abs(x - (x[0] + h * np.arange(n))) > h / 4):
             raise ValueError("spline knots must be uniform to within h/4")
         dx = np.diff(x)
         slope = np.diff(y) / dx
-        # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = rhs[i]
-        sub = np.zeros(n)
-        diag = np.empty(n)
-        sup = np.zeros(n)
-        rhs = np.empty(n)
-        sub[1:-1] = dx[1:]
-        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-        sup[1:-1] = dx[:-1]
-        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        d = x[2] - x[0]
-        diag[0], sup[0] = dx[1], d
-        rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0]
-                  + dx[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        sub[-1], diag[-1] = d, dx[-2]
-        rhs[-1] = (dx[-1] ** 2 * slope[-2]
-                   + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = _thomas(sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist())
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self._x = x
         self._x0 = float(x[0])
@@ -161,29 +143,12 @@ class _NotAKnotSpline:
         buf += rows[:, 3]
 
 
-def _thomas(sub: list, diag: list, sup: list, rhs: list) -> np.ndarray:
-    """Solve a tridiagonal system by forward elimination and back
-    substitution, on Python floats (one pass each way)."""
-    n = len(diag)
-    cp = [0.0] * n
-    dp = [0.0] * n
-    cp[0] = sup[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        den = diag[i] - sub[i] * cp[i - 1]
-        cp[i] = sup[i] / den
-        dp[i] = (rhs[i] - sub[i] * dp[i - 1]) / den
-    for i in range(n - 2, -1, -1):
-        dp[i] -= cp[i] * dp[i + 1]
-    return np.array(dp)
-
-
 class WeightEvaluator:
     """Immutable evaluator for one kernel; thread-safe after construction.
 
     Holds the trapezoid nodes of the kernel's expectation, as the factors
     e^{-v_j} (or e^{-u_j}) and the logs of their normalised weights, and the
-    interpolation grid.
+    interpolation grid with its knot slopes.
 
     Args:
         kind: "W" (first-power kernel, with e^{s^2}) or "W2" (squared kernel).
@@ -207,12 +172,21 @@ class WeightEvaluator:
 
     def quad(self, x) -> np.ndarray | float:
         """Direct quadrature at x (scalar or array): the weighted sum of
-        Q(a, 2 pi x e^{-t_j}) over the nodes.  Points are taken _CHUNK at a
-        time, so the working set stays bounded for any number of points."""
+        Q(a, 2 pi x e^{-t_j}) over the nodes."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         if not np.all(xs > 0):
             raise ValueError("weight argument must be positive")
+        out = self._quad_slope(xs)[0]
+        return out if np.ndim(x) else float(out[0])
+
+    def _quad_slope(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """W(x) and x W'(x) at the positive points xs, by one trapezoid pass.
+        As dQ/dy = -e^{-y} y^{a-1}/(a-1)! and y_j = 2 pi x e^{-t_j} has
+        x dy_j/dx = y_j, x W'(x) = -sum_j w_j y_j^a e^{-y_j} / (a-1)!.
+        Points are taken _CHUNK at a time, so the working set stays bounded
+        for any number of points."""
         out = np.empty(len(xs))
+        slope = np.empty(len(xs))
         for lo in range(0, len(xs), _CHUNK):
             y = (2 * np.pi * xs[lo:lo + _CHUNK, None]) * self._scale
             # w_j Q(a, y) = e^{log w_j - y} sum_{i<a} y^i / i!, the sum by
@@ -227,25 +201,32 @@ class WeightEvaluator:
                 terms *= y
                 terms += c
             arg = self._log_weights - y
-            terms *= np.exp(arg, out=np.zeros_like(arg), where=arg > -708)
+            ew = np.exp(arg, out=np.zeros_like(arg), where=arg > -708)
+            terms *= ew
             out[lo:lo + _CHUNK] = terms.sum(axis=1)
+            for _ in range(_A):                 # w_j y^a e^{-y}
+                ew *= y
+            slope[lo:lo + _CHUNK] = ew.sum(axis=1)
         # weights that sum to 1 in exact arithmetic can lift a rounded sum
         # an ulp past 1, which a probability cannot take
         np.minimum(out, 1.0, out=out)
-        return out if np.ndim(x) else float(out[0])
+        slope *= -self._coef[0]                 # -1/(a-1)!
+        return out, slope
 
     # ------------------------------------------------------------------- grid
 
     def _build_grid(self):
         x = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
-        v = self.quad(x)
+        v, xdv = self._quad_slope(x)
         below = np.flatnonzero(v <= _FLOOR)
         end = int(below[0]) if len(below) else len(v)
         self.grid_x = x
         self.grid_vals = v
         self._support_end = float(x[end - 1])
         self._left_val = float(v[0])
-        self._spline = _NotAKnotSpline(np.log(x[:end]), np.log(v[:end]))
+        # the knot slopes d log W / d log x = x W'(x) / W(x)
+        self._spline = _HermiteSpline(np.log(x[:end]), np.log(v[:end]),
+                                      xdv[:end] / v[:end])
 
     def __call__(self, x) -> np.ndarray | float:
         """Grid-interpolated value, clamped to the left-edge value below the

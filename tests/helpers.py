@@ -324,6 +324,22 @@ def kernel_exact(kind: str, x: float, kappa: int = 12) -> float:
                      / mpmath.sqrt(4 * mpmath.pi))
 
 
+def w2_log_slope_exact(x: float, kappa: int = 12) -> float:
+    """d log W2 / d log x at 25 digits over kernel_exact's W2, rounded to a
+    float.
+
+    With a, z and Q as in kernel_exact, dQ/dy = -e^{-y} y^(a-1)/(a-1)!, so
+    z dW2/dz = -E[(z/Y)^a e^{-z/Y}]/(a-1)!, and the same Bessel integral at
+    nu = 0 gives x W2'(x) = -2 z^a K_0(2 sqrt z) / ((a-1)!)^2.
+    """
+    a = kappa // 2
+    with mpmath.workdps(25):
+        z = 2 * mpmath.pi * mpmath.mpf(x)
+        return float(-2 * z ** a * mpmath.besselk(0, 2 * mpmath.sqrt(z))
+                     / mpmath.factorial(a - 1) ** 2
+                     / kernel_exact("W2", x, kappa))
+
+
 def contour_weight_two_sided(kind: str, x: float, kappa: int = 12,
                              c: float = 1.0, T: float | None = None,
                              h: float = 1.0 / 64) -> complex:

@@ -375,12 +375,15 @@ def test_towers_read_chi_at_the_segment_primes_only(monkeypatch, capsys):
     # then builds each of the 51 towers once; no character is evaluated
     # one at a time, nor is a per-character Gauss sum taken, in audit,
     # lvalue or sweep.  mollifier-verify evaluates chi only in
-    # evaluate_coefficients, once per call on the coefficient support
+    # evaluate_coefficients, once per call on the coefficient support, and
+    # reads the 12 characters' towers from one prime sum per rung (2), where
+    # n_poly took a whole transform per call (48)
     calls = collections.Counter()
     for owner, name in ((characters, "family_sums"),
                         (characters, "gauss_sum"),
                         (characters.Character, "__call__"),
                         (mollifier, "tower"),
+                        (mollifier, "n_poly"),
                         (mollifier, "evaluate_coefficients")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
@@ -399,7 +402,8 @@ def test_towers_read_chi_at_the_segment_primes_only(monkeypatch, capsys):
     rc, _, _ = run_cli(["mollifier-verify", "--q", "53"], capsys)
     assert rc == 0
     assert calls["__call__"] == calls["evaluate_coefficients"] == 48
-    assert calls["gauss_sum"] == 0
+    assert calls["family_sums"] == 2 and calls["tower"] == 12
+    assert calls["gauss_sum"] == calls["n_poly"] == 0
 
 
 @pytest.mark.parametrize("k", ["0.5", "2"])

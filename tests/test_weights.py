@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from twistmoments import lvalues, weights
 
@@ -76,13 +76,41 @@ def test_quadrature_stability_under_refinement(ev_w, ev_w2):
 
 
 def test_grid_matches_quadrature(ev_w, ev_w2):
+    # 10^4 log-uniform points over each spline's span, against bounds about
+    # 3 times the measured interpolation floor: 6.3e-12 for W; for W2,
+    # 2.2e-10 where W2 >= 1e-3, 7.5e-10 where W2 >= 1e-20, and 7.6e-6 down
+    # to _FLOOR, where the trapezoid samples themselves stop being smooth
     rng = np.random.default_rng(2)
-    for ev, hi in ((ev_w, 100.0), (ev_w2, 50.0)):
-        xs = np.exp(rng.uniform(np.log(1e-6), np.log(hi), size=100))
+    for ev, bands in ((ev_w, ((0.0, 2e-11),)),
+                      (ev_w2, ((1e-3, 5e-10), (1e-20, 2e-9),
+                               (weights._FLOOR, 2.5e-5)))):
+        xs = np.exp(rng.uniform(np.log(weights._GRID_LO),
+                                np.log(ev._support_end), 10**4))
         direct = ev.quad(xs)
-        interp = np.array([ev(float(x)) for x in xs])
-        rel = np.abs(interp - direct) / np.maximum(np.abs(direct), 1e-18)
-        assert rel.max() < 1e-7
+        rel = np.abs(ev(xs) - direct) / direct
+        for floor, bound in bands:
+            keep = direct > floor
+            assert keep.sum() >= 1000
+            assert rel[keep].max() <= bound
+
+
+def test_knot_slopes_against_independent_derivatives(ev_w, ev_w2):
+    # W: a central difference of log quad in log x, with step d = 1e-4 and
+    # truncation error about d^2/6 times the third derivative
+    d = 1e-4
+    x = ev_w.grid_x[:len(ev_w._spline._x) - 1]
+    diff = (np.log(ev_w.quad(x * np.exp(d)))
+            - np.log(ev_w.quad(x * np.exp(-d)))) / (2 * d)
+    s = ev_w._spline._coef[:, 2]
+    assert np.all(np.abs(s - diff) <= 1e-9 * np.maximum(1.0, np.abs(diff)))
+    # W2: the Bessel-K closed form, at every 32nd knot with W2 >= 1e-20;
+    # deeper in the tail the trapezoid rule itself drifts from the integral
+    s = ev_w2._spline._coef[:, 2]
+    for i in range(0, len(s), 32):
+        if ev_w2.grid_vals[i] < 1e-20:
+            break
+        want = helpers.w2_log_slope_exact(float(ev_w2.grid_x[i]))
+        assert abs(s[i] - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_exactly_real_output_types(ev_w):
@@ -153,7 +181,8 @@ def test_spline_against_scipy(ev_w, ev_w2):
     rng = np.random.default_rng(5)
     for ev in (ev_w, ev_w2):
         knots = ev._spline._x
-        ref = CubicSpline(knots, np.log(ev.grid_vals[:len(knots)]))
+        vals, xdv = ev._quad_slope(ev.grid_x[:len(knots)])
+        ref = CubicHermiteSpline(knots, np.log(vals), xdv / vals)
         pts = np.concatenate([knots, rng.uniform(knots[0], knots[-1], 10**5)])
         want = ref(pts)
         # log W2 reaches -642 at the spline's end, where one ulp is 1.1e-13,
@@ -164,17 +193,26 @@ def test_spline_against_scipy(ev_w, ev_w2):
 
 class _ScipyRouteEvaluator(weights.WeightEvaluator):
     """Grid samples from the unfolded contour with scipy's loggamma, on
-    Re s = 1 with step 1/64, to height 12 for W and 40 for W2."""
+    Re s = 1 with step 1/64, to height 12 for W and 40 for W2.  The knot
+    slopes stay the quadrature's: only the samples are compared."""
 
-    def quad(self, x):
-        return helpers.contour_weight_samples(
-            self.kind, x, 12, 1.0, 12.0 if self.kind == "W" else 40.0,
-            1.0 / 64)
+    def _quad_slope(self, xs):
+        return (_contour_samples(self.kind, xs),
+                super()._quad_slope(xs)[1])
+
+
+def _contour_samples(kind, xs):
+    return helpers.contour_weight_samples(
+        kind, xs, 12, 1.0, 12.0 if kind == "W" else 40.0, 1.0 / 64)
 
 
 def test_cutoffs_match_scipy_route(ev_w, ev_w2):
     for ev in (ev_w, ev_w2):
         ref = _ScipyRouteEvaluator(ev.kind)
+        # the reference grid is the contour's, not the quadrature's again
+        assert np.array_equal(ref.grid_vals,
+                              _contour_samples(ev.kind, ev.grid_x))
+        assert not np.array_equal(ref.grid_vals, ev.grid_vals)
         for tail_eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
             assert (ev.envelope_cutoff(tail_eps / lvalues.SAFETY)
                     == ref.envelope_cutoff(tail_eps / lvalues.SAFETY))
@@ -248,9 +286,9 @@ def test_lookup_working_set_is_the_output(ev_w, ev_w2):
 
 def test_spline_refuses_jittered_knots():
     t = np.linspace(0.0, 1.0, 64)
-    y = np.sin(t)
-    weights._NotAKnotSpline(t, y)
+    y, s = np.sin(t), np.cos(t)
+    weights._HermiteSpline(t, y, s)
     jittered = t.copy()
     jittered[30] += 0.3 * (t[1] - t[0])
     with pytest.raises(ValueError, match="uniform"):
-        weights._NotAKnotSpline(jittered, y)
+        weights._HermiteSpline(jittered, y, s)
