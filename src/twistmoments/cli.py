@@ -11,15 +11,21 @@ Exit codes: 0 success, 1 bad usage or config, 2 computation failure.
 Listing a family (chars) loads neither numpy nor dataclasses: the records on
 its path, RunConfig here, characters.CharacterGroup and arith.Factorization,
 are named-tuple subclasses, and its CSV is formatted one character group at
-a time.
+a time.  No command loads dataclasses or numpy.random: the table-backed
+records are named tuples too, and the seeded draws use random.Random.  The
+kernel grids are read while the config is checked, from the --cache-dir
+kernel file when one is given; a bad file or directory there fails the
+computation (exit 2), as a bad cached table does.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
+import random
 import sys
 from collections import namedtuple
 
@@ -252,10 +258,12 @@ def _validate(cfg: RunConfig):
         except ValueError as exc:
             raise _CliError(f"bad ladder: {exc}")
     if cfg.command in needs_q - {"chars"}:
-        # every L-value truncates where W's grid falls below tail_eps / SAFETY
+        # every L-value truncates where W's grid falls below tail_eps /
+        # SAFETY; the grids are read here, and a failed read is not a usage
+        # error, so it propagates
+        w = lvalues.default_evaluators(cfg.cache_dir)[0]
         try:
-            lvalues.default_evaluators()[0].envelope_cutoff(
-                cfg.tail_eps / lvalues.SAFETY)
+            w.envelope_cutoff(cfg.tail_eps / lvalues.SAFETY)
         except ValueError as exc:
             raise _CliError(f"tail-eps {cfg.tail_eps:g} is too small: {exc}")
         # n_cap grows with q and with max(X, 1/X), which may overflow
@@ -366,7 +374,7 @@ def _cmd_chars(cfg: RunConfig) -> str:
 
 def _cmd_weights(cfg: RunConfig) -> str:
     import numpy as np
-    w1, w2 = lvalues.default_evaluators()
+    w1, w2 = lvalues.default_evaluators(cfg.cache_dir)
     xs = np.geomspace(1e-3, 1e3, _WEIGHT_SAMPLES)
     rows = [(float(x), float(w1(x)), float(w2(x))) for x in xs]
     return _render(cfg, ("x", "W", "W2"), rows)
@@ -378,14 +386,22 @@ def _cmd_lvalue(cfg: RunConfig) -> str:
     # one table; each family reads the prefix its own n_cap would get, so
     # its audit flags do not depend on the other moduli
     tab = hecke.shared_eigenform(max(caps), cache_dir=cfg.cache_dir)
-    rows = []
+    rows, audits, comments = [], [], []
     for q, cap in zip(cfg.q_list, caps):
-        for r in lvalues.family_values(hecke.table_prefix(tab, cap), q, afe):
-            rows.append((q, r.chi.index, r.chi.conductor, r.value.real,
-                         r.value.imag, abs(r.value), r.sq_direct,
-                         r.residual, r.audited))
+        prefix = hecke.table_prefix(tab, cap)
+        recs = lvalues.family_values(prefix, q, afe)
+        rows += [(q, r.chi.index, r.chi.conductor, r.value.real,
+                  r.value.imag, abs(r.value), r.sq_direct, r.residual,
+                  r.audited) for r in recs]
+        audited = sum(r.audited for r in recs)
+        skipped = lvalues.audit_plan(prefix, q, afe)[1]
+        audits.append({"q": q, "audited": audited, "characters": len(recs),
+                       "skipped": skipped})
+        comments.append(f"# audit q={q} audited={audited}/{len(recs)}"
+                        + (f" skipped: {skipped}" if skipped else ""))
     return _render(cfg, ("q", "index", "conductor", "re", "im", "abs",
-                         "sq_direct", "residual", "audited"), rows)
+                         "sq_direct", "residual", "audited"), rows,
+                   audits=audits, comments=comments)
 
 
 def _moment_rows(cfg: RunConfig):
@@ -485,7 +501,6 @@ def _cmd_audit(cfg: RunConfig) -> str:
 
 
 def _cmd_mollifier_verify(cfg: RunConfig) -> str:
-    import numpy as np
     k = cfg.k_list[0]
     ctx = _context(cfg)
     ladder = ctx.ladder
@@ -509,14 +524,14 @@ def _cmd_mollifier_verify(cfg: RunConfig) -> str:
         rows.append(("dual_representation", f"j={j}", worst, 1e-10,
                      worst <= 1e-10))
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = random.Random(cfg.seed)
     worst_exact = 0.0
     worst_coarse = 0.0
     for _ in range(200):
-        K = int(rng.integers(1, 7)) * 2
-        a = float(rng.uniform(0.05, 2.0))
-        r = float(rng.uniform(1e-3, 1.0)) * a * K / 20
-        z = complex(r * np.exp(2j * np.pi * rng.uniform()))
+        K = rng.randint(1, 6) * 2
+        a = rng.uniform(0.05, 2.0)
+        r = rng.uniform(1e-3, 1.0) * a * K / 20
+        z = r * cmath.exp(2j * math.pi * rng.random())
         err = abs(mollifier.trunc_exp_tail(K, z))
         worst_exact = max(worst_exact, err / (r ** K / math.factorial(K)))
         worst_coarse = max(worst_coarse, err / (a * math.e / 20) ** K)
@@ -586,11 +601,10 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve(args)
+        text = _COMMANDS[cfg.command](cfg)
     except _CliError as exc:
         print(f"twistmoments: error: {exc}", file=sys.stderr)
         return 1
-    try:
-        text = _COMMANDS[cfg.command](cfg)
     except (ValueError, AssertionError, ArithmeticError, RuntimeError,
             OSError) as exc:
         print(f"twistmoments: computation failed: {exc}", file=sys.stderr)

@@ -47,7 +47,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -544,18 +544,20 @@ def coefficient_lines(taus: np.ndarray) -> str:
     return line[line != 0].tobytes().decode("ascii")
 
 
-@dataclass(frozen=True)
-class EigenformTable:
+class EigenformTable(namedtuple("EigenformTable", "n_max lam source",
+                                defaults=("builtin-delta",))):
     """Normalized eigenvalues lambda(1..n_max) of Delta.
 
     lam is indexed so lam[n] is lambda(n); lam[0] is unused (zero).  source
     says where the table came from: a build, or the cache file it was read
-    from.
+    from.  A named tuple, like every record on a table-backed run's path, so
+    such a run loads no dataclasses.
     """
 
-    n_max: int
-    lam: np.ndarray = field(repr=False)
-    source: str = "builtin-delta"
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"EigenformTable(n_max={self.n_max!r}, source={self.source!r})"
 
     def lam_at(self, n: int) -> float:
         if not 1 <= n <= self.n_max:

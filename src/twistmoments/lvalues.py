@@ -40,55 +40,59 @@ G[c] is one more transform.
 
 `family_values` is the one way a family is built.  Callers build it once per
 (modulus, config) and hand the records to every moment and audit; each record
-carries the primitive character it was evaluated at.
+carries the primitive character it was evaluated at.  `audit_plan` is where
+the family's squared-route audit is decided, and why it is skipped.
+
+The records are named-tuple subclasses and the audit sample is drawn by
+random.Random, so no run loads dataclasses or numpy.random; the eigenform
+table's class is imported for annotations only, so building the kernels
+alone runs no hecke code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache
+import random
+from collections import namedtuple
 
 import numpy as np
 
 from . import characters, sums, weights
-from .hecke import EigenformTable
+
+# typing.TYPE_CHECKING without loading typing, as in arith
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .hecke import EigenformTable
 
 
-@dataclass(frozen=True)
-class AfeConfig:
+class AfeConfig(namedtuple("AfeConfig", "X tail_eps audit_count seed")):
     """Truncation and audit policy for the functional-equation sums.
 
     tail_eps is the target absolute tail of each truncated sum.
     audit_count characters per family get the squared-route |L|^2
     cross-check, one length-q dot against the family's residue table
-    (0 disables it).
+    (0 disables it); seed picks them.
     """
 
-    X: float = 1.0
-    tail_eps: float = 1e-8
-    audit_count: int = 8
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, X: float = 1.0, tail_eps: float = 1e-8,
+                audit_count: int = 8, seed: int = 0):
         # written so that NaN fails each test
-        if not 0 < self.X < math.inf:
-            raise ValueError(f"X must be positive and finite, got {self.X}")
-        if not self.tail_eps > 0:
+        if not 0 < X < math.inf:
+            raise ValueError(f"X must be positive and finite, got {X}")
+        if not tail_eps > 0:
             raise ValueError("tail_eps must be positive")
+        return super().__new__(cls, X, tail_eps, audit_count, seed)
 
 
-@dataclass(frozen=True)
-class CentralValue:
+class CentralValue(namedtuple(
+        "CentralValue", "chi value sq_direct residual audited")):
     """One family member: the primitive character chi, L(1/2, f tensor chi)
     from the first-power route, |L|^2 from the squared route when audited
     (else |value|^2), and their mismatch."""
 
-    chi: characters.Character
-    value: complex
-    sq_direct: float
-    residual: float
-    audited: bool
+    __slots__ = ()
 
 
 DEFAULT_CONFIG = AfeConfig()
@@ -109,11 +113,19 @@ _BIN_BLOCK = 1 << 16
 _RESIDUAL_FLOOR = 1e-2
 
 
-@cache
-def default_evaluators() -> tuple[weights.WeightEvaluator,
-                                  weights.WeightEvaluator]:
-    """Shared grid-backed evaluators (W, W2)."""
-    return weights.WeightEvaluator("W"), weights.WeightEvaluator("W2")
+# the process's (W, W2), set by the first default_evaluators call
+_evaluators: tuple | None = None
+
+
+def default_evaluators(cache_dir: str | None = None) -> tuple[
+        weights.WeightEvaluator, weights.WeightEvaluator]:
+    """Shared grid-backed evaluators (W, W2), built by the first call, with
+    that call's cache_dir (weights.evaluators); later calls return the same
+    pair whatever they pass.  The grids are the same bits either way."""
+    global _evaluators
+    if _evaluators is None:
+        _evaluators = weights.evaluators(cache_dir)
+    return _evaluators
 
 
 def required_n_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG) -> int:
@@ -133,10 +145,25 @@ def required_m_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG) -> int:
     x_eps = ev2.envelope_cutoff(cfg.tail_eps / SAFETY)
     cap = int(np.ceil(x_eps * q * q / (2 * np.pi)))
     if cap > CAP_LIMIT:
-        raise ValueError(f"m_cap {cap} exceeds the limit "
-                         f"{CAP_LIMIT} at q={q}; the squared route "
-                         "is an audit tool, not a production path")
+        raise ValueError(f"m_cap {cap} exceeds the limit {CAP_LIMIT} "
+                         f"at q={q}")
     return cap
+
+
+def audit_plan(f: EigenformTable, q: int,
+               cfg: AfeConfig = DEFAULT_CONFIG) -> tuple[int, str | None]:
+    """(m_cap, None) when family_values audits the family at q through the
+    squared route, which is an audit tool, not a production path; else
+    (0, the reason it audits no character)."""
+    if cfg.audit_count == 0:
+        return 0, "audit-count 0"
+    try:
+        m_cap = required_m_cap(q, cfg)
+    except ValueError as exc:
+        return 0, str(exc)
+    if m_cap > f.n_max:
+        return 0, f"m_cap {m_cap} > table {f.n_max}"
+    return m_cap, None
 
 
 def _check_table(f: EigenformTable, cap: int):
@@ -288,10 +315,11 @@ def family_values(f: EigenformTable, q: int,
     per modulus and pass it on.  Since the indices ascend, chi-bar's record
     is found by looking up chi.conjugate_index() among them.
 
-    The audit subsample (cfg.audit_count characters, seeded choice) is
-    recomputed through both independent routes, the squared one from the
-    family's residue table; the squared route is skipped with a flag when
-    its truncation would outrun the eigenform table.
+    The audit subsample (cfg.audit_count characters, drawn by
+    random.Random(cfg.seed)) is recomputed through both independent routes,
+    the squared one from the family's residue table.  audit_plan decides
+    whether the squared route runs; when it does not, every record's
+    audited flag is false.
     """
     grp = characters.build_group(q)
     prims = characters.primitive_characters(grp)
@@ -308,21 +336,14 @@ def family_values(f: EigenformTable, q: int,
     values = s1 + tau[idx] ** 2 / q * s2.conj()
 
     audit_set: set[int] = set()
-    if cfg.audit_count > 0:
-        try:
-            m_cap = required_m_cap(q, cfg)
-            can_audit = m_cap <= f.n_max
-        except ValueError:
-            can_audit = False
-        if can_audit:
-            rng = np.random.default_rng(cfg.seed)
-            count = min(cfg.audit_count, len(prims))
-            audit_set = set(
-                int(prims[i].index) for i in
-                rng.choice(len(prims), size=count, replace=False))
-            # G[c] = G[c^-1] and chi(c^-1) = conj chi(c): the sums are real
-            sq_all = 2.0 * characters.family_sums(
-                grp, _residue_table(f, q, m_cap)).real
+    m_cap, skipped = audit_plan(f, q, cfg)
+    if skipped is None:
+        count = min(cfg.audit_count, len(prims))
+        audit_set = {prims[i].index for i in
+                     random.Random(cfg.seed).sample(range(len(prims)), count)}
+        # G[c] = G[c^-1] and chi(c^-1) = conj chi(c): the sums are real
+        sq_all = 2.0 * characters.family_sums(
+            grp, _residue_table(f, q, m_cap)).real
 
     out = []
     for chi, value in zip(prims, values.tolist()):

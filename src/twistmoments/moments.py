@@ -17,12 +17,15 @@ run and passes the same towers, with the records, to every audit.
 Asymptotic statements (anything with an unspecified constant) are never
 asserted: they surface as reported ratios so sweeps can eyeball boundedness,
 while every constant-1 inequality is asserted with a small relative slack.
+
+The records here are named-tuple subclasses, as on the rest of a
+table-backed run's path, so no run loads dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,38 +41,27 @@ DIAGONAL_TOL = 1e-9
 _LOCAL_TERMS = 60
 
 
-@dataclass(frozen=True)
-class MomentReport:
-    """One family moment: q, k, and Sum* |L(1/2)|^(2k) with normalizations."""
+class MomentReport(namedtuple("MomentReport", (
+        "q", "k", "phi_star", "raw_moment", "normalized", "log_q",
+        "ratio_to_logq_pow_k2"))):
+    """One family moment: q, k, and Sum* |L(1/2)|^(2k) with normalizations:
+    normalized is raw_moment / phi_star, ratio_to_logq_pow_k2 is
+    normalized / (log q)^(k^2)."""
 
-    q: int
-    k: float
-    phi_star: int
-    raw_moment: float
-    normalized: float               # raw_moment / phi_star
-    log_q: float
-    ratio_to_logq_pow_k2: float     # normalized / (log q)^(k^2)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(namedtuple("CheckRecord", "name subject lhs rhs ok")):
     """A single audited inequality instance: lhs <= rhs up to relative slack."""
 
-    name: str
-    subject: str
-    lhs: float
-    rhs: float
-    ok: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InequalityAudit:
-    """Bundle of asserted checks plus reported (not asserted) ratios."""
+class InequalityAudit(namedtuple("InequalityAudit", "q k checks reported")):
+    """Bundle of asserted checks (a tuple of CheckRecord) plus a dict of
+    reported (not asserted) ratios."""
 
-    q: int
-    k: float
-    checks: tuple[CheckRecord, ...]
-    reported: dict = field(default_factory=dict)
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -142,15 +134,12 @@ def twisted_first_moment(recs, towers) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class DiagonalCheck:
-    """Result of the exact convolution-vs-product identity."""
+class DiagonalCheck(namedtuple(
+        "DiagonalCheck", "lhs rhs residual ok local_terms")):
+    """Result of the exact convolution-vs-product identity; local_terms are
+    the per-segment factors of the product side."""
 
-    lhs: float
-    rhs: float
-    residual: float
-    ok: bool
-    local_terms: tuple[float, ...]
+    __slots__ = ()
 
 
 def diagonal_factorization_check(ctx: mollifier.MollifierContext,
@@ -301,7 +290,8 @@ def pointwise_inequality_audit(chi: characters.Character,
                 Q = abs(tw.guard(j))
                 add("product_large_regime", j, (Nk * Nk1) ** e, Q * Q)
                 add("guard_unit", j, Q, 1.0, lower=True)
-    return InequalityAudit(q=chi.group.q, k=kk, checks=tuple(checks))
+    return InequalityAudit(q=chi.group.q, k=kk, checks=tuple(checks),
+                           reported={})
 
 
 def family_pointwise_audit(recs, towers) -> InequalityAudit:
@@ -311,7 +301,7 @@ def family_pointwise_audit(recs, towers) -> InequalityAudit:
     for rec, tw in zip(recs, towers, strict=True):
         checks.extend(pointwise_inequality_audit(rec.chi, tw).checks)
     return InequalityAudit(q=recs[0].chi.group.q, k=towers[0].ladder.k,
-                           checks=tuple(checks))
+                           checks=tuple(checks), reported={})
 
 
 def _upper_weight(N, Q) -> float:
@@ -401,12 +391,8 @@ def holder_chain_audit(recs, towers) -> InequalityAudit:
                            reported=reported)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    r_squared: float
-    points: int
+class FitResult(namedtuple("FitResult", "slope intercept r_squared points")):
+    __slots__ = ()
 
 
 def exponent_fit(reports) -> FitResult:

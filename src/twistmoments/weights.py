@@ -41,13 +41,25 @@ corrected by at most one step each way against the knots themselves, with
 no search.  Points are taken _EVAL_BLOCK at a time and each block is
 written straight into the output array, so a call's working set is its
 output plus one block of scratch.
+
+The grids are a pure function of this module's constants, bit for bit, so
+`evaluators(cache_dir)` keeps both in one kernel file per cache directory,
+named by those constants and numpy's version.  A loaded file must match the
+sha256 digest taken when it was written, and every _SPOT_STEP-th knot is
+recomputed and must agree to the bit (a knot's trapezoid sum does not
+depend on which other points share its chunk).  A file that matches its
+digest and is wrong only at knots the spot check skips is not caught.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 
 import numpy as np
+
+from . import hecke
 
 _GRID_SIZE = 2048
 _GRID_LO = 1e-8
@@ -65,11 +77,20 @@ _A = 6
 # x >= 3e-4.
 _NODES = {"W": (-14.0, 26.0, 0.1), "W2": (-16.0, 8.0, 0.08)}
 # quad drops node terms below e^{-708} times Q's polynomial, at most about
-# e^{-680} (1e-295) each.  Samples above this floor keep full relative
-# accuracy (1e-13 against an exact log-space sum); below it W2's last
-# samples are off by up to 4% relative, which the log-space spline cannot
-# take.  Only W2 falls below it on the grid.
+# e^{-680} (1e-295) each.  Samples above this floor agree to 1e-13 relative
+# with the same rule summed exactly in log space, so the floor costs them
+# nothing; below it W2's last samples are off by up to 4% relative from that
+# sum, which the log-space spline cannot take.  Only W2 falls below it on
+# the grid.  The rule itself drifts from W2's integral in the deep tail:
+# against the closed form (tests' helpers.kernel_exact) it is off by 7.6e-11
+# relative at x = 1,000 and 2.3e-5 at x = 2,963.  No sum reads values that
+# small: every truncation threshold is above about 6.8e-22.
 _FLOOR = 1e-280
+# Part of the kernel file's key, beside the constants above and numpy's
+# version: a file written under another layout is a miss.
+_GRID_FORMAT = 1
+# one knot in this many of a grid read from the cache is recomputed
+_SPOT_STEP = 32
 
 
 class _HermiteSpline:
@@ -152,9 +173,13 @@ class WeightEvaluator:
 
     Args:
         kind: "W" (first-power kernel, with e^{s^2}) or "W2" (squared kernel).
+        grid: the samples and knot slopes (grid_vals, grid_slopes) of an
+            evaluator of this kind, in place of the trapezoid pass over every
+            knot.  Every _SPOT_STEP-th knot is recomputed, and a value or
+            slope that differs by a bit raises ValueError.
     """
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, grid: tuple | None = None):
         if kind not in _NODES:
             raise ValueError(f"kind must be 'W' or 'W2', got {kind!r}")
         self.kind = kind
@@ -166,7 +191,7 @@ class WeightEvaluator:
         self._scale = np.exp(-t)
         # 1/i! for i = a-1 down to 0, for Horner's rule
         self._coef = [1 / math.factorial(i) for i in reversed(range(_A))]
-        self._build_grid()
+        self._build_grid(grid)
 
     # ------------------------------------------------------------------ direct
 
@@ -215,13 +240,24 @@ class WeightEvaluator:
 
     # ------------------------------------------------------------------- grid
 
-    def _build_grid(self):
+    def _build_grid(self, grid: tuple | None):
         x = np.geomspace(_GRID_LO, _GRID_HI, _GRID_SIZE)
-        v, xdv = self._quad_slope(x)
+        if grid is None:
+            v, xdv = self._quad_slope(x)
+        else:
+            v, xdv = grid
+            spot = slice(None, None, _SPOT_STEP)
+            for name, want, got in zip(("value", "slope"),
+                                       self._quad_slope(x[spot]),
+                                       (v[spot], xdv[spot])):
+                if not np.array_equal(want, got):
+                    raise ValueError(f"{self.kind} grid {name}s differ from "
+                                     "the trapezoid pass at checked knots")
         below = np.flatnonzero(v <= _FLOOR)
         end = int(below[0]) if len(below) else len(v)
         self.grid_x = x
         self.grid_vals = v
+        self.grid_slopes = xdv
         self._support_end = float(x[end - 1])
         self._left_val = float(v[0])
         # the knot slopes d log W / d log x = x W'(x) / W(x)
@@ -270,3 +306,48 @@ class WeightEvaluator:
         if not len(idx):
             raise ValueError(f"majorant never reaches {eps:g} on the grid")
         return float(self.grid_x[idx[0]])
+
+
+def _grid_path(cache_dir: str) -> str:
+    key = hashlib.sha256(repr((
+        _NODES, _GRID_LO, _GRID_HI, _GRID_SIZE, _A, _FLOOR, _GRID_FORMAT,
+        np.__version__)).encode()).hexdigest()[:12]
+    return os.path.join(cache_dir, f"kernel_grids_{key}.bin")
+
+
+def evaluators(cache_dir: str | None = None) -> tuple[WeightEvaluator,
+                                                      WeightEvaluator]:
+    """The evaluators (W, W2).
+
+    With cache_dir, their grids come from the kernel file there: its sha256
+    digest, then W's samples and slopes and W2's, as little-endian float64.
+    On a miss both grids are built and the file is written, atomically.
+
+    Raises:
+        ValueError: "corrupt cache file ..." for a file that fails its
+            digest or the evaluator's spot check.
+        OSError: the cache directory cannot be read, created or written.
+    """
+    if cache_dir is None:
+        return WeightEvaluator("W"), WeightEvaluator("W2")
+    path = _grid_path(cache_dir)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        pair = WeightEvaluator("W"), WeightEvaluator("W2")
+        payload = np.stack([a for ev in pair
+                            for a in (ev.grid_vals, ev.grid_slopes)]
+                           ).astype("<f8").tobytes()
+        os.makedirs(cache_dir, exist_ok=True)
+        with hecke._replacing(path) as fh:
+            fh.write(hashlib.sha256(payload).digest() + payload)
+        return pair
+    digest, payload = data[:32], data[32:]
+    try:
+        if hashlib.sha256(payload).digest() != digest:
+            raise ValueError("bytes do not match their digest")
+        grids = np.frombuffer(payload, "<f8").reshape(2, 2, _GRID_SIZE)
+        return WeightEvaluator("W", grids[0]), WeightEvaluator("W2", grids[1])
+    except ValueError as exc:
+        raise ValueError(f"corrupt cache file {path}: {exc}") from None

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from twistmoments import cli
+from twistmoments import cli, lvalues
 
 _PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
@@ -60,3 +60,31 @@ def test_benchmark_operations_pass_its_checkers(bench, tmp_path):
             texts[name, op.key] = run(op, cache)
     bench.checks.check_balance(texts["warm-audit", "lvalue-X1"],
                                texts["warm-audit", "lvalue-X0.5"])
+
+
+def test_warm_audit_second_pass_reads_the_cache(bench, tmp_path,
+                                                monkeypatch):
+    # the warm-audit operations twice against one cache, each pass with an
+    # unset evaluator memo, as in fresh processes: the first pass writes the
+    # tables and the kernel file, the second adds no file and prints the
+    # same bytes, and every output passes the benchmark's checkers
+    cache = tmp_path / "cache"
+    out = tmp_path / "out.txt"
+    passes = []
+    for _ in range(2):
+        monkeypatch.setattr(lvalues, "_evaluators", None)
+        before = set(cache.iterdir()) if cache.exists() else set()
+        texts = {}
+        for op in bench.WORKLOADS["warm-audit"].ops:
+            args = list(op.args)
+            if op.cache:
+                args += ["--cache-dir", str(cache)]
+            assert cli.run(args + ["--out", str(out)]) == 0, op.key
+            texts[op.key] = out.read_text()
+            bench._CHECKERS[op.kind](texts[op.key], op)
+        bench.checks.check_balance(texts["lvalue-X1"], texts["lvalue-X0.5"])
+        passes.append((before, set(cache.iterdir()), texts))
+    (_, filled, first), (before, after, second) = passes
+    assert any(p.name.startswith("kernel_grids_") for p in filled)
+    assert before == after == filled
+    assert second == first

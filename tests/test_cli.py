@@ -229,6 +229,10 @@ for name in ("arith", "characters", "hecke", "lvalues", "moments",
     (["tau", "--n-max", "10"],
      {"characters", "lvalues", "weights", "sums", "moments", "mollifier"}),
     (["sweep", "--q-list", "5,7,9,11", "--fit"], {"mollifier"}),
+    # the kernels need no table: lvalues names the table's class for its
+    # annotations only
+    (["weights"], {"arith", "characters", "hecke", "sums", "moments",
+                   "mollifier"}),
 ])
 def test_commands_load_only_their_layers(args, unloaded):
     # a layer whose code never ran is still its lazy stand-in in sys.modules
@@ -259,6 +263,44 @@ def test_chars_never_imports_numpy():
     # either, nor does --ell, whose ladder is a named tuple too
     proc = subprocess.run([sys.executable, "-c", _NUMPY_GUARD],
                           capture_output=True, text=True, env=_FRESH_ENV)
+    assert proc.returncode == 0, proc.stderr
+
+
+_WARM_GUARD = """
+import contextlib, io, sys
+from twistmoments import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(sys.argv[1:]) == 0
+added = {"dataclasses", "numpy.random"} & set(sys.modules)
+assert not added, f"{sys.argv[1:]} loaded {sorted(added)}"
+"""
+_WARM_BASE = ["--tail-eps", "1e-7"]
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A cache directory holding the q = 17 table and the kernel file, both
+    written by a fresh process."""
+    cache = str(tmp_path_factory.mktemp("warm"))
+    subprocess.run([sys.executable, "-m", "twistmoments.cli", "lvalue",
+                    "--q", "17", *_WARM_BASE, "--cache-dir", cache],
+                   check=True, capture_output=True, env=_FRESH_ENV)
+    return cache
+
+
+@pytest.mark.parametrize("args", [
+    ["lvalue", "--q", "17"],
+    ["audit", "--q", "17", "--k", "0.5"],
+    ["mollifier-verify", "--q", "17"],
+    ["sweep", "--q-list", "5,7,9,11", "--k-list", "0.5,1", "--fit"],
+], ids=lambda args: args[0])
+def test_warm_runs_load_no_dataclasses_or_numpy_random(args, warm_cache):
+    # the table-backed records are named tuples and the seeded draws come
+    # from random.Random; the sweep reads a prefix of the q = 17 table
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_GUARD, *args, *_WARM_BASE,
+         "--cache-dir", warm_cache],
+        capture_output=True, text=True, env=_FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -642,6 +684,19 @@ def test_lvalue_list_loads_one_table(tmp_path, monkeypatch, capsys):
     rc, cold, _ = run_cli(args, capsys)
     assert rc == 0
     assert len(list(tmp_path.glob("eigenform_*.npy"))) == 1
+    # one comment per modulus, after every row, from lvalues.audit_plan
+    assert cold.splitlines()[-3:] == [
+        "# audit q=53 audited=8/51",
+        "# audit q=149 audited=0/147 skipped: m_cap 173560 > table 132700",
+        "# audit q=307 audited=0/305 skipped: m_cap 736805 > table 500000"]
+    rc, doc, _ = run_cli(args + ["--format", "json"], capsys)
+    assert rc == 0
+    assert json.loads(doc)["audits"] == [
+        {"q": 53, "audited": 8, "characters": 51, "skipped": None},
+        {"q": 149, "audited": 0, "characters": 147,
+         "skipped": "m_cap 173560 > table 132700"},
+        {"q": 307, "audited": 0, "characters": 305,
+         "skipped": "m_cap 736805 > table 500000"}]
     calls = collections.Counter()
     for name in ("_load_cached", "_validate_table"):
         def counted(*a, _fn=getattr(hecke, name), _name=name):
@@ -688,6 +743,90 @@ def test_nan_in_cache_file_exits_two(tmp_path, capsys):
     rc, _, err = run_cli(args, capsys)
     assert rc == 2
     assert "corrupt cache file" in err
+
+
+@pytest.fixture
+def fresh_kernels(monkeypatch):
+    """Unset the process's evaluator memo, as in a fresh process: the next
+    run builds or reads the grids itself, where otherwise the first run of
+    the session would decide their source for all.  The memo comes back
+    afterwards."""
+    def reset():
+        monkeypatch.setattr(lvalues, "_evaluators", None)
+    reset()
+    return reset
+
+
+def test_kernel_file_gives_the_same_bytes(tmp_path, fresh_kernels, capsys):
+    # without --cache-dir, with a cold one and with a warm one
+    args = ["lvalue", "--q", "17", "--tail-eps", "1e-7"]
+    cache = ["--cache-dir", str(tmp_path)]
+    outs = []
+    for extra in ([], cache, cache):
+        fresh_kernels()
+        rc, out, _ = run_cli(args + extra, capsys)
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert len(list(tmp_path.glob("kernel_grids_*.bin"))) == 1
+
+
+def _kernel_file(cache, fresh_kernels, capsys) -> pathlib.Path:
+    """The kernel file a fresh `weights --cache-dir cache` writes."""
+    rc, _, _ = run_cli(["weights", "--cache-dir", str(cache)], capsys)
+    assert rc == 0
+    (path,) = cache.glob("kernel_grids_*.bin")
+    fresh_kernels()
+    return path
+
+
+def test_kernel_file_flipped_byte_exits_two(tmp_path, fresh_kernels,
+                                            capsys):
+    path = _kernel_file(tmp_path, fresh_kernels, capsys)
+    data = bytearray(path.read_bytes())
+    data[32 + 8] ^= 1         # W at knot 1, which the spot check skips
+    path.write_bytes(bytes(data))
+    rc, _, err = run_cli(["lvalue", "--q", "7", "--cache-dir",
+                          str(tmp_path)], capsys)
+    assert rc == 2
+    assert "corrupt cache file" in err and "digest" in err
+
+
+def test_kernel_file_checked_knot_exits_two(tmp_path, fresh_kernels,
+                                            capsys):
+    # a self-consistent file: the digest is recomputed over the perturbed
+    # bytes, so only the spot check can see W2's slope one ulp off at knot
+    # 32.  The same change at a knot the check skips (33, say) is not
+    # caught: such a file reads as a good one.
+    path = _kernel_file(tmp_path, fresh_kernels, capsys)
+    grids = np.frombuffer(path.read_bytes()[32:], "<f8").reshape(2, 2, -1)
+    grids = grids.copy()
+    grids[1, 1, 32] = np.nextafter(grids[1, 1, 32], 0.0)
+    payload = grids.tobytes()
+    path.write_bytes(hashlib.sha256(payload).digest() + payload)
+    rc, _, err = run_cli(["audit", "--q", "7", "--k", "0.5", "--cache-dir",
+                          str(tmp_path)], capsys)
+    assert rc == 2
+    assert "corrupt cache file" in err and "checked knots" in err
+
+
+@pytest.mark.parametrize("layout", ["file", "below_a_file",
+                                    "directory_at_the_file"])
+def test_bad_cache_dir_fails_the_computation(layout, tmp_path,
+                                             fresh_kernels, capsys):
+    # the grids are read while the config is checked, but a cache directory
+    # that cannot be read or written is still a computation failure (2),
+    # not a usage error (1)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache = {"file": blocker, "below_a_file": blocker / "cache",
+             "directory_at_the_file": tmp_path / "cache"}[layout]
+    if layout == "directory_at_the_file":
+        pathlib.Path(weights._grid_path(str(cache))).mkdir(parents=True)
+    rc, out, err = run_cli(["lvalue", "--q", "7", "--cache-dir", str(cache)],
+                           capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("twistmoments: computation failed: ")
 
 
 def test_tracer_names_resolve():

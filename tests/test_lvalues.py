@@ -1,6 +1,7 @@
 """Central values: balance-point invariance, conjugation, route agreement."""
 
 import collections
+import random
 import tracemalloc
 
 import numpy as np
@@ -234,6 +235,46 @@ def test_family_evaluates_each_character_once(family_table, monkeypatch):
         assert len(recs) == 51
         assert sum(r.audited for r in recs) == 8
         assert calls == {"family_sums": transforms}
+
+
+def test_audit_sample_is_drawn_by_random_random(family_table):
+    # the audited characters are random.Random(seed)'s sample of the family
+    # positions, so the draw needs no numpy.random
+    picked = {}
+    for seed in (0, 3):
+        recs = lvalues.family_values(family_table, 53,
+                                     lvalues.AfeConfig(seed=seed))
+        want = {recs[i].chi.index
+                for i in random.Random(seed).sample(range(len(recs)), 8)}
+        picked[seed] = {r.chi.index for r in recs if r.audited}
+        assert picked[seed] == want
+    assert picked[0] != picked[3]
+
+
+def test_audit_plan_decides_the_squared_route(family_table):
+    # audit_plan is the one place a family's audit is decided: family_values
+    # audits min(audit_count, phi*) characters when it gives no reason and
+    # none when it gives one, and the CLI prints that reason
+    eps5 = lvalues.AfeConfig(tail_eps=1e-5)
+    short = hecke.table_prefix(family_table,
+                               lvalues.required_n_cap(149, eps5))
+    for table, q, cfg, reason in [
+            (family_table, 53, CFG, None),
+            (family_table, 53, lvalues.AfeConfig(audit_count=0),
+             "audit-count 0"),
+            (short, 149, eps5, "m_cap 173560 > table 132700")]:
+        m_cap, why = lvalues.audit_plan(table, q, cfg)
+        assert why == reason
+        assert m_cap == (lvalues.required_m_cap(q, cfg) if why is None
+                         else 0)
+        recs = lvalues.family_values(table, q, cfg)
+        assert sum(r.audited for r in recs) == (
+            0 if why else min(cfg.audit_count, len(recs)))
+    # past CAP_LIMIT the reason is required_m_cap's own refusal
+    m_cap, why = lvalues.audit_plan(family_table, 5000, CFG)
+    assert m_cap == 0
+    assert why.startswith("m_cap ")
+    assert why.endswith(f"exceeds the limit {lvalues.CAP_LIMIT} at q=5000")
 
 
 def test_family_never_calls_the_oracle(family_table, monkeypatch):

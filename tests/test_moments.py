@@ -1,6 +1,5 @@
 """Family moments, twisted moments, and the inequality-chain audits."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -290,7 +289,7 @@ def test_exponent_fit_recovers_synthetic_slope():
     assert fit.r_squared > 0.999999
     assert fit.points == 5
 
-    flat = [dataclasses.replace(r, normalized=2.0) for r in reps]
+    flat = [r._replace(normalized=2.0) for r in reps]
     fit0 = moments.exponent_fit(flat)
     assert abs(fit0.slope) < 1e-12
     assert fit0.r_squared == 1.0
@@ -304,7 +303,7 @@ def test_exponent_fit_rejections():
     with pytest.raises(ValueError):
         moments.exponent_fit(reps[:3])
     with pytest.raises(ValueError):
-        moments.exponent_fit(reps[:3] + [dataclasses.replace(reps[3], k=2.0)])
+        moments.exponent_fit(reps[:3] + [reps[3]._replace(k=2.0)])
     with pytest.raises(ValueError):
         moments.exponent_fit(list(reversed(reps)))
 

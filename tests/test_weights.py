@@ -292,3 +292,50 @@ def test_spline_refuses_jittered_knots():
     jittered[30] += 0.3 * (t[1] - t[0])
     with pytest.raises(ValueError, match="uniform"):
         weights._HermiteSpline(jittered, y, s)
+
+
+# ------------------------------------------------------------ kernel file
+
+def _grid_state(ev):
+    return (ev.grid_x, ev.grid_vals, ev.grid_slopes, ev._spline._coef,
+            ev._support_end, ev._left_val)
+
+
+def test_kernel_file_round_trip(tmp_path, monkeypatch):
+    # a cold call builds both grids and writes one file; a warm call reads
+    # it and recomputes only every _SPOT_STEP-th knot of each kernel; all
+    # three pairs hold the same bits
+    points = []
+    quad_slope = weights.WeightEvaluator._quad_slope
+
+    def counted(self, xs):
+        points.append(len(xs))
+        return quad_slope(self, xs)
+    monkeypatch.setattr(weights.WeightEvaluator, "_quad_slope", counted)
+    plain = weights.evaluators()
+    points.clear()
+    cold = weights.evaluators(str(tmp_path / "cache"))
+    assert points == [weights._GRID_SIZE] * 2
+    (path,) = (tmp_path / "cache").iterdir()
+    assert path.name.startswith("kernel_grids_")
+    points.clear()
+    warm = weights.evaluators(str(tmp_path / "cache"))
+    assert points == [weights._GRID_SIZE // weights._SPOT_STEP] * 2
+    assert list((tmp_path / "cache").iterdir()) == [path]
+    for kind, trio in zip(("W", "W2"), zip(plain, cold, warm)):
+        assert all(ev.kind == kind for ev in trio)
+        for a, b, c in zip(*map(_grid_state, trio)):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_precomputed_grid_is_spot_checked(ev_w2):
+    # a grid handed to the constructor is recomputed at every
+    # _SPOT_STEP-th knot and must agree to the bit there
+    grid = (ev_w2.grid_vals, ev_w2.grid_slopes)
+    weights.WeightEvaluator("W2", grid)
+    for row in (0, 1):
+        bad = [a.copy() for a in grid]
+        at = 3 * weights._SPOT_STEP
+        bad[row][at] = np.nextafter(bad[row][at], 0.0)
+        with pytest.raises(ValueError, match="checked knots"):
+            weights.WeightEvaluator("W2", tuple(bad))
