@@ -21,11 +21,9 @@ computation (exit 2), as a bad cached table does.
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
-import random
 import sys
 from collections import namedtuple
 
@@ -426,7 +424,12 @@ def _cmd_moments(cfg: RunConfig) -> str:
     return _render(cfg, _MOMENT_HEADER, rows)
 
 
+_FIT_HEADER = ("k", "slope", "intercept", "r_squared", "points")
+
+
 def _fit_blocks(reports: dict[float, list]) -> tuple[list[str], list[dict]]:
+    """The exponent fit at each k with at least 4 moduli, as a comment line
+    and a dict keyed by _FIT_HEADER, and a skip line for every other k."""
     comments: list[str] = []
     audits: list[dict] = []
     for k in sorted(reports):
@@ -439,9 +442,7 @@ def _fit_blocks(reports: dict[float, list]) -> tuple[list[str], list[dict]]:
             f"# fit k={_fmt(k)} slope={_fmt(fit.slope)} "
             f"intercept={_fmt(fit.intercept)} r2={_fmt(fit.r_squared)} "
             f"points={fit.points}")
-        audits.append({"k": k, "slope": fit.slope,
-                       "intercept": fit.intercept,
-                       "r_squared": fit.r_squared, "points": fit.points})
+        audits.append(dict(zip(_FIT_HEADER, (k, *fit))))
     return comments, audits
 
 
@@ -457,22 +458,20 @@ def _cmd_sweep(cfg: RunConfig) -> str:
 
 
 def _cmd_fit(cfg: RunConfig) -> str:
-    _, reports = _moment_rows(cfg)
-    rows = []
-    for k in sorted(reports):
-        fit = moments.exponent_fit(reports[k])
-        rows.append((k, fit.slope, fit.intercept, fit.r_squared, fit.points))
-    return _render(cfg, ("k", "slope", "intercept", "r_squared", "points"),
-                   rows)
+    # _validate refuses fewer than 4 moduli, so no k is skipped
+    fits = _fit_blocks(_moment_rows(cfg)[1])[1]
+    return _render(cfg, _FIT_HEADER, [tuple(f.values()) for f in fits])
 
 
-def _context(cfg: RunConfig) -> mollifier.MollifierContext:
+def _context(cfg: RunConfig, n_min: int = 0) -> mollifier.MollifierContext:
     """The eigenform table, ladder and prime segments of the run's one
-    modulus, held by its mollifier context."""
+    modulus, held by its mollifier context.  The table holds n_cap terms,
+    or n_min if that is more."""
     q = cfg.q_list[0]
     ladder = cfg.ladder(q)
-    tab = hecke.shared_eigenform(lvalues.required_n_cap(q, cfg.afe()),
-                                 cache_dir=cfg.cache_dir)
+    tab = hecke.shared_eigenform(
+        max(lvalues.required_n_cap(q, cfg.afe()), n_min),
+        cache_dir=cfg.cache_dir)
     return mollifier.MollifierContext(tab, ladder,
                                       mollifier.build_segments(q, ladder))
 
@@ -481,7 +480,7 @@ def _cmd_audit(cfg: RunConfig) -> str:
     ctx = _context(cfg)
     recs = lvalues.family_values(ctx.table, ctx.segments.q, cfg.afe())
     # one tower per character, read by both audits
-    towers = moments.family_towers(ctx, recs)
+    towers = moments.family_towers(ctx, [rec.chi for rec in recs])
     pw = moments.family_pointwise_audit(recs, towers)
     hc = moments.holder_chain_audit(recs, towers)
     rows = [("pointwise", c.name, c.subject, c.lhs, c.rhs, c.ok)
@@ -501,72 +500,18 @@ def _cmd_audit(cfg: RunConfig) -> str:
 
 
 def _cmd_mollifier_verify(cfg: RunConfig) -> str:
-    k = cfg.k_list[0]
-    ctx = _context(cfg)
+    # the local-factor rows read lambda(p) up to their largest prime
+    ctx = _context(cfg, max(moments.LOCAL_FACTOR_PRIMES))
     ladder = ctx.ladder
     prims = characters.primitive_characters(
         characters.build_group(ctx.segments.q))
-    rows = []
-
-    # the production towers, from one prime_sums transform per rung
-    sums = [mollifier.prime_sums(ctx, j).tolist()
-            for j in range(1, ladder.R + 1)]
-    towers = [mollifier.tower(ctx, tuple(s[chi.index] for s in sums))
-              for chi in prims[:12]]
-    for j in range(1, ladder.R + 1):
-        worst = 0.0
-        for alpha, n_j in ((k, [tw.Nk[j - 1] for tw in towers]),
-                           (k - 1, [tw.Nk1[j - 1] for tw in towers])):
-            coeffs = mollifier.segment_coefficients(ctx, j, alpha)
-            for chi, a in zip(prims[:12], n_j):
-                b = mollifier.evaluate_coefficients(coeffs, chi)
-                worst = max(worst, abs(a - b))
-        rows.append(("dual_representation", f"j={j}", worst, 1e-10,
-                     worst <= 1e-10))
-
-    rng = random.Random(cfg.seed)
-    worst_exact = 0.0
-    worst_coarse = 0.0
-    for _ in range(200):
-        K = rng.randint(1, 6) * 2
-        a = rng.uniform(0.05, 2.0)
-        r = rng.uniform(1e-3, 1.0) * a * K / 20
-        z = r * cmath.exp(2j * math.pi * rng.random())
-        err = abs(mollifier.trunc_exp_tail(K, z))
-        worst_exact = max(worst_exact, err / (r ** K / math.factorial(K)))
-        worst_coarse = max(worst_coarse, err / (a * math.e / 20) ** K)
-    rows.append(("trunc_exp_tail_vs_term", "200 samples", worst_exact, 1.0,
-                 worst_exact <= 1.0))
-    rows.append(("trunc_exp_tail_vs_geom", "200 samples", worst_coarse, 1.0,
-                 worst_coarse <= 1.0))
-
-    for rec in mollifier.segment_prime_sum_bounds(ctx):
-        if rec["checked"]:
-            rows.append(("segment_prime_weight", f"j={rec['j']}",
-                         rec["value"], rec["upper"],
-                         rec["lower"] <= rec["value"] <= rec["upper"]))
-        else:
-            rows.append(("segment_prime_weight_skipped", f"j={rec['j']}",
-                         rec["value"], None, True))
-
-    chk = moments.diagonal_factorization_check(ctx, k)
-    rows.append(("diagonal_identity", f"k={_fmt(k)}", chk.residual,
-                 moments.DIAGONAL_TOL, chk.ok))
-
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        rec = moments.diagonal_local_factor(ctx.table, p, k)
-        rows.append(("diagonal_local_factor", f"p={p}", rec["deviation"],
-                     rec["bound"], rec["ok"]))
-
-    coeffs = mollifier.mollifier_coefficients(ctx, k)
+    chk = moments.verify_checks(ctx, prims[:12], cfg.seed)
     audits = {"ladder": list(ladder.ell), "c_k": ladder.c_k,
-              "r_k": ladder.r_k,
-              "support_size": len(coeffs),
-              "max_coefficient": max(abs(v) for v in coeffs.values())}
-    comments = [f"# support_size={len(coeffs)} "
+              "r_k": ladder.r_k, **chk.reported}
+    comments = [f"# support_size={audits['support_size']} "
                 f"max_coefficient={_fmt(audits['max_coefficient'])}"]
     return _render(cfg, ("name", "subject", "value", "bound", "ok"),
-                   rows, audits=audits, comments=comments)
+                   chk.checks, audits=audits, comments=comments)
 
 
 _COMMANDS = {

@@ -11,19 +11,19 @@ cut at q^(1/ell_j^2)) and three per-character quantities:
 prime_sums(ctx, j) gives P_j for every character mod q at once, as one
 characters.family_sums transform of the weights on segment j's primes.
 tower(ctx, P) evaluates the rest at the ladder's k from one character's
-P_j, with the two ladder products N(chi, k) and N(chi, k-1), and leaves
-each Q_j until it is read.  moments.family_towers builds one tower per
-character once per run, and every audit reads those records.  This exp
-form is the production route.  n_poly evaluates one N_j the same way, from
-a whole transform; nothing in the package calls it.
+P_j, with every guard power Q_j and the two ladder products N(chi, k) and
+N(chi, k-1).  moments.family_towers builds one tower per character once per
+run, and every audit reads those records.  This exp form is the production
+route.  n_poly evaluates one N_j the same way, from a whole transform;
+nothing in the package calls it.
 
 N_j also has an exact Dirichlet-polynomial form: expanding the truncated
 exponential multinomially gives sum over P_j-smooth n with Omega(n) <= ell_j
 of lt(n) a^Omega(n) / w(n) * chi(n)/sqrt(n), where lt is the completely
 multiplicative extension of the prime weights and w(p^e) = e!.  That form,
 evaluate_coefficients(segment_coefficients(...), chi), is the oracle that
-mollifier-verify and the tests compare the exp form against, and the source
-of explicit coefficient maps for family computations.
+moments.verify_checks and the tests compare the exp form against, and the
+source of explicit coefficient maps for family computations.
 
 The prime sums are weighted by lambda(p), Delta's normalized eigenvalues,
 so the Dirichlet form carries the eigenform's coefficients.  That is the
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 
 from . import arith, characters
 
@@ -264,39 +263,27 @@ def n_poly(ctx: MollifierContext, chi: characters.Character, j: int,
                      alpha * complex(prime_sums(ctx, j)[chi.index]))
 
 
-class Tower(namedtuple("Tower", "P Nk Nk1 N N1 ladder")):
+class Tower(namedtuple("Tower", "P Nk Nk1 Q N N1 ladder")):
     """One character's tower at the ladder's k.  Entry j-1 of each tuple
-    belongs to rung j: P_j, N_j(k) and N_j(k-1).  N and N1 are the ladder
-    products N(chi, k) and N(chi, k-1), 1 when R = 0.
+    belongs to rung j: P_j, N_j(k), N_j(k-1) and the guard power
+    Q_j(k) = (c_k P_j / ell_j)^(r_k ell_j).  N and N1 are the ladder
+    products N(chi, k) and N(chi, k-1), 1 when R = 0."""
 
-    The guard powers Q_j(k) are computed only when read, since most audits
-    read few of them: guard(j) evaluates one, and Q holds all R once read.
-    The class has no __slots__, so its instances carry the __dict__ that Q
-    is cached in.
-    """
-
-    def guard(self, j: int) -> complex:
-        """Q_j(k) = (c_k P_j / ell_j)^(r_k ell_j), evaluated on each call."""
-        lad = self.ladder
-        ell = lad.ell[j - 1]
-        return _ipow(lad.c_k * self.P[j - 1] / ell, lad.r_k * ell)
-
-    @cached_property
-    def Q(self) -> tuple[complex, ...]:
-        """Q_j(k) for j = 1..R, in rung order."""
-        return tuple(self.guard(j) for j in range(1, self.ladder.R + 1))
+    __slots__ = ()
 
 
 def tower(ctx: MollifierContext, P: tuple[complex, ...]) -> Tower:
     """The tower of the character whose prime sums are P (P_j for j = 1..R,
-    as prime_sums gives them): N_j(k) and N_j(k-1), and the products,
-    computed as n_poly defines them, in rung order."""
+    as prime_sums gives them): N_j(k) and N_j(k-1), computed as n_poly
+    defines them, Q_j(k), and the products, in rung order."""
     lad = ctx.ladder
     Nk = tuple(trunc_exp(ell, lad.k * p)
                for ell, p in zip(lad.ell, P, strict=True))
     Nk1 = tuple(trunc_exp(ell, (lad.k - 1) * p)
                 for ell, p in zip(lad.ell, P, strict=True))
-    return Tower(P=P, Nk=Nk, Nk1=Nk1, N=math.prod(Nk, start=1 + 0j),
+    Q = tuple(_ipow(lad.c_k * p / ell, lad.r_k * ell)
+              for ell, p in zip(lad.ell, P, strict=True))
+    return Tower(P=P, Nk=Nk, Nk1=Nk1, Q=Q, N=math.prod(Nk, start=1 + 0j),
                  N1=math.prod(Nk1, start=1 + 0j), ladder=lad)
 
 
@@ -374,26 +361,3 @@ def evaluate_coefficients(coeffs: dict[int, float],
     for n, v in zip(support, chi([n % q for n in support])):
         acc += coeffs[n] * v / math.sqrt(n)
     return complex(acc)
-
-
-def segment_prime_sum_bounds(ctx: MollifierContext) -> list[dict]:
-    """Per-segment report on sum of lambda(p)^2/p against ell_j/(4N) and
-    (2/N) ell_j; skipped (with a flag) for empty segments or override
-    ladders with no N."""
-    lad = ctx.ladder
-    out = []
-    for j in range(1, lad.R + 1):
-        seg = ctx.segments.segments[j - 1]
-        ell = lad.ell[j - 1]
-        rec = {"j": j, "ell": ell, "size": len(seg), "checked": False,
-               "value": 0.0, "lower": None, "upper": None, "ok": None}
-        if seg:
-            rec["value"] = float(sum(
-                ctx.table.lam_at(p) ** 2 / p for p in seg))
-        if seg and lad.N is not None:
-            rec["checked"] = True
-            rec["lower"] = ell / (4 * lad.N)
-            rec["upper"] = 2 * ell / lad.N
-            rec["ok"] = rec["lower"] <= rec["value"] <= rec["upper"]
-        out.append(rec)
-    return out

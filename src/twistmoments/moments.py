@@ -1,16 +1,17 @@
-"""Family moments, twisted moments, and the numerical inequality audits.
+"""Family moments, twisted moments, and the numerical checks.
 
 Everything here works over the family of primitive characters mod q, as
 built once by lvalues.family_values: the caller builds it, then passes the
 same records to every moment and audit.  The moment statistics are exact
-finite sums of |L(1/2)| powers from the lvalues module; the audits check,
-instance by instance, the pointwise truncated exponential bounds, the
-Hoelder splittings at family level, and the exact diagonal factorization
-identity behind the twisted first moment.
+finite sums of |L(1/2)| powers from the lvalues module.  Every check is a
+CheckRecord: the audits check, instance by instance, the pointwise
+truncated exponential bounds and the Hoelder splittings at family level;
+verify_checks the identities, among them the exact diagonal factorization
+behind the twisted first moment, building each coefficient map once.
 
-The audits work at the k of the towers' ladder.  family_towers checks
-that a MollifierContext and the family share q, takes each rung's prime
-sums for the whole family in one transform (mollifier.prime_sums), then
+The checks work at the k of the towers' ladder.  family_towers checks
+that a MollifierContext and the characters share q, takes each rung's
+prime sums for all of them in one transform (mollifier.prime_sums), then
 builds one mollifier.Tower per character; the caller builds them once per
 run and passes the same towers, with the records, to every audit.
 
@@ -24,7 +25,9 @@ table-backed run's path, so no run loads dataclasses.
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
 from collections import namedtuple
 
 import numpy as np
@@ -39,6 +42,10 @@ _TINY = 1e-300
 DIAGONAL_TOL = 1e-9
 # terms of the Euler-factor series summed by diagonal_local_factor
 _LOCAL_TERMS = 60
+# the primes of verify_checks' Euler factors; mollifier-verify's table
+# reaches the largest
+LOCAL_FACTOR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                       47)
 
 
 class MomentReport(namedtuple("MomentReport", (
@@ -52,14 +59,16 @@ class MomentReport(namedtuple("MomentReport", (
 
 
 class CheckRecord(namedtuple("CheckRecord", "name subject lhs rhs ok")):
-    """A single audited inequality instance: lhs <= rhs up to relative slack."""
+    """One check: an inequality's two sides, lhs <= rhs up to relative
+    slack, or an identity's residual and tolerance; rhs is None for a
+    skipped check."""
 
     __slots__ = ()
 
 
 class InequalityAudit(namedtuple("InequalityAudit", "q k checks reported")):
     """Bundle of asserted checks (a tuple of CheckRecord) plus a dict of
-    reported (not asserted) ratios."""
+    reported (not asserted) values."""
 
     __slots__ = ()
 
@@ -104,18 +113,18 @@ def family_moment(recs, k: float) -> MomentReport:
 
 
 def family_towers(ctx: mollifier.MollifierContext,
-                  recs) -> list[mollifier.Tower]:
-    """The tower of each record's character, in family order, once the
-    family's modulus is checked against the context's: one prime_sums
-    transform per rung serves every character."""
-    q = recs[0].chi.group.q
+                  chis) -> list[mollifier.Tower]:
+    """The tower of each character, in order, once their modulus is checked
+    against the context's: one prime_sums transform per rung serves every
+    character."""
+    q = chis[0].group.q
     if ctx.segments.q != q:
         raise ValueError(f"mollifier context is built for q={ctx.segments.q}"
                          f" but the family is for q={q}")
     sums = [mollifier.prime_sums(ctx, j).tolist()
             for j in range(1, ctx.ladder.R + 1)]
-    return [mollifier.tower(ctx, tuple(s[rec.chi.index] for s in sums))
-            for rec in recs]
+    return [mollifier.tower(ctx, tuple(s[chi.index] for s in sums))
+            for chi in chis]
 
 
 def twisted_first_moment(recs, towers) -> complex:
@@ -134,16 +143,18 @@ def twisted_first_moment(recs, towers) -> complex:
     return total
 
 
-class DiagonalCheck(namedtuple(
-        "DiagonalCheck", "lhs rhs residual ok local_terms")):
-    """Result of the exact convolution-vs-product identity; local_terms are
-    the per-segment factors of the product side."""
-
-    __slots__ = ()
+def _coefficient_maps(ctx: mollifier.MollifierContext, k: float):
+    """The coefficient maps the diagonal identity reads at k: those of
+    N(., k-1) and N(., k), and each segment's at alpha = k and k-1, keyed
+    (j, alpha)."""
+    seg = {(j, alpha): mollifier.segment_coefficients(ctx, j, alpha)
+           for j in range(1, ctx.ladder.R + 1) for alpha in (k, k - 1)}
+    return (mollifier.mollifier_coefficients(ctx, k - 1),
+            mollifier.mollifier_coefficients(ctx, k), seg)
 
 
 def diagonal_factorization_check(ctx: mollifier.MollifierContext,
-                                 k: float) -> DiagonalCheck:
+                                 k: float, maps=None) -> CheckRecord:
     """Exact identity behind the diagonal of the twisted first moment.
 
     With x the coefficient map of N(., k-1) and y that of N(., k), the
@@ -156,10 +167,10 @@ def diagonal_factorization_check(ctx: mollifier.MollifierContext,
         sum_n c_k(n)/n * sum_{n' | n} c_(k-1)(n') lambda(n / n'),
 
     where c_alpha is the per-segment coefficient map.  Both sides are finite
-    and must agree to DIAGONAL_TOL, relative.
+    and must agree to DIAGONAL_TOL, relative.  maps are _coefficient_maps'
+    when not given.
     """
-    x = mollifier.mollifier_coefficients(ctx, k - 1)
-    y = mollifier.mollifier_coefficients(ctx, k)
+    x, y, seg = _coefficient_maps(ctx, k) if maps is None else maps
     top = max(y)
     if top > ctx.table.n_max:
         raise ValueError(
@@ -173,23 +184,19 @@ def diagonal_factorization_check(ctx: mollifier.MollifierContext,
                 inner += ctx.table.lam_at(b // a) * xa
         lhs += yb / b * inner
     rhs = 1.0
-    locals_: list[float] = []
     for j in range(1, ctx.ladder.R + 1):
-        ck = mollifier.segment_coefficients(ctx, j, k)
-        ck1 = mollifier.segment_coefficients(ctx, j, k - 1)
         term = 0.0
-        for n, cn in ck.items():
+        for n, cn in seg[j, k].items():
             inner = 0.0
-            for np_, cn1 in ck1.items():
+            for np_, cn1 in seg[j, k - 1].items():
                 if n % np_ == 0:
                     inner += cn1 * ctx.table.lam_at(n // np_)
             term += cn / n * inner
-        locals_.append(term)
         rhs *= term
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), _TINY)
-    return DiagonalCheck(lhs=lhs, rhs=rhs, residual=residual,
-                         ok=residual < DIAGONAL_TOL,
-                         local_terms=tuple(locals_))
+    return CheckRecord(name="diagonal_identity", subject=f"k={k!r}",
+                       lhs=residual, rhs=DIAGONAL_TOL,
+                       ok=residual < DIAGONAL_TOL)
 
 
 def _lam_prime_powers(lam_p: float, jmax: int) -> list[float]:
@@ -200,18 +207,10 @@ def _lam_prime_powers(lam_p: float, jmax: int) -> list[float]:
     return out[:jmax + 1]
 
 
-def diagonal_local_factor(table: EigenformTable, p: int, k: float) -> dict:
-    """Unrestricted Euler factor of the diagonal identity at one prime.
-
-    T_p = sum_i (lambda(p)^i k^i / (p^i i!)) *
-          sum_{l<=i} (k-1)^l lambda(p)^l / l! * lambda(p^(i-l)),
-
-    which should match 1 + k^2 lambda(p)^2 / p up to a remainder of size
-    envelope/p^2.  The envelope is 10 for k <= 1 and 80 above: the
-    remainder's constant grows like k^4 (the p^-2 term carries
-    k^2 lambda^2 (5k-2)/2 against it), so larger k needs the wider one.
-    """
-    lam_p = table.lam_at(p)
+def _local_factor(lam_p: float, p: int, k: float) -> float:
+    """T_p = sum_i (lambda(p)^i k^i / (p^i i!)) *
+             sum_{l<=i} (k-1)^l lambda(p)^l / l! * lambda(p^(i-l)),
+    summed to _LOCAL_TERMS terms."""
     lpow = _lam_prime_powers(lam_p, _LOCAL_TERMS)
     # (k-1)^l lambda(p)^l / l!, l = 0..i, each computed once
     inner_w: list[float] = []
@@ -223,11 +222,89 @@ def diagonal_local_factor(table: EigenformTable, p: int, k: float) -> dict:
         inner_w.append((k - 1) ** i * lam_p ** i / math.factorial(i))
         inner = sum(w * lpow[i - l] for l, w in enumerate(inner_w))
         total += outer * inner
-    target = 1.0 + k * k * lam_p * lam_p / p
-    dev = abs(total - target)
+    return total
+
+
+def diagonal_local_factor(table: EigenformTable, p: int,
+                          k: float) -> CheckRecord:
+    """Unrestricted Euler factor _local_factor of the diagonal identity at
+    one prime, which should match 1 + k^2 lambda(p)^2 / p up to a remainder
+    of size envelope/p^2.  The envelope is 10 for k <= 1 and 80 above: the
+    remainder's constant grows like k^4 (the p^-2 term carries
+    k^2 lambda^2 (5k-2)/2 against it), so larger k needs the wider one.
+    """
+    lam_p = table.lam_at(p)
+    dev = abs(_local_factor(lam_p, p, k) - (1.0 + k * k * lam_p * lam_p / p))
     bound = (10.0 if k <= 1 else 80.0) / p ** 2
-    return {"p": p, "value": total, "target": target, "deviation": dev,
-            "bound": bound, "ok": dev <= bound}
+    return CheckRecord(name="diagonal_local_factor", subject=f"p={p}",
+                       lhs=dev, rhs=bound, ok=dev <= bound)
+
+
+def segment_weight_checks(
+        ctx: mollifier.MollifierContext) -> list[CheckRecord]:
+    """Per segment, sum of lambda(p)^2/p against ell_j/(4N) and (2/N) ell_j
+    (rhs, the upper bound; ok takes both); skipped for empty segments or
+    override ladders with no N."""
+    lad = ctx.ladder
+    out = []
+    for j, (seg, ell) in enumerate(zip(ctx.segments.segments, lad.ell), 1):
+        value = float(sum(ctx.table.lam_at(p) ** 2 / p for p in seg))
+        if seg and lad.N is not None:
+            upper = 2 * ell / lad.N
+            out.append(CheckRecord("segment_prime_weight", f"j={j}", value,
+                                   upper, ell / (4 * lad.N) <= value <= upper))
+        else:
+            out.append(CheckRecord("segment_prime_weight_skipped", f"j={j}",
+                                   value, None, True))
+    return out
+
+
+def verify_checks(ctx: mollifier.MollifierContext, chis,
+                  seed: int) -> InequalityAudit:
+    """mollifier-verify's checks at the ladder's k, in row order: per rung,
+    the exp form of N_j on chis' towers against its Dirichlet polynomial;
+    trunc_exp_tail at 200 points drawn by random.Random(seed); then
+    segment_weight_checks, diagonal_factorization_check and
+    diagonal_local_factor.  reported sums up N(., k)'s coefficient map."""
+    k = ctx.ladder.k
+    towers = family_towers(ctx, chis)
+    maps = _coefficient_maps(ctx, k)
+    _, y, seg = maps
+    checks = []
+    for j in range(1, ctx.ladder.R + 1):
+        worst = 0.0
+        for alpha, n_j in ((k, [tw.Nk[j - 1] for tw in towers]),
+                           (k - 1, [tw.Nk1[j - 1] for tw in towers])):
+            for chi, a in zip(chis, n_j):
+                b = mollifier.evaluate_coefficients(seg[j, alpha], chi)
+                worst = max(worst, abs(a - b))
+        checks.append(CheckRecord("dual_representation", f"j={j}", worst,
+                                  1e-10, worst <= 1e-10))
+
+    rng = random.Random(seed)
+    worst_exact = 0.0
+    worst_coarse = 0.0
+    for _ in range(200):
+        K = rng.randint(1, 6) * 2
+        a = rng.uniform(0.05, 2.0)
+        r = rng.uniform(1e-3, 1.0) * a * K / 20
+        z = r * cmath.exp(2j * math.pi * rng.random())
+        err = abs(mollifier.trunc_exp_tail(K, z))
+        worst_exact = max(worst_exact, err / (r ** K / math.factorial(K)))
+        worst_coarse = max(worst_coarse, err / (a * math.e / 20) ** K)
+    checks.append(CheckRecord("trunc_exp_tail_vs_term", "200 samples",
+                              worst_exact, 1.0, worst_exact <= 1.0))
+    checks.append(CheckRecord("trunc_exp_tail_vs_geom", "200 samples",
+                              worst_coarse, 1.0, worst_coarse <= 1.0))
+
+    checks += segment_weight_checks(ctx)
+    checks.append(diagonal_factorization_check(ctx, k, maps))
+    checks += [diagonal_local_factor(ctx.table, p, k)
+               for p in LOCAL_FACTOR_PRIMES]
+    return InequalityAudit(
+        q=ctx.segments.q, k=k, checks=tuple(checks),
+        reported={"support_size": len(y),
+                  "max_coefficient": max(abs(v) for v in y.values())})
 
 
 def pointwise_inequality_audit(chi: characters.Character,
@@ -248,7 +325,7 @@ def pointwise_inequality_audit(chi: characters.Character,
         large: same left side <= |Q_j(k)|^2, and |Q_j(k)| >= 1.
 
     All are exact inequalities; each instance is asserted with relative
-    slack _SLACK.  Q_j(k) is computed for the large regime only.
+    slack _SLACK.
     """
     kk = tw.ladder.k
     checks: list[CheckRecord] = []
@@ -274,7 +351,7 @@ def pointwise_inequality_audit(chi: characters.Character,
                     Nk1 ** (2 * kk) * Nk ** (2 * (1 - kk)),
                     (1 - x) ** 2, lower=True)
             else:
-                Q = abs(tw.guard(j))
+                Q = abs(tw.Q[j - 1])
                 mid = (64 * P / ell) ** (2 * (1 + 1 / kk) * ell)
                 add("product_large_regime", j, Nk ** (2 / kk) * Nk1 ** 2, mid)
                 add("q_dominates_large_regime", j, mid, Q * Q)
@@ -287,7 +364,7 @@ def pointwise_inequality_audit(chi: characters.Character,
                     Nk ** 2 * (1 + x) ** e
                     * (1 - x) ** (-2 * (kk - 1) / (2 * kk - 1)))
             else:
-                Q = abs(tw.guard(j))
+                Q = abs(tw.Q[j - 1])
                 add("product_large_regime", j, (Nk * Nk1) ** e, Q * Q)
                 add("guard_unit", j, Q, 1.0, lower=True)
     return InequalityAudit(q=chi.group.q, k=kk, checks=tuple(checks),

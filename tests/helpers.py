@@ -277,7 +277,7 @@ def first_power_bins_one_pass(f, q, cfg) -> tuple:
 
 def local_factor_literal(lam_p: float, p: int, k: float,
                          terms: int) -> float:
-    """T_p of moments.diagonal_local_factor term by term as its docstring
+    """T_p of moments._local_factor term by term as its docstring
     writes it, every power and factorial taken afresh in each (i, l)
     term, the terms added in the same order."""
     lpow = [1.0, lam_p]

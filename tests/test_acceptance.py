@@ -220,7 +220,7 @@ def test_07_inequality_audit(sweep_table):
             lad = mollifier.build_ladder(q, k=k, override_ell=(8, 2))
             segs = mollifier.build_segments(q, lad)
             ctx = mollifier.MollifierContext(sweep_table, lad, segs)
-            towers = moments.family_towers(ctx, recs)
+            towers = moments.family_towers(ctx, [r.chi for r in recs])
             fam = moments.family_pointwise_audit(recs, towers)
             if not fam.all_ok:
                 failures.append(("pointwise", q, k, fam.failures()[:2]))

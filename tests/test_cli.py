@@ -15,7 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from twistmoments import characters, cli, hecke, lvalues, mollifier, weights
+from twistmoments import (characters, cli, hecke, lvalues, moments, mollifier,
+                          weights)
 
 import helpers
 
@@ -304,11 +305,24 @@ def test_warm_runs_load_no_dataclasses_or_numpy_random(args, warm_cache):
     assert proc.returncode == 0, proc.stderr
 
 
+# the spans a traced run of each command must record
+_TRACED_SPANS = {
+    "chars": {"characters.group"},
+    "lvalue": {"characters.group"},
+    "audit": {"characters.group", "moments.pointwise", "moments.holder"},
+    "mollifier-verify": {"characters.group", "moments.diagonal",
+                         "mollifier.coeffs"},
+}
+
+
 @pytest.mark.parametrize("args", [["chars", "--q", "5"],
-                                  ["lvalue", "--q", "7"]])
+                                  ["lvalue", "--q", "7"],
+                                  ["audit", "--q", "5"],
+                                  ["mollifier-verify", "--q", "5"]])
 def test_tracer_runs_on_lazy_layers(tmp_path, args):
     # perfbench/trace_cli.py reads every layer from sys.modules after
-    # importing only the cli, then wraps their functions
+    # importing only the cli, then wraps their functions; the wrapped
+    # checks must still be the ones audit and mollifier-verify call
     trace = tmp_path / "t.json"
     proc = subprocess.run(
         [sys.executable, str(_ROOT / "perfbench" / "trace_cli.py"),
@@ -316,7 +330,7 @@ def test_tracer_runs_on_lazy_layers(tmp_path, args):
         capture_output=True, text=True, env=_FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
     spans = json.loads(trace.read_text())["spans"]
-    assert "characters.group" in {span[0] for span in spans}
+    assert _TRACED_SPANS[args[0]] <= {span[0] for span in spans}
 
 
 def test_lvalue_family(capsys):
@@ -397,8 +411,8 @@ def test_audit_builds_group_family_and_context_once(monkeypatch, capsys):
 
 def test_audit_builds_each_tower_once_per_audit(monkeypatch, capsys):
     # 51 characters, R = 2: one tower each, read by the pointwise and the
-    # Hoelder audit, and a tower is 2R truncated exponentials and at most R
-    # guard powers
+    # Hoelder audit, and a tower is 2R truncated exponentials and R guard
+    # powers
     calls = collections.Counter()
     for name in ("trunc_exp", "_ipow"):
         def counted(*args, _fn=getattr(mollifier, name), _name=name):
@@ -419,14 +433,18 @@ def test_towers_read_chi_at_the_segment_primes_only(monkeypatch, capsys):
     # lvalue or sweep.  mollifier-verify evaluates chi only in
     # evaluate_coefficients, once per call on the coefficient support, and
     # reads the 12 characters' towers from one prime sum per rung (2), where
-    # n_poly took a whole transform per call (48)
+    # n_poly took a whole transform per call (48).  It builds each of its
+    # 2R segment maps once for the dual rows and the identity, and each
+    # product map, at alpha = k-1 and k, once (its R segment maps again)
     calls = collections.Counter()
     for owner, name in ((characters, "family_sums"),
                         (characters, "gauss_sum"),
                         (characters.Character, "__call__"),
                         (mollifier, "tower"),
                         (mollifier, "n_poly"),
-                        (mollifier, "evaluate_coefficients")):
+                        (mollifier, "evaluate_coefficients"),
+                        (mollifier, "segment_coefficients"),
+                        (mollifier, "mollifier_coefficients")):
         def counted(*args, _fn=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
@@ -445,15 +463,16 @@ def test_towers_read_chi_at_the_segment_primes_only(monkeypatch, capsys):
     assert rc == 0
     assert calls["__call__"] == calls["evaluate_coefficients"] == 48
     assert calls["family_sums"] == 2 and calls["tower"] == 12
+    assert calls["segment_coefficients"] == 8
+    assert calls["mollifier_coefficients"] == 2
     assert calls["gauss_sum"] == calls["n_poly"] == 0
 
 
 @pytest.mark.parametrize("k", ["0.5", "2"])
-def test_audit_computes_only_the_guard_powers_it_reads(k, monkeypatch,
-                                                       capsys):
-    # the pointwise audit reads Q_j in its large regime alone, one
-    # guard_unit row per rung there; the Hoelder audit reads all R of each
-    # of the 51 characters at k <= 1 and none at k > 1
+def test_audit_computes_each_guard_power_once(k, monkeypatch, capsys):
+    # tower computes the R = 2 guard powers of each of the 51 characters;
+    # the pointwise audit (large regime) and the Hoelder audit (k <= 1)
+    # read them from the tower
     calls = collections.Counter()
 
     def counted(*args, _fn=mollifier._ipow):
@@ -465,11 +484,25 @@ def test_audit_computes_only_the_guard_powers_it_reads(k, monkeypatch,
                          capsys)
     assert rc == 0
     rows = json.loads(out)["rows"]
-    large = sum(r["kind"] == "pointwise" and r["name"] == "guard_unit"
-                for r in rows)
-    assert calls["_ipow"] == large + (51 * 2 if float(k) <= 1 else 0)
-    if k == "2":
-        assert calls["_ipow"] == 51
+    assert any(r["name"] == "guard_unit" for r in rows)
+    assert calls["_ipow"] == 51 * 2
+
+
+@pytest.mark.parametrize("args", [["--q", "3", "--tail-eps", "0.5"],
+                                  ["--q", "5", "--tail-eps", "0.9",
+                                   "--k", "2"]])
+def test_mollifier_verify_table_reaches_the_local_factor_primes(args,
+                                                                capsys):
+    # n_cap is 26 terms at q = 3, tail-eps 0.5, and the local-factor rows
+    # read lambda(p) up to p = 47
+    rc, out, err = run_cli(["mollifier-verify", *args, "--format", "json"],
+                           capsys)
+    assert rc == 0, err
+    rows = json.loads(out)["rows"]
+    assert all(r["ok"] for r in rows)
+    assert [r["subject"] for r in rows
+            if r["name"] == "diagonal_local_factor"] == [
+        f"p={p}" for p in moments.LOCAL_FACTOR_PRIMES]
 
 
 def test_mollifier_verify_json(capsys):

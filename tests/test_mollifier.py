@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from twistmoments import characters, hecke, mollifier
+from twistmoments import characters, hecke, moments, mollifier
 
 import helpers
 
@@ -392,27 +392,41 @@ def test_prime_sum_of_the_prime_two(table_100k):
     assert abs(abs(P) - 0.375) < 1e-12
 
 
+def _weight_checks(table, N):
+    lad = mollifier.build_ladder(53, N=N, M=1, override_ell=(8, 2))
+    ctx = mollifier.MollifierContext(table, lad,
+                                     mollifier.build_segments(53, lad))
+    return moments.segment_weight_checks(ctx)
+
+
 def test_segment_prime_sum_bounds(table_100k):
-    lad = mollifier.build_ladder(53, N=2, M=1, override_ell=(8, 2))
-    segs = mollifier.build_segments(53, lad)
-    ctx = mollifier.MollifierContext(table_100k, lad, segs)
-    recs = mollifier.segment_prime_sum_bounds(ctx)
-    assert [r["j"] for r in recs] == [1, 2]
-    assert recs[0]["checked"] is False  # empty segment skipped
+    recs = _weight_checks(table_100k, 2)
+    assert [r.subject for r in recs] == ["j=1", "j=2"]
+    # empty segment skipped
+    assert recs[0] == ("segment_prime_weight_skipped", "j=1", 0.0, None,
+                       True)
     r2 = recs[1]
-    assert r2["checked"] is True
-    assert abs(r2["value"] - table_100k.lam_at(2) ** 2 / 2) < 1e-15
-    assert r2["lower"] == lad.ell[1] / (4 * 2)
-    assert r2["upper"] == 2 * lad.ell[1] / 2
-    assert r2["ok"] == (r2["lower"] <= r2["value"] <= r2["upper"])
+    assert r2.name == "segment_prime_weight"
+    value = table_100k.lam_at(2) ** 2 / 2        # 0.140625
+    assert abs(r2.lhs - value) < 1e-15
+    assert r2.rhs == 2 * 2 / 2
+    # ok is ell_2/(4N) <= value <= 2 ell_2/N with ell_2 = 2: the lower
+    # bound is 0.25, 1/6 and 0.125 at N = 2, 3, 4, the upper bound 1/7
+    # and 4/29 at N = 28, 29
+    for N in (2, 3, 4, 28, 29):
+        r2 = _weight_checks(table_100k, N)[1]
+        assert r2.rhs == 4 / N
+        assert r2.ok == (2 / (4 * N) <= r2.lhs <= 4 / N)
+        assert r2.ok == (N in (4, 28)), N
 
     # override ladder without N: diagnostics report but do not check
     plain = mollifier.build_ladder(53, override_ell=(8, 2))
     ctx2 = mollifier.MollifierContext(table_100k, plain,
                                       mollifier.build_segments(53, plain))
-    recs2 = mollifier.segment_prime_sum_bounds(ctx2)
-    assert all(r["checked"] is False for r in recs2)
-    assert recs2[1]["value"] > 0
+    recs2 = moments.segment_weight_checks(ctx2)
+    assert all(r.name == "segment_prime_weight_skipped" and r.rhs is None
+               and r.ok for r in recs2)
+    assert recs2[1].lhs > 0
 
 
 @pytest.mark.parametrize("q, ell, segment", [

@@ -33,10 +33,14 @@ def _context(table, q, k=1.0):
                                       mollifier.build_segments(q, lad))
 
 
+def _chis(recs):
+    return [rec.chi for rec in recs]
+
+
 def _towers(table, recs, k=1.0):
     """The family's towers on the (8, 2) ladder at k."""
     return moments.family_towers(
-        _context(table, recs[0].chi.group.q, k), recs)
+        _context(table, recs[0].chi.group.q, k), _chis(recs))
 
 
 def test_zeroth_moment_counts_family(fam53):
@@ -83,7 +87,8 @@ def test_twisted_moment_degenerate_equals_plain_first_moment(table_100k,
                                                             fam7):
     ctx = _context(table_100k, 7)  # 7^(1/4) < 2: every segment is empty
     assert ctx.segments.empty_flags == (True, True)
-    tw = moments.twisted_first_moment(fam7, moments.family_towers(ctx, fam7))
+    tw = moments.twisted_first_moment(
+        fam7, moments.family_towers(ctx, _chis(fam7)))
     first = sum(r.value for r in fam7)
     assert abs(tw - first) < 1e-10
 
@@ -106,8 +111,8 @@ def test_twisted_moment_against_coefficient_oracle(family_table, fam53):
         want += (rec.value
                  * mollifier.evaluate_coefficients(ca, bar)
                  * mollifier.evaluate_coefficients(cb, chi))
-    got = moments.twisted_first_moment(fam53,
-                                       moments.family_towers(ctx, fam53))
+    got = moments.twisted_first_moment(
+        fam53, moments.family_towers(ctx, _chis(fam53)))
     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
 
 
@@ -121,7 +126,7 @@ def test_family_and_context_must_share_modulus(audit, table_100k, fam7):
     # context for another modulus before any audit runs
     with pytest.raises(ValueError, match="q=11"):
         audit(fam7, moments.family_towers(_context(table_100k, 11, 0.5),
-                                          fam7))
+                                          _chis(fam7)))
 
 
 def test_diagonal_identity_synthetic(table_100k):
@@ -130,8 +135,13 @@ def test_diagonal_identity_synthetic(table_100k):
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     chk = moments.diagonal_factorization_check(ctx, 1.0)
     assert chk.ok
-    assert abs(chk.residual) < 1e-12
-    assert len(chk.local_terms) == 1
+    assert (chk.name, chk.subject, chk.rhs) == (
+        "diagonal_identity", "k=1.0", moments.DIAGONAL_TOL)
+    assert abs(chk.lhs) < 1e-12
+    # the product side takes one local term per segment, from its maps at
+    # alpha = k and k-1
+    assert sorted(moments._coefficient_maps(ctx, 1.0)[2]) == [(1, 0.0),
+                                                              (1, 1.0)]
 
     lad2 = mollifier.build_ladder(11, override_ell=(4, 2))
     segs2 = mollifier.PrimeSegments(q=11, boundaries=(3.5, 7.5),
@@ -139,7 +149,8 @@ def test_diagonal_identity_synthetic(table_100k):
     ctx2 = mollifier.MollifierContext(table_100k, lad2, segs2)
     chk2 = moments.diagonal_factorization_check(ctx2, 0.5)
     assert chk2.ok
-    assert len(chk2.local_terms) == 2
+    assert sorted(moments._coefficient_maps(ctx2, 0.5)[2]) == [
+        (1, -0.5), (1, 0.5), (2, -0.5), (2, 0.5)]
 
 
 def test_diagonal_identity_desk_ladder(family_table):
@@ -164,23 +175,26 @@ def test_diagonal_local_factor_envelopes(table_100k):
     for k in (0.5, 0.75, 1.0):
         for p in primes:
             rec = moments.diagonal_local_factor(table_100k, p, k)
-            assert rec["ok"], (p, k)
-            assert rec["ok"] == (rec["deviation"] <= rec["bound"])
-            assert rec["bound"] == 10.0 / p ** 2
+            assert rec.ok, (p, k)
+            assert rec.ok == (rec.lhs <= rec.rhs)
+            assert rec.rhs == 10.0 / p ** 2
+            assert (rec.name, rec.subject) == ("diagonal_local_factor",
+                                               f"p={p}")
     # k^4 growth breaks the k <= 1 envelope of 10, so k = 2 takes 80
     wide = [moments.diagonal_local_factor(table_100k, p, 2.0) for p in primes]
-    assert all(r["ok"] for r in wide)
-    assert [r["bound"] for r in wide] == [80.0 / p ** 2 for p in primes]
+    assert all(r.ok for r in wide)
+    assert [r.rhs for r in wide] == [80.0 / p ** 2 for p in primes]
 
 
 def test_diagonal_local_factor_equals_the_literal_sum(table_100k):
     # the weights (k-1)^l lambda(p)^l / l! are computed once per prime; the
     # value is the literal double sum to the bit
     for k in (0.5, 1.0, 2.0, 0.25, 3.0):
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            rec = moments.diagonal_local_factor(table_100k, p, k)
-            assert rec["value"] == helpers.local_factor_literal(
-                table_100k.lam_at(p), p, k, moments._LOCAL_TERMS), (p, k)
+        for p in moments.LOCAL_FACTOR_PRIMES:
+            lam_p = table_100k.lam_at(p)
+            assert moments._local_factor(lam_p, p, k) == \
+                helpers.local_factor_literal(lam_p, p, k,
+                                             moments._LOCAL_TERMS), (p, k)
 
 
 @pytest.mark.parametrize("q, k, expect", [
@@ -234,7 +248,8 @@ def test_holder_chain_audit(k, family_table, fam53):
 
 
 def _upper_terms(ctx, recs):
-    return moments._upper_terms(recs, moments.family_towers(ctx, recs))
+    return moments._upper_terms(recs,
+                                moments.family_towers(ctx, _chis(recs)))
 
 
 def _upper_sums(ctx, recs):
