@@ -11,7 +11,6 @@ table afresh on each call and keep nothing; numpy is imported only there.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 # typing.TYPE_CHECKING without loading typing, which the numpy-free listing
 # path would otherwise import for this flag alone; type checkers read any
@@ -52,18 +51,12 @@ def sieve_primes(limit: int) -> np.ndarray:
     return n[tab[2:limit + 1] == n]
 
 
-class Factorization(namedtuple("Factorization", "n factors")):
-    """Canonical factorization n = prod p^e, primes strictly ascending:
-    n (int) and factors, a tuple of (p, e) pairs."""
-
-    __slots__ = ()
-
-
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer by trial division.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Factor a positive integer by trial division: the canonical
+    factorization n = prod p^e as (p, e) pairs, primes strictly ascending.
 
     Args:
-        n: integer >= 1; n = 1 yields an empty factor list.
+        n: integer >= 1; n = 1 yields no pairs.
 
     Raises:
         ValueError: on n < 1.
@@ -83,12 +76,12 @@ def factorize(n: int) -> Factorization:
         d += 1 if d == 2 else 2
     if m > 1:
         out.append((m, 1))
-    return Factorization(int(n), tuple(out))
+    return tuple(out)
 
 
 def mobius(n: int) -> int:
     """Mobius mu(n): 0 unless n is squarefree, else (-1)^(number of primes)."""
-    fac = factorize(n).factors
+    fac = factorize(n)
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
@@ -96,7 +89,7 @@ def mobius(n: int) -> int:
 
 def euler_phi(n: int) -> int:
     out = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         out *= (p - 1) * p ** (e - 1)
     return out
 
@@ -104,7 +97,7 @@ def euler_phi(n: int) -> int:
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending."""
     divs = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         divs = [d * p ** j for j in range(e + 1) for d in divs]
     return sorted(divs)
 

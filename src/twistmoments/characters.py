@@ -18,10 +18,10 @@ pass: each follows in closed form from the exponents on each prime power.
 The discrete-log rows, the unit mask and the roots of unity are numpy
 arrays, built on the first evaluation of a character value or sum and kept
 with the group, so listing a family imports no numpy.  Nor does it import
-dataclasses: CharacterGroup, like arith.Factorization and cli.RunConfig, is
-a named-tuple subclass, since dataclasses loads inspect, ast, dis and
-tokenize and generates each record's methods when its class is defined,
-about 10 ms of a listing process that does nothing else.
+dataclasses: CharacterGroup, like cli.RunConfig, is a named-tuple subclass,
+since dataclasses loads inspect, ast, dis and tokenize and generates each
+record's methods when its class is defined, about 10 ms of a listing
+process that does nothing else.
 
 Convention: e(z) = exp(2*pi*i*z).  The Kloosterman sum here is
 S(u,v,q) = sum over units h of e((u h + v h^-1)/q); some sources write the
@@ -52,7 +52,7 @@ def least_primitive_root(m: int) -> int:
     """Least primitive root of m; caller guarantees one exists (m odd prime
     power, or m in {2, 4})."""
     phi = arith.euler_phi(m)
-    phi_primes = tuple(p for p, _ in arith.factorize(phi).factors)
+    phi_primes = tuple(p for p, _ in arith.factorize(phi))
     for g in range(2, m):
         if _is_primitive_root(g, m, phi, phi_primes):
             return g
@@ -163,14 +163,6 @@ class CharacterGroup(namedtuple(
         roots.setflags(write=False)
         return roots
 
-    def character(self, index: int) -> "Character":
-        if not 0 <= index < self.phi_q:
-            raise ValueError(f"character index {index} out of 0..{self.phi_q - 1}")
-        return Character(self, index)
-
-    def characters(self) -> list["Character"]:
-        return [Character(self, e) for e in range(self.phi_q)]
-
 
 @lru_cache(maxsize=16)
 def build_group(q: int) -> CharacterGroup:
@@ -193,7 +185,7 @@ def build_group(q: int) -> CharacterGroup:
     # is s + 2t for (-1)^s 5^t, and chi(-1) = (-1)^s.
     components: list[tuple[int, int, int]] = []
     local: list[tuple[list[int], list[bool], list[int]]] = []
-    for p, a in arith.factorize(q).factors:
+    for p, a in arith.factorize(q):
         m = p ** a
         if p == 2 and a >= 3:
             d = m // 4
@@ -266,14 +258,6 @@ class Character:
     @property
     def is_primitive(self) -> bool:
         return self.group.conductors[self.index] == self.group.q
-
-    @property
-    def is_principal(self) -> bool:
-        return self.index == 0
-
-    def conjugate_index(self) -> int:
-        """Flat index of chi-bar."""
-        return self.group.conj[self.index]
 
     def __repr__(self):
         return (f"Character(q={self.group.q}, index={self.index}, "

@@ -9,13 +9,13 @@ the same config and seed the bytes are identical.
 Exit codes: 0 success, 1 bad usage or config, 2 computation failure.
 
 Listing a family (chars) loads neither numpy nor dataclasses: the records on
-its path, RunConfig here, characters.CharacterGroup and arith.Factorization,
-are named-tuple subclasses, and its CSV is formatted one character group at
-a time.  No command loads dataclasses or numpy.random: the table-backed
-records are named tuples too, and the seeded draws use random.Random.  The
-kernel grids are read while the config is checked, from the --cache-dir
-kernel file when one is given; a bad file or directory there fails the
-computation (exit 2), as a bad cached table does.
+its path, RunConfig here and characters.CharacterGroup, are named-tuple
+subclasses, and its CSV is formatted one character group at a time.  No
+command loads dataclasses or numpy.random: the table-backed records are
+named tuples too, and the seeded draws use random.Random.  The kernel grids
+are read while the config is checked, from the --cache-dir kernel file when
+one is given; a bad file or directory there fails the computation (exit 2),
+as a bad cached table does, and so does an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -250,6 +250,15 @@ def _validate(cfg: RunConfig):
     for what, vals in (("modulus", cfg.q_list), ("k", cfg.k_list)):
         if len(set(vals)) != len(vals):
             raise _CliError(f"repeated {what} in {vals}")
+    if cfg.command in ("moments", "sweep", "fit", "audit"):
+        # each moment is divided by (log q)^(k^2), largest at the largest q
+        q = max(cfg.q_list)
+        for k in cfg.k_list:
+            try:
+                math.log(q) ** (k * k)
+            except OverflowError:
+                raise _CliError(f"k={k:g} is too large at q={q}: "
+                                "(log q)^(k^2) overflows")
     if cfg.command in ("mollifier-verify", "audit") or cfg.ell is not None:
         try:
             cfg.ladder(max(cfg.q_list or (3,)))
@@ -291,17 +300,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# the C-level formatter that gives _fmt's text for a column whose values all
-# have this exact type (so a bool never takes int's, and numpy scalars and
-# None fall through to _fmt)
-_COLUMN_FMT = {bool: "01".__getitem__, int: str, float: repr, str: str}
-
-
-def _format_column(col: tuple) -> list[str]:
-    kinds = set(map(type, col))
-    fmt = _COLUMN_FMT.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(fmt or _fmt, col))
-
 
 def _csv_text(cfg: RunConfig, header, lines) -> str:
     """The hash comment, the header and the given lines, each ended by a
@@ -310,9 +308,9 @@ def _csv_text(cfg: RunConfig, header, lines) -> str:
 
 
 def _csv(cfg: RunConfig, header, rows, comments=()) -> str:
-    """One line per row, each column formatted as a whole."""
-    cols = [_format_column(col) for col in zip(*rows)]
-    return _csv_text(cfg, header, [*map(",".join, zip(*cols)), *comments])
+    """One line per row, each cell formatted by _fmt."""
+    lines = [",".join(map(_fmt, row)) for row in rows]
+    return _csv_text(cfg, header, [*lines, *comments])
 
 
 def _json_default(v):
@@ -378,15 +376,22 @@ def _cmd_weights(cfg: RunConfig) -> str:
     return _render(cfg, ("x", "W", "W2"), rows)
 
 
+def _table(cfg: RunConfig, n_min: int = 0) -> hecke.EigenformTable:
+    """The run's one eigenform table, sized for the largest n_cap over its
+    moduli, or for n_min if that is more."""
+    afe = cfg.afe()
+    need = max(lvalues.required_n_cap(q, afe) for q in cfg.q_list)
+    return hecke.shared_eigenform(max(need, n_min), cache_dir=cfg.cache_dir)
+
+
 def _cmd_lvalue(cfg: RunConfig) -> str:
     afe = cfg.afe()
-    caps = [lvalues.required_n_cap(q, afe) for q in cfg.q_list]
-    # one table; each family reads the prefix its own n_cap would get, so
-    # its audit flags do not depend on the other moduli
-    tab = hecke.shared_eigenform(max(caps), cache_dir=cfg.cache_dir)
+    tab = _table(cfg)
     rows, audits, comments = [], [], []
-    for q, cap in zip(cfg.q_list, caps):
-        prefix = hecke.table_prefix(tab, cap)
+    for q in cfg.q_list:
+        # each family reads the prefix its own n_cap would get, so its audit
+        # flags do not depend on the other moduli
+        prefix = hecke.table_prefix(tab, lvalues.required_n_cap(q, afe))
         recs = lvalues.family_values(prefix, q, afe)
         rows += [(q, r.chi.index, r.chi.conductor, r.value.real,
                   r.value.imag, abs(r.value), r.sq_direct, r.residual,
@@ -403,12 +408,10 @@ def _cmd_lvalue(cfg: RunConfig) -> str:
 
 
 def _moment_rows(cfg: RunConfig):
-    afe = cfg.afe()
-    need = max(lvalues.required_n_cap(q, afe) for q in cfg.q_list)
-    tab = hecke.shared_eigenform(need, cache_dir=cfg.cache_dir)
     rows = []
     reports: dict[float, list[moments.MomentReport]] = {}
-    for rep in moments.sweep_reports(tab, cfg.q_list, cfg.k_list, afe):
+    for rep in moments.sweep_reports(_table(cfg), cfg.q_list, cfg.k_list,
+                                     cfg.afe()):
         reports.setdefault(rep.k, []).append(rep)
         rows.append((rep.q, rep.k, rep.phi_star, rep.raw_moment,
                      rep.normalized, rep.ratio_to_logq_pow_k2))
@@ -464,15 +467,11 @@ def _cmd_fit(cfg: RunConfig) -> str:
 
 
 def _context(cfg: RunConfig, n_min: int = 0) -> mollifier.MollifierContext:
-    """The eigenform table, ladder and prime segments of the run's one
-    modulus, held by its mollifier context.  The table holds n_cap terms,
-    or n_min if that is more."""
+    """The eigenform table (_table's), ladder and prime segments of the
+    run's one modulus, held by its mollifier context."""
     q = cfg.q_list[0]
     ladder = cfg.ladder(q)
-    tab = hecke.shared_eigenform(
-        max(lvalues.required_n_cap(q, cfg.afe()), n_min),
-        cache_dir=cfg.cache_dir)
-    return mollifier.MollifierContext(tab, ladder,
+    return mollifier.MollifierContext(_table(cfg, n_min), ladder,
                                       mollifier.build_segments(q, ladder))
 
 
@@ -546,7 +545,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve(args)
-        text = _COMMANDS[cfg.command](cfg)
+        _emit(_COMMANDS[cfg.command](cfg), cfg.out)
     except _CliError as exc:
         print(f"twistmoments: error: {exc}", file=sys.stderr)
         return 1
@@ -554,7 +553,6 @@ def run(argv=None) -> int:
             OSError) as exc:
         print(f"twistmoments: computation failed: {exc}", file=sys.stderr)
         return 2
-    _emit(text, cfg.out)
     return 0
 
 

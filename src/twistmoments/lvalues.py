@@ -57,7 +57,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import characters, sums, weights
+from . import TAU_N_MAX, characters, sums, weights
 
 # typing.TYPE_CHECKING without loading typing, as in arith
 TYPE_CHECKING = False
@@ -103,8 +103,6 @@ SAFETY = 8.0
 # largest relative mismatch allowed between the two routes on an audited
 # character
 CROSS_TOL = 1e-3
-# largest truncation length either route may ask for
-CAP_LIMIT = 200_000_000
 # terms per block of the first-power binning, which then holds a few
 # block-length arrays beside the bins whatever n_cap is
 _BIN_BLOCK = 1 << 16
@@ -133,9 +131,10 @@ def required_n_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG) -> int:
     ev = default_evaluators()[0]
     x_eps = ev.envelope_cutoff(cfg.tail_eps / SAFETY)
     cap = int(np.ceil(x_eps * q * max(cfg.X, 1.0 / cfg.X)))
-    if cap > CAP_LIMIT:
+    # no eigenform table holds more than TAU_N_MAX terms
+    if cap > TAU_N_MAX:
         raise ValueError(f"n_cap {cap:.4g} exceeds the limit "
-                         f"{CAP_LIMIT} at q={q}")
+                         f"{TAU_N_MAX} at q={q}")
     return cap
 
 
@@ -144,8 +143,8 @@ def required_m_cap(q: int, cfg: AfeConfig = DEFAULT_CONFIG) -> int:
     ev2 = default_evaluators()[1]
     x_eps = ev2.envelope_cutoff(cfg.tail_eps / SAFETY)
     cap = int(np.ceil(x_eps * q * q / (2 * np.pi)))
-    if cap > CAP_LIMIT:
-        raise ValueError(f"m_cap {cap} exceeds the limit {CAP_LIMIT} "
+    if cap > TAU_N_MAX:
+        raise ValueError(f"m_cap {cap} exceeds the limit {TAU_N_MAX} "
                          f"at q={q}")
     return cap
 
@@ -313,7 +312,7 @@ def family_values(f: EigenformTable, q: int,
 
     The records are the family that moments and audits take: build it once
     per modulus and pass it on.  Since the indices ascend, chi-bar's record
-    is found by looking up chi.conjugate_index() among them.
+    is found by looking up chi.group.conj[chi.index] among them.
 
     The audit subsample (cfg.audit_count characters, drawn by
     random.Random(cfg.seed)) is recomputed through both independent routes,

@@ -76,12 +76,10 @@ def r_k_value(k: float) -> int:
     return math.ceil(1 + 1 / k) + 1
 
 
-class LadderParams(namedtuple(
-        "LadderParams", "k ell c_k r_k N M generated",
-        defaults=(None, None, False))):
+class LadderParams(namedtuple("LadderParams", "k ell c_k r_k N M",
+                              defaults=(None, None))):
     """Lengths ell (decreasing, even), with the k-dependent constants c_k
-    and r_k; N and M are the schedule's (None for an override), and
-    generated tells whether the schedule made ell."""
+    and r_k; N and M are the schedule's (None for an override)."""
 
     __slots__ = ()
 
@@ -128,7 +126,7 @@ def build_ladder(q: int, N: int | None = None, M: int | None = None,
         ell = tuple(int(l) for l in override_ell)
         _validate_ell(ell, generated=False)
         return LadderParams(k=k, ell=ell, c_k=c_k_value(k), r_k=r_k_value(k),
-                            N=N, M=M, generated=False)
+                            N=N, M=M)
     if N is None or M is None:
         raise ValueError("need N and M (or an override ladder)")
     if N < 1 or M < 1:
@@ -146,36 +144,30 @@ def build_ladder(q: int, N: int | None = None, M: int | None = None,
     out = tuple(ell)
     _validate_ell(out, generated=True)
     return LadderParams(k=k, ell=out, c_k=c_k_value(k), r_k=r_k_value(k),
-                        N=N, M=M, generated=True)
+                        N=N, M=M)
 
 
-class PrimeSegments(namedtuple("PrimeSegments", "q boundaries segments")):
-    """Disjoint prime intervals, one per ladder entry: q, the float
-    boundaries and a tuple of prime tuples.
+class PrimeSegments(namedtuple("PrimeSegments", "q segments")):
+    """Disjoint prime intervals, one per ladder entry: q and a tuple of
+    prime tuples.
 
-    boundaries[j] = q^(1/ell_(j+1)^2).  Segment 1 is the odd primes up to
-    boundaries[0]; segment j > 1 is the primes in
-    (boundaries[j-2], boundaries[j-1]], read literally, so 2 belongs to the
-    first later segment whose lower edge is below it.
+    Segment j ends at b_j = q^(1/ell_j^2).  Segment 1 is the odd primes up
+    to b_1; segment j > 1 is the primes in (b_(j-1), b_j], read literally,
+    so 2 belongs to the first later segment whose lower edge is below it.
     """
 
     __slots__ = ()
 
-    @property
-    def empty_flags(self) -> tuple[bool, ...]:
-        return tuple(len(s) == 0 for s in self.segments)
-
 
 def build_segments(q: int, ladder: LadderParams) -> PrimeSegments:
-    bounds = tuple(q ** (1.0 / (l * l)) for l in ladder.ell)
     segs: list[tuple[int, ...]] = []
     lo = 2.0  # segment 1 takes odd primes only
-    for j, hi in enumerate(bounds):
+    for l in ladder.ell:
+        hi = q ** (1.0 / (l * l))
         primes = arith.sieve_primes(int(hi)) if hi >= 2 else ()
-        seg = tuple(int(p) for p in primes if lo < p <= hi)
-        segs.append(seg)
+        segs.append(tuple(int(p) for p in primes if lo < p <= hi))
         lo = hi
-    return PrimeSegments(q=q, boundaries=bounds, segments=tuple(segs))
+    return PrimeSegments(q=q, segments=tuple(segs))
 
 
 def trunc_exp(ell: int, z: complex) -> complex:

@@ -49,7 +49,7 @@ LOCAL_FACTOR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
 
 
 class MomentReport(namedtuple("MomentReport", (
-        "q", "k", "phi_star", "raw_moment", "normalized", "log_q",
+        "q", "k", "phi_star", "raw_moment", "normalized",
         "ratio_to_logq_pow_k2"))):
     """One family moment: q, k, and Sum* |L(1/2)|^(2k) with normalizations:
     normalized is raw_moment / phi_star, ratio_to_logq_pow_k2 is
@@ -73,19 +73,12 @@ class InequalityAudit(namedtuple("InequalityAudit", "q k checks reported")):
     __slots__ = ()
 
     @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
     def pass_count(self) -> int:
         return sum(1 for c in self.checks if c.ok)
 
     @property
     def fail_count(self) -> int:
         return sum(1 for c in self.checks if not c.ok)
-
-    def failures(self) -> list[CheckRecord]:
-        return [c for c in self.checks if not c.ok]
 
 
 def family_moment(recs, k: float) -> MomentReport:
@@ -97,7 +90,6 @@ def family_moment(recs, k: float) -> MomentReport:
         raise ValueError(f"k must be >= 0, got {k}")
     q = recs[0].chi.group.q
     phi_star = arith.phi_star(q)
-    logq = math.log(q)
     if k == 0:
         raw = float(phi_star)
     else:
@@ -109,7 +101,7 @@ def family_moment(recs, k: float) -> MomentReport:
     normalized = raw / phi_star
     return MomentReport(
         q=q, k=k, phi_star=phi_star, raw_moment=raw, normalized=normalized,
-        log_q=logq, ratio_to_logq_pow_k2=normalized / logq ** (k * k))
+        ratio_to_logq_pow_k2=normalized / math.log(q) ** (k * k))
 
 
 def family_towers(ctx: mollifier.MollifierContext,

@@ -204,6 +204,11 @@ def conductors_for_value_matrix(V: np.ndarray, q: int, divisors) -> np.ndarray:
     return cond
 
 
+def all_characters(group) -> list:
+    """Every character of the group, ascending flat index."""
+    return [characters.Character(group, i) for i in range(group.phi_q)]
+
+
 def gauss_sum_literal(chi, q: int) -> complex:
     """Definition sum: sum over a mod q of chi(a) e(a/q)."""
     return sum(complex(chi(a)) * np.exp(2j * np.pi * a / q)
@@ -411,13 +416,13 @@ def searchsorted_weight(ev, x):
 
 def big_omega(n: int) -> int:
     """Omega(n): number of prime factors counted with multiplicity."""
-    return sum(e for _, e in arith.factorize(n).factors)
+    return sum(e for _, e in arith.factorize(n))
 
 
 def divisor_count(n: int) -> int:
     """d(n) = prod (e+1)."""
     out = 1
-    for _, e in arith.factorize(n).factors:
+    for _, e in arith.factorize(n):
         out *= e + 1
     return out
 
@@ -425,7 +430,7 @@ def divisor_count(n: int) -> int:
 def w_of(n: int) -> int:
     """w(n) = prod alpha! over the exponents; w(p^a) = a!."""
     out = 1
-    for _, e in arith.factorize(n).factors:
+    for _, e in arith.factorize(n):
         out *= math.factorial(e)
     return out
 
@@ -439,7 +444,7 @@ def lambda_tilde(table, n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     out = 1.0
-    for p, e in arith.factorize(n).factors:
+    for p, e in arith.factorize(n):
         if p > table.n_max:
             raise ValueError(f"prime {p} outside table range {table.n_max}")
         out *= table.lam_at(p) ** e
@@ -483,7 +488,7 @@ def primitive_sum_identity(a: int, q: int, audit: bool = False) -> int:
     if audit:
         grp = characters.build_group(q)
         prims = [i for i, c in enumerate(grp.conductors) if c == q]
-        lhs = sum(complex(grp.character(i)(a)) for i in prims)
+        lhs = sum(complex(characters.Character(grp, i)(a)) for i in prims)
         if abs(lhs - rhs) > 1e-6:
             raise AssertionError(
                 f"sum over primitive chi mod {q} of chi({a}) = {lhs}, "

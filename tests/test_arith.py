@@ -34,7 +34,7 @@ def test_sieve_table_grows_to_the_request():
                 == min(helpers.trial_factor(n))), n
     # factorize divides by trial and never reads the table
     for n in range(1, 500):
-        assert dict(arith.factorize(n).factors) == helpers.trial_factor(n), n
+        assert dict(arith.factorize(n)) == helpers.trial_factor(n), n
     assert arith.sieve_primes(1000).tolist() == helpers.trial_primes(1000)
     assert arith.sieve_primes(30).tolist() == helpers.trial_primes(30)
     assert arith.sieve_primes(30).dtype == np.int64
@@ -43,12 +43,10 @@ def test_sieve_table_grows_to_the_request():
 
 
 def test_factorize_examples():
-    f = arith.factorize(12)
-    assert f.n == 12
-    assert f.factors == ((2, 2), (3, 1))
-    assert arith.factorize(9801).factors == ((3, 4), (11, 2))
-    assert arith.factorize(1).factors == ()
-    assert arith.factorize(97).factors == ((97, 1),)
+    assert arith.factorize(12) == ((2, 2), (3, 1))
+    assert arith.factorize(9801) == ((3, 4), (11, 2))
+    assert arith.factorize(1) == ()
+    assert arith.factorize(97) == ((97, 1),)
     with pytest.raises(ValueError):
         arith.factorize(0)
     with pytest.raises(ValueError):
@@ -59,7 +57,7 @@ def test_factorize_random_against_sympy():
     rng = np.random.default_rng(7)
     for n in rng.integers(1, 10**7, size=120):
         n = int(n)
-        assert dict(arith.factorize(n).factors) == sympy.factorint(n)
+        assert dict(arith.factorize(n)) == sympy.factorint(n)
 
 
 @pytest.mark.parametrize("fn, oracle", [

@@ -89,7 +89,9 @@ def test_help_exits_zero(capsys):
     ["fit", "--q-list", "53,53,101,149"],            # repeated modulus
     ["sweep", "--q-list", "5,7,9,11", "--k-list", "1,1", "--fit"],
     ["lvalue", "--q-list", "7,7"],
-    ["lvalue", "--q", "7", "--X", "1e-9"],           # n_cap past CAP_LIMIT
+    ["lvalue", "--q", "7", "--X", "1e-9"],           # n_cap past TAU_N_MAX
+    ["lvalue", "--q", "7", "--X", "1e-3"],           # n_cap 38.75M, no table
+    ["lvalue", "--q", "7", "--X", "3e-4"],
     ["lvalue", "--q", "7", "--X", "1e-320"],         # 1/X overflows
     ["lvalue", "--q", "7", "--X", "1e300"],          # a 305-digit n_cap
 ])
@@ -107,6 +109,36 @@ def test_computation_failure_exits_two(capsys):
         ["lvalue", "--q", "7", "--cache-dir", "/proc/nope/x"], capsys)
     assert rc == 2
     assert "failed" in err
+
+
+@pytest.mark.parametrize("k, q_args", [
+    ("50", ["sweep", "--q", "9"]),
+    ("31", ["moments", "--q-list", "9,5"]),
+    ("40", ["fit", "--q-list", "3,5,7,9"]),
+    ("31", ["audit", "--q", "9"]),
+])
+def test_overflowing_k_exits_one(k, q_args, capsys):
+    # the moments divide by (log q)^(k^2), which passes the float range at
+    # q = 9 once k > 30.02; the check reads the largest modulus
+    rc, out, err = run_cli([*q_args, "--k", k], capsys)
+    assert (rc, out) == (1, "")
+    assert err == (f"twistmoments: error: k={k} is too large at q=9: "
+                   "(log q)^(k^2) overflows\n")
+    rc, out, _ = run_cli(["sweep", "--q", "9", "--k", "30"], capsys)
+    assert rc == 0 and out.splitlines()[2].startswith("9,30.0,4,")
+
+
+@pytest.mark.parametrize("args", [["chars", "--q", "5"],
+                                  ["lvalue", "--q", "5"]])
+@pytest.mark.parametrize("out", ["missing/x.csv", "."])
+def test_unwritable_out_exits_two(args, out, tmp_path, capsys):
+    # a missing directory or a directory as the file: one stderr line,
+    # nothing on stdout and nothing written
+    rc, text, err = run_cli([*args, "--out", str(tmp_path / out)], capsys)
+    assert (rc, text) == (2, "")
+    assert err.startswith("twistmoments: computation failed: [Errno ")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------------------------------------------- outputs
@@ -186,10 +218,9 @@ def test_cli_never_imports_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_csv_columns_match_per_cell_formatting():
-    # the column formatters must give the old per-cell _fmt text: bools as
-    # 0/1 (never int's str), floats by repr, None as empty, numpy scalars
-    # as their Python values
+def test_csv_formats_each_cell():
+    # bools as 0/1 (never int's str), floats by repr, None as empty, numpy
+    # scalars as their Python values
     args = ["chars", "--q", "5"]
     cfg = cli._resolve(cli._build_parser(args).parse_args(args))
     rows = [
@@ -200,15 +231,13 @@ def test_csv_columns_match_per_cell_formatting():
         (True, 10**20, float("inf"), "", -0.0, np.float64(-1e20),
          np.int64(5), None, 1),
     ]
-
-    def per_cell(rows):
-        return "".join(",".join(cli._fmt(v) for v in row) + "\n"
-                       for row in rows)
-
+    lines = ("1,3,0.1,pointwise,,2.5,-7,1,1\n"
+             "0,-12,1e-300,holder,1.25,0.3333333333333333,0,2.0,0\n"
+             "1,100000000000000000000,inf,,-0.0,-1e+20,5,,1\n")
     head = f"# config {cfg.hash}\nh\n"
-    assert cli._csv(cfg, ["h"], rows) == head + per_cell(rows)
+    assert cli._csv(cfg, ["h"], rows) == head + lines
     assert cli._csv(cfg, ["h"], (r for r in rows), ["# c"]) == (
-        head + per_cell(rows) + "# c\n")
+        head + lines + "# c\n")
     assert cli._csv(cfg, ["h"], []) == head
     assert cli._csv(cfg, ["h"], (r for r in [])) == head
 
@@ -254,6 +283,8 @@ for args in (["--q-list", "1009,1024,1155,1200,1331", "--format", "csv"],
         assert cli.run(["chars", *args]) == 0
     added = {"dataclasses", "inspect"} & (set(sys.modules) - start)
     assert not added, f"chars {args} loaded {sorted(added)}"
+with contextlib.redirect_stderr(io.StringIO()):
+    assert cli.run(["chars", "--q", "9", "--out", "."]) == 2
 assert "numpy" not in sys.modules, "chars loaded numpy"
 """
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twistmoments import arith, characters, hecke, lvalues, weights
+from twistmoments import TAU_N_MAX, arith, characters, hecke, lvalues, weights
 
 import helpers
 
@@ -38,12 +38,14 @@ def test_required_caps_scale():
     m1 = lvalues.required_m_cap(53, CFG)
     m2 = lvalues.required_m_cap(106, CFG)
     assert 3.9 < m2 / m1 < 4.1
-    # the caps stop at CAP_LIMIT terms: a far-off balance point for the
-    # first-power route, a modulus near 5000 for the squared route
+    # the caps stop at TAU_N_MAX terms, the most any table holds: a far-off
+    # balance point for the first-power route, q >= 1263 for the squared
+    # route at the default tail_eps
     with pytest.raises(ValueError, match="exceeds the limit"):
-        lvalues.required_n_cap(53, lvalues.AfeConfig(X=1e-3))
+        lvalues.required_n_cap(7, lvalues.AfeConfig(X=1e-3))
+    assert lvalues.required_m_cap(1262, CFG) <= TAU_N_MAX
     with pytest.raises(ValueError, match="exceeds the limit"):
-        lvalues.required_m_cap(5000, CFG)
+        lvalues.required_m_cap(1263, CFG)
 
 
 @pytest.mark.parametrize("q", [5, 9, 16, 53, 105])
@@ -71,7 +73,7 @@ def test_balance_point_invariance_mod7(table_100k):
 
 def _quadratic_q5(recs):
     (rec,) = [r for r in recs if r.chi.index == 2]
-    assert rec.chi.conjugate_index() == 2
+    assert rec.chi.group.conj[rec.chi.index] == 2
     return rec
 
 
@@ -92,7 +94,7 @@ def test_square_route_agreement(table_100k):
 
 def test_square_route_rejects_principal(table_100k):
     g = characters.build_group(5)
-    chi0 = next(c for c in g.characters() if c.is_principal)
+    chi0 = next(c for c in helpers.all_characters(g) if c.index == 0)
     with pytest.raises(ValueError):
         lvalues.central_value_sq(table_100k, chi0)
 
@@ -111,7 +113,7 @@ def test_family_counts_audits_and_conjugate_closure(table_100k):
         index = [r.chi.index for r in recs]
         assert index == sorted(index)
         for r in recs:
-            mate = recs[index.index(r.chi.conjugate_index())]
+            mate = recs[index.index(r.chi.group.conj[r.chi.index])]
             assert abs(mate.value - r.value.conjugate()) < 1e-10
             assert mate.chi.conductor == r.chi.conductor == q
 
@@ -122,7 +124,7 @@ def test_conjugate_symmetry(table_100k):
     g = characters.build_group(9)
     recs = {r.chi.index: r for r in lvalues.family_values(table_100k, 9)}
     for chi in characters.primitive_characters(g):
-        bar = g.character(chi.conjugate_index())
+        bar = characters.Character(g, chi.group.conj[chi.index])
         a, b = recs[chi.index].value, recs[bar.index].value
         assert abs(b - a.conjugate()) < 1e-8
         sq_a = lvalues.central_value_sq(table_100k, chi)
@@ -270,11 +272,12 @@ def test_audit_plan_decides_the_squared_route(family_table):
         recs = lvalues.family_values(table, q, cfg)
         assert sum(r.audited for r in recs) == (
             0 if why else min(cfg.audit_count, len(recs)))
-    # past CAP_LIMIT the reason is required_m_cap's own refusal
-    m_cap, why = lvalues.audit_plan(family_table, 5000, CFG)
+    # past TAU_N_MAX the reason is required_m_cap's own refusal, not the
+    # table's length
+    m_cap, why = lvalues.audit_plan(family_table, 1300, CFG)
     assert m_cap == 0
     assert why.startswith("m_cap ")
-    assert why.endswith(f"exceeds the limit {lvalues.CAP_LIMIT} at q=5000")
+    assert why.endswith(f"exceeds the limit {TAU_N_MAX} at q=1300")
 
 
 def test_family_never_calls_the_oracle(family_table, monkeypatch):

@@ -38,7 +38,7 @@ def test_ladder_override_accepted():
     lad = mollifier.build_ladder(53, override_ell=(8, 2))
     assert lad.ell == (8, 2)
     assert lad.R == 2
-    assert not lad.generated
+    assert lad.N is None and lad.M is None
     assert lad.c_k == 64.0
     assert lad.r_k == 3
 
@@ -58,7 +58,6 @@ def test_ladder_override_rejections(ell):
 
 def test_generated_schedule():
     lad = mollifier.build_ladder(10**300, N=1, M=1)
-    assert lad.generated
     assert lad.ell == (14,)
     assert lad.N == 1 and lad.M == 1
     # denser start violates the square-separation requirement
@@ -73,8 +72,8 @@ def test_generated_schedule():
 def test_generated_schedule_at_a_huge_floor():
     # the floor 10^M is compared by digit count, never formed
     lad = mollifier.build_ladder(53, N=2, M=10**9)
-    assert lad.generated
     assert lad.ell == ()
+    assert lad.N == 2 and lad.M == 10**9
 
 
 def test_generated_schedule_floor_is_strict():
@@ -99,7 +98,6 @@ def test_segments_desk_examples():
     lad = mollifier.build_ladder(101, override_ell=(4, 2))
     segs = mollifier.build_segments(101, lad)
     assert segs.segments == ((), (2, 3))
-    assert segs.empty_flags == (True, False)
 
     lad53 = mollifier.build_ladder(53, override_ell=(8, 2))
     segs53 = mollifier.build_segments(53, lad53)
@@ -161,8 +159,7 @@ def test_truncation_error_bound():
 
 def _single_prime_ctx(table, q=7, p=5, ell=2):
     lad = mollifier.build_ladder(q, override_ell=(ell,))
-    segs = mollifier.PrimeSegments(q=q, boundaries=(float(p),),
-                                   segments=((p,),))
+    segs = mollifier.PrimeSegments(q=q, segments=((p,),))
     return mollifier.MollifierContext(table, lad, segs)
 
 
@@ -171,8 +168,7 @@ def _segments_ctx(table, q, *segments):
     lad = mollifier.build_ladder(
         q, override_ell=tuple(2 * (len(segments) - j)
                               for j in range(len(segments))))
-    segs = mollifier.PrimeSegments(q=q, boundaries=(0.0,) * len(segments),
-                                   segments=segments)
+    segs = mollifier.PrimeSegments(q=q, segments=segments)
     return mollifier.MollifierContext(table, lad, segs)
 
 
@@ -201,14 +197,14 @@ def test_context_weight_modes(table_100k):
 
 def test_context_validates_segment_count(table_100k):
     lad = mollifier.build_ladder(53, override_ell=(8, 2))  # R = 2
-    segs = mollifier.PrimeSegments(q=53, boundaries=(2.0,), segments=((2,),))
+    segs = mollifier.PrimeSegments(q=53, segments=((2,),))
     with pytest.raises(ValueError):
         mollifier.MollifierContext(table_100k, lad, segs)
 
 
 def test_n_poly_single_prime_binomial(table_100k):
     ctx = _single_prime_ctx(table_100k)
-    chi = characters.build_group(7).character(1)
+    chi = characters.Character(characters.build_group(7), 1)
     alpha = 0.7
     P = helpers.prime_sum_literal(chi, (5,), table_100k)
     want = 1 + alpha * P + (alpha * P) ** 2 / 2
@@ -219,10 +215,10 @@ def test_n_poly_single_prime_binomial(table_100k):
 def test_n_poly_against_monomial_expansion(table_100k):
     q = 11
     lad = mollifier.build_ladder(q, override_ell=(4,))
-    segs = mollifier.PrimeSegments(q=q, boundaries=(5.0,), segments=((3, 5),))
+    segs = mollifier.PrimeSegments(q=q, segments=((3, 5),))
     g = characters.build_group(q)
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
-    for chi in (g.character(1), g.character(3)):
+    for chi in (characters.Character(g, 1), characters.Character(g, 3)):
         for alpha in (0.5, -0.5, 1.0):
             want = 0j
             for m in range(5):
@@ -241,7 +237,7 @@ def test_n_poly_against_monomial_expansion(table_100k):
 
 def test_n_poly_argument_validation(table_100k):
     ctx = _single_prime_ctx(table_100k)
-    chi = characters.build_group(7).character(1)
+    chi = characters.Character(characters.build_group(7), 1)
     with pytest.raises(ValueError):
         mollifier.n_poly(ctx, chi, 0, 1.0)
     with pytest.raises(ValueError):
@@ -250,7 +246,7 @@ def test_n_poly_argument_validation(table_100k):
 
 def test_q_poly_scaling_identity(table_100k):
     ctx = _single_prime_ctx(table_100k)  # k = 1: c = 64, r = 3
-    chi = characters.build_group(7).character(1)
+    chi = characters.Character(characters.build_group(7), 1)
     lad = ctx.ladder
     P = helpers.prime_sum_literal(chi, (5,), table_100k)
     Q = helpers.tower_of(ctx, chi).Q[0]
@@ -260,9 +256,9 @@ def test_q_poly_scaling_identity(table_100k):
 
 def test_q_poly_edges(table_100k):
     lad = mollifier.build_ladder(7, override_ell=(2,))
-    segs = mollifier.PrimeSegments(q=7, boundaries=(1.5,), segments=((),))
+    segs = mollifier.PrimeSegments(q=7, segments=((),))
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
-    chi = characters.build_group(7).character(1)
+    chi = characters.Character(characters.build_group(7), 1)
     assert helpers.tower_of(ctx, chi).Q == (0,)
 
 
@@ -320,8 +316,7 @@ def test_segment_coefficients_single_prime(table_100k):
 def test_mollifier_coefficients_convolve_segments(table_100k):
     q = 11
     lad = mollifier.build_ladder(q, override_ell=(4, 2))
-    segs = mollifier.PrimeSegments(q=q, boundaries=(3.5, 7.5),
-                                   segments=((3,), (5, 7)))
+    segs = mollifier.PrimeSegments(q=q, segments=((3,), (5, 7)))
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     alpha = -0.5
     full = mollifier.mollifier_coefficients(ctx, alpha)
@@ -342,8 +337,7 @@ def test_coefficient_cap_enforced(table_100k, monkeypatch):
     # product map would pass the 10^6 cap, so it is refused before it is built
     lad = mollifier.build_ladder(101, override_ell=(8, 6))
     segs = mollifier.PrimeSegments(
-        q=101, boundaries=(13.5, 37.5),
-        segments=((3, 5, 7, 11, 13), (17, 19, 23, 29, 31, 37)))
+        q=101, segments=((3, 5, 7, 11, 13), (17, 19, 23, 29, 31, 37)))
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     assert len(mollifier.segment_coefficients(ctx, 1, 1.0)) == 1287
     assert len(mollifier.segment_coefficients(ctx, 2, 1.0)) == 924
@@ -375,7 +369,7 @@ def test_dirichlet_dual_full_product(table_100k):
 
 def test_evaluate_coefficients_deterministic(table_100k):
     ctx = _single_prime_ctx(table_100k)
-    chi = characters.build_group(7).character(2)
+    chi = characters.Character(characters.build_group(7), 2)
     coeffs = mollifier.segment_coefficients(ctx, 1, 0.5)
     a = mollifier.evaluate_coefficients(coeffs, chi)
     b = mollifier.evaluate_coefficients(dict(reversed(coeffs.items())), chi)
@@ -442,13 +436,12 @@ def test_prime_sums_against_the_literal_sum(q, ell, segment, table_100k):
     # segments and on long segments whose primes pass q and share residues
     lad = mollifier.build_ladder(q, override_ell=ell)
     segs = (mollifier.build_segments(q, lad) if segment is None else
-            mollifier.PrimeSegments(q=q, boundaries=(400.0,),
-                                    segments=(segment,)))
+            mollifier.PrimeSegments(q=q, segments=(segment,)))
     ctx = mollifier.MollifierContext(table_100k, lad, segs)
     g = characters.build_group(q)
     for j, seg in enumerate(segs.segments, 1):
         got = mollifier.prime_sums(ctx, j)
         assert got.shape == (g.phi_q,)
-        for chi in g.characters():
+        for chi in helpers.all_characters(g):
             want = helpers.prime_sum_literal(chi, seg, table_100k)
             assert abs(got[chi.index] - want) <= 1e-13, (j, chi)
