@@ -300,7 +300,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-
 def _csv_text(cfg: RunConfig, header, lines) -> str:
     """The hash comment, the header and the given lines, each ended by a
     newline."""
