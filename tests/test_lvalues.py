@@ -94,7 +94,7 @@ def test_square_route_agreement(table_100k):
 
 def test_square_route_rejects_principal(table_100k):
     g = characters.build_group(5)
-    chi0 = next(c for c in helpers.all_characters(g) if c.index == 0)
+    chi0 = characters.Character(g, 0)
     with pytest.raises(ValueError):
         lvalues.central_value_sq(table_100k, chi0)
 
