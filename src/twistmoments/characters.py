@@ -31,6 +31,7 @@ exponential without the 2*pi*i, but the Weil bound fixes this normalization.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from functools import cached_property, lru_cache
 
@@ -233,6 +234,12 @@ class Character:
     __slots__ = ("group", "index")
 
     def __init__(self, group: CharacterGroup, index: int):
+        """Raises ValueError for an index outside 0..phi(q)-1, and
+        TypeError for one that is not an integer."""
+        index = operator.index(index)
+        if not 0 <= index < group.phi_q:
+            raise ValueError(f"character index {index} outside "
+                             f"0..{group.phi_q - 1} at q={group.q}")
         self.group = group
         self.index = index
 

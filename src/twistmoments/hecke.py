@@ -20,8 +20,8 @@ each piece is transformed at the length its own square needs; the pieces'
 products land at their offsets.  Small transforms stay in cache, so a few
 pieces beat one long transform.  Each diagonal is rounded to integers and
 carried in base 10^w, least significant first.  The limb width w is the
-widest whose a-priori rounding bound (Percival's, from the limbs' l2
-norms, found before any limb is kept) is at most 1/4, and every rounded
+widest whose a-priori rounding bound (Percival's, from the l2 norms of
+that width's limbs, built once each) is at most 1/4, and every rounded
 value must lie within 1/8 of an integer, else the squaring raises.  So the
 route is exact at every size; it needs only numpy and builds no Python
 integer per coefficient.
@@ -126,17 +126,18 @@ def _block_limbs(columns: np.ndarray, width: int) -> np.ndarray:
     return limbs
 
 
-def _balanced_limbs(neg: np.ndarray, columns: np.ndarray,
-                    width: int) -> list[np.ndarray]:
+def _balanced_limbs(neg: np.ndarray, columns: np.ndarray, width: int,
+                    size: int) -> list[np.ndarray]:
     """Digit columns (the digit matrix transposed) as signed base-10^width
     limbs, least significant first: row i is sum_l limbs[l][i] 10^(width l),
-    and |limbs| <= 10^width / 2.  Each limb is its own array, so it can be
-    freed on its own."""
+    and |limbs| <= 10^width / 2.  Each limb is its own array of size
+    entries, zero past the last row, so it can be freed on its own; a top
+    limb that is zero on every row is left out."""
     cols, rows = columns.shape
-    limbs = [np.empty(rows, dtype=np.int16)
+    limbs = [np.zeros(size, dtype=np.int16)
              for _ in range(-(-cols // width) + 1)]
     for at in range(0, rows, _BLOCK):
-        end = at + _BLOCK
+        end = min(at + _BLOCK, rows)
         block = _block_limbs(columns[:, at:end], width)
         block *= np.where(neg[at:end], np.int16(-1), np.int16(1))
         for limb, part in zip(limbs, block):
@@ -144,25 +145,6 @@ def _balanced_limbs(neg: np.ndarray, columns: np.ndarray,
     if not limbs[-1].any():
         limbs.pop()
     return limbs
-
-
-def _limb_norms(columns: np.ndarray, width: int,
-                pieces: int) -> np.ndarray:
-    """norms[l, i], the l2 norm of balanced limb l (see _balanced_limbs) on
-    piece i of the columns' rows, without keeping the limbs.  A top limb
-    that is zero on every row is left out, as _balanced_limbs leaves it.
-    Each squared norm is a sum of integers below 2^53, so it is exact."""
-    cols, rows = columns.shape
-    piece = rows // pieces
-    squares = np.zeros((-(-cols // width) + 1, pieces))
-    for i in range(pieces):
-        for at in range(i * piece, (i + 1) * piece, _BLOCK):
-            end = min(at + _BLOCK, (i + 1) * piece)
-            x = _block_limbs(columns[:, at:end], width).astype(np.float64)
-            squares[:, i] += np.einsum("ij,ij->i", x, x)
-    if not squares[-1].any():
-        squares = squares[:-1]
-    return np.sqrt(squares)
 
 
 def _pieces(length: int) -> tuple[int, int]:
@@ -228,21 +210,21 @@ def _split_limbs(neg: np.ndarray, digits: np.ndarray,
     """The widest limb width whose rounding bounds for squaring `length`
     terms are all at most 1/4, and the balanced limbs of that width, cut
     into the pieces of _pieces(length): limbs[l][i] is limb l of rows
-    i piece .. (i + 1) piece - 1, zero past the last row.  Each width is
-    bounded from its limbs' norms alone; only the accepted one's limbs are
-    kept."""
+    i piece .. (i + 1) piece - 1, zero past the last row.  Widths are tried
+    from the widest down; each one's limbs are built once, read in place
+    from the digit rows, and bounded from their own l2 norms (each squared
+    norm a sum of integers below 2^53, so exact).  A rejected width's limbs
+    are dropped before the next width is built."""
     pieces, levels = _pieces(length)
     piece = -(-length // pieces)
-    rows, cols = digits.shape
-    columns = np.zeros((cols, pieces * piece), dtype=np.uint8)
-    columns[:, :rows] = digits.T
     for width in range(_MAX_LIMB_DIGITS, 0, -1):
-        norms = _limb_norms(columns, width, pieces)
+        limbs = [limb.reshape(pieces, piece) for limb in
+                 _balanced_limbs(neg, digits.T, width, pieces * piece)]
+        norms = np.sqrt([np.einsum("ij,ij->i", x, x, dtype=np.float64)
+                         for x in limbs])
         if _rounding_bounds(norms, levels).max() <= 0.25:
-            signs = np.zeros(pieces * piece, dtype=bool)
-            signs[:rows] = neg
-            return width, [limb.reshape(pieces, piece) for limb
-                           in _balanced_limbs(signs, columns, width)]
+            return width, limbs
+        del limbs
     raise ArithmeticError("no limb width keeps the FFT rounding below 1/4")
 
 

@@ -1,20 +1,22 @@
 """The benchmark's own operations, each run once in-process and read by the
 benchmark's own output checkers, so an output the benchmark would refuse
-fails here first.
+fails here first; and once more under the tracer's wrappers, so a hook that
+reads a package internal fails here, not only in a traced benchmark run.
 
-perfbench/run.py is loaded by path, with checks.py beside it, and neither
-writes bytecode under perfbench/.  The operations run through cli.run, with
-a temporary --cache-dir and --out in place of the benchmark's work
-directory.
+perfbench/run.py and perfbench/trace_cli.py are loaded by path, with
+checks.py beside them, and none writes bytecode under perfbench/.  The
+operations run through cli.run, with a temporary --cache-dir and --out in
+place of the benchmark's work directory.
 """
 
+import importlib
 import importlib.util
 import pathlib
 import sys
 
 import pytest
 
-from twistmoments import cli, lvalues
+from twistmoments import cli, hecke, lvalues
 
 _PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
@@ -88,3 +90,51 @@ def test_warm_audit_second_pass_reads_the_cache(bench, tmp_path,
     assert any(p.name.startswith("kernel_grids_") for p in filled)
     assert before == after == filled
     assert second == first
+
+
+# SPANS paths that no benchmark operation calls: only the tracer holds them
+_TRACER_ONLY = {"gauss_sum", "central_value_sq", "block_sum",
+                "block_sum_complex", "n_poly", "WeightEvaluator.quad"}
+
+
+def test_tracer_hooks_on_the_benchmark_operations(bench, tmp_path,
+                                                  monkeypatch):
+    # every SPANS target wrapped as perfbench/trace_cli.py wraps it (the
+    # monkeypatch restores each at teardown), then every benchmark
+    # operation run once: the hooks read AfeConfig.audit_count, the
+    # positional q of family_values, n_max of ramanujan_tau_table and
+    # r.audited, and each counter they feed must appear
+    spec = importlib.util.spec_from_file_location(
+        "_trace_cli", _PERFBENCH / "trace_cli.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for mod_name, path, _, _ in tracer.SPANS:
+        owner = importlib.import_module(mod_name)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        monkeypatch.setattr(owner, attr, owner.__dict__[attr])
+    # no table or kernel grid left by an earlier test: the run builds both
+    monkeypatch.setattr(hecke, "_shared_table", None)
+    monkeypatch.setattr(lvalues, "_evaluators", None)
+    rec = tracer.Recorder()
+    rec.install(sys.modules)
+    ops = [(bench.SETUP_OP, "setup")] + [
+        (op, f"{name}-{op.key}") for name, wl in bench.WORKLOADS.items()
+        for op in wl.ops]
+    for op, key in ops:
+        args = list(op.args) + ["--out", str(tmp_path / "out.txt")]
+        if op.cache:
+            args += ["--cache-dir", str(tmp_path / key)]
+        assert cli.run(args) == 0, key
+    assert {"hecke.tau_terms", "lvalues.family_chars",
+            "lvalues.unaudited_families",
+            "mollifier.support_size"} <= set(rec.counts)
+
+    def calls(mod_name, path, name):
+        if name is None:
+            name = f"{mod_name.split('.')[-1]}.{path.split('.')[-1]}"
+        return rec.counts[name + "_calls"]
+    called = {path for mod_name, path, name, _ in tracer.SPANS
+              if calls(mod_name, path, name)}
+    assert called == {path for _, path, _, _ in tracer.SPANS} - _TRACER_ONLY

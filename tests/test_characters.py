@@ -1,5 +1,6 @@
 """Dirichlet characters: construction, conductors, Gauss and Kloosterman sums."""
 
+import cmath
 import math
 
 import numpy as np
@@ -57,6 +58,22 @@ def test_character_call_periodic_multiplicative_zero_off_units():
     for _ in range(50):
         a, b = (int(v) for v in rng.integers(1, 200, size=2))
         assert abs(chi(a * b) - chi(a) * chi(b)) < 1e-12
+
+
+def test_character_index_range():
+    # at q = 7, 3 is the generator, so index e takes chi(3) = e(e / 6); an
+    # index past phi(q) - 1 or below 0 is refused, not wrapped or dropped
+    g = characters.build_group(7)
+    for e in range(6):
+        for index in (e, np.int64(e)):
+            chi = characters.Character(g, index)
+            assert abs(chi(3) - cmath.exp(2j * math.pi * e / 6)) < 1e-15
+            assert type(chi.index) is int
+    for index in (6, 7, -1):
+        with pytest.raises(ValueError, match=r"index .* outside 0\.\.5"):
+            characters.Character(g, index)
+    with pytest.raises(TypeError):
+        characters.Character(g, 2.0)
 
 
 @pytest.mark.parametrize("q", [9, 16, 105, 1024])

@@ -171,38 +171,40 @@ def _bounds(neg, digits, width, length):
     digits, cut into pieces as _square_rows cuts them."""
     pieces, levels = hecke._pieces(length)
     piece = -(-length // pieces)
-    columns = np.zeros((digits.shape[1], pieces * piece), dtype=np.uint8)
-    columns[:, :length] = digits[:length].T
-    signs = np.zeros(pieces * piece, dtype=bool)
-    signs[:length] = neg[:length]
     norms = [[math.sqrt(float(np.dot(x.astype(np.int64), x)))
               for x in limb.reshape(pieces, piece)]
-             for limb in hecke._balanced_limbs(signs, columns, width)]
+             for limb in hecke._balanced_limbs(neg[:length], digits[:length].T,
+                                               width, pieces * piece)]
     return hecke._rounding_bounds(np.array(norms), levels)
 
 
-@pytest.mark.parametrize("length", [1, 7, 100, 5000])
-def test_limb_norms_match_the_built_limbs(length):
-    # the norms that choose the width are those of the limbs kept, bit for
-    # bit, with the same top limb dropped when no row borrows into it
+@pytest.mark.parametrize("length", [1, 7, 100, 5000, 71_942])
+def test_split_limbs_match_limbs_of_padded_rows(length):
+    # the limbs built in place from the digit rows equal those built from a
+    # copy of the rows zero-padded to whole pieces, bit for bit, with the
+    # same top limb dropped when no row borrows into it; past the last row
+    # every limb is zero
     rng = np.random.default_rng(length)
     vals = [int(v) * 10**12 + int(w) for v, w in
             zip(rng.integers(-10**9, 10**9, size=length),
                 rng.integers(0, 10**12, size=length))]
     vals[0] = 10**21 - 1
     neg, digits = helpers.digit_rows(vals)
+    # the rows as the squarings hand them over: one column per digit
+    digits = np.asfortranarray(digits)
+    width, limbs = hecke._split_limbs(neg, digits, length)
     pieces, _ = hecke._pieces(length)
     piece = -(-length // pieces)
     columns = np.zeros((digits.shape[1], pieces * piece), dtype=np.uint8)
     columns[:, :length] = digits.T
     signs = np.zeros(pieces * piece, dtype=bool)
     signs[:length] = neg
-    for width in range(1, 5):
-        limbs = hecke._balanced_limbs(signs, columns, width)
-        want = [[math.sqrt(float(np.dot(x.astype(np.int64), x)))
-                 for x in limb.reshape(pieces, piece)] for limb in limbs]
-        got = hecke._limb_norms(columns, width, pieces)
-        assert got.tolist() == want, width
+    want = hecke._balanced_limbs(signs, columns, width, pieces * piece)
+    assert len(limbs) == len(want)
+    for got, limb in zip(limbs, want):
+        assert got.dtype == np.int16 and got.shape == (pieces, piece)
+        assert np.array_equal(got.ravel(), limb)
+        assert not got.ravel()[length:].any()
 
 
 def test_limb_width_is_widest_within_bound():
