@@ -20,10 +20,10 @@ import sys
 __version__ = "0.1.0"
 
 # The exact tau route works at any size; this bound only limits the time and
-# memory one request may take (5.58M terms: 15-18 s and a 1.01 GB peak in a
-# fresh process on one core of a 2-core machine).  It bounds hecke's tables
-# and with them lvalues' truncation lengths, and is kept here so that the
-# CLI checks --n-max without loading hecke.
+# memory one request may take (build_eigenform at 5.58M terms: 12.2-13.0 s
+# and a 950 MB peak in a fresh process on a 2-core machine).  It bounds
+# hecke's tables and with them lvalues' truncation lengths, and is kept here
+# so that the CLI checks --n-max without loading hecke.
 TAU_N_MAX = 20_000_000
 
 # Each layer is registered at once but runs its code on first attribute

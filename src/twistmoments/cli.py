@@ -1,10 +1,12 @@
 """Command-line front end: configuration, dispatch, and report emission.
 
 One subcommand per concern (tau, chars, weights, lvalue, moments, sweep,
-mollifier-verify, audit, fit).  Config resolution order: built-in defaults,
-then a JSON config file (--config), then explicit flags.  Every run emits
-the resolved config hash with its results so outputs are traceable; given
-the same config and seed the bytes are identical.
+mollifier-verify, audit, fit), each with --config, --format, --out and the
+flags of the settings it reads (_READS).  Config resolution order: built-in
+defaults, then a JSON config file (--config), then explicit flags; a file
+key the command does not read keeps its default.  Every run emits the
+resolved config hash with its results so outputs are traceable; given the
+same config and seed the bytes are identical.
 
 Exit codes: 0 success, 1 bad usage or config, 2 computation failure.
 
@@ -84,20 +86,46 @@ class RunConfig(namedtuple("RunConfig", (
                                       override_ell=self.ell)
 
 
-_DEFAULTS = {
-    "X": 1.0, "tail_eps": 1e-8, "format": "csv",
-    "seed": 0, "audit_count": 8, "n_max": 100, "fit": False,
+# every setting a config file or a flag may give: its default (None when
+# unset) and its flag's add_argument options; the flag is the key with dashes
+_SETTINGS = {
+    "q": (None, {"type": int}),
+    "q_list": (None, {"help": "comma-separated moduli"}),
+    "k": (None, {"type": float}),
+    "k_list": (None, {"help": "comma-separated exponents"}),
+    "X": (1.0, {"type": float}),
+    "tail_eps": (1e-8, {"type": float}),
+    "ell": (None, {"help": "comma-separated ladder override"}),
+    "N": (None, {"type": int}),
+    "M": (None, {"type": int}),
+    "format": ("csv", {"choices": ["csv", "json"]}),
+    "out": (None, {}),
+    "cache_dir": (None, {}),
+    "seed": (0, {"type": int}),
+    "audit_count": (8, {"type": int}),
+    "n_max": (100, {"type": int}),
+    "fit": (False, {"action": "store_true", "default": None}),
 }
-# every setting a config file or a flag may give
-_KEYS = ("q", "q_list", "k", "k_list", "X", "tail_eps", "ell", "N", "M",
-         "format", "out", "cache_dir", "seed", "audit_count", "n_max", "fit")
+# the settings each command reads beside format and out, which all read; a
+# setting a command does not read is none of its flags and keeps its default
+_SHARED = ("format", "out")
+_READS = {name: tuple(keys.split()) for name, keys in {
+    "tau": "n_max",
+    "chars": "q q_list",
+    "weights": "cache_dir",
+    "lvalue": "q q_list X tail_eps cache_dir seed audit_count",
+    "moments": "q q_list X tail_eps cache_dir seed audit_count k k_list",
+    "sweep": "q q_list X tail_eps cache_dir seed audit_count k k_list fit",
+    "mollifier-verify": "q q_list k k_list X tail_eps cache_dir seed ell N M",
+    "audit": "q q_list X tail_eps cache_dir seed audit_count k k_list ell N M",
+    "fit": "q q_list X tail_eps cache_dir seed audit_count k k_list",
+}.items()}
 
 
 def _build_parser(commands) -> _Parser:
-    """Every subcommand, with the flags on those named in commands only.
-    Only the subcommand argv names is ever parsed, and the 17 flags on all
-    nine took a fresh process about 3 ms.  Help and usage errors read the
-    same as with the flags on all of them."""
+    """Every subcommand, with --config and the flags of the settings it
+    reads on those named in commands only: argv names the one parsed.  Help
+    and usage errors read the same as with the flags on all of them."""
     p = _Parser(prog="twistmoments", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", metavar="command")
     for name in _COMMANDS:
@@ -105,22 +133,9 @@ def _build_parser(commands) -> _Parser:
         if name not in commands:
             continue
         sp.add_argument("--config", help="JSON config file; flags override")
-        sp.add_argument("--q", type=int)
-        sp.add_argument("--q-list", help="comma-separated moduli")
-        sp.add_argument("--k", type=float)
-        sp.add_argument("--k-list", help="comma-separated exponents")
-        sp.add_argument("--X", type=float)
-        sp.add_argument("--tail-eps", type=float)
-        sp.add_argument("--ell", help="comma-separated ladder override")
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--M", type=int)
-        sp.add_argument("--format", choices=["csv", "json"])
-        sp.add_argument("--out")
-        sp.add_argument("--cache-dir")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--audit-count", type=int)
-        sp.add_argument("--n-max", type=int)
-        sp.add_argument("--fit", action="store_true", default=None)
+        for key, (_, options) in _SETTINGS.items():
+            if key in _READS[name] or key in _SHARED:
+                sp.add_argument("--" + key.replace("_", "-"), **options)
     return p
 
 
@@ -158,7 +173,9 @@ def _parse_list(text, what: str, cast) -> tuple | None:
 def _resolve(args: argparse.Namespace) -> RunConfig:
     if not args.command:
         raise _CliError("missing subcommand")
-    merged = dict(_DEFAULTS)
+    reads = {*_READS[args.command], *_SHARED}
+    merged = {key: default for key, (default, _) in _SETTINGS.items()}
+    file_cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -167,17 +184,24 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise _CliError(f"config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise _CliError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(_KEYS))
+        unknown = sorted(set(file_cfg) - set(_SETTINGS))
         if unknown:
             raise _CliError("config file: unknown keys "
                             + ", ".join(map(repr, unknown)))
-        merged.update(file_cfg)
-    for key in _KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+    flags = {key: val for key, val in vars(args).items()
+             if key in reads and val is not None}
+    file_cfg = {key: val for key, val in file_cfg.items() if key in reads}
+    # a setting the command does not read keeps its default; q stands for a
+    # one-item q_list and k for a k_list, and a source gives one form only
+    for where, given in (("config file: ", file_cfg), ("", flags)):
+        for one, many in (("q", "q_list"), ("k", "k_list")):
+            if one in given and many in given:
+                raise _CliError(f"{where}give {one} or {many}, not both")
+            if given.get(one) is not None:
+                given[many] = [given.pop(one)]
+        merged.update(given)
     for key in ("out", "cache_dir"):
-        if not isinstance(merged.get(key), (str, type(None))):
+        if not isinstance(merged[key], (str, type(None))):
             raise _CliError(f"{key} must be a path, got {merged[key]!r}")
     if not isinstance(merged["fit"], bool):
         raise _CliError(f"fit must be true or false, got {merged['fit']!r}")
@@ -185,24 +209,20 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     def num(key, cast=int):
         """merged[key] through cast; None for an unset key without a
         default (a null counts as unset there)."""
-        val = merged.get(key)
-        if val is None and key not in _DEFAULTS:
+        val = merged[key]
+        if val is None and _SETTINGS[key][0] is None:
             return None
         return _number(val, key, cast)
 
-    q, k = num("q"), num("k", float)
-    q_list = (_parse_list(merged.get("q_list"), "q", int)
-              or (() if q is None else (q,)))
-    k_list = (_parse_list(merged.get("k_list"), "k", float)
-              or (1.0 if k is None else k,))
-
     cfg = RunConfig(
-        command=args.command, q_list=q_list, k_list=k_list,
+        command=args.command,
+        q_list=_parse_list(merged["q_list"], "q", int) or (),
+        k_list=_parse_list(merged["k_list"], "k", float) or (1.0,),
         X=num("X", float), tail_eps=num("tail_eps", float),
-        ell=_parse_list(merged.get("ell"), "ell", int),
+        ell=_parse_list(merged["ell"], "ell", int),
         N=num("N"), M=num("M"),
-        format=str(merged["format"]), out=merged.get("out"),
-        cache_dir=merged.get("cache_dir"), seed=num("seed"),
+        format=str(merged["format"]), out=merged["out"],
+        cache_dir=merged["cache_dir"], seed=num("seed"),
         audit_count=num("audit_count"), n_max=num("n_max"),
         fit=merged["fit"])
     _validate(cfg)
@@ -231,9 +251,7 @@ def _validate(cfg: RunConfig):
     # NaN fails this test as well as inf
     if not all(k < math.inf for k in cfg.k_list):
         raise _CliError(f"k must be finite, got {cfg.k_list}")
-    needs_q = {"chars", "lvalue", "moments", "sweep", "mollifier-verify",
-               "audit", "fit"}
-    if cfg.command in needs_q and not cfg.q_list:
+    if "q" in _READS[cfg.command] and not cfg.q_list:
         raise _CliError(f"{cfg.command} needs --q or --q-list")
     if cfg.command in ("mollifier-verify", "audit"):
         if len(cfg.q_list) != 1:
@@ -259,12 +277,12 @@ def _validate(cfg: RunConfig):
             except OverflowError:
                 raise _CliError(f"k={k:g} is too large at q={q}: "
                                 "(log q)^(k^2) overflows")
-    if cfg.command in ("mollifier-verify", "audit") or cfg.ell is not None:
+    if "ell" in _READS[cfg.command]:
         try:
-            cfg.ladder(max(cfg.q_list or (3,)))
+            cfg.ladder(max(cfg.q_list))
         except ValueError as exc:
             raise _CliError(f"bad ladder: {exc}")
-    if cfg.command in needs_q - {"chars"}:
+    if "tail_eps" in _READS[cfg.command]:
         # every L-value truncates where W's grid falls below tail_eps /
         # SAFETY; the grids are read here, and a failed read is not a usage
         # error, so it propagates
@@ -320,9 +338,7 @@ def _json_default(v):
 
 
 def _json_doc(cfg: RunConfig, header, rows, audits=None) -> str:
-    cd = cfg.identity()
-    cd["hash"] = cfg.hash
-    doc = {"config": cd,
+    doc = {"config": {**cfg.identity(), "hash": cfg.hash},
            "rows": [dict(zip(header, row)) for row in rows]}
     if audits is not None:
         doc["audits"] = audits
@@ -421,11 +437,6 @@ _MOMENT_HEADER = ("q", "k", "phi_star", "raw_moment", "normalized",
                   "ratio_to_logq_pow_k2")
 
 
-def _cmd_moments(cfg: RunConfig) -> str:
-    rows, _ = _moment_rows(cfg)
-    return _render(cfg, _MOMENT_HEADER, rows)
-
-
 _FIT_HEADER = ("k", "slope", "intercept", "r_squared", "points")
 
 
@@ -450,12 +461,10 @@ def _fit_blocks(reports: dict[float, list]) -> tuple[list[str], list[dict]]:
 
 def _cmd_sweep(cfg: RunConfig) -> str:
     rows, reports = _moment_rows(cfg)
-    comments: list[str] = []
-    audits = None
-    if cfg.fit:
-        comments, fits = _fit_blocks(reports)
-        audits = {"fit": fits}
-    return _render(cfg, _MOMENT_HEADER, rows, audits=audits,
+    if not cfg.fit:
+        return _render(cfg, _MOMENT_HEADER, rows)
+    comments, fits = _fit_blocks(reports)
+    return _render(cfg, _MOMENT_HEADER, rows, audits={"fit": fits},
                    comments=comments)
 
 
@@ -517,7 +526,8 @@ _COMMANDS = {
     "chars": _cmd_chars,
     "weights": _cmd_weights,
     "lvalue": _cmd_lvalue,
-    "moments": _cmd_moments,
+    # moments reads no fit, so sweep's route prints its rows alone
+    "moments": _cmd_sweep,
     "sweep": _cmd_sweep,
     "mollifier-verify": _cmd_mollifier_verify,
     "audit": _cmd_audit,
@@ -549,8 +559,10 @@ def run(argv=None) -> int:
         print(f"twistmoments: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, AssertionError, ArithmeticError, RuntimeError,
-            OSError) as exc:
-        print(f"twistmoments: computation failed: {exc}", file=sys.stderr)
+            OSError, MemoryError) as exc:
+        # a bare MemoryError has no text of its own
+        print(f"twistmoments: computation failed: "
+              f"{str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

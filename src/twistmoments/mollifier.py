@@ -29,9 +29,6 @@ The prime sums are weighted by lambda(p), Delta's normalized eigenvalues,
 so the Dirichlet form carries the eigenform's coefficients.  That is the
 weighting of the source construction, and the one under which the diagonal
 factorization identity and the local-factor shape hold.
-
-LadderParams, PrimeSegments and Tower are named-tuple subclasses, like
-cli.RunConfig, so checking a ladder (chars --ell) loads no dataclasses.
 """
 
 from __future__ import annotations
@@ -39,14 +36,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+import numpy as np
+
 from . import arith, characters
-
-# typing.TYPE_CHECKING without loading typing, as in arith
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .hecke import EigenformTable
+from .hecke import EigenformTable
 
 # largest coefficient map a segment or the full mollifier may hold
 _SUPPORT_CAP = 1_000_000
@@ -218,7 +211,6 @@ def prime_sums(ctx: MollifierContext, j: int) -> np.ndarray:
     for every character mod q by flat index: one characters.family_sums
     transform of the weights carried on the primes' residues.  A prime
     dividing q sits on a non-unit, where every chi vanishes."""
-    import numpy as np
     q = ctx.segments.q
     f = np.zeros(q)
     for p in ctx.segments.segments[j - 1]:

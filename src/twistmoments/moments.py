@@ -84,20 +84,16 @@ class InequalityAudit(namedtuple("InequalityAudit", "q k checks reported")):
 def family_moment(recs, k: float) -> MomentReport:
     """Sum* |L(1/2)|^(2k) over a family built by lvalues.family_values.
 
-    k = 0 returns phi_star(q) exactly (every term is 1 by convention).
+    k = 0 returns phi_star(q) exactly, as x ** 0.0 is 1.0 for every float x.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     q = recs[0].chi.group.q
     phi_star = arith.phi_star(q)
-    if k == 0:
-        raw = float(phi_star)
-    else:
-        amps = [abs(r.value) ** (2 * k) for r in recs]
-        if len(amps) != phi_star:
-            raise AssertionError(
-                f"family size {len(amps)} != phi_star {phi_star}")
-        raw = float(sum(amps))
+    if len(recs) != phi_star:
+        raise AssertionError(
+            f"family size {len(recs)} != phi_star {phi_star}")
+    raw = float(sum(abs(r.value) ** (2 * k) for r in recs))
     normalized = raw / phi_star
     return MomentReport(
         q=q, k=k, phi_star=phi_star, raw_moment=raw, normalized=normalized,

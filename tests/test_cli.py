@@ -69,8 +69,8 @@ def test_help_exits_zero(capsys):
     ["audit", "--q-list", "53,101", "--k", "0.5"],   # exactly one modulus
     ["mollifier-verify", "--q-list", "53,101"],
     ["fit", "--q-list", "53,101,149"],               # needs >= 4 moduli
-    ["moments", "--q", "53", "--ell", "8,3"],        # odd ladder entry
-    ["moments", "--q", "53", "--ell", "2,8"],        # increasing ladder
+    ["audit", "--q", "53", "--ell", "8,3"],          # odd ladder entry
+    ["audit", "--q", "53", "--ell", "2,8"],          # increasing ladder
     ["tau", "--n-max", "0"],
     ["chars", "--q", "9", "--format", "xml"],
     ["lvalue", "--q", "5", "--seed", "-1"],
@@ -277,8 +277,7 @@ import contextlib, io, sys
 start = set(sys.modules)
 from twistmoments import cli
 for args in (["--q-list", "1009,1024,1155,1200,1331", "--format", "csv"],
-             ["--q-list", "1009,1024,1155,1200,1331", "--format", "json"],
-             ["--q", "9", "--ell", "8,2"]):
+             ["--q-list", "1009,1024,1155,1200,1331", "--format", "json"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["chars", *args]) == 0
     added = {"dataclasses", "inspect"} & (set(sys.modules) - start)
@@ -292,7 +291,7 @@ assert "numpy" not in sys.modules, "chars loaded numpy"
 def test_chars_never_imports_numpy():
     # listing a family is integer arithmetic on the standard library alone,
     # and its records are named tuples, so a listing loads no dataclasses
-    # either, nor does --ell, whose ladder is a named tuple too
+    # either
     proc = subprocess.run([sys.executable, "-c", _NUMPY_GUARD],
                           capture_output=True, text=True, env=_FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
@@ -588,8 +587,10 @@ def test_config_file_rejections(tmp_path, capsys):
                         ({"out": 1}, "out"),
                         ({"kappa": 12}, "'kappa'")):
         bad.write_text(json.dumps(body))
-        rc, out, err = run_cli(["lvalue", "--q", "5", "--config", str(bad)],
-                               capsys)
+        # fit is read by sweep alone, and no flag is given, because a --q
+        # would replace the file's q_list
+        cmd = "sweep" if "fit" in body else "lvalue"
+        rc, out, err = run_cli([cmd, "--config", str(bad)], capsys)
         assert rc == 1, body
         assert out == ""
         assert err.startswith("twistmoments: error: ") and named in err
@@ -616,11 +617,10 @@ def test_config_hash_semantics(tmp_path, capsys):
     assert rc == 0
     assert out_path.read_text().splitlines()[0] == f"# config {a}"
     # nor is the table cache location
-    d = _hash_of(["chars", "--q", "9", "--cache-dir", str(tmp_path / "c1")],
-                 capsys)
-    e = _hash_of(["chars", "--q", "9", "--cache-dir", str(tmp_path / "c2")],
-                 capsys)
-    assert d == e == a
+    w = _hash_of(["weights"], capsys)
+    d = _hash_of(["weights", "--cache-dir", str(tmp_path / "c1")], capsys)
+    e = _hash_of(["weights", "--cache-dir", str(tmp_path / "c2")], capsys)
+    assert d == e == w
 
 
 @pytest.mark.parametrize("args, want", [
@@ -674,14 +674,89 @@ def test_chars_bytes_match_the_row_oracle(q_list, fmt, capsys):
 
 
 def test_config_keys_are_the_flags():
-    # a setting is given by a flag or a config-file key alike, so the two
-    # sets must not drift apart
+    # a setting is given by a flag or a config-file key alike, and each
+    # command has the flags of the settings it reads, and no others
     parser = cli._build_parser(cli._COMMANDS)
     (sub,) = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
+    assert sub.choices.keys() == cli._READS.keys()
+    flags = 0
     for name, sp in sub.choices.items():
         dests = {a.dest for a in sp._actions} - {"help", "config"}
-        assert dests == set(cli._KEYS), name
+        assert dests == {*cli._READS[name], "format", "out"}, name
+        assert dests <= cli._SETTINGS.keys(), name
+        flags += len(dests) + 1
+    assert flags == 89
+
+
+@pytest.mark.parametrize("name", list(cli._READS))
+def test_unread_flags_are_usage_errors(name, capsys):
+    # a flag of a setting the command does not read is no flag of it
+    reads = {*cli._READS[name], "format", "out"}
+    unread = [key for key in cli._SETTINGS if key not in reads]
+    assert unread
+    for key in unread:
+        flag = "--" + key.replace("_", "-")
+        rc, out, err = run_cli([name, flag, "6"], capsys)
+        assert (rc, out) == (1, ""), key
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: unrecognized arguments: {flag} 6\n")
+
+
+def test_unread_config_keys_keep_their_defaults(tmp_path, capsys):
+    # a known key the command does not read can neither fail the command
+    # nor move its hash, whatever its value
+    path = tmp_path / "unread.json"
+    for args, body in (
+            (["chars", "--q", "5"], {"tail_eps": 2}),
+            (["chars", "--q", "5"], {"tail_eps": 1e-3, "seed": None,
+                                     "audit_count": -2, "X": "abc",
+                                     "ell": "8,3", "k_list": "x",
+                                     "fit": "yes", "cache_dir": 1}),
+            (["weights"], {"q": 6, "q_list": "5,7", "n_max": 0})):
+        path.write_text(json.dumps(body))
+        assert (_hash_of([*args, "--config", str(path)], capsys)
+                == _hash_of(args, capsys)), body
+
+
+def test_flags_replace_both_forms_from_the_file(tmp_path, capsys):
+    # q and q_list are one setting, as are k and k_list: a flag of either
+    # form replaces the file's, and one source may not give both forms
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"q_list": "5,7"}))
+    rc, out, _ = run_cli(["chars", "--config", str(path), "--q", "9"], capsys)
+    assert rc == 0
+    assert {row["q"] for row in csv_rows(out)[1]} == {"9"}
+    want = _hash_of(["chars", "--q", "9"], capsys)
+    assert out.splitlines()[0] == f"# config {want}"
+    path.write_text(json.dumps({"k_list": [0.5, 2]}))
+    rc, out, _ = run_cli(
+        ["moments", "--config", str(path), "--q", "7", "--k", "1"], capsys)
+    assert rc == 0
+    assert [row["k"] for row in csv_rows(out)[1]] == ["1.0"]
+    for args, body, err_want in (
+            (["chars", "--q", "5", "--q-list", "7"], None,
+             "give q or q_list, not both"),
+            (["moments", "--q", "7", "--k", "1", "--k-list", "2"], None,
+             "give k or k_list, not both"),
+            (["chars"], {"q": 5, "q_list": "7"},
+             "config file: give q or q_list, not both"),
+            (["moments", "--q", "7"], {"k": 1, "k_list": [2]},
+             "config file: give k or k_list, not both")):
+        if body is not None:
+            path.write_text(json.dumps(body))
+            args = [*args, "--config", str(path)]
+        assert run_cli(args, capsys) == (
+            1, "", f"twistmoments: error: {err_want}\n"), args
+
+
+def test_memory_error_is_a_computation_failure(monkeypatch, capsys):
+    # a bare MemoryError has no text; the one stderr line names its type
+    def exhausted(n_max):
+        raise MemoryError()
+    monkeypatch.setattr(hecke, "ramanujan_tau_table", exhausted)
+    assert run_cli(["tau", "--n-max", "5"], capsys) == (
+        2, "", "twistmoments: computation failed: MemoryError\n")
 
 
 def test_repeat_runs_byte_identical(tmp_path, capsys):

@@ -51,6 +51,13 @@ def test_zeroth_moment_counts_family(fam53):
         moments.family_moment(fam53, -1.0)
 
 
+@pytest.mark.parametrize("k", [0.0, 1.0])
+def test_partial_family_is_refused_at_every_k(fam53, k):
+    # k = 0 reads no value, but three characters are still not the family
+    with pytest.raises(AssertionError, match="family size 3 != phi_star 51"):
+        moments.family_moment(fam53[:3], k)
+
+
 def test_first_moment_regressions(fam53, fam101):
     rep53 = moments.family_moment(fam53, 1.0)
     assert abs(rep53.raw_moment - 284.513421702588) < 1e-6 * 284.5
