@@ -14,7 +14,9 @@ Modules:
     cli         command-line front end
 """
 
+import contextlib
 import importlib.util
+import os
 import sys
 
 __version__ = "0.1.0"
@@ -25,6 +27,24 @@ __version__ = "0.1.0"
 # hecke's tables and with them lvalues' truncation lengths, and is kept here
 # so that the CLI checks --n-max without loading hecke.
 TAU_N_MAX = 20_000_000
+
+
+# kept here so that weights writes its kernel file without running hecke
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Open a temporary binary file beside path; it replaces path only on
+    success."""
+    import tempfile
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
 
 # Each layer is registered at once but runs its code on first attribute
 # access, so a command loads only the layers it uses.  cli is left out:

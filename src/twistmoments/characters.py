@@ -43,19 +43,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _is_primitive_root(g: int, m: int, phi: int, phi_primes: tuple[int, ...]) -> bool:
-    if math.gcd(g, m) != 1:
-        return False
-    return all(pow(g, phi // r, m) != 1 for r in phi_primes)
-
-
 def least_primitive_root(m: int) -> int:
     """Least primitive root of m; caller guarantees one exists (m odd prime
     power, or m in {2, 4})."""
     phi = arith.euler_phi(m)
     phi_primes = tuple(p for p, _ in arith.factorize(phi))
     for g in range(2, m):
-        if _is_primitive_root(g, m, phi, phi_primes):
+        if math.gcd(g, m) == 1 and all(pow(g, phi // r, m) != 1
+                                       for r in phi_primes):
             return g
     raise ValueError(f"no primitive root mod {m}")
 

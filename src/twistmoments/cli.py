@@ -6,7 +6,9 @@ flags of the settings it reads (_READS).  Config resolution order: built-in
 defaults, then a JSON config file (--config), then explicit flags; a file
 key the command does not read keeps its default.  Every run emits the
 resolved config hash with its results so outputs are traceable; given the
-same config and seed the bytes are identical.
+same config and seed the bytes are identical.  A table-backed command hands
+each family the run's one table (_table), so lvalues.audit_plan decides the
+squared-route audit alike in every command.
 
 Exit codes: 0 success, 1 bad usage or config, 2 computation failure.
 
@@ -44,6 +46,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    # a subcommand reports unknown arguments under its own usage line
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return args, extras
 
 
 class RunConfig(namedtuple("RunConfig", (
@@ -258,6 +267,10 @@ def _validate(cfg: RunConfig):
             raise _CliError(f"{cfg.command} takes exactly one modulus")
         if len(cfg.k_list) != 1:
             raise _CliError(f"{cfg.command} takes exactly one k")
+        k, top = cfg.k_list[0], moments.LOCAL_FACTOR_K_MAX
+        if cfg.command == "mollifier-verify" and k > top:
+            raise _CliError(f"k={k:g} is beyond the local-factor envelope, "
+                            f"established for k <= {top:g}")
     if cfg.command == "fit" and len(cfg.q_list) < 4:
         raise _CliError("fit needs at least 4 moduli")
     for q in cfg.q_list:
@@ -404,15 +417,12 @@ def _cmd_lvalue(cfg: RunConfig) -> str:
     tab = _table(cfg)
     rows, audits, comments = [], [], []
     for q in cfg.q_list:
-        # each family reads the prefix its own n_cap would get, so its audit
-        # flags do not depend on the other moduli
-        prefix = hecke.table_prefix(tab, lvalues.required_n_cap(q, afe))
-        recs = lvalues.family_values(prefix, q, afe)
+        recs = lvalues.family_values(tab, q, afe)
         rows += [(q, r.chi.index, r.chi.conductor, r.value.real,
                   r.value.imag, abs(r.value), r.sq_direct, r.residual,
                   r.audited) for r in recs]
         audited = sum(r.audited for r in recs)
-        skipped = lvalues.audit_plan(prefix, q, afe)[1]
+        skipped = lvalues.audit_plan(tab, q, afe)[1]
         audits.append({"q": q, "audited": audited, "characters": len(recs),
                        "skipped": skipped})
         comments.append(f"# audit q={q} audited={audited}/{len(recs)}"

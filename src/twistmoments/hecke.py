@@ -35,23 +35,21 @@ lambda(n) = tau(n)/n^(11/2) are stored as float64: those floats divided by
 n ** 5.5 taken by numpy's array power.  That power is not libm's pow: it
 differs in the last bit for 1,025 of n <= 20,000, so the table is not
 bit-equal to the Python expression float(tau) / n ** 5.5.
-shared_eigenform keeps one table per process and, on request, an on-disk
-cache of validated tables that serves any shorter request by prefix.
+shared_eigenform serves each request the first _rounded_size(n) terms of
+one process table or, on request, of a longer validated table cached on disk.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
 import os
 import re
-import tempfile
 from collections import namedtuple
 
 import numpy as np
 
-from . import TAU_N_MAX, arith
+from . import TAU_N_MAX, _replacing, arith
 
 _ZERO = ord("0")
 # unit roundoff of float64
@@ -492,21 +490,6 @@ def ramanujan_tau_table(n_max: int, *, floats: bool = False) -> np.ndarray:
     return _decimal_strings(*_limb_digits(*tau))
 
 
-@contextlib.contextmanager
-def _replacing(path: str):
-    """Open a temporary binary file beside path; it replaces path only on
-    success."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def coefficient_lines(taus: np.ndarray) -> str:
     """The coefficient file for a ramanujan_tau_table result: one
     "n<TAB>tau(n)" line per n, no header."""
@@ -633,16 +616,6 @@ def _rounded_size(n_max: int) -> int:
     return -(-n_max // _SHARED_STEP) * _SHARED_STEP
 
 
-def table_prefix(tab: EigenformTable, n_max: int) -> EigenformTable:
-    """The table every request for n_max gets: the first _rounded_size(n_max)
-    terms of tab, which must hold them (tab itself at that length)."""
-    size = _rounded_size(n_max)
-    if tab.n_max < size:
-        raise ValueError(f"table covers n <= {tab.n_max}, need {size}")
-    return tab if tab.n_max == size else EigenformTable(
-        n_max=size, lam=tab.lam[:size + 1], source=tab.source)
-
-
 # The 12 in the file names and keys is Delta's weight.  Changing it would
 # make every cache already written a miss.
 def _cache_path(cache_dir: str, n_max: int) -> str:
@@ -711,7 +684,7 @@ def shared_eigenform(n_max: int,
     tab = _shared_table
     if tab is None or tab.n_max < size:
         tab = _shared_table = build_eigenform(n_max=size)
-    tab = table_prefix(tab, size)
+    tab = tab._replace(n_max=size, lam=tab.lam[:size + 1])
     if cache_dir is not None:
         with _replacing(_cache_path(cache_dir, size)) as fh:
             np.save(fh, tab.lam)

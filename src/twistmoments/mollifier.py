@@ -62,9 +62,7 @@ def r_k_value(k: float) -> int:
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if k >= 1:
-        return math.ceil(1 + 1 / k) + 1
-    if k > 0.5:
+    if 0.5 < k < 1:
         return math.ceil(k / (2 * k - 1)) + 1
     return math.ceil(1 + 1 / k) + 1
 

@@ -46,6 +46,8 @@ _LOCAL_TERMS = 60
 # reaches the largest
 LOCAL_FACTOR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                        47)
+# the largest k at which diagonal_local_factor's envelope is established
+LOCAL_FACTOR_K_MAX = 2.0
 
 
 class MomentReport(namedtuple("MomentReport", (
@@ -218,9 +220,13 @@ def diagonal_local_factor(table: EigenformTable, p: int,
     """Unrestricted Euler factor _local_factor of the diagonal identity at
     one prime, which should match 1 + k^2 lambda(p)^2 / p up to a remainder
     of size envelope/p^2.  The envelope is 10 for k <= 1 and 80 above: the
-    remainder's constant grows like k^4 (the p^-2 term carries
-    k^2 lambda^2 (5k-2)/2 against it), so larger k needs the wider one.
+    p^-2 term carries k^2 lambda^2 (5k-2)/2, at most 2 k^2 (5k-2) as
+    |lambda(p)| <= 2: 64 at k = 2, past 80 from k ~ 2.19.  So a k beyond
+    LOCAL_FACTOR_K_MAX raises ValueError.
     """
+    if not k <= LOCAL_FACTOR_K_MAX:
+        raise ValueError(f"k={k:g} is beyond the local-factor envelope, "
+                         f"established for k <= {LOCAL_FACTOR_K_MAX:g}")
     lam_p = table.lam_at(p)
     dev = abs(_local_factor(lam_p, p, k) - (1.0 + k * k * lam_p * lam_p / p))
     bound = (10.0 if k <= 1 else 80.0) / p ** 2
@@ -319,10 +325,7 @@ def pointwise_inequality_audit(chi: characters.Character,
     checks: list[CheckRecord] = []
 
     def add(name: str, j: int, lhs: float, rhs: float, lower: bool = False):
-        if lower:
-            ok = lhs >= rhs * (1 - _SLACK)
-        else:
-            ok = lhs <= rhs * (1 + _SLACK)
+        ok = lhs >= rhs * (1 - _SLACK) if lower else lhs <= rhs * (1 + _SLACK)
         checks.append(CheckRecord(
             name=name, subject=f"chi={chi.index} j={j}",
             lhs=lhs, rhs=rhs, ok=ok))

@@ -59,7 +59,7 @@ import os
 
 import numpy as np
 
-from . import hecke
+from . import _replacing
 
 _GRID_SIZE = 2048
 _GRID_LO = 1e-8
@@ -340,7 +340,7 @@ def evaluators(cache_dir: str | None = None) -> tuple[WeightEvaluator,
                             for a in (ev.grid_vals, ev.grid_slopes)]
                            ).astype("<f8").tobytes()
         os.makedirs(cache_dir, exist_ok=True)
-        with hecke._replacing(path) as fh:
+        with _replacing(path) as fh:
             fh.write(hashlib.sha256(payload).digest() + payload)
         return pair
     digest, payload = data[:32], data[32:]

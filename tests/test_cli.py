@@ -263,9 +263,13 @@ for name in ("arith", "characters", "hecke", "lvalues", "moments",
     # annotations only
     (["weights"], {"arith", "characters", "hecke", "sums", "moments",
                    "mollifier"}),
+    # writing the kernel file to an empty cache directory runs none either
+    (["weights", "--cache-dir", "{empty}"],
+     {"arith", "characters", "hecke", "sums", "moments", "mollifier"}),
 ])
-def test_commands_load_only_their_layers(args, unloaded):
+def test_commands_load_only_their_layers(args, unloaded, tmp_path):
     # a layer whose code never ran is still its lazy stand-in in sys.modules
+    args = [str(tmp_path) if a == "{empty}" else a for a in args]
     proc = subprocess.run([sys.executable, "-c", _LAZY_GUARD, *args],
                           capture_output=True, text=True, env=_FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
@@ -699,8 +703,10 @@ def test_unread_flags_are_usage_errors(name, capsys):
         flag = "--" + key.replace("_", "-")
         rc, out, err = run_cli([name, flag, "6"], capsys)
         assert (rc, out) == (1, ""), key
-        assert err.startswith("usage: ")
-        assert err.endswith(f"error: unrecognized arguments: {flag} 6\n")
+        # the command's own usage line, which shows the flags it takes
+        assert err.startswith(f"usage: twistmoments {name} [-h] "), key
+        assert err.endswith(f"\ntwistmoments {name}: error: "
+                            f"unrecognized arguments: {flag} 6\n"), key
 
 
 def test_unread_config_keys_keep_their_defaults(tmp_path, capsys):
@@ -748,6 +754,23 @@ def test_flags_replace_both_forms_from_the_file(tmp_path, capsys):
             args = [*args, "--config", str(path)]
         assert run_cli(args, capsys) == (
             1, "", f"twistmoments: error: {err_want}\n"), args
+
+
+def test_mollifier_verify_keeps_k_within_the_envelope(capsys):
+    # diagonal_local_factor's envelope is established for k <= 2 only: at
+    # k = 2 every row holds, and past it the rows failed (k = 3) or a power
+    # overflowed (k = 1e6)
+    rc, out, err = run_cli(["mollifier-verify", "--q", "9", "--k", "2",
+                            "--format", "json"], capsys)
+    assert (rc, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert sum(r["name"] == "diagonal_local_factor" for r in rows) == 15
+    assert all(r["ok"] for r in rows)
+    for k in ("2.5", "3", "1e6"):
+        assert run_cli(["mollifier-verify", "--q", "9", "--k", k],
+                       capsys) == (
+            1, "", f"twistmoments: error: k={float(k):g} is beyond the "
+            "local-factor envelope, established for k <= 2\n"), k
 
 
 def test_memory_error_is_a_computation_failure(monkeypatch, capsys):
@@ -798,26 +821,37 @@ def test_cache_dir_serves_shorter_request_by_prefix(tmp_path, capsys):
 
 
 def test_uncached_rows_do_not_depend_on_modulus_order(monkeypatch, capsys):
-    # without --cache-dir every call gets a table of exactly its own size,
-    # whatever bigger table an earlier modulus left in the process
+    # without --cache-dir every run gets a table of exactly its own size,
+    # whatever bigger table an earlier run left in the process; within one
+    # run every family reads the run's one table, which decides its audits
+    # but never a value
     monkeypatch.setattr(hecke, "_shared_table", None)
-    rows_211 = {}
-    for q_list in ("211", "401,211"):
-        rc, out, _ = run_cli(["lvalue", "--q-list", q_list,
-                              "--tail-eps", "1e-5"], capsys)
-        assert rc == 0
-        rows_211[q_list] = [l for l in out.splitlines()
-                            if l.startswith("211,")]
-    assert len(rows_211["211"]) == 209          # phi*(211)
-    assert rows_211["211"] == rows_211["401,211"]
+    base = ["lvalue", "--tail-eps", "1e-5"]
+    fresh = run_cli([*base, "--q", "211"], capsys)
+    assert fresh[0] == 0
+    rc, both, _ = run_cli([*base, "--q-list", "401,211"], capsys)
+    assert rc == 0
+    # a lone run after the list, with the 500k table in the process
+    assert run_cli([*base, "--q", "211"], capsys) == fresh
+    lone = csv_rows(fresh[1])[1]
+    listed = [r for r in csv_rows(both)[1] if r["q"] == "211"]
+    assert len(lone) == len(listed) == 209          # phi*(211)
+    cells = ("index", "re", "im", "abs")
+    assert ([[r[c] for c in cells] for r in listed]
+            == [[r[c] for c in cells] for r in lone])
+    # m_cap 348050 passes the lone run's 187,917 terms but fits the 500k
+    # table that q = 401 sizes
+    assert sum(r["audited"] == "1" for r in lone) == 0
+    assert sum(r["audited"] == "1" for r in listed) == 8
+    assert "# audit q=211 audited=8/209" in both.splitlines()
 
 
 def test_lvalue_list_loads_one_table(tmp_path, monkeypatch, capsys):
     # a --q-list run reads one table, sized for its largest modulus, and
-    # loads and validates it once; each family still reads the prefix its
-    # own n_cap asks for, so its rows equal a one-modulus run's.  At q = 149
-    # that prefix is too short for the squared route, which the 500k-term
-    # table of q = 307 would allow
+    # loads and validates it once.  Every family reads that table, as in
+    # sweep: its values equal a one-modulus run's, and its audit is decided
+    # against the run's table, so q = 149, whose own 132,700-term table is
+    # too short for the squared route, is audited against q = 307's 500k
     args = ["lvalue", "--q-list", "53,149,307", "--tail-eps", "1e-5",
             "--cache-dir", str(tmp_path)]
     rc, cold, _ = run_cli(args, capsys)
@@ -826,14 +860,13 @@ def test_lvalue_list_loads_one_table(tmp_path, monkeypatch, capsys):
     # one comment per modulus, after every row, from lvalues.audit_plan
     assert cold.splitlines()[-3:] == [
         "# audit q=53 audited=8/51",
-        "# audit q=149 audited=0/147 skipped: m_cap 173560 > table 132700",
+        "# audit q=149 audited=8/147",
         "# audit q=307 audited=0/305 skipped: m_cap 736805 > table 500000"]
     rc, doc, _ = run_cli(args + ["--format", "json"], capsys)
     assert rc == 0
     assert json.loads(doc)["audits"] == [
         {"q": 53, "audited": 8, "characters": 51, "skipped": None},
-        {"q": 149, "audited": 0, "characters": 147,
-         "skipped": "m_cap 173560 > table 132700"},
+        {"q": 149, "audited": 8, "characters": 147, "skipped": None},
         {"q": 307, "audited": 0, "characters": 305,
          "skipped": "m_cap 736805 > table 500000"}]
     calls = collections.Counter()
@@ -847,13 +880,18 @@ def test_lvalue_list_loads_one_table(tmp_path, monkeypatch, capsys):
     assert warm == cold
     assert calls == {"_load_cached": 1, "_validate_table": 1}
     monkeypatch.undo()
+    cells = ("index", "re", "im", "abs")
     for q in ("53", "149", "307"):
         rc, one, _ = run_cli(["lvalue", "--q", q, "--tail-eps", "1e-5"],
                              capsys)
         assert rc == 0
-        want = csv_rows(one)[1]
-        assert want == [r for r in csv_rows(warm)[1] if r["q"] == q]
-        assert any(r["audited"] == "1" for r in want) == (q == "53")
+        lone = csv_rows(one)[1]
+        listed = [r for r in csv_rows(warm)[1] if r["q"] == q]
+        assert ([[r[c] for c in cells] for r in listed]
+                == [[r[c] for c in cells] for r in lone])
+        # only q = 149's audit moves with the table: lone, it has none
+        assert (listed == lone) == (q != "149")
+        assert any(r["audited"] == "1" for r in lone) == (q == "53")
 
 
 def test_corrupt_cache_file_exits_two(tmp_path, capsys):

@@ -258,8 +258,7 @@ def test_audit_plan_decides_the_squared_route(family_table):
     # audits min(audit_count, phi*) characters when it gives no reason and
     # none when it gives one, and the CLI prints that reason
     eps5 = lvalues.AfeConfig(tail_eps=1e-5)
-    short = hecke.table_prefix(family_table,
-                               lvalues.required_n_cap(149, eps5))
+    short = hecke.shared_eigenform(lvalues.required_n_cap(149, eps5))
     for table, q, cfg, reason in [
             (family_table, 53, CFG, None),
             (family_table, 53, lvalues.AfeConfig(audit_count=0),

@@ -192,6 +192,17 @@ def test_diagonal_local_factor_envelopes(table_100k):
     assert [r.rhs for r in wide] == [80.0 / p ** 2 for p in primes]
 
 
+def test_diagonal_local_factor_refuses_k_past_its_envelope(table_100k):
+    # the p^-2 coefficient k^2 lambda^2 (5k-2)/2 is at most 2 k^2 (5k-2)
+    # under Deligne's bound: 64 at k = 2, within 80, but past 80 from
+    # k ~ 2.19, so the envelope is established up to k = 2 only
+    assert moments.LOCAL_FACTOR_K_MAX == 2.0
+    assert 2 * 2.0 ** 2 * (5 * 2.0 - 2) <= 80 < 2 * 2.2 ** 2 * (5 * 2.2 - 2)
+    for k in (2.0 + 1e-12, 2.5, 3.0, 1e6):
+        with pytest.raises(ValueError, match="envelope"):
+            moments.diagonal_local_factor(table_100k, 47, k)
+
+
 def test_diagonal_local_factor_equals_the_literal_sum(table_100k):
     # the weights (k-1)^l lambda(p)^l / l! are computed once per prime; the
     # value is the literal double sum to the bit
