@@ -4,7 +4,8 @@ check every identity directly.
 
 Modules:
     arith       sieves, multiplicative helpers, phi_star
-    hecke       eigenform coefficient tables (built-in Ramanujan tau)
+    hecke       eigenform tables of Delta: validation and cache
+    tausieve    exact Ramanujan tau by FFT squarings (tau and table builds)
     characters  Dirichlet character groups, Gauss/Kloosterman sums
     weights     the two smoothing kernels of the functional equations
     sums        compensated reductions
@@ -50,7 +51,7 @@ def _replacing(path: str):
 # access, so a command loads only the layers it uses.  cli is left out:
 # `python -m twistmoments.cli` runs it as __main__.
 for _name in ("arith", "characters", "hecke", "lvalues", "moments",
-              "mollifier", "sums", "weights"):
+              "mollifier", "sums", "tausieve", "weights"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)
@@ -60,5 +61,5 @@ del _name, _spec, _module
 
 __all__ = [
     "arith", "characters", "hecke", "lvalues", "moments", "mollifier",
-    "sums", "weights", "__version__",
+    "sums", "tausieve", "weights", "__version__",
 ]

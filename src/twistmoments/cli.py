@@ -20,18 +20,25 @@ named tuples too, and the seeded draws use random.Random.  The kernel grids
 are read while the config is checked, from the --cache-dir kernel file when
 one is given; a bad file or directory there fails the computation (exit 2),
 as a bad cached table does, and so does an --out that cannot be written.
+
+main() freezes the garbage collector once run() returns, so the exiting
+process skips finalization's collections over every object the command left
+(stdout and stderr still flush and atexit handlers still run); run() does
+not, since an in-process caller goes on running and needs its collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
 import sys
 from collections import namedtuple
 
-from . import TAU_N_MAX, characters, hecke, lvalues, moments, mollifier
+from . import (TAU_N_MAX, characters, hecke, lvalues, moments, mollifier,
+               tausieve)
 
 DEFAULT_ELL = (8, 2)        # even, decreasing, small enough to act at q ~ 50
 _WEIGHT_SAMPLES = 25
@@ -370,7 +377,7 @@ def _cmd_tau(cfg: RunConfig) -> str:
     if cfg.format == "csv":
         # plain "n<TAB>tau(n)" coefficient lines; deliberately no hash
         # comment or header line
-        return hecke.coefficient_lines(taus)
+        return tausieve.coefficient_lines(taus)
     return _render(cfg, ("n", "tau"), enumerate(map(int, taus), start=1))
 
 
@@ -578,7 +585,9 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    code = run()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

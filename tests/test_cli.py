@@ -3,6 +3,7 @@
 import argparse
 import collections
 import functools
+import gc
 import hashlib
 import importlib
 import importlib.util
@@ -141,6 +142,56 @@ def test_unwritable_out_exits_two(args, out, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_main_freezes_the_collector_after_run(monkeypatch):
+    # the exiting process skips finalization's collections; run() does not
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    assert calls == ["run", "freeze"]
+
+
+def test_run_leaves_the_collector_unfrozen(capsys):
+    assert gc.get_freeze_count() == 0
+    assert run_cli(["lvalue", "--q", "7"], capsys)[0] == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_main_writes_what_run_writes(tmp_path, capsys):
+    args = ["tau", "--n-max", "20000"]
+    rc, want, _ = run_cli(args, capsys)
+    assert rc == 0
+    proc = subprocess.run([sys.executable, "-m", "twistmoments.cli", *args],
+                          capture_output=True, env=_FRESH_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, want.encode(), b"")
+    out = tmp_path / "tau.tsv"
+    proc = subprocess.run([sys.executable, "-m", "twistmoments.cli", *args,
+                           "--out", str(out)],
+                          capture_output=True, env=_FRESH_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["lvalue", "--q", "7", "--X", "1e300"], 1,
+     "twistmoments: error: X=1e+300 is too far from 1: n_cap 3.874e+304 "
+     "exceeds the limit 20000000 at q=7\n"),
+    (["chars", "--q", "9", "--out", "{missing}/x"], 2,
+     "twistmoments: computation failed: [Errno 2] No such file or "
+     "directory: '{missing}/x'\n"),
+], ids=["usage", "computation"])
+def test_main_keeps_the_failure_exits(args, code, err, tmp_path):
+    missing = str(tmp_path / "missing")
+    args = [a.replace("{missing}", missing) for a in args]
+    proc = subprocess.run([sys.executable, "-m", "twistmoments.cli", *args],
+                          capture_output=True, text=True, env=_FRESH_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (code, "", err.replace("{missing}", missing))
+
+
 # -------------------------------------------------------------------- outputs
 
 def test_tau_csv_is_plain_coefficient_file(tmp_path, capsys):
@@ -241,13 +292,17 @@ def test_csv_formats_each_cell():
     assert cli._csv(cfg, ["h"], []) == head
     assert cli._csv(cfg, ["h"], (r for r in [])) == head
 
+
+# the tail-eps of every warm run, so each reads the warm_cache table
+_WARM_BASE = ["--tail-eps", "1e-7"]
+
 _LAZY_GUARD = """
 import contextlib, io, sys, types
 from twistmoments import cli
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(sys.argv[1:]) == 0
 for name in ("arith", "characters", "hecke", "lvalues", "moments",
-             "mollifier", "sums", "weights"):
+             "mollifier", "sums", "tausieve", "weights"):
     if type(sys.modules["twistmoments." + name]) is not types.ModuleType:
         print(name)
 """
@@ -255,25 +310,48 @@ for name in ("arith", "characters", "hecke", "lvalues", "moments",
 
 @pytest.mark.parametrize("args, unloaded", [
     (["chars", "--q", "9"],
-     {"hecke", "lvalues", "weights", "sums", "moments", "mollifier"}),
+     {"hecke", "lvalues", "weights", "sums", "moments", "mollifier",
+      "tausieve"}),
     (["tau", "--n-max", "10"],
      {"characters", "lvalues", "weights", "sums", "moments", "mollifier"}),
     (["sweep", "--q-list", "5,7,9,11", "--fit"], {"mollifier"}),
     # the kernels need no table: lvalues names the table's class for its
     # annotations only
     (["weights"], {"arith", "characters", "hecke", "sums", "moments",
-                   "mollifier"}),
+                   "mollifier", "tausieve"}),
     # writing the kernel file to an empty cache directory runs none either
     (["weights", "--cache-dir", "{empty}"],
-     {"arith", "characters", "hecke", "sums", "moments", "mollifier"}),
+     {"arith", "characters", "hecke", "sums", "moments", "mollifier",
+      "tausieve"}),
+    # a table read from the cache is validated, never sieved
+    (["lvalue", "--q", "17", *_WARM_BASE, "--cache-dir", "{warm}"],
+     {"tausieve"}),
+    (["audit", "--q", "17", "--k", "0.5", *_WARM_BASE, "--cache-dir",
+      "{warm}"], {"tausieve"}),
+    (["mollifier-verify", "--q", "17", *_WARM_BASE, "--cache-dir", "{warm}"],
+     {"tausieve"}),
+    (["sweep", "--q-list", "5,7,9,11", "--k-list", "0.5,1", "--fit",
+      *_WARM_BASE, "--cache-dir", "{warm}"], {"tausieve"}),
 ])
-def test_commands_load_only_their_layers(args, unloaded, tmp_path):
+def test_commands_load_only_their_layers(args, unloaded, tmp_path, request):
     # a layer whose code never ran is still its lazy stand-in in sys.modules
-    args = [str(tmp_path) if a == "{empty}" else a for a in args]
+    dirs = {"{empty}": lambda: str(tmp_path),
+            "{warm}": lambda: request.getfixturevalue("warm_cache")}
+    args = [dirs[a]() if a in dirs else a for a in args]
     proc = subprocess.run([sys.executable, "-c", _LAZY_GUARD, *args],
                           capture_output=True, text=True, env=_FRESH_ENV)
     assert proc.returncode == 0, proc.stderr
     assert unloaded <= set(proc.stdout.split()), proc.stdout
+
+
+@pytest.mark.parametrize("args", [["tau", "--n-max", "10"],
+                                  ["lvalue", "--q", "7"]])
+def test_table_builds_run_the_tau_sieve(args):
+    # the other side of the warm cases above: a build does run it
+    proc = subprocess.run([sys.executable, "-c", _LAZY_GUARD, *args],
+                          capture_output=True, text=True, env=_FRESH_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert "tausieve" not in proc.stdout.split(), proc.stdout
 
 
 _NUMPY_GUARD = """
@@ -309,7 +387,6 @@ with contextlib.redirect_stdout(io.StringIO()):
 added = {"dataclasses", "numpy.random"} & set(sys.modules)
 assert not added, f"{sys.argv[1:]} loaded {sorted(added)}"
 """
-_WARM_BASE = ["--tail-eps", "1e-7"]
 
 
 @pytest.fixture(scope="module")

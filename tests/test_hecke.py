@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twistmoments import arith, hecke
+from twistmoments import arith, hecke, tausieve
 
 import helpers
 
@@ -56,15 +56,15 @@ def _convolve_trunc(a, length):
 
 
 def _square(a, length):
-    """hecke._square_rows on Python integers."""
+    """tausieve._square_rows on Python integers."""
     return helpers.row_values(
-        *hecke._square_rows(*helpers.digit_rows(a), length))
+        *tausieve._square_rows(*helpers.digit_rows(a), length))
 
 
 def test_eta6_sparse_stage_matches_schoolbook_square():
     for n in (1, 2, 3, 4, 50, 2000):
         want = _convolve_trunc(helpers.jacobi_cube(n), n)
-        got = hecke._eta6(n)
+        got = tausieve._eta6(n)
         assert got.dtype == np.int64 and got.tolist() == want, n
 
 
@@ -130,14 +130,14 @@ def test_square_rows_balanced_slot_edges(a):
 
 def test_pieces_cover_every_square_without_wrap():
     lengths = range(1, 5000)
-    plans = [hecke._pieces(length) for length in lengths]
+    plans = [tausieve._pieces(length) for length in lengths]
     for length, (pieces, levels) in zip(lengths, plans):
         piece, size = -(-length // pieces), 1 << levels
         # the least power of two that holds the square of one piece
         assert size // 2 < 2 * piece - 1 <= size
-        assert 1 <= pieces <= hecke._P_MAX
+        assert 1 <= pieces <= tausieve._P_MAX
     # the plan depends on the length alone, not on what was asked before
-    assert [hecke._pieces(length) for length in reversed(lengths)] == \
+    assert [tausieve._pieces(length) for length in reversed(lengths)] == \
         plans[::-1]
 
 
@@ -145,7 +145,8 @@ def _plan_changes(limit):
     """Every length below limit where _pieces picks another piece count
     than one term shorter, and that shorter length."""
     return sorted({at for length in range(2, limit)
-                   if hecke._pieces(length)[0] != hecke._pieces(length - 1)[0]
+                   if tausieve._pieces(length)[0]
+                   != tausieve._pieces(length - 1)[0]
                    for at in (length - 1, length)})
 
 
@@ -169,13 +170,14 @@ def test_tau_table_100k_matches_biased_square_oracle():
 def _bounds(neg, digits, width, length):
     """The rounding bounds of squaring `length` rows with limbs of width
     digits, cut into pieces as _square_rows cuts them."""
-    pieces, levels = hecke._pieces(length)
+    pieces, levels = tausieve._pieces(length)
     piece = -(-length // pieces)
     norms = [[math.sqrt(float(np.dot(x.astype(np.int64), x)))
               for x in limb.reshape(pieces, piece)]
-             for limb in hecke._balanced_limbs(neg[:length], digits[:length].T,
-                                               width, pieces * piece)]
-    return hecke._rounding_bounds(np.array(norms), levels)
+             for limb in tausieve._balanced_limbs(neg[:length],
+                                                  digits[:length].T,
+                                                  width, pieces * piece)]
+    return tausieve._rounding_bounds(np.array(norms), levels)
 
 
 @pytest.mark.parametrize("length", [1, 7, 100, 5000, 71_942])
@@ -192,14 +194,14 @@ def test_split_limbs_match_limbs_of_padded_rows(length):
     neg, digits = helpers.digit_rows(vals)
     # the rows as the squarings hand them over: one column per digit
     digits = np.asfortranarray(digits)
-    width, limbs = hecke._split_limbs(neg, digits, length)
-    pieces, _ = hecke._pieces(length)
+    width, limbs = tausieve._split_limbs(neg, digits, length)
+    pieces, _ = tausieve._pieces(length)
     piece = -(-length // pieces)
     columns = np.zeros((digits.shape[1], pieces * piece), dtype=np.uint8)
     columns[:, :length] = digits.T
     signs = np.zeros(pieces * piece, dtype=bool)
     signs[:length] = neg
-    want = hecke._balanced_limbs(signs, columns, width, pieces * piece)
+    want = tausieve._balanced_limbs(signs, columns, width, pieces * piece)
     assert len(limbs) == len(want)
     for got, limb in zip(limbs, want):
         assert got.dtype == np.int16 and got.shape == (pieces, piece)
@@ -211,8 +213,8 @@ def test_limb_width_is_widest_within_bound():
     neg, digits = helpers.digit_rows(
         [v * 10**18 + 123456789 for v in range(-50, 50)])
     for length in (1, 7, 100):
-        width, limbs = hecke._split_limbs(neg[:length], digits[:length],
-                                          length)
+        width, limbs = tausieve._split_limbs(neg[:length], digits[:length],
+                                             length)
         assert width == 4 and max(np.abs(x).max() for x in limbs) <= 5000
         assert _bounds(neg, digits, width, length).max() <= 0.25
 
@@ -226,7 +228,7 @@ def test_square_rows_narrows_limbs_past_the_bound():
     a = [top if s else -top for s in signs.tolist()]
     rows = helpers.digit_rows(a)
     assert _bounds(*rows, 4, length).max() > 0.25
-    width, _ = hecke._split_limbs(*rows, length)
+    width, _ = tausieve._split_limbs(*rows, length)
     assert width == 3 and _bounds(*rows, 3, length).max() <= 0.25
     assert _square(a, length) == helpers.square_trunc_biased(a, length)
 
@@ -278,9 +280,9 @@ def _float_cases():
 def test_limb_floats_round_like_the_string_parse(width):
     vals = _float_cases()
     sign, limbs = helpers.limb_rows(vals, width)
-    got = hecke._limb_floats(sign, limbs, width)
-    text = hecke._decimal_strings(*hecke._limb_digits(sign, list(limbs),
-                                                      width))
+    got = tausieve._limb_floats(sign, limbs, width)
+    text = tausieve._decimal_strings(
+        *tausieve._limb_digits(sign, list(limbs), width))
     assert [int(t) for t in text] == vals
     want = text.astype(np.float64)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -290,9 +292,9 @@ def test_limb_floats_round_like_the_string_parse(width):
 
 def test_coefficient_lines_match_plain_format():
     vals = [0, 5, -5, 10**30, 1 - 10**30, -7, 0] * 200
-    taus = hecke._decimal_strings(*helpers.digit_rows(vals))
+    taus = tausieve._decimal_strings(*helpers.digit_rows(vals))
     assert _ints(taus) == vals
-    assert hecke.coefficient_lines(taus) == "".join(
+    assert tausieve.coefficient_lines(taus) == "".join(
         f"{n}\t{v}\n" for n, v in enumerate(vals, start=1))
 
 
@@ -356,7 +358,7 @@ def test_tau_table_size_limit():
 def test_tau_file_round_trip(tmp_path):
     taus = hecke.ramanujan_tau_table(50)
     path = tmp_path / "tau.tsv"
-    path.write_text(hecke.coefficient_lines(taus))
+    path.write_text(tausieve.coefficient_lines(taus))
     assert helpers.read_coefficient_file(str(path)) == _ints(taus)
     lines = path.read_text().splitlines()
     assert lines[0] == "1\t1"
