@@ -63,24 +63,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 class RunConfig(namedtuple("RunConfig", (
-        "command", "q_list", "k_list", "X", "tail_eps", "ell", "N", "M",
-        "format", "out", "cache_dir", "seed", "audit_count", "n_max",
-        "fit"))):
+        "command", "q_list", "k_list", "X", "tail_eps", "ell", "format",
+        "out", "cache_dir", "seed", "audit_count", "n_max", "fit"))):
     """Fully resolved run parameters; hashed for output traceability.
 
-    q_list, k_list and ell are tuples (ell, N and M None when unset), out
-    and cache_dir paths or None.
+    q_list, k_list and ell are tuples (ell None when unset: the mollifier
+    ladder is then DEFAULT_ELL), out and cache_dir paths or None.
     """
 
     __slots__ = ()
 
     def identity(self) -> dict:
-        """Every field that decides the results, and the weight 12 of Delta,
-        the one form the package computes with.  Where results are written
-        and where tables are cached do not change the content."""
+        """Every field that decides the results, the weight 12 of Delta,
+        the one form the package computes with, and N and M, null since the
+        ladder schedule they set was dropped, so that every hash stays as it
+        was.  Where results are written and where tables are cached do not
+        change the content."""
         d = self._asdict()
         del d["out"], d["cache_dir"]
-        d["kappa"] = 12
+        d.update(N=None, M=None, kappa=12)
         return d
 
     @property
@@ -93,13 +94,10 @@ class RunConfig(namedtuple("RunConfig", (
                                  seed=self.seed, audit_count=self.audit_count)
 
     def ladder(self, q: int) -> mollifier.LadderParams:
-        """The --ell override, else the (N, M) schedule, else the default
-        ladder.  A lone N or M reaches the schedule, which refuses it."""
-        k = self.k_list[0]
-        if self.ell is None and self.N is None and self.M is None:
-            return mollifier.build_ladder(q, k=k, override_ell=DEFAULT_ELL)
-        return mollifier.build_ladder(q, N=self.N, M=self.M, k=k,
-                                      override_ell=self.ell)
+        """The mollifier ladder at q and the run's one k: --ell, else
+        DEFAULT_ELL."""
+        return mollifier.build_ladder(q, k=self.k_list[0],
+                                      override_ell=self.ell or DEFAULT_ELL)
 
 
 # every setting a config file or a flag may give: its default (None when
@@ -111,9 +109,8 @@ _SETTINGS = {
     "k_list": (None, {"help": "comma-separated exponents"}),
     "X": (1.0, {"type": float}),
     "tail_eps": (1e-8, {"type": float}),
-    "ell": (None, {"help": "comma-separated ladder override"}),
-    "N": (None, {"type": int}),
-    "M": (None, {"type": int}),
+    "ell": (None, {"help": "comma-separated mollifier ladder (default "
+                           + ",".join(map(str, DEFAULT_ELL)) + ")"}),
     "format": ("csv", {"choices": ["csv", "json"]}),
     "out": (None, {}),
     "cache_dir": (None, {}),
@@ -132,8 +129,8 @@ _READS = {name: tuple(keys.split()) for name, keys in {
     "lvalue": "q q_list X tail_eps cache_dir seed audit_count",
     "moments": "q q_list X tail_eps cache_dir seed audit_count k k_list",
     "sweep": "q q_list X tail_eps cache_dir seed audit_count k k_list fit",
-    "mollifier-verify": "q q_list k k_list X tail_eps cache_dir seed ell N M",
-    "audit": "q q_list X tail_eps cache_dir seed audit_count k k_list ell N M",
+    "mollifier-verify": "q q_list k k_list X tail_eps cache_dir seed ell",
+    "audit": "q q_list X tail_eps cache_dir seed audit_count k k_list ell",
     "fit": "q q_list X tail_eps cache_dir seed audit_count k k_list",
 }.items()}
 
@@ -223,12 +220,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise _CliError(f"fit must be true or false, got {merged['fit']!r}")
 
     def num(key, cast=int):
-        """merged[key] through cast; None for an unset key without a
-        default (a null counts as unset there)."""
-        val = merged[key]
-        if val is None and _SETTINGS[key][0] is None:
-            return None
-        return _number(val, key, cast)
+        """merged[key] through cast; each of these settings has a default,
+        so a null is an error."""
+        return _number(merged[key], key, cast)
 
     cfg = RunConfig(
         command=args.command,
@@ -236,7 +230,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         k_list=_parse_list(merged["k_list"], "k", float) or (1.0,),
         X=num("X", float), tail_eps=num("tail_eps", float),
         ell=_parse_list(merged["ell"], "ell", int),
-        N=num("N"), M=num("M"),
         format=str(merged["format"]), out=merged["out"],
         cache_dir=merged["cache_dir"], seed=num("seed"),
         audit_count=num("audit_count"), n_max=num("n_max"),

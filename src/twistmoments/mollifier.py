@@ -55,10 +55,12 @@ def r_k_value(k: float) -> int:
     """Guard-power exponent multiplier.
 
     k >= 1 uses ceil(1 + 1/k) + 1 and 1/2 < k < 1 uses ceil(k/(2k-1)) + 1.
-    The k <= 1/2 range, where the k < 1 formula degenerates (nonpositive or
-    undefined at k = 1/2), reuses ceil(1 + 1/k) + 1, which dominates every
-    exponent the proofs need; the deviation is recorded in the project
-    decision log.
+    For 0 < k <= 1/2 the second formula has no value (k/(2k-1) is
+    undefined at k = 1/2 and negative below), so this package's rule is to
+    use the first there too.  It exceeds 1 + 1/k, which is what the k <= 1
+    large regime of moments.pointwise_inequality_audit needs: with c_k = 64
+    and 64|P_j|/ell_j > 1, |Q_j(k)|^2 then bounds
+    (64|P_j|/ell_j)^(2(1+1/k) ell_j).
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -67,10 +69,9 @@ def r_k_value(k: float) -> int:
     return math.ceil(1 + 1 / k) + 1
 
 
-class LadderParams(namedtuple("LadderParams", "k ell c_k r_k N M",
-                              defaults=(None, None))):
-    """Lengths ell (decreasing, even), with the k-dependent constants c_k
-    and r_k; N and M are the schedule's (None for an override)."""
+class LadderParams(namedtuple("LadderParams", "k ell c_k r_k")):
+    """The mollifier ladder: lengths ell (even, strictly decreasing) at the
+    exponent k, with the k-dependent constants c_k and r_k."""
 
     __slots__ = ()
 
@@ -79,63 +80,33 @@ class LadderParams(namedtuple("LadderParams", "k ell c_k r_k N M",
         return len(self.ell)
 
 
-def _validate_ell(ell: tuple[int, ...], generated: bool):
+def _validate_ell(ell: tuple[int, ...]):
     for l in ell:
         if l <= 0 or l % 2:
             raise ValueError(f"ladder entries must be positive even, got {l}")
     for a, b in zip(ell, ell[1:]):
         if not a > b:
             raise ValueError(f"ladder must decrease strictly: {ell}")
-        if generated and not a > b * b:
-            raise ValueError(
-                f"generated ladder violates ell_j > ell_(j+1)^2: {a} <= {b}^2")
     if ell and sum(1.0 / l for l in ell) > 2.0 / ell[-1] + 1e-12:
         raise ValueError(
             f"ladder violates sum(1/ell_j) <= 2/ell_R: {ell}")
 
 
-def _exceeds_power_of_ten(n: int, M: int) -> bool:
-    """n > 10^M for n >= 1.  The digit count decides unless it is M + 1,
-    and only then is 10^M formed, no longer than n itself."""
-    digits = len(str(n))
-    return digits > M + 1 or (digits == M + 1 and n != 10 ** M)
+def build_ladder(q: int, k: float = 1.0, *,
+                 override_ell: tuple[int, ...]) -> LadderParams:
+    """The ladder override_ell at modulus q and exponent k.
 
-
-def build_ladder(q: int, N: int | None = None, M: int | None = None,
-                 k: float = 1.0,
-                 override_ell: tuple[int, ...] | None = None) -> LadderParams:
-    """Ladder from the (N, M) schedule, or from an explicit override.
-
-    Schedule: ell_1 = 2 ceil(N log log q), ell_(j+1) = 2 ceil(N log ell_j),
-    keeping entries while they exceed 10^M.  At desk-scale q the schedule
-    gives R = 0 (an empty ladder, mollifier identically 1); overrides are the
-    working mode and must be even and strictly decreasing.
+    override_ell is the ladder itself, ell_1 > ... > ell_R, each entry
+    even; an empty one gives R = 0, the mollifier identically 1.  It is the
+    only source of a ladder.  The source construction's asymptotic (N, M)
+    schedule keeps only entries of at least 12, whose segments end at or
+    below q^(1/144) < 2, so below q = 2^144 it gives the empty mollifier.
     """
     if q < 3:
         raise ValueError(f"q must be >= 3, got {q}")
-    if override_ell is not None:
-        ell = tuple(int(l) for l in override_ell)
-        _validate_ell(ell, generated=False)
-        return LadderParams(k=k, ell=ell, c_k=c_k_value(k), r_k=r_k_value(k),
-                            N=N, M=M)
-    if N is None or M is None:
-        raise ValueError("need N and M (or an override ladder)")
-    if N < 1 or M < 1:
-        raise ValueError(f"N, M must be >= 1, got N={N}, M={M}")
-    ell: list[int] = []
-    loglog = math.log(math.log(q))
-    if loglog > 0:
-        cur = 2 * math.ceil(N * loglog)
-        while _exceeds_power_of_ten(cur, M):
-            ell.append(cur)
-            nxt = 2 * math.ceil(N * math.log(cur))
-            if nxt >= cur:
-                break
-            cur = nxt
-    out = tuple(ell)
-    _validate_ell(out, generated=True)
-    return LadderParams(k=k, ell=out, c_k=c_k_value(k), r_k=r_k_value(k),
-                        N=N, M=M)
+    ell = tuple(int(l) for l in override_ell)
+    _validate_ell(ell)
+    return LadderParams(k=k, ell=ell, c_k=c_k_value(k), r_k=r_k_value(k))
 
 
 class PrimeSegments(namedtuple("PrimeSegments", "q segments")):

@@ -234,32 +234,13 @@ def diagonal_local_factor(table: EigenformTable, p: int,
                        lhs=dev, rhs=bound, ok=dev <= bound)
 
 
-def segment_weight_checks(
-        ctx: mollifier.MollifierContext) -> list[CheckRecord]:
-    """Per segment, sum of lambda(p)^2/p against ell_j/(4N) and (2/N) ell_j
-    (rhs, the upper bound; ok takes both); skipped for empty segments or
-    override ladders with no N."""
-    lad = ctx.ladder
-    out = []
-    for j, (seg, ell) in enumerate(zip(ctx.segments.segments, lad.ell), 1):
-        value = float(sum(ctx.table.lam_at(p) ** 2 / p for p in seg))
-        if seg and lad.N is not None:
-            upper = 2 * ell / lad.N
-            out.append(CheckRecord("segment_prime_weight", f"j={j}", value,
-                                   upper, ell / (4 * lad.N) <= value <= upper))
-        else:
-            out.append(CheckRecord("segment_prime_weight_skipped", f"j={j}",
-                                   value, None, True))
-    return out
-
-
 def verify_checks(ctx: mollifier.MollifierContext, chis,
                   seed: int) -> InequalityAudit:
     """mollifier-verify's checks at the ladder's k, in row order: per rung,
     the exp form of N_j on chis' towers against its Dirichlet polynomial;
     trunc_exp_tail at 200 points drawn by random.Random(seed); then
-    segment_weight_checks, diagonal_factorization_check and
-    diagonal_local_factor.  reported sums up N(., k)'s coefficient map."""
+    diagonal_factorization_check and diagonal_local_factor.  reported sums
+    up N(., k)'s coefficient map."""
     k = ctx.ladder.k
     towers = family_towers(ctx, chis)
     maps = _coefficient_maps(ctx, k)
@@ -291,7 +272,6 @@ def verify_checks(ctx: mollifier.MollifierContext, chis,
     checks.append(CheckRecord("trunc_exp_tail_vs_geom", "200 samples",
                               worst_coarse, 1.0, worst_coarse <= 1.0))
 
-    checks += segment_weight_checks(ctx)
     checks.append(diagonal_factorization_check(ctx, k, maps))
     checks += [diagonal_local_factor(ctx.table, p, k)
                for p in LOCAL_FACTOR_PRIMES]

@@ -79,9 +79,11 @@ def test_help_exits_zero(capsys):
     ["audit", "--q", "17", "--k-list", "0.5,2"],     # exactly one k
     ["mollifier-verify", "--q", "17", "--k-list", "0.5,2"],
     ["audit", "--q", "17", "--k", "0"],              # the ladder needs k > 0
+    # the ladder is --ell alone: the dropped (N, M) schedule's flags are
+    # unknown
     ["audit", "--q", "53", "--N", "0", "--M", "1"],
-    ["audit", "--q", "53", "--N", "2"],              # N without M
-    ["mollifier-verify", "--q", "53", "--M", "2"],   # M without N
+    ["audit", "--q", "53", "--N", "2"],
+    ["mollifier-verify", "--q", "53", "--M", "2"],
     ["lvalue", "--q", "7", "--tail-eps", "1e-21"],   # below W's grid
     ["moments", "--q", "7", "--k", "nan"],
     ["moments", "--q", "7", "--k", "inf"],
@@ -626,10 +628,22 @@ def test_mollifier_verify_json(capsys):
     assert doc["audits"]["c_k"] == 64.0
     assert doc["audits"]["r_k"] == 4
     assert all(r["ok"] for r in doc["rows"])
-    names = {r["name"] for r in doc["rows"]}
-    assert {"dual_representation", "trunc_exp_tail_vs_term",
-            "trunc_exp_tail_vs_geom", "diagonal_identity",
-            "diagonal_local_factor"} <= names
+    # one dual_representation row per rung, the two tail rows, the
+    # identity, then the local factors
+    assert [(r["name"], r["subject"]) for r in doc["rows"]] == [
+        ("dual_representation", "j=1"), ("dual_representation", "j=2"),
+        ("trunc_exp_tail_vs_term", "200 samples"),
+        ("trunc_exp_tail_vs_geom", "200 samples"),
+        ("diagonal_identity", "k=0.5"),
+        *[("diagonal_local_factor", f"p={p}")
+          for p in moments.LOCAL_FACTOR_PRIMES]]
+    # N and M stay in the identity, null, beside the fixed weight
+    assert doc["config"] == {
+        "M": None, "N": None, "X": 1.0, "audit_count": 8,
+        "command": "mollifier-verify", "ell": None, "fit": False,
+        "format": "json", "hash": "377a7b25a5a7", "k_list": [0.5],
+        "kappa": 12, "n_max": 100, "q_list": [53], "seed": 0,
+        "tail_eps": 1e-08}
 
 
 # ------------------------------------------------- config, hashing, emission
@@ -666,7 +680,9 @@ def test_config_file_rejections(tmp_path, capsys):
                         ({"q_list": 5}, "q list"),
                         ({"fit": "yes"}, "fit"),
                         ({"out": 1}, "out"),
-                        ({"kappa": 12}, "'kappa'")):
+                        ({"kappa": 12}, "'kappa'"),
+                        # N and M set the dropped ladder schedule
+                        ({"N": 10}, "config file: unknown keys 'N'\n")):
         bad.write_text(json.dumps(body))
         # fit is read by sweep alone, and no flag is given, because a --q
         # would replace the file's q_list
@@ -711,6 +727,9 @@ def test_config_hash_semantics(tmp_path, capsys):
     (["audit", "--q", "17", "--k", "0.5", "--tail-eps", "1e-7"],
      "232f48c98e8c"),
     (["chars", "--q", "9"], "be2853625b6c"),
+    (["mollifier-verify", "--q", "53"], "57faa5a04127"),
+    (["mollifier-verify", "--q", "53", "--ell", "12,4"], "59f57c1c5270"),
+    (["audit", "--q", "53", "--k", "0.5"], "043f2d2e5d77"),
 ])
 def test_config_hash_is_pinned(args, want):
     # the hash heads every report and keys reruns: the settings it covers,
@@ -767,7 +786,7 @@ def test_config_keys_are_the_flags():
         assert dests == {*cli._READS[name], "format", "out"}, name
         assert dests <= cli._SETTINGS.keys(), name
         flags += len(dests) + 1
-    assert flags == 89
+    assert flags == 85
 
 
 @pytest.mark.parametrize("name", list(cli._READS))

@@ -1,4 +1,4 @@
-"""Mollifier tower: ladder schedule, prime segments, truncated exponentials,
+"""Mollifier tower: ladder, prime segments, truncated exponentials,
 the short Dirichlet polynomials and their coefficient expansions."""
 
 import cmath
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from twistmoments import characters, hecke, moments, mollifier
+from twistmoments import characters, hecke, mollifier
 
 import helpers
 
@@ -38,7 +38,6 @@ def test_ladder_override_accepted():
     lad = mollifier.build_ladder(53, override_ell=(8, 2))
     assert lad.ell == (8, 2)
     assert lad.R == 2
-    assert lad.N is None and lad.M is None
     assert lad.c_k == 64.0
     assert lad.r_k == 3
 
@@ -56,40 +55,7 @@ def test_ladder_override_rejections(ell):
         mollifier.build_ladder(53, override_ell=ell)
 
 
-def test_generated_schedule():
-    lad = mollifier.build_ladder(10**300, N=1, M=1)
-    assert lad.ell == (14,)
-    assert lad.N == 1 and lad.M == 1
-    # denser start violates the square-separation requirement
-    with pytest.raises(ValueError):
-        mollifier.build_ladder(10**300, N=3, M=1)
-    # floor above the start value yields an empty ladder
-    lad0 = mollifier.build_ladder(53, N=1, M=3)
-    assert lad0.R == 0
-    assert lad0.ell == ()
-
-
-def test_generated_schedule_at_a_huge_floor():
-    # the floor 10^M is compared by digit count, never formed
-    lad = mollifier.build_ladder(53, N=2, M=10**9)
-    assert lad.ell == ()
-    assert lad.N == 2 and lad.M == 10**9
-
-
-def test_generated_schedule_floor_is_strict():
-    # an entry equal to 10^M is not above the floor: at q = 10^30 and N = 1
-    # the schedule starts at 2 ceil(log log q) = 10, at 10^60 and N = 10 at
-    # 100, and at 10^100 and N = 1 at 12
-    assert mollifier.build_ladder(10**30, N=1, M=1).ell == ()
-    assert mollifier.build_ladder(10**60, N=10, M=2).ell == ()
-    assert mollifier.build_ladder(10**100, N=1, M=1).ell == (12,)
-
-
 def test_ladder_requires_schedule_or_override():
-    with pytest.raises(ValueError):
-        mollifier.build_ladder(53)  # neither (N, M) nor an override
-    with pytest.raises(ValueError):
-        mollifier.build_ladder(53, N=0, M=1)
     with pytest.raises(ValueError):
         mollifier.build_ladder(2, override_ell=(8, 2))
 
@@ -384,43 +350,6 @@ def test_prime_sum_of_the_prime_two(table_100k):
     # P_2 = lambda(2) chi(2)/sqrt(2), so its modulus is 24/2^6 = 0.375
     P = mollifier.prime_sums(ctx, 2)[chi.index]
     assert abs(abs(P) - 0.375) < 1e-12
-
-
-def _weight_checks(table, N):
-    lad = mollifier.build_ladder(53, N=N, M=1, override_ell=(8, 2))
-    ctx = mollifier.MollifierContext(table, lad,
-                                     mollifier.build_segments(53, lad))
-    return moments.segment_weight_checks(ctx)
-
-
-def test_segment_prime_sum_bounds(table_100k):
-    recs = _weight_checks(table_100k, 2)
-    assert [r.subject for r in recs] == ["j=1", "j=2"]
-    # empty segment skipped
-    assert recs[0] == ("segment_prime_weight_skipped", "j=1", 0.0, None,
-                       True)
-    r2 = recs[1]
-    assert r2.name == "segment_prime_weight"
-    value = table_100k.lam_at(2) ** 2 / 2        # 0.140625
-    assert abs(r2.lhs - value) < 1e-15
-    assert r2.rhs == 2 * 2 / 2
-    # ok is ell_2/(4N) <= value <= 2 ell_2/N with ell_2 = 2: the lower
-    # bound is 0.25, 1/6 and 0.125 at N = 2, 3, 4, the upper bound 1/7
-    # and 4/29 at N = 28, 29
-    for N in (2, 3, 4, 28, 29):
-        r2 = _weight_checks(table_100k, N)[1]
-        assert r2.rhs == 4 / N
-        assert r2.ok == (2 / (4 * N) <= r2.lhs <= 4 / N)
-        assert r2.ok == (N in (4, 28)), N
-
-    # override ladder without N: diagnostics report but do not check
-    plain = mollifier.build_ladder(53, override_ell=(8, 2))
-    ctx2 = mollifier.MollifierContext(table_100k, plain,
-                                      mollifier.build_segments(53, plain))
-    recs2 = moments.segment_weight_checks(ctx2)
-    assert all(r.name == "segment_prime_weight_skipped" and r.rhs is None
-               and r.ok for r in recs2)
-    assert recs2[1].lhs > 0
 
 
 @pytest.mark.parametrize("q, ell, segment", [
