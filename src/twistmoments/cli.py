@@ -1,8 +1,9 @@
 """Command-line front end: configuration, dispatch, and report emission.
 
-One subcommand per concern (tau, chars, weights, lvalue, moments, sweep,
-mollifier-verify, audit, fit), each with --config, --format, --out and the
-flags of the settings it reads (_READS).  Config resolution order: built-in
+One subcommand per concern (tau, chars, weights, lvalue, sweep,
+mollifier-verify, audit), each with --config, --format, --out and the flags
+of the settings it reads (_READS); sweep is the one moment report, and with
+--fit it also fits the growth exponent.  Config resolution order: built-in
 defaults, then a JSON config file (--config), then explicit flags; a file
 key the command does not read keeps its default.  Every run emits the
 resolved config hash with its results so outputs are traceable; given the
@@ -10,7 +11,8 @@ same config and seed the bytes are identical.  A table-backed command hands
 each family the run's one table (_table), so lvalues.audit_plan decides the
 squared-route audit alike in every command.
 
-Exit codes: 0 success, 1 bad usage or config, 2 computation failure.
+Exit codes: 0 success, 1 bad usage or config, 2 computation failure, which
+includes a check row of audit or mollifier-verify that fails.
 
 Listing a family (chars) loads neither numpy nor dataclasses: the records on
 its path, RunConfig here and characters.CharacterGroup, are named-tuple
@@ -127,11 +129,9 @@ _READS = {name: tuple(keys.split()) for name, keys in {
     "chars": "q q_list",
     "weights": "cache_dir",
     "lvalue": "q q_list X tail_eps cache_dir seed audit_count",
-    "moments": "q q_list X tail_eps cache_dir seed audit_count k k_list",
     "sweep": "q q_list X tail_eps cache_dir seed audit_count k k_list fit",
-    "mollifier-verify": "q q_list k k_list X tail_eps cache_dir seed ell",
+    "mollifier-verify": "q q_list k k_list tail_eps cache_dir seed ell",
     "audit": "q q_list X tail_eps cache_dir seed audit_count k k_list ell",
-    "fit": "q q_list X tail_eps cache_dir seed audit_count k k_list",
 }.items()}
 
 
@@ -271,8 +271,6 @@ def _validate(cfg: RunConfig):
         if cfg.command == "mollifier-verify" and k > top:
             raise _CliError(f"k={k:g} is beyond the local-factor envelope, "
                             f"established for k <= {top:g}")
-    if cfg.command == "fit" and len(cfg.q_list) < 4:
-        raise _CliError("fit needs at least 4 moduli")
     for q in cfg.q_list:
         if q < 3 or q % 4 == 2:
             raise _CliError(
@@ -281,7 +279,7 @@ def _validate(cfg: RunConfig):
     for what, vals in (("modulus", cfg.q_list), ("k", cfg.k_list)):
         if len(set(vals)) != len(vals):
             raise _CliError(f"repeated {what} in {vals}")
-    if cfg.command in ("moments", "sweep", "fit", "audit"):
+    if cfg.command in ("sweep", "audit"):
         # each moment is divided by (log q)^(k^2), largest at the largest q
         q = max(cfg.q_list)
         for k in cfg.k_list:
@@ -432,17 +430,6 @@ def _cmd_lvalue(cfg: RunConfig) -> str:
                    audits=audits, comments=comments)
 
 
-def _moment_rows(cfg: RunConfig):
-    rows = []
-    reports: dict[float, list[moments.MomentReport]] = {}
-    for rep in moments.sweep_reports(_table(cfg), cfg.q_list, cfg.k_list,
-                                     cfg.afe()):
-        reports.setdefault(rep.k, []).append(rep)
-        rows.append((rep.q, rep.k, rep.phi_star, rep.raw_moment,
-                     rep.normalized, rep.ratio_to_logq_pow_k2))
-    return rows, reports
-
-
 _MOMENT_HEADER = ("q", "k", "phi_star", "raw_moment", "normalized",
                   "ratio_to_logq_pow_k2")
 
@@ -470,18 +457,18 @@ def _fit_blocks(reports: dict[float, list]) -> tuple[list[str], list[dict]]:
 
 
 def _cmd_sweep(cfg: RunConfig) -> str:
-    rows, reports = _moment_rows(cfg)
+    rows = []
+    reports: dict[float, list[moments.MomentReport]] = {}
+    for rep in moments.sweep_reports(_table(cfg), cfg.q_list, cfg.k_list,
+                                     cfg.afe()):
+        reports.setdefault(rep.k, []).append(rep)
+        rows.append((rep.q, rep.k, rep.phi_star, rep.raw_moment,
+                     rep.normalized, rep.ratio_to_logq_pow_k2))
     if not cfg.fit:
         return _render(cfg, _MOMENT_HEADER, rows)
     comments, fits = _fit_blocks(reports)
     return _render(cfg, _MOMENT_HEADER, rows, audits={"fit": fits},
                    comments=comments)
-
-
-def _cmd_fit(cfg: RunConfig) -> str:
-    # _validate refuses fewer than 4 moduli, so no k is skipped
-    fits = _fit_blocks(_moment_rows(cfg)[1])[1]
-    return _render(cfg, _FIT_HEADER, [tuple(f.values()) for f in fits])
 
 
 def _context(cfg: RunConfig, n_min: int = 0) -> mollifier.MollifierContext:
@@ -491,6 +478,16 @@ def _context(cfg: RunConfig, n_min: int = 0) -> mollifier.MollifierContext:
     ladder = cfg.ladder(q)
     return mollifier.MollifierContext(_table(cfg, n_min), ladder,
                                       mollifier.build_segments(q, ladder))
+
+
+def _require_ok(checks):
+    """A run whose check failed is a computation failure: exit 2, with the
+    count of failed checks and the first one's name and subject, and
+    nothing written."""
+    failed = [c for c in checks if not c.ok]
+    if failed:
+        raise AssertionError(f"{len(failed)} of {len(checks)} checks failed, "
+                             f"first {failed[0].name} {failed[0].subject}")
 
 
 def _cmd_audit(cfg: RunConfig) -> str:
@@ -504,6 +501,7 @@ def _cmd_audit(cfg: RunConfig) -> str:
             for c in pw.checks]
     rows += [("holder", c.name, c.subject, c.lhs, c.rhs, c.ok)
              for c in hc.checks]
+    _require_ok(pw.checks + hc.checks)
     audits = {"pointwise_pass": pw.pass_count,
               "pointwise_fail": pw.fail_count,
               "holder_pass": hc.pass_count, "holder_fail": hc.fail_count,
@@ -523,6 +521,7 @@ def _cmd_mollifier_verify(cfg: RunConfig) -> str:
     prims = characters.primitive_characters(
         characters.build_group(ctx.segments.q))
     chk = moments.verify_checks(ctx, prims[:12], cfg.seed)
+    _require_ok(chk.checks)
     audits = {"ladder": list(ladder.ell), "c_k": ladder.c_k,
               "r_k": ladder.r_k, **chk.reported}
     comments = [f"# support_size={audits['support_size']} "
@@ -536,12 +535,9 @@ _COMMANDS = {
     "chars": _cmd_chars,
     "weights": _cmd_weights,
     "lvalue": _cmd_lvalue,
-    # moments reads no fit, so sweep's route prints its rows alone
-    "moments": _cmd_sweep,
     "sweep": _cmd_sweep,
     "mollifier-verify": _cmd_mollifier_verify,
     "audit": _cmd_audit,
-    "fit": _cmd_fit,
 }
 
 

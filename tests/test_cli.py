@@ -66,10 +66,9 @@ def test_help_exits_zero(capsys):
     ["lvalue", "--q", "7", "--kappa", "12"],     # the form is fixed: Delta
     ["lvalue", "--q", "7", "--X", "0"],
     ["lvalue", "--q", "7", "--tail-eps", "2"],
-    ["moments", "--q", "53", "--k", "-1"],
+    ["sweep", "--q", "53", "--k", "-1"],
     ["audit", "--q-list", "53,101", "--k", "0.5"],   # exactly one modulus
     ["mollifier-verify", "--q-list", "53,101"],
-    ["fit", "--q-list", "53,101,149"],               # needs >= 4 moduli
     ["audit", "--q", "53", "--ell", "8,3"],          # odd ladder entry
     ["audit", "--q", "53", "--ell", "2,8"],          # increasing ladder
     ["tau", "--n-max", "0"],
@@ -85,11 +84,11 @@ def test_help_exits_zero(capsys):
     ["audit", "--q", "53", "--N", "2"],
     ["mollifier-verify", "--q", "53", "--M", "2"],
     ["lvalue", "--q", "7", "--tail-eps", "1e-21"],   # below W's grid
-    ["moments", "--q", "7", "--k", "nan"],
-    ["moments", "--q", "7", "--k", "inf"],
+    ["sweep", "--q", "7", "--k", "nan"],
+    ["sweep", "--q", "7", "--k", "inf"],
     ["audit", "--q", "17", "--k", "inf"],
     ["lvalue", "--q", "7", "--X", "inf"],
-    ["fit", "--q-list", "53,53,101,149"],            # repeated modulus
+    ["sweep", "--q-list", "53,53,101,149"],          # repeated modulus
     ["sweep", "--q-list", "5,7,9,11", "--k-list", "1,1", "--fit"],
     ["lvalue", "--q-list", "7,7"],
     ["lvalue", "--q", "7", "--X", "1e-9"],           # n_cap past TAU_N_MAX
@@ -97,6 +96,9 @@ def test_help_exits_zero(capsys):
     ["lvalue", "--q", "7", "--X", "3e-4"],
     ["lvalue", "--q", "7", "--X", "1e-320"],         # 1/X overflows
     ["lvalue", "--q", "7", "--X", "1e300"],          # a 305-digit n_cap
+    # sweep is the one moment report: no moments or fit command
+    ["moments", "--q", "53", "--k", "1"],
+    ["fit", "--q-list", "53,81,101,105"],
 ])
 def test_validation_failures_exit_one(args, capsys):
     rc, out, err = run_cli(args, capsys)
@@ -114,10 +116,31 @@ def test_computation_failure_exits_two(capsys):
     assert "failed" in err
 
 
+@pytest.mark.parametrize("args, setting, err", [
+    (["audit", "--q", "17", "--tail-eps", "1e-7", "--k", "0.5"],
+     ("_SLACK", -1.0),
+     "63 of 78 checks failed, first product_small_regime chi=1 j=1"),
+    (["mollifier-verify", "--q", "17", "--tail-eps", "1e-7"],
+     ("DIAGONAL_TOL", 0.0),
+     "1 of 20 checks failed, first diagonal_identity k=1.0"),
+], ids=["audit", "mollifier-verify"])
+def test_failed_checks_fail_the_run(args, setting, err, monkeypatch,
+                                    tmp_path, capsys):
+    # a check row marked 0 is a computation failure, not a report: one
+    # stderr line, nothing written; every row passes at the real settings
+    out = tmp_path / "report.csv"
+    assert run_cli([*args, "--out", str(out)], capsys) == (0, "", "")
+    out.unlink()
+    monkeypatch.setattr(moments, *setting)
+    assert run_cli([*args, "--out", str(out)], capsys) == (
+        2, "", f"twistmoments: computation failed: {err}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("k, q_args", [
     ("50", ["sweep", "--q", "9"]),
-    ("31", ["moments", "--q-list", "9,5"]),
-    ("40", ["fit", "--q-list", "3,5,7,9"]),
+    ("31", ["sweep", "--q-list", "9,5"]),
+    ("40", ["sweep", "--q-list", "3,5,7,9", "--fit"]),
     ("31", ["audit", "--q", "9"]),
 ])
 def test_overflowing_k_exits_one(k, q_args, capsys):
@@ -460,7 +483,7 @@ def test_lvalue_family(capsys):
 
 
 def test_moments_regression(capsys):
-    rc, out, _ = run_cli(["moments", "--q", "53", "--k", "1"], capsys)
+    rc, out, _ = run_cli(["sweep", "--q", "53", "--k", "1"], capsys)
     assert rc == 0
     _, rows = csv_rows(out)
     assert len(rows) == 1
@@ -786,7 +809,7 @@ def test_config_keys_are_the_flags():
         assert dests == {*cli._READS[name], "format", "out"}, name
         assert dests <= cli._SETTINGS.keys(), name
         flags += len(dests) + 1
-    assert flags == 85
+    assert flags == 60
 
 
 @pytest.mark.parametrize("name", list(cli._READS))
@@ -833,17 +856,17 @@ def test_flags_replace_both_forms_from_the_file(tmp_path, capsys):
     assert out.splitlines()[0] == f"# config {want}"
     path.write_text(json.dumps({"k_list": [0.5, 2]}))
     rc, out, _ = run_cli(
-        ["moments", "--config", str(path), "--q", "7", "--k", "1"], capsys)
+        ["sweep", "--config", str(path), "--q", "7", "--k", "1"], capsys)
     assert rc == 0
     assert [row["k"] for row in csv_rows(out)[1]] == ["1.0"]
     for args, body, err_want in (
             (["chars", "--q", "5", "--q-list", "7"], None,
              "give q or q_list, not both"),
-            (["moments", "--q", "7", "--k", "1", "--k-list", "2"], None,
+            (["sweep", "--q", "7", "--k", "1", "--k-list", "2"], None,
              "give k or k_list, not both"),
             (["chars"], {"q": 5, "q_list": "7"},
              "config file: give q or q_list, not both"),
-            (["moments", "--q", "7"], {"k": 1, "k_list": [2]},
+            (["sweep", "--q", "7"], {"k": 1, "k_list": [2]},
              "config file: give k or k_list, not both")):
         if body is not None:
             path.write_text(json.dumps(body))
@@ -1122,7 +1145,9 @@ def test_tracer_names_resolve():
 def _usage_cases():
     cases = [[], ["-h"], ["--help"], ["nosuch"], ["nosuch", "--q", "5"],
              ["--bogus", "chars", "--q", "5"]]
-    for name in cli._COMMANDS:
+    # moments and fit were folded into sweep: both parsers must refuse
+    # their names alike
+    for name in (*cli._COMMANDS, "moments", "fit"):
         cases += [[name, "--help"], [name, "--bogus"], [name, "--q", "x"],
                   [name, "--format", "xml"], ["--bogus", name, "--q", "x"]]
     return cases
@@ -1131,7 +1156,7 @@ def _usage_cases():
 @pytest.mark.parametrize("args", _usage_cases(), ids=" ".join)
 def test_parser_flags_only_the_named_command(args, capsys, monkeypatch):
     # the parser flags only the command argv names; help, usage errors and
-    # exit codes must read as with the flags on all nine subcommands
+    # exit codes must read as with the flags on all seven subcommands
     got = run_cli(args, capsys)
     full = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser",
